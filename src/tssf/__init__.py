@@ -5,7 +5,33 @@ affine-invariant geometry on the SPD manifold, tangent-space linear
 models, spatial filter extraction from those models via generalized
 eigendecomposition, a CSP baseline, spatial-pattern recovery, and a
 cross-validation/statistics harness.
+
+Setting the ``TSSF_THREADS`` environment variable caps BLAS and OpenMP
+thread pools: importing this package copies it into the thread variables
+of OpenBLAS, OpenMP, MKL, numexpr and Accelerate that are not already
+set. Those are read when numpy loads, so the cap applies only if numpy
+was not imported before this package; otherwise a warning says so.
 """
+
+import os as _os
+import sys as _sys
+
+if _os.environ.get("TSSF_THREADS"):  # before anything below imports numpy
+    if "numpy" in _sys.modules:
+        import warnings as _warnings
+
+        _warnings.warn(
+            "TSSF_THREADS has no effect: numpy was imported before tssf", stacklevel=2
+        )
+    for _var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS",
+    ):
+        _os.environ.setdefault(_var, _os.environ["TSSF_THREADS"])
+    del _var
 
 from .errors import (
     ConvergenceFailure,
@@ -82,7 +108,6 @@ from .dataio import (
     fir_bandpass,
     load_manifest,
     read_manifest,
-    read_trial_csv,
     read_trials,
     synth_generate,
     write_trials,

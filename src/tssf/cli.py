@@ -10,36 +10,14 @@ bench      measure per-trial prediction latency of fitted pipelines
 
 Exit codes: 0 success, 2 usage/config errors, 3 numerical or degenerate
 failures. All commands honor ``--seed`` and are reproducible under it.
-The ``TSSF_THREADS`` environment variable caps BLAS parallelism (set it
-before launch; ``TSSF_THREADS=1`` gives single-threaded runs for
+The ``TSSF_THREADS`` environment variable caps BLAS parallelism (see the
+``tssf`` package; ``TSSF_THREADS=1`` gives single-threaded runs for
 benchmarking).
 """
 
 import argparse
 import os
 import sys
-
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("TSSF_THREADS")
-    if not cap:
-        return
-    for var in _THREAD_ENV_VARS:
-        os.environ.setdefault(var, cap)
-    try:  # also cap pools of an already-loaded BLAS, when possible
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
-    except Exception:
-        pass
 
 
 def _parser():
@@ -107,7 +85,6 @@ def _parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -202,6 +179,7 @@ def cmd_fit(args):
     from .csp import fit_csp, save_csp_model
     from .dataio import covariances
     from .errors import DegenerateModel, InvalidInput
+    from .pipelines import _TSSF_VARIANTS
     from .tssf import extract_tssf, save_tssf_model, truncate_model
 
     spec = _pipeline_spec(args.pipeline, args)
@@ -222,9 +200,7 @@ def cmd_fit(args):
         raise InvalidInput(
             "TS_AIRM keeps no filter model file; use 'eval' or 'bench' for it"
         )
-    kind ={"Var": "logvar", "Cov": "diaglogcov", "LogCov": "logcov"}[
-        args.pipeline.split("_")[1]
-    ]
+    kind, _ = _TSSF_VARIANTS[spec.name]
     full = extract_tssf(
         covs,
         trialset.labels,

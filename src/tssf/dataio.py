@@ -185,13 +185,41 @@ def load_manifest(path):
     )
 
 
-def read_trial_csv(path):
-    """One trial from a CSV file: rows are channels, columns samples."""
+def _covariance_stack(data, center=True, scale=True):
+    """Per-trial sample covariances of a C x N x T tensor, shape (T, C, C).
+
+    The covariance arithmetic of the whole library, without the SPD check
+    (an extra eigendecomposition per trial that online prediction cannot
+    afford). Per-channel means are removed first when ``center``, and the
+    product is divided by N when ``scale``. ``x @ x.T`` goes through BLAS
+    ``syrk``, so every covariance is exactly symmetric.
+    """
+    n = data.shape[1]
+    x = data.transpose(2, 0, 1).copy()  # (T, C, N), C-contiguous for BLAS
+    if center:
+        x -= x.sum(axis=2, keepdims=True) / n  # bit-identical to mean(), cheaper
+    covs = x @ x.swapaxes(1, 2)
+    if scale:
+        covs /= n
+    return covs
+
+
+def _spd_covariances(data, center=True, scale=True, spd_tol=1e-10, jitter=0.0):
+    """:func:`_covariance_stack` plus one vectorized SPD check of the stack."""
+    c, n, _ = data.shape
+    if n <= c:
+        warnings.warn(
+            f"trial has {n} samples for {c} channels; covariance may be rank-deficient",
+            stacklevel=3,
+        )
+    covs = _covariance_stack(data, center, scale)
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    except ValueError as exc:
-        raise FormatError(f"bad trial CSV: {exc}") from exc
-    return arr
+        return ensure_spd(covs, spd_tol=spd_tol, jitter=jitter, name="covariance")
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(
+            f"{exc} (estimate is rank-deficient: use more samples per trial, "
+            "drop constant channels, or pass jitter > 0)"
+        ) from exc
 
 
 def empirical_covariance(trial, center=True, scale=True, spd_tol=1e-10, jitter=0.0):
@@ -204,37 +232,12 @@ def empirical_covariance(trial, center=True, scale=True, spd_tol=1e-10, jitter=0
     x = np.asarray(trial, dtype=float)
     if x.ndim != 2:
         raise InvalidInput("trial must be a C x N matrix")
-    c, n = x.shape
-    if n <= c:
-        warnings.warn(
-            f"trial has {n} samples for {c} channels; covariance may be rank-deficient",
-            stacklevel=2,
-        )
-    if center:
-        x = x - x.mean(axis=1, keepdims=True)
-    cov = x @ x.T
-    if scale:
-        cov /= n
-    cov = 0.5 * (cov + cov.T)
-    try:
-        return ensure_spd(cov, spd_tol=spd_tol, jitter=jitter, name="covariance")
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(
-            f"{exc} (estimate is rank-deficient: use more samples per trial, "
-            "drop constant channels, or pass jitter > 0)"
-        ) from exc
+    return _spd_covariances(x[:, :, None], center, scale, spd_tol, jitter)[0]
 
 
 def covariances(trialset, center=True, scale=True, spd_tol=1e-10, jitter=0.0):
     """Per-trial covariances of a TrialSet, shape (T, C, C), trial order."""
-    return np.array(
-        [
-            empirical_covariance(
-                trialset.trial(t), center=center, scale=scale, spd_tol=spd_tol, jitter=jitter
-            )
-            for t in range(trialset.n_trials)
-        ]
-    )
+    return _spd_covariances(trialset.data, center, scale, spd_tol, jitter)
 
 
 def fir_bandpass(trialset, low_hz=8.0, high_hz=32.0, fs_hz=250.0, taps=129):

@@ -42,12 +42,18 @@ def roc_auc(scores, labels):
     """Area under the ROC curve, Mann-Whitney formulation.
 
     Equals the probability that a positive-class score exceeds a
-    negative-class score, with tied pairs counting one half.
+    negative-class score, with tied pairs counting one half. Non-finite
+    scores raise :class:`~tssf.errors.DegenerateStatistic`.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InvalidInput("scores and labels must be matching 1-D arrays")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise DegenerateStatistic(
+            f"{bad.size} non-finite score(s), first at index {bad[0]}: {scores[bad[0]]}"
+        )
     pos = labels == 1
     neg = labels == -1
     if not (np.all(pos | neg) and pos.any() and neg.any()):
@@ -312,7 +318,7 @@ def reports_to_csv(reports):
     lines = ["pipeline,k,feature_kind,session,fold,auc"]
     for rep in reports:
         for s, f, auc in zip(rep.sessions, rep.folds, rep.aucs):
-            lines.append(f"{rep.pipeline},{rep.k},{rep.feature_kind},{s},{f},{auc!r}")
+            lines.append(f"{rep.pipeline},{rep.k},{rep.feature_kind},{s},{f},{float(auc)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -320,7 +326,7 @@ def comparisons_to_csv(comparisons):
     lines = ["pipeline_a,pipeline_b,n,smd,p_value"]
     for cmp in comparisons:
         smd_txt = repr(cmp.smd) if np.isfinite(cmp.smd) else "nan"
-        lines.append(f"{cmp.name_a},{cmp.name_b},{cmp.n},{smd_txt},{cmp.p_value!r}")
+        lines.append(f"{cmp.name_a},{cmp.name_b},{cmp.n},{smd_txt},{float(cmp.p_value)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -6,10 +6,20 @@ is a symmetric (possibly indefinite) C x C array, and a tangent vector is
 the sqrt(2)-weighted half-vectorization of a tangent element. All functions
 are pure and safe to call concurrently.
 
-Matrix functions (``logm``/``expm``/``powm``) share the single
-:func:`sym_eig` implementation so they are mutually consistent.
+Matrix arguments may be stacks: ``sym_eig``, ``ensure_spd``, ``logm``,
+``expm``, ``powm``, ``vec`` and ``log_map_at``/``exp_map_at`` (in their
+second argument) take ``(..., C, C)`` arrays and work on each matrix of
+the stack; ``frechet_mean`` takes a ``(T, C, C)`` stack of points.
+``airm_distance``, ``inner_product_at`` and ``ged`` take single matrices.
+
+Matrix functions (``logm``/``expm``/``powm``) share one eigendecomposition
+route and check definiteness from the eigenvalues it computes, so they are
+mutually consistent. The order and sign conventions of :func:`sym_eig`
+apply to the eigenvectors it returns (and so to :func:`ged`); matrix
+functions do not depend on them.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,22 +36,17 @@ SYM_RTOL = 1e-12
 SPD_TOL = 1e-10
 
 
-def _check_square(a, name="matrix"):
+def _check_symmetric(a, name="matrix", stack=True):
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
-def _check_symmetric(a, name="matrix"):
-    a = _check_square(a, name)
-    if not np.all(np.abs(a - a.T) <= SYM_RTOL * np.maximum(1.0, np.abs(a))):
+    if not np.all(np.abs(a - a.swapaxes(-1, -2)) <= SYM_RTOL * np.maximum(1.0, np.abs(a))):
         raise InvalidInput(f"{name} is not symmetric within {SYM_RTOL:g}")
     return a
 
 
 def _check_same_dim(a, b):
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise DimMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
@@ -50,71 +55,91 @@ def sym_eig(a):
 
     Parameters
     ----------
-    a : ndarray, shape (C, C)
-        Symmetric matrix.
+    a : ndarray, shape (..., C, C)
+        Symmetric matrix or stack of them.
 
     Returns
     -------
-    eigenvalues : ndarray, shape (C,)
+    eigenvalues : ndarray, shape (..., C)
         Sorted in descending order (ties keep LAPACK's original order).
-    eigenvectors : ndarray, shape (C, C)
+    eigenvectors : ndarray, shape (..., C, C)
         Orthonormal columns matching ``eigenvalues``; the sign of each
         column is fixed so its largest-magnitude entry is positive.
     """
-    a = _check_symmetric(a)
-    w, v = np.linalg.eigh(a)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = np.linalg.eigh(_check_symmetric(a))
+    order = np.argsort(-w, axis=-1, kind="stable")
+    w = np.take_along_axis(w, order, -1)
+    v = np.take_along_axis(v, order[..., None, :], -1)
     # sign convention: largest-magnitude entry of each column positive
-    picks = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[picks, np.arange(v.shape[1])])
+    picks = np.argmax(np.abs(v), axis=-2)
+    signs = np.sign(np.take_along_axis(v, picks[..., None, :], -2))
     signs[signs == 0] = 1.0
     return w, v * signs
 
 
-def _spd_eig(a, spd_tol=SPD_TOL, name="matrix"):
-    w, v = sym_eig(a)
-    if w[0] <= 0 or w[-1] <= spd_tol * w[0]:
+def _check_definite(w, spd_tol, name):
+    # w: ascending eigenvalues of each matrix of a stack; a matrix is SPD
+    # when its smallest eigenvalue exceeds spd_tol times the magnitude of
+    # its largest (so the largest is positive too); NaN fails
+    ok = w[..., 0] > spd_tol * np.abs(w[..., -1])
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        where = "" if not i else f" {i[0]}" if len(i) == 1 else f" {i}"
         raise NotPositiveDefinite(
-            f"{name} is not positive definite: eigenvalue range "
-            f"[{w[-1]:.3e}, {w[0]:.3e}] fails tolerance {spd_tol:g}"
+            f"{name}{where} is not positive definite: eigenvalue range "
+            f"[{w[i][0]:.3e}, {w[i][-1]:.3e}] fails tolerance {spd_tol:g}"
         )
+
+
+def _spd_eigh(a, spd_tol=SPD_TOL, name="matrix"):
+    # ascending eigenpairs of every matrix of a stack, checked SPD
+    w, v = np.linalg.eigh(a)
+    _check_definite(w, spd_tol, name)
     return w, v
+
+
+def _from_eig(w, v):
+    # v diag(w) v^T for every matrix of a stack
+    return (v * w[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def ensure_spd(a, spd_tol=SPD_TOL, jitter=0.0, name="matrix"):
     """Validate that ``a`` is SPD, optionally after adding ``jitter * I``.
 
     Inputs failing the check are rejected, never silently regularized;
-    callers that want regularization must request it via ``jitter``.
-    Returns the (possibly jittered) matrix.
+    callers that want regularization must request it via ``jitter``. A
+    stack is checked matrix by matrix, and the error names the first
+    failing index. Returns the (possibly jittered) matrix.
     """
     a = _check_symmetric(a, name)
     if jitter:
-        a = a + jitter * np.eye(a.shape[0])
-    _spd_eig(a, spd_tol, name)
+        a = a + jitter * np.eye(a.shape[-1])
+    _check_definite(np.linalg.eigvalsh(a), spd_tol, name)
     return a
+
+
+def _logm(a, spd_tol=SPD_TOL, name="matrix"):
+    w, v = _spd_eigh(a, spd_tol, name)
+    return _from_eig(np.log(w), v)
 
 
 def logm(a, spd_tol=SPD_TOL):
     """Matrix logarithm of an SPD matrix (eigenvalue route)."""
-    w, v = _spd_eig(a, spd_tol)
-    return (v * np.log(w)) @ v.T
+    return _logm(_check_symmetric(a), spd_tol)
 
 
 def expm(s):
     """Matrix exponential of a symmetric matrix; the result is SPD."""
-    w, v = sym_eig(s)
-    return (v * np.exp(w)) @ v.T
+    w, v = np.linalg.eigh(_check_symmetric(s))
+    return _from_eig(np.exp(w), v)
 
 
 def powm(a, p, spd_tol=SPD_TOL):
     """Real matrix power ``a ** p`` of an SPD matrix, ``p != 0``."""
     if p == 0:
         raise InvalidInput("power p must be nonzero")
-    w, v = _spd_eig(a, spd_tol)
-    return (v * w**p) @ v.T
+    w, v = _spd_eigh(_check_symmetric(a), spd_tol)
+    return _from_eig(w**p, v)
 
 
 def airm_distance(a, b, spd_tol=SPD_TOL):
@@ -124,8 +149,8 @@ def airm_distance(a, b, spd_tol=SPD_TOL):
     generalized eigenvalues of ``(b, a)``. Symmetric in its arguments and
     invariant under congruence by any invertible matrix.
     """
-    a = _check_symmetric(a, "a")
-    b = _check_symmetric(b, "b")
+    a = _check_symmetric(a, "a", stack=False)
+    b = _check_symmetric(b, "b", stack=False)
     _check_same_dim(a, b)
     try:
         w = scipy.linalg.eigh(b, a, eigvals_only=True)
@@ -154,8 +179,8 @@ def frechet_mean(points, cfg=None):
 
     Parameters
     ----------
-    points : sequence of ndarray, each (C, C)
-        SPD matrices.
+    points : array-like, shape (T, C, C)
+        SPD matrices (a stack, or a sequence of C x C arrays).
     cfg : FrechetConfig, optional
 
     Returns
@@ -172,27 +197,24 @@ def frechet_mean(points, cfg=None):
     cfg = cfg or FrechetConfig()
     if cfg.max_iterations < 1 or cfg.tolerance <= 0:
         raise InvalidInput("max_iterations must be >= 1 and tolerance > 0")
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
-        raise InvalidInput("need at least one matrix")
-    for p in pts:
-        _check_symmetric(p, "point")
-        _check_same_dim(p, pts[0])
-    pts = np.asarray(pts)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except ValueError:
+        raise DimMismatch("points must all have the same shape") from None
+    if pts.ndim != 3 or pts.shape[0] == 0:
+        raise InvalidInput(f"need a non-empty (T, C, C) stack of points, got shape {pts.shape}")
+    pts = _check_symmetric(pts, "point")
 
     mean = pts.mean(axis=0)
-    residual = np.inf
-    for _ in range(cfg.max_iterations):
+    for step in range(cfg.max_iterations + 1):
         half, inv_half = _half_powers(mean)
-        log_mean = _whitened_log_mean(pts, inv_half)
+        m = inv_half @ pts @ inv_half
+        log_mean = logm(0.5 * (m + m.swapaxes(1, 2))).mean(axis=0)
         residual = np.linalg.norm(half @ log_mean @ half)
         if residual < cfg.tolerance:
             return mean
-        mean = half @ expm(log_mean) @ half
-    half, inv_half = _half_powers(mean)
-    residual = np.linalg.norm(half @ _whitened_log_mean(pts, inv_half) @ half)
-    if residual < cfg.tolerance:
-        return mean
+        if step < cfg.max_iterations:
+            mean = half @ expm(log_mean) @ half
     raise ConvergenceFailure(
         f"Frechet mean did not converge in {cfg.max_iterations} iterations "
         f"(residual {residual:.3e} > {cfg.tolerance:g})",
@@ -201,17 +223,18 @@ def frechet_mean(points, cfg=None):
 
 
 def _half_powers(a):
-    w, v = _spd_eig(a)
+    # a^{1/2} and a^{-1/2} of an SPD matrix (or stack), from one eigh
+    w, v = _spd_eigh(a)
     sq = np.sqrt(w)
-    return (v * sq) @ v.T, (v / sq) @ v.T
+    return _from_eig(sq, v), _from_eig(1.0 / sq, v)
 
 
-def _whitened_log_mean(pts, inv_half):
-    acc = np.zeros_like(pts[0])
-    for p in pts:
-        m = inv_half @ p @ inv_half
-        acc += logm(0.5 * (m + m.T))
-    return acc / len(pts)
+def _whitened_log(inv_half, x, name="matrix"):
+    # logm(ref^{-1/2} x ref^{-1/2}) for every matrix of the stack x, given
+    # inv_half = ref^{-1/2}; raises NotPositiveDefinite for a non-SPD x.
+    # eigh reads only the lower triangle, so the product needs no
+    # symmetrizing: its rounding-level asymmetry is simply not read.
+    return _logm(inv_half @ x @ inv_half, name=name)
 
 
 def log_map_at(ref, x):
@@ -220,22 +243,21 @@ def log_map_at(ref, x):
     Returns the symmetric tangent element
     ``ref^{1/2} logm(ref^{-1/2} x ref^{-1/2}) ref^{1/2}``.
     """
-    ref = _check_symmetric(ref, "ref")
+    ref = _check_symmetric(ref, "ref", stack=False)
     x = _check_symmetric(x, "x")
     _check_same_dim(ref, x)
     half, inv_half = _half_powers(ref)
-    m = inv_half @ x @ inv_half
-    return half @ logm(0.5 * (m + m.T)) @ half
+    return half @ _whitened_log(inv_half, x) @ half
 
 
 def exp_map_at(ref, s):
     """Exponential map of tangent element ``s`` at reference point ``ref``."""
-    ref = _check_symmetric(ref, "ref")
+    ref = _check_symmetric(ref, "ref", stack=False)
     s = _check_symmetric(s, "s")
     _check_same_dim(ref, s)
     half, inv_half = _half_powers(ref)
     m = inv_half @ s @ inv_half
-    return half @ expm(0.5 * (m + m.T)) @ half
+    return half @ expm(0.5 * (m + m.swapaxes(-1, -2))) @ half
 
 
 def vec_dim(c):
@@ -243,8 +265,20 @@ def vec_dim(c):
     return c * (c + 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
 def _tril(c):
-    return np.tril_indices(c)
+    # row-major lower-triangle indices of a C x C matrix and the vec
+    # weights (1 on the diagonal, sqrt(2) off it); shared, so read-only
+    rows, cols = np.tril_indices(c)
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    for arr in (rows, cols, weights):
+        arr.setflags(write=False)
+    return rows, cols, weights
+
+
+def _vec(s):
+    rows, cols, weights = _tril(s.shape[-1])
+    return s[..., rows, cols] * weights
 
 
 def vec(s):
@@ -253,13 +287,9 @@ def vec(s):
     Entries are taken row-major over the lower triangle:
     (0,0), (1,0), (1,1), (2,0), ... The scaling makes the Euclidean dot
     product of two vectorizations equal the trace inner product of the
-    matrices.
+    matrices. A ``(..., C, C)`` stack gives ``(..., C(C+1)/2)``.
     """
-    s = _check_symmetric(s)
-    c = s.shape[0]
-    rows, cols = _tril(c)
-    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    return s[rows, cols] * weights
+    return _vec(_check_symmetric(s))
 
 
 def unvec(v):
@@ -274,8 +304,7 @@ def unvec(v):
     c = int((np.sqrt(8 * v.size + 1) - 1) / 2)
     if vec_dim(c) != v.size:
         raise InvalidInput(f"length {v.size} is not of the form C(C+1)/2")
-    rows, cols = _tril(c)
-    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    rows, cols, weights = _tril(c)
     s = np.zeros((c, c))
     s[rows, cols] = v / weights
     s[cols, rows] = s[rows, cols]
@@ -288,9 +317,9 @@ def inner_product_at(ref, s1, s2):
     ``Tr(ref^{-1/2} s1 ref^{-1/2} . ref^{-1/2} s2 ref^{-1/2})`` -- a
     symmetric bilinear form, positive definite in ``s1 = s2``.
     """
-    ref = _check_symmetric(ref, "ref")
-    s1 = _check_symmetric(s1, "s1")
-    s2 = _check_symmetric(s2, "s2")
+    ref = _check_symmetric(ref, "ref", stack=False)
+    s1 = _check_symmetric(s1, "s1", stack=False)
+    s2 = _check_symmetric(s2, "s2", stack=False)
     _check_same_dim(ref, s1)
     _check_same_dim(s1, s2)
     _, inv_half = _half_powers(ref)
@@ -329,8 +358,8 @@ def ged(a, b, spd_tol=SPD_TOL):
         ``sym_eig(b^{-1/2} a b^{-1/2})``, so the result is deterministic
         (descending eigenvalues, sign convention of :func:`sym_eig`).
     """
-    a = _check_symmetric(a, "a")
-    b = _check_symmetric(b, "b")
+    a = _check_symmetric(a, "a", stack=False)
+    b = _check_symmetric(b, "b", stack=False)
     _check_same_dim(a, b)
     _, inv_half = _half_powers(b)
     m = inv_half @ a @ inv_half

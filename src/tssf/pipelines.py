@@ -23,17 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import fit_csp
-from .dataio import empirical_covariance
+from .dataio import _covariance_stack, _spd_covariances
 from .errors import DegenerateModel, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
-from .manifold import _half_powers, frechet_mean
-from .tssf import (
-    DIAGLOGCOV,
-    LOGCOV,
-    LOGVAR,
-    _vec_whitened_log,
-    extract_tssf,
-)
+from .manifold import _half_powers, _vec, _whitened_log, frechet_mean
+from .tssf import DIAGLOGCOV, LOGCOV, LOGVAR, _filtered_features, extract_tssf, tangent_vectors
 
 PIPELINE_NAMES = (
     "CSP",
@@ -96,26 +90,13 @@ def _check_fit_inputs(trials, labels):
     return trials, labels
 
 
-def _trial_covariances(trials):
-    return np.array(
-        [empirical_covariance(trials[:, :, t]) for t in range(trials.shape[2])]
-    )
-
-
-def _lean_cov(x):
-    # prediction-path covariance: same arithmetic as empirical_covariance
-    # with default flags, minus the SPD revalidation (costs an extra
-    # eigendecomposition per trial, which online use cannot afford)
-    centered = x - x.mean(axis=1, keepdims=True)
-    return (centered @ centered.T) / x.shape[1]
-
-
-def _filter_all(filters, trials):
-    # (C, N, T) is C-contiguous, so channel-space filtering maps onto one
-    # large matmul over the flattened (N, T) axes
+def _trial_features(model, kind, trials):
+    # features of each trial's covariance, recomputed from the filtered
+    # data; (C, N, T) is C-contiguous, so channel-space filtering maps onto
+    # one large matmul over the flattened (N, T) axes
     c, n, t = trials.shape
-    flat = filters.T @ trials.reshape(c, n * t)
-    return flat.reshape(filters.shape[1], n, t)
+    flat = model.filters.T @ trials.reshape(c, n * t)
+    return _filtered_features(model, _covariance_stack(flat.reshape(model.k, n, t)), kind)
 
 
 class CspPipeline:
@@ -131,22 +112,13 @@ class CspPipeline:
 
     def fit(self, trials, labels):
         trials, labels = _check_fit_inputs(trials, labels)
-        covs = _trial_covariances(trials)
-        self.model = fit_csp(covs, labels, self.k, class_mean=self.class_mean)
-        feats = self._features(trials)
+        self.model = fit_csp(_spd_covariances(trials), labels, self.k, class_mean=self.class_mean)
+        feats = _trial_features(self.model, LOGVAR, trials)
         self.clf = fit_from_config(feats, labels, self.classifier_cfg)
         return self
 
-    def _features(self, trials):
-        filtered_all = _filter_all(self.model.filters, trials)
-        out = np.empty((trials.shape[2], self.k))
-        for t in range(trials.shape[2]):
-            cov = _lean_cov(np.ascontiguousarray(filtered_all[:, :, t]))
-            out[t] = np.log(np.diag(cov))
-        return out
-
     def decision_scores(self, trials):
-        feats = self._features(np.ascontiguousarray(trials, dtype=float))
+        feats = _trial_features(self.model, LOGVAR, np.ascontiguousarray(trials, dtype=float))
         return feats @ self.clf.weights + self.clf.intercept
 
 
@@ -162,52 +134,21 @@ class TssfPipeline:
 
     def fit(self, trials, labels):
         trials, labels = _check_fit_inputs(trials, labels)
-        covs = _trial_covariances(trials)
         self.model = extract_tssf(
-            covs, labels, self.k, model_cfg=self.classifier_cfg, feature_kind=self.feature_kind
+            _spd_covariances(trials),
+            labels,
+            self.k,
+            model_cfg=self.classifier_cfg,
+            feature_kind=self.feature_kind,
         )
-        self._prepare_feature_maps()
         if not self.one_step:
-            feats = self._features(trials)
+            feats = _trial_features(self.model, self.feature_kind, trials)
             self.second = fit_from_config(feats, labels, self.classifier_cfg)
         return self
 
-    def _prepare_feature_maps(self):
-        if self.feature_kind == LOGCOV:
-            w, v = np.linalg.eigh(self.model.filtered_mean)
-            self._fm_half = (v * np.sqrt(w)) @ v.T
-            self._fm_inv_half = (v / np.sqrt(w)) @ v.T
-            k = self.k
-            rows, cols = np.tril_indices(k)
-            self._vec_rows, self._vec_cols = rows, cols
-            self._vec_weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
-
-    def _features_from_cov(self, cov):
-        if self.feature_kind == LOGVAR:
-            return np.log(np.diag(cov))
-        if self.feature_kind == DIAGLOGCOV:
-            w, v = np.linalg.eigh(cov)
-            return (v * v) @ np.log(w)  # diagonal of V log(w) V^T
-        # logcov: tangent vector of the covariance at the filtered mean
-        m = self._fm_inv_half @ cov @ self._fm_inv_half
-        w, v = np.linalg.eigh(0.5 * (m + m.T))
-        ambient = self._fm_half @ ((v * np.log(w)) @ v.T) @ self._fm_half
-        return ambient[self._vec_rows, self._vec_cols] * self._vec_weights
-
-    def _features(self, trials):
-        filtered_all = _filter_all(self.model.filters, trials)
-        n_trials = trials.shape[2]
-        out = None
-        for t in range(n_trials):
-            cov = _lean_cov(np.ascontiguousarray(filtered_all[:, :, t]))
-            feats = self._features_from_cov(cov)
-            if out is None:
-                out = np.empty((n_trials, feats.size))
-            out[t] = feats
-        return out
-
     def decision_scores(self, trials):
-        feats = self._features(np.ascontiguousarray(trials, dtype=float))
+        trials = np.ascontiguousarray(trials, dtype=float)
+        feats = _trial_features(self.model, self.feature_kind, trials)
         if self.one_step:
             return feats @ self.model.beta + self.model.intercept
         return feats @ self.second.weights + self.second.intercept
@@ -226,25 +167,15 @@ class TangentSpacePipeline:
 
     def fit(self, trials, labels):
         trials, labels = _check_fit_inputs(trials, labels)
-        covs = _trial_covariances(trials)
+        covs = _spd_covariances(trials)
         self.reference_mean = frechet_mean(covs)
         _, self._inv_half = _half_powers(self.reference_mean)
-        c = trials.shape[0]
-        rows, cols = np.tril_indices(c)
-        self._vec_rows, self._vec_cols = rows, cols
-        self._vec_weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
-        vectors = np.array([_vec_whitened_log(self._inv_half, cov) for cov in covs])
-        self.clf = fit_from_config(vectors, labels, self.classifier_cfg)
+        self.clf = fit_from_config(
+            tangent_vectors(self.reference_mean, covs), labels, self.classifier_cfg
+        )
         return self
 
     def decision_scores(self, trials):
-        trials = np.ascontiguousarray(trials, dtype=float)
-        scores = np.empty(trials.shape[2])
-        for t in range(trials.shape[2]):
-            cov = _lean_cov(np.ascontiguousarray(trials[:, :, t]))
-            m = self._inv_half @ cov @ self._inv_half
-            w, v = np.linalg.eigh(0.5 * (m + m.T))
-            log_m = (v * np.log(w)) @ v.T
-            vec_t = log_m[self._vec_rows, self._vec_cols] * self._vec_weights
-            scores[t] = self.clf.weights @ vec_t + self.clf.intercept
-        return scores
+        covs = _covariance_stack(np.ascontiguousarray(trials, dtype=float))
+        vectors = _vec(_whitened_log(self._inv_half, covs, "covariance"))
+        return vectors @ self.clf.weights + self.clf.intercept

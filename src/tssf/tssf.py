@@ -15,6 +15,7 @@ full-rank one-step scores reproduce the fitted model's decision values
 exactly (see ``exact_decision_value``).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +30,17 @@ from .errors import (
 )
 from .linmodel import decision_value, fit_from_config
 from .manifold import (
+    _check_symmetric,
     _half_powers,
+    _spd_eigh,
+    _vec,
+    _whitened_log,
     ensure_spd,
     expm,
     frechet_mean,
     ged,
-    log_map_at,
     logm,
     unvec,
-    vec,
 )
 
 LOGVAR = "logvar"
@@ -59,13 +62,8 @@ def tangent_vectors(ref, covs):
     Returns the (T, C(C+1)/2) matrix with rows
     ``vec(logm(ref^{-1/2} covs[t] ref^{-1/2}))``.
     """
-    _, inv_half = _half_powers(np.asarray(ref, dtype=float))
-    return np.array([_vec_whitened_log(inv_half, c) for c in np.asarray(covs, dtype=float)])
-
-
-def _vec_whitened_log(inv_half, cov):
-    m = inv_half @ cov @ inv_half
-    return vec(logm(0.5 * (m + m.T)))
+    _, inv_half = _half_powers(_check_symmetric(ref, "ref", stack=False))
+    return _vec(_whitened_log(inv_half, _check_symmetric(covs, "covariance"), "covariance"))
 
 
 @dataclass(frozen=True)
@@ -96,6 +94,18 @@ class TssfModel:
     @property
     def n_channels(self):
         return self.filters.shape[0]
+
+    @functools.cached_property
+    def _filtered_mean_powers(self):
+        # (half, inverse half) powers of the "logcov" reference, computed
+        # once per model rather than once per scored trial
+        return _half_powers(self.filtered_mean)
+
+
+def _filtered_mean(filters, covs, frechet_cfg):
+    # Frechet mean of the filtered training covariances F^T C F
+    filtered = filters.T @ np.asarray(covs, dtype=float) @ filters
+    return frechet_mean(0.5 * (filtered + filtered.swapaxes(1, 2)), frechet_cfg)
 
 
 def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR, frechet_cfg=None):
@@ -148,23 +158,18 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR, frechet_c
     _check_kind(feature_kind)
 
     mean = frechet_mean(covs, frechet_cfg)
-    half, inv_half = _half_powers(mean)
-    vectors = np.array([_vec_whitened_log(inv_half, cov) for cov in covs])
-    model = fit_from_config(vectors, labels, model_cfg)
+    model = fit_from_config(tangent_vectors(mean, covs), labels, model_cfg)
     if not np.any(model.weights):
         raise DegenerateModel("tangent-space model has an all-zero weight vector")
 
-    weight_mat = unvec(model.weights)
-    weight_cov = half @ expm(weight_mat) @ half
+    half, _ = _half_powers(mean)
+    weight_cov = half @ expm(unvec(model.weights)) @ half
     solution = ged(weight_cov, mean)
     d = solution.eigenvalues
     beta_full = np.log(d)
     order = np.lexsort((np.arange(c), -d, -np.abs(beta_full)))
     full_filters = solution.eigenvectors[:, order]
     filters = full_filters[:, :k]
-    filtered = np.array([filters.T @ cov @ filters for cov in covs])
-    filtered = 0.5 * (filtered + np.transpose(filtered, (0, 2, 1)))
-    filtered_mean = frechet_mean(filtered, frechet_cfg)
     return TssfModel(
         filters=filters,
         beta=beta_full[order][:k],
@@ -172,7 +177,7 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR, frechet_c
         reference_mean=mean,
         full_filters=full_filters,
         sort_index=order,
-        filtered_mean=filtered_mean,
+        filtered_mean=_filtered_mean(filters, covs, frechet_cfg),
         feature_kind=feature_kind,
     )
 
@@ -189,9 +194,6 @@ def truncate_model(model, k, covs, frechet_cfg=None):
     if k == model.k:
         return model
     filters = model.filters[:, :k]
-    covs = np.asarray(covs, dtype=float)
-    filtered = np.array([filters.T @ cov @ filters for cov in covs])
-    filtered = 0.5 * (filtered + np.transpose(filtered, (0, 2, 1)))
     return TssfModel(
         filters=filters,
         beta=model.beta[:k],
@@ -199,7 +201,7 @@ def truncate_model(model, k, covs, frechet_cfg=None):
         reference_mean=model.reference_mean,
         full_filters=model.full_filters,
         sort_index=model.sort_index,
-        filtered_mean=frechet_mean(filtered, frechet_cfg),
+        filtered_mean=_filtered_mean(filters, covs, frechet_cfg),
         feature_kind=model.feature_kind,
     )
 
@@ -220,17 +222,31 @@ def compute_features(model, filtered_cov, kind=None):
 
     ``logvar``: log of the diagonal (length K). ``diaglogcov``: diagonal
     of the matrix logarithm (length K). ``logcov``: tangent vector of the
-    covariance at the filtered-space Frechet mean (length K(K+1)/2).
+    covariance at the filtered-space Frechet mean (length K(K+1)/2). A
+    ``(..., K, K)`` stack gives one feature row per matrix.
     """
     kind = _check_kind(kind or model.feature_kind)
-    cov = ensure_spd(np.asarray(filtered_cov, dtype=float), name="filtered covariance")
-    if cov.shape[0] != model.k:
+    cov = ensure_spd(filtered_cov, name="filtered covariance")
+    if cov.shape[-1] != model.k:
         raise DimMismatch(f"filtered covariance must be {model.k} x {model.k}")
+    return _filtered_features(model, cov, kind)
+
+
+def _filtered_features(model, covs, kind):
+    """Features of a stack of filtered covariances, without validation.
+
+    The one feature map behind :func:`compute_features` and the
+    pipelines; ``covs`` must be SPD (non-SPD input raises
+    :class:`~tssf.errors.NotPositiveDefinite` for the two log-matrix
+    kinds and gives non-finite "logvar" features).
+    """
     if kind == LOGVAR:
-        return np.log(np.diag(cov))
+        return np.log(np.diagonal(covs, axis1=-2, axis2=-1))
     if kind == DIAGLOGCOV:
-        return np.diag(logm(cov)).copy()
-    return vec(log_map_at(model.filtered_mean, cov))
+        w, v = _spd_eigh(covs, name="filtered covariance")
+        return ((v * v) @ np.log(w)[..., None])[..., 0]  # diagonal of V log(w) V^T
+    half, inv_half = model._filtered_mean_powers
+    return _vec(half @ _whitened_log(inv_half, covs, "filtered covariance") @ half)
 
 
 def predict_one_step(model, features, kind=None):

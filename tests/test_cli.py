@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -141,6 +146,10 @@ class TestEval:
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        # every auc cell is a plain float literal, e.g. "0.5", not "np.float64(0.5)"
+        for line in out1.read_text().strip().split("\n")[1:]:
+            auc = line.split(",")[5]
+            assert repr(float(auc)) == auc, line
 
     def test_manifest_input(self, tmp_path, data_path):
         manifest = tmp_path / "manifest.txt"
@@ -258,3 +267,49 @@ class TestUsage:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+
+# Reports the thread count of every OpenBLAS loaded by a process that imported
+# the CLI (and scipy.linalg, which loads scipy's own OpenBLAS).
+_BLAS_PROBE = """
+import ctypes, json
+import tssf.cli, scipy.linalg
+names = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+         "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+with open("/proc/self/maps") as fh:
+    paths = sorted({l.split()[-1] for l in fh if "openblas" in l.split()[-1].lower()})
+threads = {}
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for name in names:
+        if hasattr(lib, name):
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            threads[path] = fn()
+            break
+print(json.dumps(threads))
+"""
+
+
+def _run_with_thread_cap(code):
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("OPENBLAS_", "OMP_", "MKL_", "GOTO_"))}
+    env["TSSF_THREADS"] = "1"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_tssf_threads_caps_every_openblas():
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the loaded OpenBLAS libraries")
+    proc = _run_with_thread_cap(_BLAS_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    threads = json.loads(proc.stdout)
+    if not threads:
+        pytest.skip("no loaded OpenBLAS exports openblas_get_num_threads")
+    assert set(threads.values()) == {1}, threads
+
+
+def test_tssf_threads_warns_when_numpy_loaded_first():
+    proc = _run_with_thread_cap("import numpy, tssf")
+    assert proc.returncode == 0, proc.stderr
+    assert "TSSF_THREADS has no effect" in proc.stderr

@@ -132,6 +132,19 @@ class TestEmpiricalCovariance:
         oracle /= 60
         np.testing.assert_allclose(cov, oracle, atol=1e-12)
 
+    def test_stack_matches_per_trial_loop(self, rng):
+        ts = small_set(rng, c=4, n=60, t=7)
+        covs = dataio.covariances(ts)
+        for t in range(ts.n_trials):
+            centered = ts.trial(t) - ts.trial(t).mean(axis=1, keepdims=True)
+            np.testing.assert_allclose(covs[t], centered @ centered.T / 60, rtol=1e-14)
+
+    def test_rank_deficient_trial_named(self, rng):
+        ts = small_set(rng, c=3, n=50, t=5)
+        ts.data[1, :, 3] = 2.5
+        with pytest.raises(NotPositiveDefinite, match="covariance 3 "):
+            dataio.covariances(ts)
+
     def test_unscaled(self, rng):
         trial = rng.standard_normal((3, 50))
         scaled = dataio.empirical_covariance(trial, scale=True)
@@ -283,16 +296,3 @@ class TestSynth:
         with pytest.raises(InvalidInput):
             dataio.SynthConfig.from_text(path)
 
-
-class TestTrialCsv:
-    def test_read(self, tmp_path):
-        path = tmp_path / "trial.csv"
-        path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
-        arr = dataio.read_trial_csv(path)
-        np.testing.assert_array_equal(arr, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-
-    def test_bad_csv(self, tmp_path):
-        path = tmp_path / "trial.csv"
-        path.write_text("1.0,oops\n")
-        with pytest.raises(FormatError):
-            dataio.read_trial_csv(path)

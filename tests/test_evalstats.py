@@ -22,6 +22,14 @@ def pair_counting_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def is_plain_float(cell):
+    """True when a CSV cell is the plain ``repr`` of a Python float."""
+    try:
+        return repr(float(cell)) == cell
+    except ValueError:
+        return False
+
+
 def enumerate_wilcoxon(diffs):
     """Exact null enumeration over all sign patterns (n <= ~15)."""
     import scipy.stats
@@ -88,6 +96,11 @@ class TestRocAuc:
     def test_single_class(self):
         with pytest.raises(InvalidInput):
             evalstats.roc_auc([0.1, 0.2], [1, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(DegenerateStatistic):
+            evalstats.roc_auc([0.9, bad, 0.3, 0.1], [1, 1, -1, -1])
 
 
 class TestSmd:
@@ -270,11 +283,14 @@ class TestCsvWriters:
         lines = csv.strip().split("\n")
         assert lines[0] == "pipeline,k,feature_kind,session,fold,auc"
         assert len(lines) == 6
+        assert all(is_plain_float(line.split(",")[5]) for line in lines[1:])
 
         a = rng.uniform(0.6, 0.9, 8)
         cmp = evalstats.compare_paired("A", a, "B", a - 0.05 * rng.uniform(0.5, 1, 8))
+        cmp.p_value = np.float64(np.finfo(float).tiny)  # as clamped by wilcoxon_one_sided
         csv2 = evalstats.comparisons_to_csv([cmp])
         assert csv2.startswith("pipeline_a,pipeline_b,n,smd,p_value\n")
+        assert all(is_plain_float(cell) for cell in csv2.split("\n")[1].split(",")[3:])
 
         rows = evalstats.bench_predict({"o": _OraclePipeline()}, ts.data, repetitions=10)
         csv3 = evalstats.bench_to_csv(rows)

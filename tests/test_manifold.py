@@ -328,3 +328,63 @@ class TestSubspaceAngles:
         f2 = np.eye(3)[:, [1, 0, 2]]
         eigs = np.array([3.0, 2.0, 1.0])
         assert manifold.subspace_angle_by_cluster(f1, f2, eigs) > 1.0
+
+
+def loop_frechet_mean(points, tol=1e-10, max_iterations=50):
+    """The fixed-point iteration one point at a time (reference)."""
+    mean = np.mean(points, axis=0)
+    for _ in range(max_iterations):
+        half, inv_half = manifold.powm(mean, 0.5), manifold.powm(mean, -0.5)
+        logs = [manifold.logm(sym(inv_half @ p @ inv_half)) for p in points]
+        log_mean = np.mean(logs, axis=0)
+        if np.linalg.norm(half @ log_mean @ half) < tol:
+            return mean
+        mean = half @ manifold.expm(sym(log_mean)) @ half
+    raise AssertionError("reference iteration did not converge")
+
+
+def sym(a):
+    return 0.5 * (a + a.T)
+
+
+class TestStacks:
+    def test_functions_match_per_matrix_calls(self, rng):
+        stack = np.array([random_spd(rng, 4, spread=1.5) for _ in range(6)]).reshape(2, 3, 4, 4)
+        for fn in (
+            manifold.logm,
+            manifold.expm,
+            lambda a: manifold.powm(a, -0.5),
+            manifold.vec,
+            lambda a: manifold.log_map_at(stack[0, 0], a),
+            lambda a: manifold.exp_map_at(stack[0, 0], manifold.logm(a)),
+        ):
+            out = fn(stack)
+            for i in np.ndindex(stack.shape[:2]):
+                np.testing.assert_allclose(out[i], fn(stack[i]), rtol=1e-13, atol=1e-14)
+
+    def test_sym_eig_conventions_per_matrix(self, rng):
+        stack = np.array([random_symmetric(rng, 5) for _ in range(4)])
+        w, v = manifold.sym_eig(stack)
+        for t in range(4):
+            w_t, v_t = manifold.sym_eig(stack[t])
+            np.testing.assert_array_equal(w[t], w_t)
+            np.testing.assert_array_equal(v[t], v_t)
+
+    def test_first_failing_matrix_named(self, rng):
+        stack = np.array([random_spd(rng, 3) for _ in range(5)])
+        stack[3] = np.diag([1.0, -1.0, 2.0])
+        for fn in (manifold.ensure_spd, manifold.logm, lambda a: manifold.powm(a, 2.0)):
+            with pytest.raises(NotPositiveDefinite, match="matrix 3 "):
+                fn(stack)
+
+    def test_frechet_mean_matches_loop_reference(self, rng):
+        pts = np.array([random_spd(rng, 5, spread=1.5) for _ in range(12)])
+        np.testing.assert_allclose(
+            manifold.frechet_mean(pts), loop_frechet_mean(pts), rtol=1e-12, atol=1e-13
+        )
+
+    def test_frechet_mean_names_non_spd_point(self, rng):
+        pts = np.array([random_spd(rng, 3) for _ in range(4)])
+        pts[2] = np.diag([1.0, 1.0, -0.5])
+        with pytest.raises(NotPositiveDefinite, match="matrix 2 "):
+            manifold.frechet_mean(pts)

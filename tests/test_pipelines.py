@@ -3,7 +3,7 @@ import pytest
 
 import tssf
 from tssf import evalstats, pipelines
-from tssf.errors import DegenerateModel, InvalidInput
+from tssf.errors import DegenerateModel, InvalidInput, NotPositiveDefinite
 
 
 def synth_set(seed=0, channels=4, trials=40, sigma=0.4):
@@ -66,6 +66,54 @@ class TestAllPipelines:
         keep = ts.labels == 1
         with pytest.raises(DegenerateModel):
             pipe.fit(ts.data[:, :, keep], ts.labels[keep])
+
+
+def covariances_of(data):
+    c, _, t = data.shape
+    trialset = tssf.TrialSet(data, np.ones(t), np.zeros(t), [f"ch{i}" for i in range(c)])
+    return tssf.covariances(trialset)
+
+
+def library_scores(pipe, trials):
+    """Scores of a fitted pipeline through the public library functions."""
+    if pipe.name == "TS_AIRM":
+        vectors = tssf.tangent_vectors(pipe.reference_mean, covariances_of(trials))
+        return [tssf.decision_value(pipe.clf, v) for v in vectors]
+    filtered = np.stack(
+        [tssf.apply_filters(pipe.model, trials[:, :, t]) for t in range(trials.shape[2])], axis=2
+    )
+    covs = covariances_of(filtered)
+    feats = [tssf.compute_features(pipe.model, cov, pipe.feature_kind) for cov in covs]
+    if pipe.name == "CSP":
+        return [tssf.decision_value(pipe.clf, f) for f in feats]
+    if pipe.one_step:
+        return [tssf.predict_one_step(pipe.model, f)[0] for f in feats]
+    return [tssf.predict_two_step(pipe.model, pipe.second, f)[0] for f in feats]
+
+
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_scores_equal_library_route_and_single_trial_calls(name):
+    ts = synth_set(seed=10, channels=5, trials=40)
+    train, test = ts.data[:, :, :30], ts.data[:, :, 30:]
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=2, classifier=FIXED))
+    pipe.fit(train, ts.labels[:30])
+    for trials in (train, test):
+        scores = pipe.decision_scores(trials)
+        expected = np.asarray(library_scores(pipe, trials))
+        atol = 1e-12 * np.abs(expected).max()
+        np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=atol)
+        single = [pipe.decision_scores(trials[:, :, t : t + 1])[0] for t in range(trials.shape[2])]
+        np.testing.assert_allclose(single, scores, rtol=1e-12, atol=atol)
+
+
+def test_flat_channel_in_test_trial_raises():
+    ts = synth_set(seed=11, trials=20)
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name="TS_AIRM", classifier=FIXED))
+    pipe.fit(ts.data, ts.labels)
+    trials = ts.data[:, :, :3].copy()
+    trials[1, :, 2] = 0.5  # a flat channel makes trial 2's covariance singular
+    with pytest.raises(NotPositiveDefinite, match="covariance 2 "):
+        pipe.decision_scores(trials)
 
 
 class TestPipelineValidation:
