@@ -84,6 +84,7 @@ from .tssf import (
     compute_features,
     exact_decision_value,
     extract_tssf,
+    fit_tangent_model,
     load_tssf_model,
     predict_one_step,
     predict_two_step,

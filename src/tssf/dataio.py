@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from .errors import FormatError, InvalidInput, NotPositiveDefinite
 from .manifold import ensure_spd
@@ -252,6 +251,8 @@ def fir_bandpass(trialset, low_hz=8.0, high_hz=32.0, fs_hz=250.0, taps=129):
         raise InvalidInput("need 0 < low < high < fs/2")
     if taps < 3 or taps % 2 == 0:
         raise InvalidInput("taps must be odd and >= 3")
+    import scipy.signal  # on first use: it takes most of a second to load
+
     n = trialset.n_samples
     transition = 3.3 * fs_hz / taps  # approximate Hamming transition width
     cut_low = max(low_hz - transition / 2.0, 0.05 * low_hz)

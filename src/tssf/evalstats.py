@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .errors import DegenerateStatistic, DimMismatch, InvalidInput, TssfError
 
@@ -58,9 +57,22 @@ def roc_auc(scores, labels):
     neg = labels == -1
     if not (np.all(pos | neg) and pos.any() and neg.any()):
         raise InvalidInput("labels must be -1/+1 with both classes present")
-    ranks = scipy.stats.rankdata(scores)
+    ranks = _average_ranks(scores)
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _average_ranks(x):
+    # ranks 1..n of a NaN-free 1-D array, tied values sharing the mean of
+    # their ranks: the values of scipy.stats.rankdata(x), without loading
+    # scipy.stats
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
 
 
 def smd(scores_a, scores_b):
@@ -86,12 +98,16 @@ def wilcoxon_one_sided(scores_a, scores_b):
     null distribution is enumerated exactly for up to 25 nonzero
     differences (ties handled through average ranks); beyond that a
     normal approximation with tie and continuity corrections is used.
+    A NaN difference ``a - b`` raises
+    :class:`~tssf.errors.DegenerateStatistic`.
     """
     a = np.asarray(scores_a, dtype=float)
     b = np.asarray(scores_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise InvalidInput("paired scores must be matching 1-D arrays")
     d = a - b
+    if np.isnan(d).any():
+        raise DegenerateStatistic("a paired difference is NaN")
     d = d[d != 0]
     n = d.size
     if n == 0:
@@ -101,11 +117,13 @@ def wilcoxon_one_sided(scores_a, scores_b):
             f"only {n} nonzero differences; exact small-n p-value has coarse resolution",
             stacklevel=2,
         )
-    ranks = scipy.stats.rankdata(np.abs(d))
+    ranks = _average_ranks(np.abs(d))
     w_pos = float(ranks[d > 0].sum())
     if n <= 25:
         p = _exact_signed_rank_sf(ranks, w_pos)
     else:
+        import scipy.stats  # on first use: it takes most of a second to load
+
         mu = n * (n + 1) / 4.0
         _, counts = np.unique(ranks, return_counts=True)
         ties = counts[counts > 1].astype(float)

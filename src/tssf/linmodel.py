@@ -83,7 +83,9 @@ def fit_linear_svm(x, y, reg, tol=1e-6, max_iter=10**5, full_output=False):
         Stop when the maximal KKT violation (most-violating-pair gap)
         drops below ``tol``.
     max_iter : int
-        Hard cap on pair updates.
+        Hard cap on pair updates. Reaching it with the gap still above
+        ``tol`` issues a ``RuntimeWarning`` (the gap reported is the last
+        one measured, before the final update).
     full_output : bool
         Also return an :class:`SvmFitInfo`.
 
@@ -106,11 +108,20 @@ def _solve_svm_dual(x, y, reg, tol, max_iter, gram=None):
     cap = reg / t
     if gram is None:
         gram = x @ x.T
-    alpha = np.zeros(t)
+    # The loop reads its scalars from Python lists and updates the "up" and
+    # "low" index sets only where alpha changed. Row i of ycols is
+    # y * gram[:, i]; labels are +-1, so every product is a sign flip and
+    # each update has the bits of ``step * y * (gram[:, i] - gram[:, j])``.
+    ys = y.tolist()
+    diag = gram.diagonal().tolist()
+    ycols = np.ascontiguousarray(gram.T) * y
+    alpha = [0.0] * t
     qalpha = np.zeros(t)  # (Q alpha)_i with Q_ij = y_i y_j gram_ij
     dual = 0.0
     path = [dual]
     pos = y > 0
+    up = pos & (cap > 0)  # the KKT index sets at alpha = 0 (see _kkt_sets)
+    low = ~pos & (cap > 0)
     stall_window = 2 * t
     last_window_dual = np.inf
     it = 0
@@ -119,45 +130,62 @@ def _solve_svm_dual(x, y, reg, tol, max_iter, gram=None):
     while it < max_iter:
         # b candidates y_i - f_i; KKT requires max over "up" <= min over "low"
         cand = y - y * qalpha
-        up = (pos & (alpha < cap)) | (~pos & (alpha > 0))
-        low = (~pos & (alpha < cap)) | (pos & (alpha > 0))
         up_vals = np.where(up, cand, -np.inf)
         low_vals = np.where(low, cand, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        m_val = up_vals[i]
-        big_m_val = low_vals[j]
+        i = int(up_vals.argmax())
+        j = int(low_vals.argmin())
+        m_val = float(up_vals[i])
+        big_m_val = float(low_vals[j])
         if m_val - big_m_val <= tol:
             break
         if it > 0 and it % stall_window == 0:
             if dual == last_window_dual:
                 break  # exact stall; numerically converged
             last_window_dual = dual
-        curvature = gram[i, i] + gram[j, j] - 2.0 * gram[i, j]
+        curvature = diag[i] + diag[j] - 2.0 * float(gram[i, j])
         curvature = max(curvature, 1e-12)
-        slope = y[i] * (qalpha[i] - 1.0) - y[j] * (qalpha[j] - 1.0)
+        yi, yj = ys[i], ys[j]
+        slope = yi * (float(qalpha[i]) - 1.0) - yj * (float(qalpha[j]) - 1.0)
         step = -slope / curvature
-        lo, hi = _step_bounds(alpha[i], alpha[j], y[i], y[j], cap)
+        lo, hi = _step_bounds(alpha[i], alpha[j], yi, yj, cap)
         step = min(max(step, lo), hi)
         if step == 0.0:
             break
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        qalpha += step * y * (gram[:, i] - gram[:, j])
+        alpha[i] += yi * step
+        alpha[j] -= yj * step
+        for k in (i, j):
+            up[k], low[k] = _kkt_sets(alpha[k], ys[k], cap)
+        qalpha += step * (ycols[i] - ycols[j])
         dual += slope * step + 0.5 * curvature * step * step
         path.append(dual)
         it += 1
+    if it == max_iter and m_val - big_m_val > tol:
+        # the stall and zero-step exits above are numerical convergence;
+        # running out of updates is not
+        warnings.warn(
+            f"SVM (reg={reg:g}) stopped after max_iter={max_iter} updates with "
+            f"KKT gap {m_val - big_m_val:.3e} > tol {tol:g}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     if np.isfinite(m_val) and np.isfinite(big_m_val):
         intercept = 0.5 * (m_val + big_m_val)
     else:  # all multipliers pinned to one bound; fall back to feasible value
         intercept = float(np.median(y - y * qalpha))
-    weights = x.T @ (alpha * y)
+    weights = x.T @ (np.asarray(alpha) * y)
     info = SvmFitInfo(
         objective_path=np.asarray(path),
         iterations=it,
         kkt_gap=float(m_val - big_m_val),
     )
     return weights, float(intercept), info
+
+
+def _kkt_sets(a, yk, cap):
+    # (in "up", in "low"): alpha_k can still grow along +y_k, along -y_k
+    if yk > 0:
+        return a < cap, a > 0
+    return a > 0, a < cap
 
 
 def _step_bounds(ai, aj, yi, yj, cap):

@@ -40,7 +40,12 @@ def _check_symmetric(a, name="matrix", stack=True):
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.abs(a - a.swapaxes(-1, -2)) <= SYM_RTOL * np.maximum(1.0, np.abs(a))):
+    # most inputs are exactly symmetric (syrk products, symmetrized
+    # iterates); only the others pay for the tolerance test's temporaries
+    at = a.swapaxes(-1, -2)
+    if not np.array_equal(a, at) and not np.all(
+        np.abs(a - at) <= SYM_RTOL * np.maximum(1.0, np.abs(a))
+    ):
         raise InvalidInput(f"{name} is not symmetric within {SYM_RTOL:g}")
     return a
 

@@ -26,8 +26,9 @@ from .csp import fit_csp
 from .dataio import _covariance_stack, _spd_covariances
 from .errors import DegenerateModel, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
-from .manifold import _half_powers, _vec, _whitened_log, frechet_mean
-from .tssf import DIAGLOGCOV, LOGCOV, LOGVAR, _filtered_features, extract_tssf, tangent_vectors
+from .manifold import _half_powers, _vec, _whitened_log
+from .manifold import frechet_mean  # noqa: F401  (re-exported)
+from .tssf import DIAGLOGCOV, LOGCOV, LOGVAR, _filtered_features, extract_tssf, fit_tangent_model
 
 PIPELINE_NAMES = (
     "CSP",
@@ -167,12 +168,10 @@ class TangentSpacePipeline:
 
     def fit(self, trials, labels):
         trials, labels = _check_fit_inputs(trials, labels)
-        covs = _spd_covariances(trials)
-        self.reference_mean = frechet_mean(covs)
-        _, self._inv_half = _half_powers(self.reference_mean)
-        self.clf = fit_from_config(
-            tangent_vectors(self.reference_mean, covs), labels, self.classifier_cfg
+        self.reference_mean, self.clf = fit_tangent_model(
+            _spd_covariances(trials), labels, self.classifier_cfg
         )
+        _, self._inv_half = _half_powers(self.reference_mean)
         return self
 
     def decision_scores(self, trials):

@@ -13,9 +13,18 @@ reference mean ``m``. With that convention the dot product of two tangent
 vectors is the manifold inner product at ``m``, which is what makes the
 full-rank one-step scores reproduce the fitted model's decision values
 exactly (see ``exact_decision_value``).
+
+Every TSSF variant and the plain tangent-space classifier fitted on one
+training set share one Frechet mean and one tangent-space linear model.
+:func:`fit_tangent_model` computes that pair and keeps the most recent
+results, so identical fits within a process are computed once; the
+arrays it returns are read-only.
 """
 
+import collections
 import functools
+import hashlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +35,12 @@ from .errors import (
     DimMismatch,
     FormatError,
     InvalidInput,
+    NotPositiveDefinite,
     UnsupportedFeatureKind,
 )
-from .linmodel import decision_value, fit_from_config
+from .linmodel import ClassifierConfig, decision_value, fit_from_config
 from .manifold import (
+    FrechetConfig,
     _check_symmetric,
     _half_powers,
     _spd_eigh,
@@ -64,6 +75,92 @@ def tangent_vectors(ref, covs):
     """
     _, inv_half = _half_powers(_check_symmetric(ref, "ref", stack=False))
     return _vec(_whitened_log(inv_half, _check_symmetric(covs, "covariance"), "covariance"))
+
+
+def _check_training_set(covs, labels):
+    covs = np.asarray(covs, dtype=float)
+    labels = np.asarray(labels)
+    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
+        raise InvalidInput("covs must have shape (T, C, C)")
+    if labels.shape != (covs.shape[0],):
+        raise InvalidInput("need one label per covariance")
+    if np.unique(labels).size < 2:
+        raise DegenerateModel("labels are constant; need both classes")
+    return covs, labels
+
+
+# most recent fit_tangent_model results, keyed by a digest of the inputs;
+# an entry is about 50 KB at C=64, and 32 cover one cross-validated eval
+# over up to 32 distinct training sets
+_FIT_STORE_SIZE = 32
+_fit_store = collections.OrderedDict()
+_fit_store_lock = threading.Lock()
+
+
+def _fit_key(covs, labels, model_cfg, frechet_cfg):
+    digest = hashlib.blake2b(digest_size=32)
+    for a in (covs, labels):
+        digest.update(repr((a.shape, a.dtype.str)).encode())
+        digest.update(np.ascontiguousarray(a).data)
+    digest.update(repr((model_cfg, frechet_cfg)).encode())
+    return digest.digest()
+
+
+def fit_tangent_model(covs, labels, model_cfg=None, frechet_cfg=None):
+    """Frechet mean of SPD matrices and a linear model on their tangent vectors.
+
+    Parameters
+    ----------
+    covs : array-like, shape (T, C, C)
+        Per-trial SPD covariance matrices.
+    labels : array-like, shape (T,)
+        Trial labels in {-1, +1}; both classes must be present.
+    model_cfg : ClassifierConfig, optional
+        Tangent-space classifier (default: SVM with inner-CV grid search).
+    frechet_cfg : FrechetConfig, optional
+
+    Returns
+    -------
+    (mean, LinearModel)
+        The reference mean and the model fitted on the whitened tangent
+        vectors at it; both arrays (mean and weights) are read-only.
+
+    Raises
+    ------
+    DegenerateModel
+        On single-class labels.
+
+    Notes
+    -----
+    A call with the same covariances, labels (values, shape and dtype)
+    and configurations as one of the last 32 distinct calls in this
+    process returns that call's result: the same objects, so the same
+    bits.
+    """
+    covs, labels = _check_training_set(covs, labels)
+    model_cfg = model_cfg or ClassifierConfig()
+    frechet_cfg = frechet_cfg or FrechetConfig()
+    key = _fit_key(covs, labels, model_cfg, frechet_cfg)
+    with _fit_store_lock:
+        if key in _fit_store:
+            _fit_store.move_to_end(key)
+            return _fit_store[key]
+    mean = frechet_mean(covs, frechet_cfg)
+    model = fit_from_config(tangent_vectors(mean, covs), labels, model_cfg)
+    mean.setflags(write=False)
+    model.weights.setflags(write=False)
+    result = (mean, model)
+    with _fit_store_lock:
+        _fit_store[key] = result
+        if len(_fit_store) > _FIT_STORE_SIZE:
+            _fit_store.popitem(last=False)
+    return result
+
+
+def _clear_fit_store():
+    # forget every stored fit_tangent_model result
+    with _fit_store_lock:
+        _fit_store.clear()
 
 
 @dataclass(frozen=True)
@@ -132,8 +229,9 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR, frechet_c
 
     Notes
     -----
-    Steps: Frechet mean of the covariances; whitened tangent vectors;
-    linear model fit; weight vector reshaped to a symmetric matrix and
+    Steps: Frechet mean of the covariances, whitened tangent vectors and
+    linear model fit (:func:`fit_tangent_model`, so a fit on the same
+    inputs is reused); weight vector reshaped to a symmetric matrix and
     re-projected onto the manifold at the mean; generalized
     eigendecomposition of (weight covariance, mean); components sorted by
     absolute log-eigenvalue, descending (ties by descending eigenvalue,
@@ -144,21 +242,13 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR, frechet_c
     DegenerateModel
         On single-class labels or an all-zero fitted weight vector.
     """
-    covs = np.asarray(covs, dtype=float)
-    labels = np.asarray(labels)
-    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
-        raise InvalidInput("covs must have shape (T, C, C)")
-    if labels.shape != (covs.shape[0],):
-        raise InvalidInput("need one label per covariance")
+    covs, labels = _check_training_set(covs, labels)
     c = covs.shape[1]
     if not 1 <= k <= c:
         raise InvalidInput(f"k must be in [1, {c}], got {k}")
-    if np.unique(labels).size < 2:
-        raise DegenerateModel("labels are constant; need both classes")
     _check_kind(feature_kind)
 
-    mean = frechet_mean(covs, frechet_cfg)
-    model = fit_from_config(tangent_vectors(mean, covs), labels, model_cfg)
+    mean, model = fit_tangent_model(covs, labels, model_cfg, frechet_cfg)
     if not np.any(model.weights):
         raise DegenerateModel("tangent-space model has an all-zero weight vector")
 
@@ -236,12 +326,22 @@ def _filtered_features(model, covs, kind):
     """Features of a stack of filtered covariances, without validation.
 
     The one feature map behind :func:`compute_features` and the
-    pipelines; ``covs`` must be SPD (non-SPD input raises
-    :class:`~tssf.errors.NotPositiveDefinite` for the two log-matrix
-    kinds and gives non-finite "logvar" features).
+    pipelines. Non-SPD input raises
+    :class:`~tssf.errors.NotPositiveDefinite` naming the first failing
+    matrix; "logvar" checks only that the diagonal is positive.
     """
     if kind == LOGVAR:
-        return np.log(np.diagonal(covs, axis1=-2, axis2=-1))
+        # the method form skips np.diagonal's dispatch, which on a single
+        # trial costs more than the check below
+        var = covs.diagonal(0, -2, -1)
+        if not var.min(initial=np.inf) > 0:  # one reduction; NaN fails too
+            i = tuple(np.argwhere(~(var > 0))[0])
+            where = "" if len(i) == 1 else f" {i[0]}" if len(i) == 2 else f" {i[:-1]}"
+            raise NotPositiveDefinite(
+                f"filtered covariance{where} is not positive definite: "
+                f"variance {var[i]:.3e} in component {i[-1]}"
+            )
+        return np.log(var)
     if kind == DIAGLOGCOV:
         w, v = _spd_eigh(covs, name="filtered covariance")
         return ((v * v) @ np.log(w)[..., None])[..., 0]  # diagonal of V log(w) V^T

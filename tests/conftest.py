@@ -1,5 +1,13 @@
+import os
+
 import numpy as np
 import pytest
+
+# pyproject's pytest `pythonpath` puts src/ on this process's sys.path;
+# subprocesses started by the tests (the CLI, thread-cap probes) import
+# tssf from the same checkout through PYTHONPATH
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def random_spd(rng, c, spread=1.0):

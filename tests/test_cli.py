@@ -313,3 +313,21 @@ def test_tssf_threads_warns_when_numpy_loaded_first():
     proc = _run_with_thread_cap("import numpy, tssf")
     assert proc.returncode == 0, proc.stderr
     assert "TSSF_THREADS has no effect" in proc.stderr
+
+
+def test_import_leaves_scipy_stats_and_signal_unloaded():
+    code = """
+import sys
+import numpy as np
+import tssf
+assert "scipy.stats" not in sys.modules and "scipy.signal" not in sys.modules
+assert tssf.roc_auc(np.array([0.1, 0.9, 0.4]), np.array([-1, 1, -1])) == 1.0
+assert tssf.wilcoxon_one_sided(np.arange(6.0), np.zeros(6)) == 1 / 32
+assert "scipy.stats" not in sys.modules
+ts = tssf.synth_generate(tssf.SynthConfig(channels=3, samples=200, trials_per_class=2, seed=1))
+filtered = tssf.fir_bandpass(ts, taps=31)
+assert filtered.data.shape == ts.data.shape
+assert "scipy.signal" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

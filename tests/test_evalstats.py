@@ -102,6 +102,14 @@ class TestRocAuc:
         with pytest.raises(DegenerateStatistic):
             evalstats.roc_auc([0.9, bad, 0.3, 0.1], [1, 1, -1, -1])
 
+    def test_ranks_equal_scipy_rankdata(self, rng):
+        import scipy.stats
+
+        for n in (1, 2, 7, 50, 301):
+            for scores in (rng.standard_normal(n), rng.integers(0, 4, size=n) / 3.0):
+                ranks = evalstats._average_ranks(scores)
+                assert ranks.tobytes() == scipy.stats.rankdata(scores).tobytes()
+
 
 class TestSmd:
     def test_example(self):
@@ -156,6 +164,13 @@ class TestWilcoxon:
     def test_all_zero_differences(self):
         with pytest.raises(DegenerateStatistic):
             evalstats.wilcoxon_one_sided([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_difference_rejected(self, bad):
+        a = np.array([1.0, 2.0, 3.0, 4.0, 5.0, bad])
+        b = np.array([0.5, 1.5, 2.5, 3.5, 4.5, bad])
+        with pytest.raises(DegenerateStatistic, match="NaN"):
+            evalstats.wilcoxon_one_sided(a, b)
 
     def test_small_n_warns(self):
         with pytest.warns(UserWarning):

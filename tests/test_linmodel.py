@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,62 @@ def subgradient_oracle(x, y, reg, iters=200_000, step0=0.5):
     return best
 
 
+def whole_array_svm_dual(x, y, reg, tol, max_iter):
+    """The dual ascent with every quantity recomputed over whole arrays."""
+    t = x.shape[0]
+    cap = reg / t
+    gram = x @ x.T
+    alpha, qalpha, dual, path, pos = np.zeros(t), np.zeros(t), 0.0, [0.0], y > 0
+    last_window_dual, it = np.inf, 0
+    while it < max_iter:
+        cand = y - y * qalpha
+        up = (pos & (alpha < cap)) | (~pos & (alpha > 0))
+        low = (~pos & (alpha < cap)) | (pos & (alpha > 0))
+        up_vals, low_vals = np.where(up, cand, -np.inf), np.where(low, cand, np.inf)
+        i, j = int(np.argmax(up_vals)), int(np.argmin(low_vals))
+        m_val, big_m_val = up_vals[i], low_vals[j]
+        if m_val - big_m_val <= tol:
+            break
+        if it > 0 and it % (2 * t) == 0:
+            if dual == last_window_dual:
+                break
+            last_window_dual = dual
+        curvature = max(gram[i, i] + gram[j, j] - 2.0 * gram[i, j], 1e-12)
+        slope = y[i] * (qalpha[i] - 1.0) - y[j] * (qalpha[j] - 1.0)
+        lo, hi = linmodel._step_bounds(alpha[i], alpha[j], y[i], y[j], cap)
+        step = min(max(-slope / curvature, lo), hi)
+        if step == 0.0:
+            break
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        qalpha += step * y * (gram[:, i] - gram[:, j])
+        dual += slope * step + 0.5 * curvature * step * step
+        path.append(dual)
+        it += 1
+    return x.T @ (alpha * y), 0.5 * (m_val + big_m_val), np.asarray(path)
+
+
 class TestSvm:
+    def test_bitwise_equal_to_whole_array_loop(self, rng):
+        # the solver updates its index sets in place; every result bit must
+        # match recomputing them over whole arrays, also when capped
+        for trial in range(40):
+            t, d = int(rng.integers(6, 60)), int(rng.integers(1, 12))
+            x = rng.standard_normal((t, d)) * 10.0 ** rng.uniform(-2, 1)
+            if trial % 4 == 0:
+                x = np.round(x, 1)  # ties between candidates
+            y = np.where(rng.random(t) < 0.5, -1.0, 1.0)
+            y[:2], y[2:4] = 1.0, -1.0
+            reg = float(10.0 ** rng.uniform(-2, 2))
+            max_iter = (5, 10**5)[trial % 2]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                w, b, info = linmodel._solve_svm_dual(x, y, reg, 1e-6, max_iter)
+            w_ref, b_ref, path_ref = whole_array_svm_dual(x, y, reg, 1e-6, max_iter)
+            assert w.tobytes() == w_ref.tobytes()
+            assert b == b_ref
+            assert info.objective_path.tobytes() == path_ref.tobytes()
+
     def test_separable_1d(self):
         x = np.array([[-1.0], [-1.2], [1.0], [1.2]])
         y = np.array([-1, -1, 1, 1])
@@ -75,6 +132,18 @@ class TestSvm:
         x, y = blobs(rng, n_per_class=10)
         _, info = linmodel.fit_linear_svm(x, y, reg=1.0, tol=1e-6, full_output=True)
         assert info.kkt_gap <= 1e-6
+
+    def test_iteration_cap_warns(self, rng):
+        x, y = blobs(rng, n_per_class=10, sep=0.3)
+        with pytest.warns(RuntimeWarning, match=r"reg=2.*max_iter=1 .*KKT gap"):
+            _, info = linmodel.fit_linear_svm(x, y, reg=2.0, max_iter=1, full_output=True)
+        assert info.iterations == 1 and info.kkt_gap > 1e-6
+
+    def test_converged_fit_is_silent(self, rng):
+        x, y = blobs(rng, n_per_class=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            linmodel.fit_linear_svm(x, y, reg=1.0)
 
     def test_single_class_rejected(self, rng):
         x = rng.standard_normal((6, 2))

@@ -39,6 +39,15 @@ class TestSymEig:
         with pytest.raises(InvalidInput):
             manifold.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_symmetry_tolerance(self):
+        a = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
+        manifold.sym_eig(a)  # within SYM_RTOL: accepted
+        a[1, 0] = 1.0 + 1e-9
+        with pytest.raises(InvalidInput):
+            manifold.sym_eig(a)
+        with pytest.raises(InvalidInput):
+            manifold.sym_eig(np.full((2, 2), np.nan))
+
 
 class TestMatrixFunctions:
     def test_logm_identity(self):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import tssf
-from tssf import evalstats, pipelines
+from tssf import evalstats, manifold, pipelines
+from tssf import tssf as tssf_module
 from tssf.errors import DegenerateModel, InvalidInput, NotPositiveDefinite
 
 
@@ -53,6 +54,7 @@ class TestAllPipelines:
         ts = synth_set(seed=4, trials=20)
         spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
         p1 = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
+        tssf_module._clear_fit_store()  # refit, rather than reuse the stored tangent model
         p2 = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
         np.testing.assert_array_equal(
             p1.decision_scores(ts.data), p2.decision_scores(ts.data)
@@ -114,6 +116,41 @@ def test_flat_channel_in_test_trial_raises():
     trials[1, :, 2] = 0.5  # a flat channel makes trial 2's covariance singular
     with pytest.raises(NotPositiveDefinite, match="covariance 2 "):
         pipe.decision_scores(trials)
+
+
+@pytest.mark.parametrize("name", ["TSSF_Var_1_step", "CSP"])
+def test_zero_test_trial_raises_on_logvar(name):
+    ts = synth_set(seed=11, trials=20)
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=2, classifier=FIXED))
+    pipe.fit(ts.data, ts.labels)
+    trials = ts.data[:, :, :3].copy()
+    trials[:, :, 1] = 0.0  # an all-zero trial: every filtered variance is exactly 0
+    with pytest.raises(NotPositiveDefinite, match="filtered covariance 1 "):
+        pipe.decision_scores(trials)
+    with pytest.raises(NotPositiveDefinite, match="filtered covariance 0 "):
+        pipe.decision_scores(trials[:, :, 1:2])
+
+
+def test_tangent_model_fitted_once_for_shared_training_set(monkeypatch):
+    ts = synth_set(seed=12, channels=5, trials=30)
+    calls = []
+
+    def counting_frechet_mean(points, cfg=None):
+        calls.append(np.shape(points)[-1])
+        return manifold.frechet_mean(points, cfg)
+
+    tssf_module._clear_fit_store()
+    monkeypatch.setattr(tssf_module, "frechet_mean", counting_frechet_mean)
+    try:
+        for name in ("TSSF_Var_1_step", "TSSF_LogCov_2_step", "TS_AIRM"):
+            spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
+            pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
+    finally:
+        tssf_module._clear_fit_store()
+    # one mean of the 5 x 5 training covariances; each TSSF pipeline adds
+    # the mean of its own 2 x 2 filtered covariances
+    assert calls.count(5) == 1
+    assert calls.count(2) == 2
 
 
 class TestPipelineValidation:

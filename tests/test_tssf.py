@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import tssf
 from tssf import manifold
+from tssf import tssf as tssf_module
 from tssf.errors import (
     DegenerateModel,
     DimMismatch,
@@ -294,6 +298,112 @@ class TestTangentVectors:
                     manifold.log_map_at(ref, covs[j]),
                 )
                 assert vecs[i] @ vecs[j] == pytest.approx(expected, abs=1e-10)
+
+
+class TestFitTangentModel:
+    def test_stored_fit_equals_fresh_fit_bitwise(self, rng):
+        covs, labels = synth_covs(rng)
+        cfg = tssf.ClassifierConfig(reg=2.0)
+        first = tssf.fit_tangent_model(covs, labels, cfg)
+        again = tssf.fit_tangent_model(covs.copy(), labels.copy(), cfg)
+        assert again[0] is first[0] and again[1] is first[1]
+        tssf_module._clear_fit_store()
+        mean, model = tssf.fit_tangent_model(covs, labels, cfg)
+        assert mean is not first[0]
+        np.testing.assert_array_equal(mean, first[0])
+        np.testing.assert_array_equal(model.weights, first[1].weights)
+        assert (model.intercept, model.reg) == (first[1].intercept, first[1].reg)
+
+    def test_returned_arrays_are_read_only(self, rng):
+        covs, labels = synth_covs(rng)
+        for _ in range(2):  # a computed result, then a stored one
+            mean, model = tssf.fit_tangent_model(covs, labels, tssf.ClassifierConfig(reg=2.0))
+            for array in (mean, model.weights):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+        model = tssf.extract_tssf(covs, labels, 2, model_cfg=tssf.ClassifierConfig(reg=2.0))
+        assert not model.reference_mean.flags.writeable
+
+    def test_none_means_default_configs(self, rng):
+        covs, labels = synth_covs(rng, t=20)
+        first = tssf.fit_tangent_model(covs, labels)
+        assert tssf.fit_tangent_model(covs, labels, tssf.ClassifierConfig(), manifold.FrechetConfig()) is first
+
+    def test_different_inputs_miss(self, rng):
+        covs, labels = synth_covs(rng)
+        cfg = tssf.ClassifierConfig(reg=2.0)
+        base = tssf.fit_tangent_model(covs, labels, cfg)
+        flipped = labels.copy()
+        flipped[:2] = -flipped[:2]
+        variants = [
+            (covs, flipped, cfg, None),
+            (covs, labels, tssf.ClassifierConfig(reg=3.0), None),
+            (covs, labels, tssf.ClassifierConfig(kind="lda"), None),
+            (covs, labels, cfg, manifold.FrechetConfig(tolerance=1e-9)),
+            (covs[:-2], labels[:-2], cfg, None),
+        ]
+        for args in variants:
+            mean, model = tssf.fit_tangent_model(*args)
+            assert mean is not base[0] and model is not base[1]
+        mean, _ = tssf.fit_tangent_model(covs, labels.astype(float), cfg)  # same values, new dtype
+        assert mean is not base[0]
+        np.testing.assert_array_equal(mean, base[0])
+
+    def test_store_keeps_the_most_recent_fits(self, rng, monkeypatch):
+        covs, labels = synth_covs(rng, t=20)
+        cfg = [tssf.ClassifierConfig(reg=r) for r in (1.0, 2.0, 3.0)]
+        monkeypatch.setattr(tssf_module, "_FIT_STORE_SIZE", 2)
+        tssf_module._clear_fit_store()
+        first = tssf.fit_tangent_model(covs, labels, cfg[0])
+        tssf.fit_tangent_model(covs, labels, cfg[1])
+        assert tssf.fit_tangent_model(covs, labels, cfg[0]) is first  # now most recent
+        tssf.fit_tangent_model(covs, labels, cfg[2])  # evicts cfg[1]
+        assert tssf.fit_tangent_model(covs, labels, cfg[0]) is first
+        assert len(tssf_module._fit_store) == 2
+        tssf_module._clear_fit_store()
+
+    def test_concurrent_fits_agree_and_respect_capacity(self, rng, monkeypatch):
+        covs, labels = synth_covs(rng, c=3, t=12)
+        cfgs = [tssf.ClassifierConfig(reg=r) for r in (0.5, 1.0, 2.0, 4.0)]
+        tssf_module._clear_fit_store()
+        expected = [tssf.fit_tangent_model(covs, labels, cfg) for cfg in cfgs]
+        monkeypatch.setattr(tssf_module, "_FIT_STORE_SIZE", 2)
+        tssf_module._clear_fit_store()
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(20):
+                    j = (i + offset) % len(cfgs)
+                    mean, model = tssf.fit_tangent_model(covs, labels, cfgs[j])
+                    np.testing.assert_array_equal(mean, expected[j][0])
+                    np.testing.assert_array_equal(model.weights, expected[j][1].weights)
+                    assert len(tssf_module._fit_store) <= 2
+            except Exception as exc:  # reported through errors below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            tssf_module._clear_fit_store()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_bad_inputs_rejected(self, rng):
+        covs, labels = synth_covs(rng, t=10)
+        with pytest.raises(InvalidInput):
+            tssf.fit_tangent_model(covs[0], labels)
+        with pytest.raises(InvalidInput):
+            tssf.fit_tangent_model(covs, labels[:-1])
+        with pytest.raises(DegenerateModel):
+            tssf.fit_tangent_model(covs, np.ones(10))
 
 
 class TestSerialization:
