@@ -203,15 +203,28 @@ def _covariance_stack(data, center=True, scale=True):
     return covs
 
 
+# trials per block of _spd_covariances are chosen so that a block's
+# (T, C, N) copy stays near this size
+_BLOCK_BYTES = 4 << 20
+
+
 def _spd_covariances(data, center=True, scale=True, spd_tol=1e-10, jitter=0.0):
-    """:func:`_covariance_stack` plus one vectorized SPD check of the stack."""
-    c, n, _ = data.shape
+    """:func:`_covariance_stack` plus one vectorized SPD check of the stack.
+
+    The stack is computed in blocks of trials, so the transposed copy of
+    the data stays at a few MiB however many trials there are; each
+    covariance is the same bits as in one :func:`_covariance_stack` call.
+    """
+    c, n, t = data.shape
     if n <= c:
         warnings.warn(
             f"trial has {n} samples for {c} channels; covariance may be rank-deficient",
             stacklevel=3,
         )
-    covs = _covariance_stack(data, center, scale)
+    block = max(1, _BLOCK_BYTES // (8 * c * n))
+    covs = np.empty((t, c, c))
+    for lo in range(0, t, block):
+        covs[lo : lo + block] = _covariance_stack(data[:, :, lo : lo + block], center, scale)
     try:
         return ensure_spd(covs, spd_tol=spd_tol, jitter=jitter, name="covariance")
     except NotPositiveDefinite as exc:

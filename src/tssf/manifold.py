@@ -108,6 +108,16 @@ def _from_eig(w, v):
     return (v * w[..., None, :]) @ v.swapaxes(-1, -2)
 
 
+def _log_inner(w_stack, b, name="matrix"):
+    # <b, logm(w_t)> for every matrix w_t of a stack and one symmetric b,
+    # read off the eigenpairs w_t = V diag(lam) V^T as
+    # sum_i log(lam_i) (V^T b V)_ii, so no log matrix is built; raises
+    # NotPositiveDefinite naming the first non-SPD w_t. eigh reads only the
+    # lower triangle, so w_t may carry rounding-level asymmetry.
+    lam, v = _spd_eigh(w_stack, name=name)
+    return (((b @ v) * v).sum(axis=-2) * np.log(lam)).sum(axis=-1)
+
+
 def ensure_spd(a, spd_tol=SPD_TOL, jitter=0.0, name="matrix"):
     """Validate that ``a`` is SPD, optionally after adding ``jitter * I``.
 
@@ -179,8 +189,11 @@ def frechet_mean(points, cfg=None):
 
     Fixed-point iteration with unit step, initialized at the arithmetic
     mean: ``m <- Expm_m(mean_t Logm_m(points[t]))``. Converged when the
-    Frobenius norm of the mean tangent at ``m`` drops below
-    ``cfg.tolerance``.
+    whitened residual ``||mean_t logm(m^{-1/2} points[t] m^{-1/2})||_F``
+    drops below ``cfg.tolerance``. That norm is the length of the mean
+    tangent in the metric at ``m``, so it does not change when every point
+    is scaled (or transformed by any congruence): ``frechet_mean(s * P)``
+    is ``s * frechet_mean(P)`` whatever the data units.
 
     Parameters
     ----------
@@ -215,7 +228,7 @@ def frechet_mean(points, cfg=None):
         half, inv_half = _half_powers(mean)
         m = inv_half @ pts @ inv_half
         log_mean = logm(0.5 * (m + m.swapaxes(1, 2))).mean(axis=0)
-        residual = np.linalg.norm(half @ log_mean @ half)
+        residual = np.linalg.norm(log_mean)
         if residual < cfg.tolerance:
             return mean
         if step < cfg.max_iterations:

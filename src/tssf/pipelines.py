@@ -16,6 +16,13 @@ Every pipeline object exposes ``fit(trials, labels)`` and
 ``decision_scores(trials)`` on C x N x T tensors. Test-trial covariances
 are always recomputed from the filtered data, never by congruence of a
 stored full covariance, mirroring online use.
+
+Pipelines on log-matrix features score in eigen-coordinates: any linear
+function of ``logm(W)`` is ``<B, logm(W)> = sum_i log(lam_i) (V^T B V)_ii``
+for the eigenpairs of ``W``. Fitting compiles the model once into a
+projection, a symmetric B and an intercept, so prediction filters the
+trial, takes its covariance and evaluates that sum; it builds no log
+matrix and no tangent vector. Training features are computed as before.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +33,7 @@ from .csp import fit_csp
 from .dataio import _covariance_stack, _spd_covariances
 from .errors import DegenerateModel, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
-from .manifold import _half_powers, _vec, _whitened_log
+from .manifold import SPD_TOL, _half_powers, _log_inner, unvec
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
 from .tssf import DIAGLOGCOV, LOGCOV, LOGVAR, _filtered_features, extract_tssf, fit_tangent_model
 
@@ -91,13 +98,26 @@ def _check_fit_inputs(trials, labels):
     return trials, labels
 
 
-def _trial_features(model, kind, trials):
-    # features of each trial's covariance, recomputed from the filtered
-    # data; (C, N, T) is C-contiguous, so channel-space filtering maps onto
-    # one large matmul over the flattened (N, T) axes
+def _filtered_covariances(projection, trials):
+    # covariance of each trial after projection onto the columns of
+    # `projection`; (C, N, T) is C-contiguous, so channel-space filtering
+    # maps onto one large matmul over the flattened (N, T) axes
     c, n, t = trials.shape
-    flat = model.filters.T @ trials.reshape(c, n * t)
-    return _filtered_features(model, _covariance_stack(flat.reshape(model.k, n, t)), kind)
+    flat = projection.T @ trials.reshape(c, n * t)
+    return _covariance_stack(flat.reshape(projection.shape[1], n, t))
+
+
+def _trial_features(model, kind, trials, var_floor=0.0):
+    # features of each trial's covariance, recomputed from the filtered data
+    return _filtered_features(model, _filtered_covariances(model.filters, trials), kind, var_floor)
+
+
+def _variance_floor(filters, covs):
+    # SPD_TOL times the smallest filtered training variance f_i^T C_t f_i.
+    # Held-out log-variances must exceed it: a constant trial's variances
+    # are rounding noise (about 1e-33 at unit scale), not exactly 0, and a
+    # floor that scales with the training data rejects them in any units.
+    return SPD_TOL * float(((covs @ filters) * filters).sum(axis=-2).min())
 
 
 class CspPipeline:
@@ -113,13 +133,16 @@ class CspPipeline:
 
     def fit(self, trials, labels):
         trials, labels = _check_fit_inputs(trials, labels)
-        self.model = fit_csp(_spd_covariances(trials), labels, self.k, class_mean=self.class_mean)
+        covs = _spd_covariances(trials)
+        self.model = fit_csp(covs, labels, self.k, class_mean=self.class_mean)
+        self._var_floor = _variance_floor(self.model.filters, covs)
         feats = _trial_features(self.model, LOGVAR, trials)
         self.clf = fit_from_config(feats, labels, self.classifier_cfg)
         return self
 
     def decision_scores(self, trials):
-        feats = _trial_features(self.model, LOGVAR, np.ascontiguousarray(trials, dtype=float))
+        trials = np.ascontiguousarray(trials, dtype=float)
+        feats = _trial_features(self.model, LOGVAR, trials, self._var_floor)
         return feats @ self.clf.weights + self.clf.intercept
 
 
@@ -135,24 +158,40 @@ class TssfPipeline:
 
     def fit(self, trials, labels):
         trials, labels = _check_fit_inputs(trials, labels)
+        covs = _spd_covariances(trials)
         self.model = extract_tssf(
-            _spd_covariances(trials),
+            covs,
             labels,
             self.k,
             model_cfg=self.classifier_cfg,
             feature_kind=self.feature_kind,
         )
-        if not self.one_step:
+        if self.one_step:
+            weights, self._intercept = self.model.beta, self.model.intercept
+        else:
             feats = _trial_features(self.model, self.feature_kind, trials)
             self.second = fit_from_config(feats, labels, self.classifier_cfg)
+            weights, self._intercept = self.second.weights, self.second.intercept
+        filters = self.model.filters
+        if self.feature_kind == LOGVAR:
+            self._var_floor = _variance_floor(filters, covs)
+            self._projection, self._coef = filters, weights
+        elif self.feature_kind == DIAGLOGCOV:
+            self._projection, self._coef = filters, np.diag(weights)
+        else:
+            # the features are vec(h L h) with L = logm(h^-1 F^T S F h^-1)
+            # and h = filtered_mean^{1/2}, so w . vec(h L h) = <h unvec(w) h, L>,
+            # and L is the log of the covariance filtered by F h^-1
+            half, inv_half = self.model._filtered_mean_powers
+            self._projection, self._coef = filters @ inv_half, half @ unvec(weights) @ half
         return self
 
     def decision_scores(self, trials):
-        trials = np.ascontiguousarray(trials, dtype=float)
-        feats = _trial_features(self.model, self.feature_kind, trials)
-        if self.one_step:
-            return feats @ self.model.beta + self.model.intercept
-        return feats @ self.second.weights + self.second.intercept
+        covs = _filtered_covariances(self._projection, np.ascontiguousarray(trials, dtype=float))
+        if self.feature_kind == LOGVAR:
+            feats = _filtered_features(self.model, covs, LOGVAR, self._var_floor)
+            return feats @ self._coef + self._intercept
+        return _log_inner(covs, self._coef, "filtered covariance") + self._intercept
 
 
 class TangentSpacePipeline:
@@ -172,9 +211,13 @@ class TangentSpacePipeline:
             _spd_covariances(trials), labels, self.classifier_cfg
         )
         _, self._inv_half = _half_powers(self.reference_mean)
+        self._coef = unvec(self.clf.weights)
         return self
 
     def decision_scores(self, trials):
+        # whitening the covariance by congruence takes two C x C products;
+        # projecting the C x N trial by inv_half instead would take more
+        # whenever N > 2C
         covs = _covariance_stack(np.ascontiguousarray(trials, dtype=float))
-        vectors = _vec(_whitened_log(self._inv_half, covs, "covariance"))
-        return vectors @ self.clf.weights + self.clf.intercept
+        whitened = self._inv_half @ covs @ self._inv_half
+        return _log_inner(whitened, self._coef, "covariance") + self.clf.intercept

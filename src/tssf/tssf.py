@@ -322,24 +322,26 @@ def compute_features(model, filtered_cov, kind=None):
     return _filtered_features(model, cov, kind)
 
 
-def _filtered_features(model, covs, kind):
+def _filtered_features(model, covs, kind, var_floor=0.0):
     """Features of a stack of filtered covariances, without validation.
 
-    The one feature map behind :func:`compute_features` and the
-    pipelines. Non-SPD input raises
-    :class:`~tssf.errors.NotPositiveDefinite` naming the first failing
-    matrix; "logvar" checks only that the diagonal is positive.
+    The one feature map behind :func:`compute_features`, the pipelines'
+    training features and their log-variance scores (log-matrix features
+    are scored without building them, see ``pipelines``). Non-SPD input
+    raises :class:`~tssf.errors.NotPositiveDefinite` naming the first failing
+    matrix; "logvar" checks only that every variance of the diagonal is
+    above ``var_floor``.
     """
     if kind == LOGVAR:
         # the method form skips np.diagonal's dispatch, which on a single
         # trial costs more than the check below
         var = covs.diagonal(0, -2, -1)
-        if not var.min(initial=np.inf) > 0:  # one reduction; NaN fails too
-            i = tuple(np.argwhere(~(var > 0))[0])
+        if not var.min(initial=np.inf) > var_floor:  # one reduction; NaN fails too
+            i = tuple(np.argwhere(~(var > var_floor))[0])
             where = "" if len(i) == 1 else f" {i[0]}" if len(i) == 2 else f" {i[:-1]}"
             raise NotPositiveDefinite(
                 f"filtered covariance{where} is not positive definite: "
-                f"variance {var[i]:.3e} in component {i[-1]}"
+                f"variance {var[i]:.3e} in component {i[-1]} is not above {var_floor:.3e}"
             )
         return np.log(var)
     if kind == DIAGLOGCOV:

@@ -139,6 +139,12 @@ class TestEmpiricalCovariance:
             centered = ts.trial(t) - ts.trial(t).mean(axis=1, keepdims=True)
             np.testing.assert_allclose(covs[t], centered @ centered.T / 60, rtol=1e-14)
 
+    def test_blocks_equal_one_stack(self, rng, monkeypatch):
+        data = rng.standard_normal((3, 20, 10))
+        one = dataio._covariance_stack(data)
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 3 * 8 * 3 * 20)  # blocks of 3, 3, 3, 1
+        np.testing.assert_array_equal(dataio._spd_covariances(data), one)
+
     def test_rank_deficient_trial_named(self, rng):
         ts = small_set(rng, c=3, n=50, t=5)
         ts.data[1, :, 3] = 2.5

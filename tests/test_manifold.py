@@ -168,6 +168,16 @@ class TestFrechetMean:
         with pytest.raises(InvalidInput):
             manifold.frechet_mean([])
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
+    def test_scale_equivariance(self, rng, scale):
+        # the stopping rule is whitened, so data units change nothing: with
+        # an unwhitened residual, tiny data stopped at the arithmetic mean
+        pts = np.array([random_spd(rng, 6, spread=1.5) for _ in range(12)])
+        expected = scale * manifold.frechet_mean(pts)
+        np.testing.assert_allclose(
+            manifold.frechet_mean(scale * pts), expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max()
+        )
+
 
 class TestTangentMaps:
     def test_log_map_at_identity_is_logm(self, rng):
@@ -346,7 +356,7 @@ def loop_frechet_mean(points, tol=1e-10, max_iterations=50):
         half, inv_half = manifold.powm(mean, 0.5), manifold.powm(mean, -0.5)
         logs = [manifold.logm(sym(inv_half @ p @ inv_half)) for p in points]
         log_mean = np.mean(logs, axis=0)
-        if np.linalg.norm(half @ log_mean @ half) < tol:
+        if np.linalg.norm(log_mean) < tol:
             return mean
         mean = half @ manifold.expm(sym(log_mean)) @ half
     raise AssertionError("reference iteration did not converge")
@@ -397,3 +407,30 @@ class TestStacks:
         pts[2] = np.diag([1.0, 1.0, -0.5])
         with pytest.raises(NotPositiveDefinite, match="matrix 2 "):
             manifold.frechet_mean(pts)
+
+
+class TestLogInner:
+    @pytest.mark.parametrize("c", [1, 2, 8, 64])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_matches_tangent_vector_dot(self, rng, c, diagonal):
+        stack = np.array([random_spd(rng, c, spread=1.5) for _ in range(5)])
+        b = np.diag(rng.standard_normal(c)) if diagonal else random_symmetric(rng, c)
+        logs = manifold._vec(manifold.logm(stack))
+        expected = logs @ manifold.vec(b)
+        bound = np.linalg.norm(logs, axis=1) * np.linalg.norm(b)  # Cauchy-Schwarz
+        got = manifold._log_inner(stack, b)
+        assert got.shape == (5,)
+        assert np.all(np.abs(got - expected) <= 1e-12 * bound)
+
+    def test_single_calls_equal_one_batch_call(self, rng):
+        stack = np.array([random_spd(rng, 6, spread=1.5) for _ in range(7)])
+        b = random_symmetric(rng, 6)
+        batch = manifold._log_inner(stack, b)
+        single = [manifold._log_inner(stack[t : t + 1], b)[0] for t in range(7)]
+        np.testing.assert_array_equal(single, batch)
+
+    def test_non_spd_matrix_named(self, rng):
+        stack = np.array([random_spd(rng, 3) for _ in range(5)])
+        stack[3] = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(NotPositiveDefinite, match="covariance 3 "):
+            manifold._log_inner(stack, np.eye(3), "covariance")

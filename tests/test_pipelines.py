@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tssf
-from tssf import evalstats, manifold, pipelines
+from tssf import dataio, evalstats, manifold, pipelines
 from tssf import tssf as tssf_module
 from tssf.errors import DegenerateModel, InvalidInput, NotPositiveDefinite
 
@@ -124,11 +124,52 @@ def test_zero_test_trial_raises_on_logvar(name):
     pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=2, classifier=FIXED))
     pipe.fit(ts.data, ts.labels)
     trials = ts.data[:, :, :3].copy()
-    trials[:, :, 1] = 0.0  # an all-zero trial: every filtered variance is exactly 0
-    with pytest.raises(NotPositiveDefinite, match="filtered covariance 1 "):
-        pipe.decision_scores(trials)
-    with pytest.raises(NotPositiveDefinite, match="filtered covariance 0 "):
-        pipe.decision_scores(trials[:, :, 1:2])
+    # an all-zero trial has filtered variances of exactly 0; a constant one
+    # has variances of rounding size, below the floor set by the training data
+    for value in (0.0, 0.5):
+        trials[:, :, 1] = value
+        with pytest.raises(NotPositiveDefinite, match="filtered covariance 1 "):
+            pipe.decision_scores(trials)
+        with pytest.raises(NotPositiveDefinite, match="filtered covariance 0 "):
+            pipe.decision_scores(trials[:, :, 1:2])
+
+
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_no_log_matrix_or_tangent_vector_at_prediction(name, monkeypatch):
+    ts = synth_set(seed=13, channels=5, trials=30)
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=2, classifier=FIXED))
+    pipe.fit(ts.data, ts.labels)
+    calls = []
+
+    def counting(fn, original):
+        def counted(*args, **kwargs):
+            calls.append(fn)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for module in (manifold, tssf_module, pipelines, dataio):
+        for fn in ("_from_eig", "_logm", "_vec"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, counting(fn, getattr(module, fn)))
+    pipe.decision_scores(ts.data)
+    pipe.decision_scores(ts.data[:, :, :1])
+    assert calls == []
+    tssf.tangent_vectors(np.eye(2), np.eye(2)[None])  # the counters do count
+    assert set(calls) == {"_from_eig", "_logm", "_vec"}
+
+
+@pytest.mark.parametrize("classifier", [FIXED, tssf.ClassifierConfig()], ids=["fixed", "grid"])
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_scores_do_not_depend_on_data_units(name, classifier):
+    ts = synth_set(seed=14, channels=5, trials=30)
+    spec = pipelines.PipelineSpec(name=name, k=2, classifier=classifier)
+    expected = pipelines.make_pipeline(spec).fit(ts.data, ts.labels).decision_scores(ts.data)
+    atol = 1e-10 * np.abs(expected).max()
+    for scale in (1e-12, 1e-6, 1e6):
+        data = scale * ts.data
+        scores = pipelines.make_pipeline(spec).fit(data, ts.labels).decision_scores(data)
+        np.testing.assert_allclose(scores, expected, rtol=1e-10, atol=atol)
 
 
 def test_tangent_model_fitted_once_for_shared_training_set(monkeypatch):
