@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tssf import manifold
+from tssf import dataio, manifold
 from tssf.errors import (
     ConvergenceFailure,
     DimMismatch,
@@ -47,6 +49,21 @@ class TestSymEig:
             manifold.sym_eig(a)
         with pytest.raises(InvalidInput):
             manifold.sym_eig(np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_symmetry_tolerance_is_relative(self, rng, scale):
+        # the tolerance follows each matrix's largest entry: 10 % asymmetry
+        # is rejected at any scale, alone and inside a stack of well-scaled
+        # matrices, and rounding-level asymmetry is accepted at any scale
+        a = scale * np.array([[2.0, 1.0], [1.1, 2.0]])
+        with pytest.raises(InvalidInput, match="^matrix is not symmetric"):
+            manifold.sym_eig(a)
+        stack = np.array([random_spd(rng, 2) for _ in range(5)])
+        stack[3] = a
+        with pytest.raises(InvalidInput, match="^matrix 3 is not symmetric"):
+            manifold.sym_eig(stack)
+        a[1, 0] = a[0, 1] * (1.0 + 1e-15)
+        manifold.sym_eig(a)
 
 
 class TestMatrixFunctions:
@@ -168,6 +185,48 @@ class TestFrechetMean:
         with pytest.raises(InvalidInput):
             manifold.frechet_mean([])
 
+    def test_close_to_fixed_point_mean(self, rng):
+        # the curvature-corrected step converges to the point the unit-step
+        # fixed-point iteration converges to
+        pts = np.array([random_spd(rng, 6, spread=1.5) for _ in range(12)])
+        fixed_point = loop_frechet_mean(pts, tol=1e-13, curvature=False)
+        assert manifold.airm_distance(manifold.frechet_mean(pts), fixed_point) < 1e-9
+
+    def test_widely_spread_set_converges(self, rng):
+        # the unit step oscillates on such sets (ConvergenceFailure); the
+        # curvature-corrected step is a damped Newton step
+        pts = np.array([random_spd(rng, 6, spread=4.0) for _ in range(10)])
+        mean = manifold.frechet_mean(pts)
+        inv_half = manifold.powm(mean, -0.5)
+        residual = np.mean([manifold.logm(sym(inv_half @ p @ inv_half)) for p in pts], axis=0)
+        assert np.linalg.norm(residual) < 1e-10
+
+    def test_logm_sweeps_at_64_channels(self, monkeypatch, bench_c64):
+        calls = count_logm_calls(monkeypatch)
+        manifold.frechet_mean(bench_c64)
+        assert len(calls) <= 5  # the unit step takes 9
+        assert all(shape == (120, 64, 64) for shape in calls)
+
+    def test_calls_module_logm(self, monkeypatch):
+        # perfbench/selftest.py::check_tracer wraps the module-global
+        # manifold.logm and expects one frechet_mean on [I, 2I] to call it
+        # at least twice; a refactor that bypasses it fails here first
+        calls = count_logm_calls(monkeypatch)
+        manifold.frechet_mean(np.stack([np.eye(3), 2.0 * np.eye(3)]))
+        assert len(calls) >= 2
+
+    def test_peak_memory_at_64_channels(self, bench_c64):
+        # logm needs its input, eigenvectors, scaled eigenvectors and output:
+        # four (T, C, C) stacks; any further stack held across it shows here
+        covs = bench_c64[:96]
+        tracemalloc.start()
+        try:
+            manifold.frechet_mean(covs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * covs.nbytes
+
     @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
     def test_scale_equivariance(self, rng, scale):
         # the stopping rule is whitened, so data units change nothing: with
@@ -177,6 +236,32 @@ class TestFrechetMean:
         np.testing.assert_allclose(
             manifold.frechet_mean(scale * pts), expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max()
         )
+
+
+class TestKarcherHessian:
+    @pytest.fixture
+    def logs(self, rng):
+        return manifold.logm(np.array([random_spd(rng, 5, spread=2.0) for _ in range(7)]))
+
+    def test_matches_per_point_form(self, rng, logs):
+        x = random_symmetric(rng, 5)
+        np.testing.assert_allclose(
+            manifold._karcher_hessian(logs)(x), loop_hessian(logs, x), rtol=1e-12, atol=1e-12
+        )
+
+    def test_symmetric_and_above_identity(self, rng, logs):
+        hess = manifold._karcher_hessian(logs)
+        for _ in range(10):
+            x, y = random_symmetric(rng, 5), random_symmetric(rng, 5)
+            assert np.sum(y * hess(x)) == pytest.approx(np.sum(hess(y) * x), rel=1e-12)
+            assert np.sum(x * hess(x)) >= np.sum(x * x)
+
+    def test_commuting_logs_give_unit_step(self, rng):
+        # H is the identity on matrices that commute with every L_t, so for
+        # diagonal points the step is the mean log itself
+        logs = manifold.logm(np.array([np.diag(np.exp(rng.uniform(-2, 2, 4))) for _ in range(5)]))
+        grad = logs.mean(axis=0)
+        np.testing.assert_allclose(manifold._curvature_step(logs, grad), grad, atol=1e-15)
 
 
 class TestTangentMaps:
@@ -349,8 +434,12 @@ class TestSubspaceAngles:
         assert manifold.subspace_angle_by_cluster(f1, f2, eigs) > 1.0
 
 
-def loop_frechet_mean(points, tol=1e-10, max_iterations=50):
-    """The fixed-point iteration one point at a time (reference)."""
+def loop_frechet_mean(points, tol=1e-10, max_iterations=50, curvature=True):
+    """The Frechet-mean iteration one point at a time (reference).
+
+    With ``curvature=False`` it is the unit-step fixed-point iteration
+    ``m <- Expm_m(mean_t Logm_m(points[t]))``.
+    """
     mean = np.mean(points, axis=0)
     for _ in range(max_iterations):
         half, inv_half = manifold.powm(mean, 0.5), manifold.powm(mean, -0.5)
@@ -358,12 +447,53 @@ def loop_frechet_mean(points, tol=1e-10, max_iterations=50):
         log_mean = np.mean(logs, axis=0)
         if np.linalg.norm(log_mean) < tol:
             return mean
-        mean = half @ manifold.expm(sym(log_mean)) @ half
+        step = loop_cg(logs, log_mean) if curvature else log_mean
+        mean = half @ manifold.expm(sym(step)) @ half
     raise AssertionError("reference iteration did not converge")
+
+
+def loop_hessian(logs, x):
+    """H[X] = X + mean_t (L_t^2 X + X L_t^2 - 2 L_t X L_t) / 12, point by point."""
+    return x + np.mean([l @ l @ x + x @ l @ l - 2.0 * l @ x @ l for l in logs], axis=0) / 12.0
+
+
+def loop_cg(logs, g):
+    """Conjugate gradients for H X = g, stopped at ||r|| <= 1e-3 ||g||."""
+    x, r, p = np.zeros_like(g), g, g
+    for _ in range(manifold.vec_dim(len(g))):
+        hp = loop_hessian(logs, p)
+        alpha = np.sum(r * r) / np.sum(p * hp)
+        x, r_old, r = x + alpha * p, r, r - alpha * hp
+        if np.linalg.norm(r) <= 1e-3 * np.linalg.norm(g):
+            break
+        p = r + np.sum(r * r) / np.sum(r_old * r_old) * p
+    return x
 
 
 def sym(a):
     return 0.5 * (a + a.T)
+
+
+@pytest.fixture(scope="module")
+def bench_c64():
+    """Covariances of perfbench's eval-c64-fixed eval data at seed 1: (120, 64, 64)."""
+    cfg = dataio.SynthConfig(
+        channels=64, samples=256, trials_per_class=60, seed=1, noise_sigma=1.5, nonstationarity=0.2
+    )
+    return dataio.covariances(dataio.synth_generate(cfg))
+
+
+def count_logm_calls(monkeypatch):
+    """Wrap ``manifold.logm``; returns the list of argument shapes it sees."""
+    calls = []
+    logm = manifold.logm
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return logm(a, *args, **kwargs)
+
+    monkeypatch.setattr(manifold, "logm", counting)
+    return calls
 
 
 class TestStacks:
