@@ -47,7 +47,7 @@ print(f"generated {trialset.n_trials} trials, C={trialset.n_channels}, "
 model = tssf.extract_tssf(
     covs,
     trialset.labels,
-    k=trialset.n_channels,  # keep everything; truncate later
+    k=trialset.n_channels,  # keep everything
     model_cfg=tssf.ClassifierConfig(reg=1.0),
     feature_kind=tssf.DIAGLOGCOV,
 )
@@ -72,12 +72,22 @@ for cov, vector in zip(covs, vectors):
 print(f"\nfull-rank one-step vs tangent decision values: worst |diff| = {worst:.2e}")
 
 ######################################################################
-# Truncation
+# Choosing k
 # ----------
 # Two components carry the class information here, so keeping k=2 loses
-# almost nothing. The truncated model reuses the fitted filters.
+# almost nothing. A k=2 fit on the same data reuses the tangent-space
+# model, so its filters are the leading columns of the full bank; every
+# model keeps all C sorted coefficients in ``full_beta``.
 
-small = tssf.truncate_model(model, 2, covs)
+small = tssf.extract_tssf(
+    covs,
+    trialset.labels,
+    k=2,
+    model_cfg=tssf.ClassifierConfig(reg=1.0),
+    feature_kind=tssf.DIAGLOGCOV,
+)
+assert np.array_equal(small.filters, model.filters[:, :2])
+assert np.array_equal(small.full_beta, model.beta)
 correct = 0
 for t in range(trialset.n_trials):
     filtered = tssf.apply_filters(small, trialset.trial(t))

@@ -70,8 +70,6 @@ from .linmodel import (
     fit_lda,
     fit_linear_svm,
     grid_search_cv,
-    load_linear_model,
-    save_linear_model,
     svm_objective,
 )
 from .tssf import (
@@ -85,20 +83,14 @@ from .tssf import (
     exact_decision_value,
     extract_tssf,
     fit_tangent_model,
-    load_tssf_model,
     predict_one_step,
-    predict_two_step,
-    save_tssf_model,
     tangent_vectors,
-    truncate_model,
 )
 from .csp import (
     CspEquivalenceReport,
     CspModel,
     csp_tssf_equivalence_report,
     fit_csp,
-    load_csp_model,
-    save_csp_model,
 )
 from .patterns import PatternSet, compute_patterns, patterns_to_csv
 from .dataio import (
@@ -125,6 +117,12 @@ from .evalstats import (
     stratified_folds,
     wilcoxon_one_sided,
 )
-from .pipelines import PIPELINE_NAMES, PipelineSpec, make_pipeline
+from .pipelines import (
+    PIPELINE_NAMES,
+    PipelineSpec,
+    load_pipeline,
+    make_pipeline,
+    save_pipeline,
+)
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 synth      generate a synthetic trial file from a config
-fit        fit one pipeline and serialize its model
+fit        fit one pipeline and save it as a pipeline/1 model file
 eval       cross-validate pipelines and write score/comparison CSVs
 patterns   export the spatial patterns of a saved model as CSV
 bench      measure per-trial prediction latency of fitted pipelines
@@ -40,14 +40,14 @@ def _parser():
         "--band", help="low:high:fs band-pass applied before processing"
     )
 
-    p_fit = sub.add_parser("fit", parents=[common_data], help="fit one pipeline")
+    p_fit = sub.add_parser("fit", parents=[common_data], help="fit and save one pipeline")
     p_fit.add_argument("--pipeline", required=True, help="pipeline name")
     p_fit.add_argument("--k", type=int, default=6, help="filter components (default 6)")
     p_fit.add_argument("--reg", type=float, default=None, help="fixed SVM regularization")
     p_fit.add_argument("--grid", default=None, help="comma list of regularizations")
     p_fit.add_argument("--folds", type=int, default=5, help="inner CV folds")
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--out", required=True, help="model file to write")
+    p_fit.add_argument("--out", required=True, help="pipeline/1 model file to write")
     p_fit.set_defaults(func=cmd_fit)
 
     p_eval = sub.add_parser("eval", parents=[common_data], help="cross-validate pipelines")
@@ -63,7 +63,9 @@ def _parser():
     p_eval.set_defaults(func=cmd_eval)
 
     p_pat = sub.add_parser("patterns", parents=[common_data], help="export spatial patterns")
-    p_pat.add_argument("--model", required=True, help="saved tssf/1 or csp/1 model")
+    p_pat.add_argument(
+        "--model", required=True, help="saved pipeline/1 model (or a tssf/1 or csp/1 file)"
+    )
     p_pat.add_argument("--out", required=True, help="CSV to write")
     p_pat.set_defaults(func=cmd_patterns)
 
@@ -176,46 +178,24 @@ def cmd_synth(args):
 def cmd_fit(args):
     import numpy as np
 
-    from .csp import fit_csp, save_csp_model
-    from .dataio import covariances
-    from .errors import DegenerateModel, InvalidInput
-    from .pipelines import _TSSF_VARIANTS
-    from .tssf import extract_tssf, save_tssf_model, truncate_model
+    from .pipelines import make_pipeline, save_pipeline
 
     spec = _pipeline_spec(args.pipeline, args)
     trialset = _load_trials(args)
-    if np.unique(trialset.labels).size < 2:
-        raise DegenerateModel("training file contains a single class")
-    covs = covariances(trialset)
+    pipe = make_pipeline(spec).fit(trialset.data, trialset.labels)
+    save_pipeline(pipe, args.out)
     if spec.name == "CSP":
-        model = fit_csp(covs, trialset.labels, spec.k)
-        save_csp_model(model, args.out)
-        print(f"CSP model with k={model.k} written to {args.out}")
         print("component  eigenvalue  |log eigenvalue|")
-        for rank, idx in enumerate(model.selection):
-            lam = model.eigenvalues[idx]
+        for rank, idx in enumerate(pipe.model.selection):
+            lam = pipe.model.eigenvalues[idx]
             print(f"{rank:9d}  {lam:10.4f}  {abs(np.log(lam)):16.4f}")
-        return 0
-    if spec.name == "TS_AIRM":
-        raise InvalidInput(
-            "TS_AIRM keeps no filter model file; use 'eval' or 'bench' for it"
-        )
-    kind, _ = _TSSF_VARIANTS[spec.name]
-    full = extract_tssf(
-        covs,
-        trialset.labels,
-        trialset.n_channels,
-        model_cfg=spec.classifier,
-        feature_kind=kind,
-    )
-    print("sorted coefficients (use this table to choose k):")
-    print("rank  beta      |beta|")
-    for rank, beta in enumerate(full.beta):
-        kept = "  <- kept" if rank < spec.k else ""
-        print(f"{rank:4d}  {beta:+.4f}  {abs(beta):.4f}{kept}")
-    model = truncate_model(full, spec.k, covs)
-    save_tssf_model(model, args.out)
-    print(f"TSSF model with k={model.k} ({kind}) written to {args.out}")
+    elif pipe.model is not None:
+        print("sorted coefficients (use this table to choose k):")
+        print("rank  beta      |beta|")
+        for rank, beta in enumerate(pipe.model.full_beta):
+            kept = "  <- kept" if rank < pipe.k else ""
+            print(f"{rank:4d}  {beta:+.4f}  {abs(beta):.4f}{kept}")
+    print(f"{pipe.name} pipeline (k={pipe.k}, {pipe.feature_kind}) written to {args.out}")
     return 0
 
 
@@ -273,22 +253,19 @@ def _comparisons_path(out):
 def cmd_patterns(args):
     import numpy as np
 
-    from ._textdoc import parse
-    from .csp import load_csp_model
+    from ._textdoc import get_matrix, parse
     from .dataio import covariances
     from .errors import FormatError, InvalidInput
     from .patterns import compute_patterns, patterns_to_csv
-    from .tssf import load_tssf_model
 
     with open(args.model, "r", encoding="utf-8") as fh:
         doc = parse(fh.read())
     fmt = doc.get("format")
-    if fmt == "tssf/1":
-        filters = load_tssf_model(args.model).filters
-    elif fmt == "csp/1":
-        filters = load_csp_model(args.model).filters
-    else:
+    if fmt not in ("pipeline/1", "tssf/1", "csp/1"):
         raise FormatError(f"unrecognized model format {fmt!r}")
+    if "filters" not in doc:
+        raise InvalidInput(f"{doc.get('name', 'this')} model has no spatial filters")
+    filters = get_matrix(doc, "filters")
     trialset = _load_trials(args)
     if trialset.n_channels != filters.shape[0]:
         raise InvalidInput(

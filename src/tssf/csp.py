@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _textdoc
-from .errors import FormatError, InvalidInput
+from .errors import InvalidInput
 from .manifold import (
+    _component_order,
     exp_map_at,
     frechet_mean,
     ged,
@@ -92,12 +92,10 @@ def fit_csp(covs, labels, k, class_mean="arithmetic"):
     if not 2 <= k <= c:
         raise InvalidInput(f"k must be in [2, {c}], got {k}")
     solution = ged(mean_pos, mean_neg)
-    d = solution.eigenvalues
-    order = np.lexsort((np.arange(c), -d, -np.abs(np.log(d))))
-    selection = order[:k]
+    selection = _component_order(solution.eigenvalues)[:k]
     return CspModel(
         filters=solution.eigenvectors[:, selection],
-        eigenvalues=d,
+        eigenvalues=solution.eigenvalues,
         selection=selection,
         class_mean=class_mean,
     )
@@ -143,7 +141,7 @@ def csp_tssf_equivalence_report(covs, labels):
 
     mean_all = frechet_mean(covs)
     labels = np.asarray(labels)
-    tangents = np.array([log_map_at(mean_all, cov) for cov in covs])
+    tangents = log_map_at(mean_all, covs)
     shift = tangents[labels == 1].mean(axis=0) - tangents[labels == -1].mean(axis=0)
     if degenerate:
         residual = np.nan
@@ -156,35 +154,3 @@ def csp_tssf_equivalence_report(covs, labels):
         mean_shift_residual=residual,
         degenerate=bool(degenerate),
     )
-
-
-def save_csp_model(model, path):
-    """Write a model as a "csp/1" structured-text document."""
-    text = _textdoc.dump(
-        [
-            ("format", "csp/1"),
-            ("k", model.k),
-            ("class_mean", model.class_mean),
-            ("eigenvalues", model.eigenvalues),
-            ("selection", model.selection),
-            ("filters", model.filters),
-        ]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def load_csp_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _textdoc.parse(fh.read())
-    if _textdoc.get_str(doc, "format") != "csp/1":
-        raise FormatError("not a csp/1 model file")
-    model = CspModel(
-        filters=_textdoc.get_matrix(doc, "filters"),
-        eigenvalues=_textdoc.get_vector(doc, "eigenvalues"),
-        selection=_textdoc.get_vector(doc, "selection", dtype=int),
-        class_mean=_textdoc.get_str(doc, "class_mean"),
-    )
-    if model.k != _textdoc.get_int(doc, "k"):
-        raise FormatError("inconsistent k in model file")
-    return model

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import _textdoc
-from .errors import FormatError, InvalidInput
+from .errors import InvalidInput
 from .evalstats import roc_auc, stratified_folds
 
 DEFAULT_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -324,31 +323,3 @@ def decision_value(model, x):
             f"feature vector has shape {x.shape}, model expects ({model.feature_dim},)"
         )
     return float(model.weights @ x + model.intercept)
-
-
-def save_linear_model(model, path):
-    """Write a model as a structured-text document (human-diffable)."""
-    text = _textdoc.dump(
-        [
-            ("weights", np.asarray(model.weights)),
-            ("intercept", float(model.intercept)),
-            ("reg", float(model.reg)),
-            ("feature_dim", model.feature_dim),
-        ]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def load_linear_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _textdoc.parse(fh.read())
-    weights = _textdoc.get_vector(doc, "weights")
-    dim = _textdoc.get_int(doc, "feature_dim")
-    if weights.size != dim:
-        raise FormatError(f"feature_dim {dim} does not match {weights.size} weights")
-    return LinearModel(
-        weights=weights,
-        intercept=_textdoc.get_float(doc, "intercept"),
-        reg=_textdoc.get_float(doc, "reg"),
-    )

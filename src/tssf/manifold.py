@@ -461,6 +461,12 @@ def ged(a, b, spd_tol=SPD_TOL):
     return GedResult(eigenvectors=inv_half @ v, eigenvalues=w)
 
 
+def _component_order(d):
+    # the ranking of GED components (eigenvalues d) shared by CSP and TSSF:
+    # descending |log d|, ties by descending d, then by position
+    return np.lexsort((np.arange(d.size), -d, -np.abs(np.log(d))))
+
+
 def subspace_angle_by_cluster(f1, f2, eigenvalues, rel_gap=1e-6):
     """Largest principal angle between matched eigenvector sets.
 

@@ -1,6 +1,8 @@
 """End-to-end classification pipelines over raw trial tensors.
 
-Seven named pipelines cover the baseline and the tangent-space family:
+Seven named pipelines cover the baseline and the tangent-space family.
+:data:`PIPELINES` is the one table that maps each name to its class, its
+feature kind and whether it scores in one step:
 
 =================== ====================================================
 CSP                 CSP filters, log-variance features, linear SVM
@@ -14,76 +16,49 @@ TS_AIRM             full tangent-space vectors at the Frechet mean, SVM
 
 Every pipeline object exposes ``fit(trials, labels)`` and
 ``decision_scores(trials)`` on C x N x T tensors. Test-trial covariances
-are always recomputed from the filtered data, never by congruence of a
-stored full covariance, mirroring online use.
+are always recomputed from the trial data, never taken from a stored
+covariance, mirroring online use.
 
-Pipelines on log-matrix features score in eigen-coordinates: any linear
-function of ``logm(W)`` is ``<B, logm(W)> = sum_i log(lam_i) (V^T B V)_ii``
-for the eigenpairs of ``W``. Fitting compiles the model once into a
-projection, a symmetric B and an intercept, so prediction filters the
-trial, takes its covariance and evaluates that sum; it builds no log
-matrix and no tangent vector. Training features are computed as before.
+Every ``fit`` ends in the same compiled form: a projection P,
+coefficients (a vector w on log-variances, or a symmetric B on a log
+matrix), an intercept and a variance floor. One scoring function serves
+all pipelines. It forms W = P^T S P from each trial's covariance S and
+returns ``w . log(diag W)`` or ``<B, logm W>``, plus the intercept. The
+log-matrix score is read off the eigenpairs of W,
+``sum_i log(lam_i) (V^T B V)_ii``, so no log matrix and no tangent vector
+is built. A C x K projection with K < C filters the C x N trial before
+the covariance is taken; a square one (TS_AIRM's P = mean^{-1/2}, or TSSF
+with K = C) is applied to the C x C covariance by congruence, which costs
+less whenever N > 2C. Training features are computed as before.
+
+:func:`save_pipeline` writes the compiled form, plus the spatial filters
+of CSP and TSSF for ``patterns``, as one ``pipeline/1`` document, and
+:func:`load_pipeline` reads it back into a pipeline that scores bitwise
+like the fitted one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _textdoc
 from .csp import fit_csp
 from .dataio import _covariance_stack, _spd_covariances
-from .errors import DegenerateModel, InvalidInput
+from .errors import DegenerateModel, FormatError, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import SPD_TOL, _half_powers, _log_inner, unvec
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
-from .tssf import DIAGLOGCOV, LOGCOV, LOGVAR, _filtered_features, extract_tssf, fit_tangent_model
-
-PIPELINE_NAMES = (
-    "CSP",
-    "TSSF_Var_1_step",
-    "TSSF_Var_2_step",
-    "TSSF_Cov_1_step",
-    "TSSF_Cov_2_step",
-    "TSSF_LogCov_2_step",
-    "TS_AIRM",
+from .tssf import (
+    DIAGLOGCOV,
+    LOGCOV,
+    LOGVAR,
+    _filtered_features,
+    _log_variances,
+    extract_tssf,
+    fit_tangent_model,
 )
 
-_TSSF_VARIANTS = {
-    "TSSF_Var_1_step": (LOGVAR, True),
-    "TSSF_Var_2_step": (LOGVAR, False),
-    "TSSF_Cov_1_step": (DIAGLOGCOV, True),
-    "TSSF_Cov_2_step": (DIAGLOGCOV, False),
-    "TSSF_LogCov_2_step": (LOGCOV, False),
-}
-
-
-@dataclass(frozen=True)
-class PipelineSpec:
-    """A pipeline name plus its filter count and classifier settings."""
-
-    name: str
-    k: int = 6
-    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
-
-    def validate(self):
-        if self.name not in PIPELINE_NAMES:
-            raise InvalidInput(
-                f"unknown pipeline {self.name!r}; choose from {', '.join(PIPELINE_NAMES)}"
-            )
-        if self.k < 1:
-            raise InvalidInput("k must be >= 1")
-        self.classifier.validate()
-        return self
-
-
-def make_pipeline(spec):
-    """Build a fresh, unfitted pipeline object from a spec."""
-    spec.validate()
-    if spec.name == "CSP":
-        return CspPipeline(spec.k, spec.classifier)
-    if spec.name == "TS_AIRM":
-        return TangentSpacePipeline(spec.classifier)
-    kind, one_step = _TSSF_VARIANTS[spec.name]
-    return TssfPipeline(spec.name, spec.k, kind, one_step, spec.classifier)
+TANGENT = "tangent"
 
 
 def _check_fit_inputs(trials, labels):
@@ -107,9 +82,9 @@ def _filtered_covariances(projection, trials):
     return _covariance_stack(flat.reshape(projection.shape[1], n, t))
 
 
-def _trial_features(model, kind, trials, var_floor=0.0):
-    # features of each trial's covariance, recomputed from the filtered data
-    return _filtered_features(model, _filtered_covariances(model.filters, trials), kind, var_floor)
+def _trial_features(model, kind, trials):
+    # training features of each trial's covariance, from the filtered data
+    return _filtered_features(model, _filtered_covariances(model.filters, trials), kind)
 
 
 def _variance_floor(filters, covs):
@@ -120,42 +95,67 @@ def _variance_floor(filters, covs):
     return SPD_TOL * float(((covs @ filters) * filters).sum(axis=-2).min())
 
 
-class CspPipeline:
-    name = "CSP"
-    feature_kind = LOGVAR
+def _compiled_scores(self, trials):
+    """Decision scores of a C x N x T tensor, one per trial."""
+    trials = np.ascontiguousarray(trials, dtype=float)
+    p = self._projection
+    if p.shape[0] == p.shape[1]:
+        # congruence of the C x C covariance takes two C x C products;
+        # projecting the C x N trial would take more whenever N > 2C
+        covs, name = p.T @ _covariance_stack(trials) @ p, "covariance"
+    else:
+        covs, name = _filtered_covariances(p, trials), "filtered covariance"
+    if self._coef.ndim == 1:
+        return _log_variances(covs, self._var_floor) @ self._coef + self._intercept
+    return _log_inner(covs, self._coef, name) + self._intercept
 
-    def __init__(self, k, classifier=None, class_mean="arithmetic"):
+
+class _Pipeline:
+    """The spec and compiled form shared by the pipeline classes.
+
+    Each subclass binds ``fit`` and ``decision_scores`` in its own body.
+    ``filters`` holds the spatial filters of CSP and TSSF pipelines (for
+    spatial patterns) and stays None for TS_AIRM.
+    """
+
+    def __init__(self, name, k, feature_kind, one_step, classifier=None):
+        self.name = name
         self.k = k
+        self.feature_kind = feature_kind
+        self.one_step = one_step
         self.classifier_cfg = classifier or ClassifierConfig()
-        self.class_mean = class_mean
+        self.filters = None
         self.model = None
         self.clf = None
+        self._projection = None
 
+    def _compile(self, projection, coef, intercept, var_floor=0.0):
+        # every fitted or loaded pipeline holds C-contiguous arrays, so BLAS
+        # sees one layout and a loaded pipeline scores the same bits
+        self._projection = np.ascontiguousarray(projection, dtype=float)
+        self._coef = np.ascontiguousarray(coef, dtype=float)
+        self._intercept = float(intercept)
+        self._var_floor = float(var_floor)
+        return self
+
+
+class CspPipeline(_Pipeline):
     def fit(self, trials, labels):
         trials, labels = _check_fit_inputs(trials, labels)
         covs = _spd_covariances(trials)
-        self.model = fit_csp(covs, labels, self.k, class_mean=self.class_mean)
-        self._var_floor = _variance_floor(self.model.filters, covs)
-        feats = _trial_features(self.model, LOGVAR, trials)
-        self.clf = fit_from_config(feats, labels, self.classifier_cfg)
-        return self
+        self.model = fit_csp(covs, labels, self.k)
+        self.filters = self.model.filters
+        self.clf = fit_from_config(
+            _trial_features(self.model, LOGVAR, trials), labels, self.classifier_cfg
+        )
+        return self._compile(
+            self.filters, self.clf.weights, self.clf.intercept, _variance_floor(self.filters, covs)
+        )
 
-    def decision_scores(self, trials):
-        trials = np.ascontiguousarray(trials, dtype=float)
-        feats = _trial_features(self.model, LOGVAR, trials, self._var_floor)
-        return feats @ self.clf.weights + self.clf.intercept
+    decision_scores = _compiled_scores
 
 
-class TssfPipeline:
-    def __init__(self, name, k, kind, one_step, classifier=None):
-        self.name = name
-        self.k = k
-        self.feature_kind = kind
-        self.one_step = one_step
-        self.classifier_cfg = classifier or ClassifierConfig()
-        self.model = None
-        self.second = None
-
+class TssfPipeline(_Pipeline):
     def fit(self, trials, labels):
         trials, labels = _check_fit_inputs(trials, labels)
         covs = _spd_covariances(trials)
@@ -166,58 +166,135 @@ class TssfPipeline:
             model_cfg=self.classifier_cfg,
             feature_kind=self.feature_kind,
         )
+        self.filters = filters = self.model.filters
         if self.one_step:
-            weights, self._intercept = self.model.beta, self.model.intercept
+            weights, intercept = self.model.beta, self.model.intercept
         else:
             feats = _trial_features(self.model, self.feature_kind, trials)
-            self.second = fit_from_config(feats, labels, self.classifier_cfg)
-            weights, self._intercept = self.second.weights, self.second.intercept
-        filters = self.model.filters
+            self.clf = fit_from_config(feats, labels, self.classifier_cfg)
+            weights, intercept = self.clf.weights, self.clf.intercept
         if self.feature_kind == LOGVAR:
-            self._var_floor = _variance_floor(filters, covs)
-            self._projection, self._coef = filters, weights
-        elif self.feature_kind == DIAGLOGCOV:
-            self._projection, self._coef = filters, np.diag(weights)
-        else:
-            # the features are vec(h L h) with L = logm(h^-1 F^T S F h^-1)
-            # and h = filtered_mean^{1/2}, so w . vec(h L h) = <h unvec(w) h, L>,
-            # and L is the log of the covariance filtered by F h^-1
-            half, inv_half = self.model._filtered_mean_powers
-            self._projection, self._coef = filters @ inv_half, half @ unvec(weights) @ half
-        return self
+            return self._compile(filters, weights, intercept, _variance_floor(filters, covs))
+        if self.feature_kind == DIAGLOGCOV:
+            return self._compile(filters, np.diag(weights), intercept)
+        # the features are vec(h L h) with L = logm(h^-1 F^T S F h^-1)
+        # and h = filtered_mean^{1/2}, so w . vec(h L h) = <h unvec(w) h, L>,
+        # and L is the log of the covariance filtered by F h^-1
+        half, inv_half = self.model._filtered_mean_powers
+        return self._compile(filters @ inv_half, half @ unvec(weights) @ half, intercept)
 
-    def decision_scores(self, trials):
-        covs = _filtered_covariances(self._projection, np.ascontiguousarray(trials, dtype=float))
-        if self.feature_kind == LOGVAR:
-            feats = _filtered_features(self.model, covs, LOGVAR, self._var_floor)
-            return feats @ self._coef + self._intercept
-        return _log_inner(covs, self._coef, "filtered covariance") + self._intercept
+    decision_scores = _compiled_scores
 
 
-class TangentSpacePipeline:
-    name = "TS_AIRM"
-    feature_kind = "tangent"
-    k = 0  # no spatial filtering; feature dim is C(C+1)/2
-
-    def __init__(self, classifier=None):
-        self.classifier_cfg = classifier or ClassifierConfig()
+class TangentSpacePipeline(_Pipeline):
+    def __init__(self, name, k, feature_kind, one_step, classifier=None):
+        # no spatial filtering: k is 0 and the feature dim is C(C+1)/2
+        super().__init__(name, 0, feature_kind, one_step, classifier)
         self.reference_mean = None
-        self._inv_half = None
-        self.clf = None
 
     def fit(self, trials, labels):
         trials, labels = _check_fit_inputs(trials, labels)
         self.reference_mean, self.clf = fit_tangent_model(
             _spd_covariances(trials), labels, self.classifier_cfg
         )
-        _, self._inv_half = _half_powers(self.reference_mean)
-        self._coef = unvec(self.clf.weights)
+        # P = mean^{-1/2} whitens each covariance at the reference mean
+        _, inv_half = _half_powers(self.reference_mean)
+        return self._compile(inv_half, unvec(self.clf.weights), self.clf.intercept)
+
+    decision_scores = _compiled_scores
+
+
+# name -> (class, feature kind, one-step)
+PIPELINES = {
+    "CSP": (CspPipeline, LOGVAR, False),
+    "TSSF_Var_1_step": (TssfPipeline, LOGVAR, True),
+    "TSSF_Var_2_step": (TssfPipeline, LOGVAR, False),
+    "TSSF_Cov_1_step": (TssfPipeline, DIAGLOGCOV, True),
+    "TSSF_Cov_2_step": (TssfPipeline, DIAGLOGCOV, False),
+    "TSSF_LogCov_2_step": (TssfPipeline, LOGCOV, False),
+    "TS_AIRM": (TangentSpacePipeline, TANGENT, False),
+}
+PIPELINE_NAMES = tuple(PIPELINES)
+
+
+@dataclass(frozen=True)
+class PipelineSpec:
+    """A pipeline name plus its filter count and classifier settings."""
+
+    name: str
+    k: int = 6
+    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
+
+    def validate(self):
+        if self.name not in PIPELINES:
+            raise InvalidInput(
+                f"unknown pipeline {self.name!r}; choose from {', '.join(PIPELINE_NAMES)}"
+            )
+        if self.k < 1:
+            raise InvalidInput("k must be >= 1")
+        self.classifier.validate()
         return self
 
-    def decision_scores(self, trials):
-        # whitening the covariance by congruence takes two C x C products;
-        # projecting the C x N trial by inv_half instead would take more
-        # whenever N > 2C
-        covs = _covariance_stack(np.ascontiguousarray(trials, dtype=float))
-        whitened = self._inv_half @ covs @ self._inv_half
-        return _log_inner(whitened, self._coef, "covariance") + self.clf.intercept
+
+def make_pipeline(spec):
+    """Build a fresh, unfitted pipeline object from a spec."""
+    spec.validate()
+    cls, kind, one_step = PIPELINES[spec.name]
+    return cls(spec.name, spec.k, kind, one_step, spec.classifier)
+
+
+def save_pipeline(pipe, path):
+    """Write a fitted pipeline as a "pipeline/1" structured-text document.
+
+    Fields: name, k, feature_kind, intercept, var_floor, projection (a
+    matrix), coef (a vector for "logvar" pipelines, else a symmetric
+    matrix) and, for CSP and TSSF pipelines, filters.
+    """
+    if pipe._projection is None:
+        raise InvalidInput(f"{pipe.name} pipeline is not fitted")
+    entries = [
+        ("format", "pipeline/1"),
+        ("name", pipe.name),
+        ("k", pipe.k),
+        ("feature_kind", pipe.feature_kind),
+        ("intercept", pipe._intercept),
+        ("var_floor", pipe._var_floor),
+        ("projection", pipe._projection),
+        ("coef", pipe._coef),
+    ]
+    if pipe.filters is not None:
+        entries.append(("filters", pipe.filters))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_textdoc.dump(entries))
+
+
+def load_pipeline(path):
+    """Read a "pipeline/1" document into a pipeline ready to score.
+
+    The pipeline holds the compiled form and the filters only; its
+    ``decision_scores`` are bitwise those of the pipeline that was saved.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = _textdoc.parse(fh.read())
+    if doc.get("format") != "pipeline/1":
+        raise FormatError("not a pipeline/1 model file")
+    name = _textdoc.get_str(doc, "name")
+    if name not in PIPELINES:
+        raise FormatError(f"unknown pipeline {name!r}")
+    cls, kind, one_step = PIPELINES[name]
+    if _textdoc.get_str(doc, "feature_kind") != kind:
+        raise FormatError(f"{name} must have feature kind {kind!r}")
+    pipe = cls(name, _textdoc.get_int(doc, "k"), kind, one_step)
+    get_coef = _textdoc.get_vector if kind == LOGVAR else _textdoc.get_matrix
+    pipe._compile(
+        _textdoc.get_matrix(doc, "projection"),
+        get_coef(doc, "coef"),
+        _textdoc.get_float(doc, "intercept"),
+        _textdoc.get_float(doc, "var_floor"),
+    )
+    if "filters" in doc:
+        pipe.filters = _textdoc.get_matrix(doc, "filters")
+    width = pipe.k or pipe._projection.shape[0]  # TS_AIRM keeps all C dimensions
+    if pipe._projection.shape[1] != width or pipe._coef.shape != (width,) * pipe._coef.ndim:
+        raise FormatError(f"projection and coef do not match k={pipe.k}")
+    return pipe

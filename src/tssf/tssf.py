@@ -19,6 +19,12 @@ training set share one Frechet mean and one tangent-space linear model.
 :func:`fit_tangent_model` computes that pair and keeps the most recent
 results, so identical fits within a process are computed once; the
 arrays it returns are read-only.
+
+The per-trial functions (:func:`apply_filters`, :func:`compute_features`,
+:func:`predict_one_step`) work on one filtered trial at a time and are the
+reference that the pipelines' scores are tested against. Whole pipelines,
+their one compiled scoring route and their ``pipeline/1`` model file live
+in :mod:`tssf.pipelines`; this module keeps no file format of its own.
 """
 
 import collections
@@ -29,19 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _textdoc
 from .errors import (
     DegenerateModel,
     DimMismatch,
-    FormatError,
     InvalidInput,
     NotPositiveDefinite,
     UnsupportedFeatureKind,
 )
-from .linmodel import ClassifierConfig, decision_value, fit_from_config
+from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import (
     FrechetConfig,
     _check_symmetric,
+    _component_order,
     _half_powers,
     _spd_eigh,
     _vec,
@@ -168,8 +173,9 @@ class TssfModel:
     """Spatial filters plus the ingredients of one-step scoring.
 
     ``full_filters`` are all C generalized eigenvectors in sorted order
-    (``filters`` is their K-column prefix), ``beta`` the matching sorted
-    log-eigenvalues truncated to K, ``sort_index`` the permutation from
+    (``filters`` is their K-column prefix), ``full_beta`` the matching
+    sorted log-eigenvalues (``beta`` is their K-prefix, the one-step
+    coefficients), ``sort_index`` the permutation from
     descending-eigenvalue order to sorted order, and ``filtered_mean``
     the Frechet mean of the K x K filtered training covariances (the
     reference for "logcov" features).
@@ -180,6 +186,7 @@ class TssfModel:
     intercept: float
     reference_mean: np.ndarray
     full_filters: np.ndarray
+    full_beta: np.ndarray
     sort_index: np.ndarray
     filtered_mean: np.ndarray
     feature_kind: str = LOGVAR
@@ -255,44 +262,20 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR, frechet_c
     half, _ = _half_powers(mean)
     weight_cov = half @ expm(unvec(model.weights)) @ half
     solution = ged(weight_cov, mean)
-    d = solution.eigenvalues
-    beta_full = np.log(d)
-    order = np.lexsort((np.arange(c), -d, -np.abs(beta_full)))
+    order = _component_order(solution.eigenvalues)
     full_filters = solution.eigenvectors[:, order]
+    full_beta = np.log(solution.eigenvalues)[order]
     filters = full_filters[:, :k]
     return TssfModel(
         filters=filters,
-        beta=beta_full[order][:k],
+        beta=full_beta[:k],
         intercept=float(model.intercept),
         reference_mean=mean,
         full_filters=full_filters,
+        full_beta=full_beta,
         sort_index=order,
         filtered_mean=_filtered_mean(filters, covs, frechet_cfg),
         feature_kind=feature_kind,
-    )
-
-
-def truncate_model(model, k, covs, frechet_cfg=None):
-    """Derive the k-component model from one with more components.
-
-    Reuses the fitted filters and coefficients (truncation keeps the
-    leading columns, so no refit is needed); only the filtered-space
-    reference mean is recomputed from ``covs`` for the new width.
-    """
-    if not 1 <= k <= model.k:
-        raise InvalidInput(f"k must be in [1, {model.k}], got {k}")
-    if k == model.k:
-        return model
-    filters = model.filters[:, :k]
-    return TssfModel(
-        filters=filters,
-        beta=model.beta[:k],
-        intercept=model.intercept,
-        reference_mean=model.reference_mean,
-        full_filters=model.full_filters,
-        sort_index=model.sort_index,
-        filtered_mean=_filtered_mean(filters, covs, frechet_cfg),
-        feature_kind=model.feature_kind,
     )
 
 
@@ -322,33 +305,38 @@ def compute_features(model, filtered_cov, kind=None):
     return _filtered_features(model, cov, kind)
 
 
-def _filtered_features(model, covs, kind, var_floor=0.0):
+def _filtered_features(model, covs, kind):
     """Features of a stack of filtered covariances, without validation.
 
-    The one feature map behind :func:`compute_features`, the pipelines'
-    training features and their log-variance scores (log-matrix features
-    are scored without building them, see ``pipelines``). Non-SPD input
-    raises :class:`~tssf.errors.NotPositiveDefinite` naming the first failing
-    matrix; "logvar" checks only that every variance of the diagonal is
-    above ``var_floor``.
+    The one feature map behind :func:`compute_features` and the pipelines'
+    training features (pipelines score without building log-matrix
+    features, see ``pipelines``). Non-SPD input raises
+    :class:`~tssf.errors.NotPositiveDefinite` naming the first failing
+    matrix; "logvar" checks only that every variance is positive.
     """
     if kind == LOGVAR:
-        # the method form skips np.diagonal's dispatch, which on a single
-        # trial costs more than the check below
-        var = covs.diagonal(0, -2, -1)
-        if not var.min(initial=np.inf) > var_floor:  # one reduction; NaN fails too
-            i = tuple(np.argwhere(~(var > var_floor))[0])
-            where = "" if len(i) == 1 else f" {i[0]}" if len(i) == 2 else f" {i[:-1]}"
-            raise NotPositiveDefinite(
-                f"filtered covariance{where} is not positive definite: "
-                f"variance {var[i]:.3e} in component {i[-1]} is not above {var_floor:.3e}"
-            )
-        return np.log(var)
+        return _log_variances(covs)
     if kind == DIAGLOGCOV:
         w, v = _spd_eigh(covs, name="filtered covariance")
         return ((v * v) @ np.log(w)[..., None])[..., 0]  # diagonal of V log(w) V^T
     half, inv_half = model._filtered_mean_powers
     return _vec(half @ _whitened_log(inv_half, covs, "filtered covariance") @ half)
+
+
+def _log_variances(covs, var_floor=0.0):
+    # log of the diagonal of every matrix of a stack; raises
+    # NotPositiveDefinite naming the first matrix with a variance not above
+    # var_floor. The method form skips np.diagonal's dispatch, which on a
+    # single trial costs more than the check.
+    var = covs.diagonal(0, -2, -1)
+    if not var.min(initial=np.inf) > var_floor:  # one reduction; NaN fails too
+        i = tuple(np.argwhere(~(var > var_floor))[0])
+        where = "" if len(i) == 1 else f" {i[0]}" if len(i) == 2 else f" {i[:-1]}"
+        raise NotPositiveDefinite(
+            f"filtered covariance{where} is not positive definite: "
+            f"variance {var[i]:.3e} in component {i[-1]} is not above {var_floor:.3e}"
+        )
+    return np.log(var)
 
 
 def predict_one_step(model, features, kind=None):
@@ -371,12 +359,6 @@ def predict_one_step(model, features, kind=None):
     if features.shape != (model.k,):
         raise InvalidInput(f"expected {model.k} features, got shape {features.shape}")
     score = float(model.beta @ features + model.intercept)
-    return score, _sign(score)
-
-
-def predict_two_step(model, second, features):
-    """Score features with a separately fitted second classifier."""
-    score = decision_value(second, np.asarray(features, dtype=float))
     return score, _sign(score)
 
 
@@ -408,47 +390,3 @@ def exact_decision_value(weight_cov, ref, trial_cov, ged_result):
     filtered = f.T @ np.asarray(trial_cov, dtype=float) @ f
     log_filtered = logm(0.5 * (filtered + filtered.T))
     return float(np.log(d) @ np.diag(log_filtered))
-
-
-def save_tssf_model(model, path):
-    """Write a model as a "tssf/1" structured-text document."""
-    text = _textdoc.dump(
-        [
-            ("format", "tssf/1"),
-            ("k", model.k),
-            ("feature_kind", model.feature_kind),
-            ("intercept", float(model.intercept)),
-            ("beta", model.beta),
-            ("sort_index", model.sort_index),
-            ("filters", model.filters),
-            ("full_filters", model.full_filters),
-            ("reference_mean", model.reference_mean),
-            ("filtered_mean", model.filtered_mean),
-        ]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def load_tssf_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _textdoc.parse(fh.read())
-    if _textdoc.get_str(doc, "format") != "tssf/1":
-        raise FormatError("not a tssf/1 model file")
-    k = _textdoc.get_int(doc, "k")
-    kind = _textdoc.get_str(doc, "feature_kind")
-    if kind not in FEATURE_KINDS:
-        raise FormatError(f"unknown feature kind {kind!r}")
-    model = TssfModel(
-        filters=_textdoc.get_matrix(doc, "filters"),
-        beta=_textdoc.get_vector(doc, "beta"),
-        intercept=_textdoc.get_float(doc, "intercept"),
-        reference_mean=_textdoc.get_matrix(doc, "reference_mean"),
-        full_filters=_textdoc.get_matrix(doc, "full_filters"),
-        sort_index=_textdoc.get_vector(doc, "sort_index", dtype=int),
-        filtered_mean=_textdoc.get_matrix(doc, "filtered_mean"),
-        feature_kind=kind,
-    )
-    if model.k != k or model.beta.size != k:
-        raise FormatError("inconsistent k in model file")
-    return model

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tssf
-from tssf import dataio
+from tssf import _textdoc, dataio
 from tssf.cli import main
 
 CONFIG = """\
@@ -75,9 +75,34 @@ class TestFit:
              "--k", "2", "--reg", "1.0", "--out", str(out)]
         )
         assert code == 0
-        model = tssf.load_tssf_model(out)
-        assert model.k == 2
-        assert "sorted coefficients" in capsys.readouterr().out
+        pipe = tssf.load_pipeline(out)
+        assert (pipe.name, pipe.k, pipe.feature_kind) == ("TSSF_Var_1_step", 2, "logvar")
+        # the table lists all C = 4 sorted coefficients of the fitted model
+        table = capsys.readouterr().out.split("sorted coefficients")[1].splitlines()[2:6]
+        assert [int(line.split()[0]) for line in table] == [0, 1, 2, 3]
+        assert [line.endswith("<- kept") for line in table] == [True, True, False, False]
+
+    def test_saved_pipeline_scores_like_eval_fit(self, tmp_path, data_path):
+        out = tmp_path / "model.txt"
+        argv = ["fit", "--data", str(data_path), "--pipeline", "TSSF_LogCov_2_step",
+                "--k", "2", "--reg", "1.0", "--out", str(out)]
+        assert main(argv) == 0
+        ts = dataio.read_trials(data_path)
+        fixed = tssf.ClassifierConfig(reg=1.0)
+        spec = tssf.PipelineSpec("TSSF_LogCov_2_step", k=2, classifier=fixed)
+        fitted = tssf.make_pipeline(spec).fit(ts.data, ts.labels)
+        np.testing.assert_array_equal(
+            tssf.load_pipeline(out).decision_scores(ts.data), fitted.decision_scores(ts.data)
+        )
+
+    def test_ts_airm_fit_writes_model(self, tmp_path, data_path):
+        out = tmp_path / "model.txt"
+        code = main(
+            ["fit", "--data", str(data_path), "--pipeline", "TS_AIRM",
+             "--reg", "1.0", "--out", str(out)]
+        )
+        assert code == 0
+        assert tssf.load_pipeline(out).name == "TS_AIRM"
 
     def test_csp_fit_writes_model(self, tmp_path, data_path):
         out = tmp_path / "model.csp"
@@ -86,7 +111,8 @@ class TestFit:
              "--k", "2", "--reg", "1.0", "--out", str(out)]
         )
         assert code == 0
-        assert tssf.load_csp_model(out).k == 2
+        pipe = tssf.load_pipeline(out)
+        assert (pipe.name, pipe.k, pipe.filters.shape) == ("CSP", 2, (4, 2))
 
     def test_k_too_large_exits_2(self, tmp_path, data_path):
         code = main(
@@ -220,6 +246,32 @@ class TestPatterns:
             == 0
         )
         assert "max |F^T A - I|" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["tssf/1", "csp/1"])
+    def test_legacy_filter_documents_export(self, tmp_path, data_path, fmt):
+        # files written before pipeline/1 keep exporting: only their
+        # filters matrix is read
+        filters = np.array([[1.0, 0.5], [0.0, 1.0], [0.25, 0.0], [0.0, -1.0]])
+        model_path = tmp_path / "legacy.txt"
+        model_path.write_text(_textdoc.dump([("format", fmt), ("k", 2), ("filters", filters)]))
+        out = tmp_path / "patterns.csv"
+        code = main(
+            ["patterns", "--model", str(model_path), "--data", str(data_path),
+             "--out", str(out)]
+        )
+        assert code == 0
+        ts = dataio.read_trials(data_path)
+        expected = tssf.compute_patterns(filters, tssf.covariances(ts).mean(axis=0))
+        assert out.read_text() == tssf.patterns_to_csv(expected, ts.channel_names)
+
+    def test_ts_airm_model_exits_2(self, tmp_path, data_path, capsys):
+        model_path = self.fit_model(tmp_path, data_path, pipeline="TS_AIRM")
+        code = main(
+            ["patterns", "--model", str(model_path), "--data", str(data_path),
+             "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+        assert "no spatial filters" in capsys.readouterr().err
 
     def test_channel_mismatch_exits_2(self, tmp_path, data_path, config_path):
         model_path = self.fit_model(tmp_path, data_path)

@@ -129,17 +129,3 @@ class TestEquivalenceReport:
         labels = np.array([1, -1] * 4)
         report = csp.csp_tssf_equivalence_report(covs, labels)
         assert report.degenerate
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path, rng):
-        covs, labels = two_class_covs(rng)
-        model = csp.fit_csp(covs, labels, 2)
-        path = tmp_path / "model.csp"
-        csp.save_csp_model(model, path)
-        loaded = csp.load_csp_model(path)
-        np.testing.assert_array_equal(loaded.filters, model.filters)
-        np.testing.assert_array_equal(loaded.eigenvalues, model.eigenvalues)
-        np.testing.assert_array_equal(loaded.selection, model.selection)
-        assert loaded.class_mean == model.class_mean
-        assert path.read_text().startswith("format: csp/1")

@@ -294,18 +294,3 @@ class TestDecisionValue:
         got = linmodel.decision_value(model, manifold.vec(s_mat))
         expected = manifold.inner_product_at(ref, half @ w_mat @ half, half @ s_mat @ half)
         assert got == pytest.approx(expected, abs=1e-10)
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path, rng):
-        x, y = blobs(rng)
-        model = linmodel.fit_linear_svm(x, y, reg=0.5)
-        path = tmp_path / "model.txt"
-        linmodel.save_linear_model(model, path)
-        loaded = linmodel.load_linear_model(path)
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        assert loaded.intercept == model.intercept
-        assert loaded.reg == model.reg
-        text = path.read_text()
-        for key in ("weights", "intercept", "reg", "feature_dim"):
-            assert f"{key}:" in text

@@ -4,7 +4,7 @@ import pytest
 import tssf
 from tssf import dataio, evalstats, manifold, pipelines
 from tssf import tssf as tssf_module
-from tssf.errors import DegenerateModel, InvalidInput, NotPositiveDefinite
+from tssf.errors import DegenerateModel, FormatError, InvalidInput, NotPositiveDefinite
 
 
 def synth_set(seed=0, channels=4, trials=40, sigma=0.4):
@@ -36,7 +36,18 @@ class TestSpec:
     def test_all_names_buildable(self):
         for name in pipelines.PIPELINE_NAMES:
             pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=2))
-            assert pipe.name == name
+            cls, kind, one_step = pipelines.PIPELINES[name]
+            assert (type(pipe), pipe.name, pipe.feature_kind, pipe.one_step) == (
+                cls, name, kind, one_step
+            )
+            assert pipe.k == (0 if name == "TS_AIRM" else 2)
+
+    def test_every_class_binds_the_one_scorer(self):
+        # perfbench/tracer.py wraps fit and decision_scores in each class's
+        # own __dict__
+        for cls in {row[0] for row in pipelines.PIPELINES.values()}:
+            assert cls.__dict__["decision_scores"] is pipelines._compiled_scores
+            assert "fit" in cls.__dict__
 
 
 @pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
@@ -86,11 +97,9 @@ def library_scores(pipe, trials):
     )
     covs = covariances_of(filtered)
     feats = [tssf.compute_features(pipe.model, cov, pipe.feature_kind) for cov in covs]
-    if pipe.name == "CSP":
-        return [tssf.decision_value(pipe.clf, f) for f in feats]
     if pipe.one_step:
         return [tssf.predict_one_step(pipe.model, f)[0] for f in feats]
-    return [tssf.predict_two_step(pipe.model, pipe.second, f)[0] for f in feats]
+    return [tssf.decision_value(pipe.clf, f) for f in feats]
 
 
 @pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
@@ -106,6 +115,72 @@ def test_scores_equal_library_route_and_single_trial_calls(name):
         np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=atol)
         single = [pipe.decision_scores(trials[:, :, t : t + 1])[0] for t in range(trials.shape[2])]
         np.testing.assert_allclose(single, scores, rtol=1e-12, atol=atol)
+
+
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_saved_pipeline_scores_bitwise_like_fitted_one(name, tmp_path):
+    ts = synth_set(seed=15, channels=5, trials=40)
+    train, test = ts.data[:, :, :30], ts.data[:, :, 30:]
+    spec = pipelines.PipelineSpec(name=name, k=2, classifier=tssf.ClassifierConfig(grid=(0.1, 1.0)))
+    pipe = pipelines.make_pipeline(spec).fit(train, ts.labels[:30])
+    path = tmp_path / "model.txt"
+    tssf.save_pipeline(pipe, path)
+    loaded = tssf.load_pipeline(path)
+    assert (type(loaded), loaded.name, loaded.k, loaded.feature_kind, loaded.one_step) == (
+        type(pipe), pipe.name, pipe.k, pipe.feature_kind, pipe.one_step
+    )
+    for trials in (train, test):
+        np.testing.assert_array_equal(loaded.decision_scores(trials), pipe.decision_scores(trials))
+    for t in range(test.shape[2]):
+        single = test[:, :, t : t + 1]
+        np.testing.assert_array_equal(loaded.decision_scores(single), pipe.decision_scores(single))
+    if name == "TS_AIRM":
+        assert pipe.filters is None and loaded.filters is None
+    else:
+        np.testing.assert_array_equal(loaded.filters, pipe.model.filters)
+    text = path.read_text()
+    assert text.startswith("format: pipeline/1\nname: " + name + "\n")
+    assert ("filters:" in text) == (name != "TS_AIRM")
+
+
+def test_square_projection_scores_by_congruence():
+    # TSSF with k = C has a square projection and takes the covariance
+    # route of TS_AIRM; its scores still equal the per-trial library route
+    ts = synth_set(seed=16, channels=4, trials=30)
+    pipe = pipelines.make_pipeline(
+        pipelines.PipelineSpec(name="TSSF_Cov_2_step", k=4, classifier=FIXED)
+    ).fit(ts.data, ts.labels)
+    expected = np.asarray(library_scores(pipe, ts.data))
+    np.testing.assert_allclose(pipe.decision_scores(ts.data), expected, rtol=1e-12, atol=1e-12)
+
+
+class TestLoadPipeline:
+    def saved(self, tmp_path, name="TSSF_Var_1_step"):
+        ts = synth_set(seed=17, trials=20)
+        spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
+        path = tmp_path / "model.txt"
+        tssf.save_pipeline(pipelines.make_pipeline(spec).fit(ts.data, ts.labels), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("format: pipeline/1", "format: tssf/1"),
+            ("name: TSSF_Var_1_step", "name: TSSF_Var_3_step"),
+            ("feature_kind: logvar", "feature_kind: logcov"),
+            ("k: 2", "k: 3"),
+        ],
+    )
+    def test_malformed_document_rejected(self, tmp_path, old, new):
+        path = self.saved(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(FormatError):
+            tssf.load_pipeline(path)
+
+    def test_unfitted_pipeline_not_saved(self, tmp_path):
+        pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name="CSP", k=2))
+        with pytest.raises(InvalidInput):
+            tssf.save_pipeline(pipe, tmp_path / "model.txt")
 
 
 def test_flat_channel_in_test_trial_raises():

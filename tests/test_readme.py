@@ -1,0 +1,38 @@
+"""The README's two quick starts run as written."""
+
+import os
+import re
+import subprocess
+import sys
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def quick_start(title, language):
+    """The first ``language`` code block under the README heading ``title``."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def run(argv, cwd):
+    # conftest puts src/ on PYTHONPATH, which the subprocess inherits
+    result = subprocess.run(argv, cwd=cwd, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    return result
+
+
+def test_library_quick_start_runs(tmp_path):
+    run([sys.executable, "-c", quick_start("Quick start (library)", "python")], tmp_path)
+    assert (tmp_path / "model.txt").read_text().startswith("format: pipeline/1\n")
+
+
+def test_cli_quick_start_runs(tmp_path, monkeypatch):
+    # `tssf` is the installed console script; the checkout's module stands in
+    monkeypatch.setenv("PYTHON", sys.executable)
+    script = 'set -e\ntssf() { "$PYTHON" -m tssf.cli "$@"; }\n'
+    script += quick_start("Quick start (CLI)", "sh")
+    run(["bash", "-c", script], tmp_path)
+    for name in ("trials.eegt", "model.txt", "report.csv", "patterns.csv", "bench.csv", "airm.txt"):
+        assert (tmp_path / name).exists(), name

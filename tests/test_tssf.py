@@ -103,6 +103,10 @@ class TestExtract:
         np.testing.assert_array_equal(m2.filters, m3.filters[:, :2])
         np.testing.assert_array_equal(m2.beta, m3.beta[:2])
         np.testing.assert_array_equal(m2.sort_index, m3.sort_index)
+        # every model keeps all C sorted coefficients, whatever its k
+        np.testing.assert_array_equal(m2.full_beta, m3.full_beta)
+        np.testing.assert_array_equal(m3.beta, m3.full_beta[:3])
+        assert m3.full_beta.shape == (4,)
 
 
 class TestApplyFilters:
@@ -206,9 +210,9 @@ class TestPredict:
             weights=model.beta.copy(), intercept=model.intercept, reg=1.0
         )
         feats = rng.standard_normal(2)
-        s1, l1 = tssf.predict_one_step(model, feats, tssf.LOGVAR)
-        s2, l2 = tssf.predict_two_step(model, second, feats)
-        assert s1 == pytest.approx(s2, abs=1e-12) and l1 == l2
+        s1, _ = tssf.predict_one_step(model, feats, tssf.LOGVAR)
+        s2 = tssf.decision_value(second, feats)
+        assert s1 == pytest.approx(s2, abs=1e-12)
 
     def test_two_step_separable_training_accuracy(self, rng):
         model, covs, labels = fitted_model(rng, k=2)
@@ -219,16 +223,8 @@ class TestPredict:
             ]
         )
         second = tssf.fit_linear_svm(feats, labels, reg=10.0)
-        predicted = [tssf.predict_two_step(model, second, f)[1] for f in feats]
+        predicted = [1 if tssf.decision_value(second, f) >= 0 else -1 for f in feats]
         np.testing.assert_array_equal(predicted, labels)
-
-    def test_two_step_matches_decision_value(self, rng):
-        model, _, _ = fitted_model(rng, k=2)
-        second = tssf.LinearModel(weights=rng.standard_normal(2), intercept=0.3, reg=1.0)
-        for _ in range(5):
-            feats = rng.standard_normal(2)
-            score, _ = tssf.predict_two_step(model, second, feats)
-            assert score == tssf.decision_value(second, feats)
 
 
 class TestExactDecisionValue:
@@ -404,20 +400,3 @@ class TestFitTangentModel:
             tssf.fit_tangent_model(covs, labels[:-1])
         with pytest.raises(DegenerateModel):
             tssf.fit_tangent_model(covs, np.ones(10))
-
-
-class TestSerialization:
-    def test_roundtrip_exact(self, tmp_path, rng):
-        model, _, _ = fitted_model(rng, k=2, kind=tssf.DIAGLOGCOV)
-        path = tmp_path / "model.tssf"
-        tssf.save_tssf_model(model, path)
-        loaded = tssf.load_tssf_model(path)
-        np.testing.assert_array_equal(loaded.filters, model.filters)
-        np.testing.assert_array_equal(loaded.beta, model.beta)
-        np.testing.assert_array_equal(loaded.full_filters, model.full_filters)
-        np.testing.assert_array_equal(loaded.reference_mean, model.reference_mean)
-        np.testing.assert_array_equal(loaded.filtered_mean, model.filtered_mean)
-        np.testing.assert_array_equal(loaded.sort_index, model.sort_index)
-        assert loaded.intercept == model.intercept
-        assert loaded.feature_kind == model.feature_kind
-        assert path.read_text().startswith("format: tssf/1")
