@@ -37,7 +37,6 @@ class CspModel:
     filters: np.ndarray
     eigenvalues: np.ndarray
     selection: np.ndarray
-    class_mean: str = "arithmetic"
 
     @property
     def k(self):
@@ -48,7 +47,7 @@ class CspModel:
         return self.filters.shape[0]
 
 
-def _class_means(covs, labels, class_mean):
+def _class_means(covs, labels):
     covs = np.asarray(covs, dtype=float)
     labels = np.asarray(labels)
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
@@ -59,14 +58,10 @@ def _class_means(covs, labels, class_mean):
     neg = covs[labels == -1]
     if len(pos) == 0 or len(neg) == 0:
         raise InvalidInput("both classes must be present")
-    if class_mean == "arithmetic":
-        return pos.mean(axis=0), neg.mean(axis=0)
-    if class_mean == "frechet":
-        return frechet_mean(pos), frechet_mean(neg)
-    raise InvalidInput(f"unknown class_mean {class_mean!r}")
+    return pos.mean(axis=0), neg.mean(axis=0)
 
 
-def fit_csp(covs, labels, k, class_mean="arithmetic"):
+def fit_csp(covs, labels, k):
     """Fit CSP filters from per-trial covariances.
 
     Parameters
@@ -75,8 +70,6 @@ def fit_csp(covs, labels, k, class_mean="arithmetic"):
     labels : array-like of {-1, +1}, shape (T,)
     k : int
         Even number of components, ``2 <= k <= C``.
-    class_mean : str
-        "arithmetic" (classic CSP) or "frechet" (Riemannian-mean variant).
 
     Notes
     -----
@@ -85,7 +78,7 @@ def fit_csp(covs, labels, k, class_mean="arithmetic"):
     of the spectrum when the spectrum is balanced -- the classic
     "both ends" rule expressed as one ordering.
     """
-    mean_pos, mean_neg = _class_means(covs, labels, class_mean)
+    mean_pos, mean_neg = _class_means(covs, labels)
     c = mean_pos.shape[0]
     if k % 2 != 0:
         raise InvalidInput("k must be even (filters come in pairs)")
@@ -97,7 +90,6 @@ def fit_csp(covs, labels, k, class_mean="arithmetic"):
         filters=solution.eigenvectors[:, selection],
         eigenvalues=solution.eigenvalues,
         selection=selection,
-        class_mean=class_mean,
     )
 
 
@@ -126,7 +118,7 @@ class CspEquivalenceReport:
 def csp_tssf_equivalence_report(covs, labels):
     """Evaluate the CSP equivalence chain on a binary dataset."""
     covs = np.asarray(covs, dtype=float)
-    mean_pos, mean_neg = _class_means(covs, labels, "arithmetic")
+    mean_pos, mean_neg = _class_means(covs, labels)
     diff = mean_pos - mean_neg
     common = mean_pos + mean_neg
     degenerate = np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(common)

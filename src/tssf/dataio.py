@@ -79,7 +79,7 @@ class TrialSet:
         """New TrialSet restricted to the given trial indices."""
         indices = np.asarray(indices)
         return TrialSet(
-            data=self.data[:, :, indices],
+            data=np.take(self.data, indices, axis=2),  # one C-contiguous copy
             labels=self.labels[indices],
             session_ids=self.session_ids[indices],
             channel_names=list(self.channel_names),

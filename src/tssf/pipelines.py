@@ -29,7 +29,9 @@ log-matrix score is read off the eigenpairs of W,
 is built. A C x K projection with K < C filters the C x N trial before
 the covariance is taken; a square one (TS_AIRM's P = mean^{-1/2}, or TSSF
 with K = C) is applied to the C x C covariance by congruence, which costs
-less whenever N > 2C. Training features are computed as before.
+less whenever N > 2C. A ``fit`` reads the trials only for their
+covariances C: a filtered trial F^T x has covariance F^T C F, the stack
+that training features and the variance floor are taken from.
 
 :func:`save_pipeline` writes the compiled form, plus the spatial filters
 of CSP and TSSF for ``patterns``, as one ``pipeline/1`` document, and
@@ -53,6 +55,7 @@ from .tssf import (
     LOGCOV,
     LOGVAR,
     _filtered_features,
+    _filtered_stack,
     _log_variances,
     extract_tssf,
     fit_tangent_model,
@@ -62,7 +65,7 @@ TANGENT = "tangent"
 
 
 def _check_fit_inputs(trials, labels):
-    trials = np.ascontiguousarray(trials, dtype=float)
+    trials = np.asarray(trials, dtype=float)
     labels = np.asarray(labels)
     if trials.ndim != 3:
         raise InvalidInput("trials must be a C x N x T tensor")
@@ -80,19 +83,6 @@ def _filtered_covariances(projection, trials):
     c, n, t = trials.shape
     flat = projection.T @ trials.reshape(c, n * t)
     return _covariance_stack(flat.reshape(projection.shape[1], n, t))
-
-
-def _trial_features(model, kind, trials):
-    # training features of each trial's covariance, from the filtered data
-    return _filtered_features(model, _filtered_covariances(model.filters, trials), kind)
-
-
-def _variance_floor(filters, covs):
-    # SPD_TOL times the smallest filtered training variance f_i^T C_t f_i.
-    # Held-out log-variances must exceed it: a constant trial's variances
-    # are rounding noise (about 1e-33 at unit scale), not exactly 0, and a
-    # floor that scales with the training data rejects them in any units.
-    return SPD_TOL * float(((covs @ filters) * filters).sum(axis=-2).min())
 
 
 def _compiled_scores(self, trials):
@@ -145,12 +135,10 @@ class CspPipeline(_Pipeline):
         covs = _spd_covariances(trials)
         self.model = fit_csp(covs, labels, self.k)
         self.filters = self.model.filters
-        self.clf = fit_from_config(
-            _trial_features(self.model, LOGVAR, trials), labels, self.classifier_cfg
-        )
-        return self._compile(
-            self.filters, self.clf.weights, self.clf.intercept, _variance_floor(self.filters, covs)
-        )
+        filtered = _filtered_stack(self.filters, covs)
+        self.clf = fit_from_config(_log_variances(filtered), labels, self.classifier_cfg)
+        floor = SPD_TOL * filtered.diagonal(0, -2, -1).min()
+        return self._compile(self.filters, self.clf.weights, self.clf.intercept, floor)
 
     decision_scores = _compiled_scores
 
@@ -160,27 +148,26 @@ class TssfPipeline(_Pipeline):
         trials, labels = _check_fit_inputs(trials, labels)
         covs = _spd_covariances(trials)
         self.model = extract_tssf(
-            covs,
-            labels,
-            self.k,
-            model_cfg=self.classifier_cfg,
-            feature_kind=self.feature_kind,
+            covs, labels, self.k, model_cfg=self.classifier_cfg, feature_kind=self.feature_kind
         )
         self.filters = filters = self.model.filters
+        filtered = _filtered_stack(filters, covs)
         if self.one_step:
             weights, intercept = self.model.beta, self.model.intercept
         else:
-            feats = _trial_features(self.model, self.feature_kind, trials)
+            feats = _filtered_features(self.model, filtered, self.feature_kind)
             self.clf = fit_from_config(feats, labels, self.classifier_cfg)
             weights, intercept = self.clf.weights, self.clf.intercept
         if self.feature_kind == LOGVAR:
-            return self._compile(filters, weights, intercept, _variance_floor(filters, covs))
+            # a constant held-out trial's variances are rounding noise, not 0
+            floor = SPD_TOL * filtered.diagonal(0, -2, -1).min()
+            return self._compile(filters, weights, intercept, floor)
         if self.feature_kind == DIAGLOGCOV:
             return self._compile(filters, np.diag(weights), intercept)
         # the features are vec(h L h) with L = logm(h^-1 F^T S F h^-1)
         # and h = filtered_mean^{1/2}, so w . vec(h L h) = <h unvec(w) h, L>,
         # and L is the log of the covariance filtered by F h^-1
-        half, inv_half = self.model._filtered_mean_powers
+        half, inv_half = _half_powers(self.model.filtered_mean)
         return self._compile(filters @ inv_half, half @ unvec(weights) @ half, intercept)
 
     decision_scores = _compiled_scores

@@ -28,7 +28,6 @@ in :mod:`tssf.pipelines`; this module keeps no file format of its own.
 """
 
 import collections
-import functools
 import hashlib
 import threading
 from dataclasses import dataclass
@@ -44,9 +43,9 @@ from .errors import (
 )
 from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import (
-    FrechetConfig,
     _check_symmetric,
     _component_order,
+    _frechet_mean_and_logs,
     _half_powers,
     _spd_eigh,
     _vec,
@@ -102,16 +101,16 @@ _fit_store = collections.OrderedDict()
 _fit_store_lock = threading.Lock()
 
 
-def _fit_key(covs, labels, model_cfg, frechet_cfg):
+def _fit_key(covs, labels, model_cfg):
     digest = hashlib.blake2b(digest_size=32)
     for a in (covs, labels):
         digest.update(repr((a.shape, a.dtype.str)).encode())
         digest.update(np.ascontiguousarray(a).data)
-    digest.update(repr((model_cfg, frechet_cfg)).encode())
+    digest.update(repr(model_cfg).encode())
     return digest.digest()
 
 
-def fit_tangent_model(covs, labels, model_cfg=None, frechet_cfg=None):
+def fit_tangent_model(covs, labels, model_cfg=None):
     """Frechet mean of SPD matrices and a linear model on their tangent vectors.
 
     Parameters
@@ -122,13 +121,12 @@ def fit_tangent_model(covs, labels, model_cfg=None, frechet_cfg=None):
         Trial labels in {-1, +1}; both classes must be present.
     model_cfg : ClassifierConfig, optional
         Tangent-space classifier (default: SVM with inner-CV grid search).
-    frechet_cfg : FrechetConfig, optional
 
     Returns
     -------
     (mean, LinearModel)
         The reference mean and the model fitted on the whitened tangent
-        vectors at it; both arrays (mean and weights) are read-only.
+        vectors at it (its final sweep's logs); both arrays are read-only.
 
     Raises
     ------
@@ -138,20 +136,19 @@ def fit_tangent_model(covs, labels, model_cfg=None, frechet_cfg=None):
     Notes
     -----
     A call with the same covariances, labels (values, shape and dtype)
-    and configurations as one of the last 32 distinct calls in this
-    process returns that call's result: the same objects, so the same
+    and classifier configuration as one of the last 32 distinct calls in
+    this process returns that call's result: the same objects, so the same
     bits.
     """
     covs, labels = _check_training_set(covs, labels)
     model_cfg = model_cfg or ClassifierConfig()
-    frechet_cfg = frechet_cfg or FrechetConfig()
-    key = _fit_key(covs, labels, model_cfg, frechet_cfg)
+    key = _fit_key(covs, labels, model_cfg)
     with _fit_store_lock:
         if key in _fit_store:
             _fit_store.move_to_end(key)
             return _fit_store[key]
-    mean = frechet_mean(covs, frechet_cfg)
-    model = fit_from_config(tangent_vectors(mean, covs), labels, model_cfg)
+    mean, logs = _frechet_mean_and_logs(covs)
+    model = fit_from_config(_vec(logs), labels, model_cfg)
     mean.setflags(write=False)
     model.weights.setflags(write=False)
     result = (mean, model)
@@ -178,7 +175,7 @@ class TssfModel:
     coefficients), ``sort_index`` the permutation from
     descending-eigenvalue order to sorted order, and ``filtered_mean``
     the Frechet mean of the K x K filtered training covariances (the
-    reference for "logcov" features).
+    reference of "logcov" features; None for models of any other kind).
     """
 
     filters: np.ndarray
@@ -188,7 +185,7 @@ class TssfModel:
     full_filters: np.ndarray
     full_beta: np.ndarray
     sort_index: np.ndarray
-    filtered_mean: np.ndarray
+    filtered_mean: np.ndarray | None
     feature_kind: str = LOGVAR
 
     @property
@@ -199,20 +196,15 @@ class TssfModel:
     def n_channels(self):
         return self.filters.shape[0]
 
-    @functools.cached_property
-    def _filtered_mean_powers(self):
-        # (half, inverse half) powers of the "logcov" reference, computed
-        # once per model rather than once per scored trial
-        return _half_powers(self.filtered_mean)
+
+def _filtered_stack(filters, covs):
+    # F^T C F for every covariance C of a stack: the covariance of the
+    # filtered trial F^T x, by congruence, made exactly symmetric
+    filtered = filters.T @ covs @ filters
+    return 0.5 * (filtered + filtered.swapaxes(-1, -2))
 
 
-def _filtered_mean(filters, covs, frechet_cfg):
-    # Frechet mean of the filtered training covariances F^T C F
-    filtered = filters.T @ np.asarray(covs, dtype=float) @ filters
-    return frechet_mean(0.5 * (filtered + filtered.swapaxes(1, 2)), frechet_cfg)
-
-
-def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR, frechet_cfg=None):
+def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
     """Extract spatial filters from a tangent-space linear model.
 
     Parameters
@@ -226,9 +218,8 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR, frechet_c
     model_cfg : ClassifierConfig, optional
         Tangent-space classifier (default: SVM with inner-CV grid search).
     feature_kind : str
-        Feature type this model is meant to produce (stored for
-        prediction and serialization).
-    frechet_cfg : FrechetConfig, optional
+        Feature type this model is meant to produce. Only a "logcov" model
+        gets a ``filtered_mean``, the reference of its features.
 
     Returns
     -------
@@ -255,7 +246,7 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR, frechet_c
         raise InvalidInput(f"k must be in [1, {c}], got {k}")
     _check_kind(feature_kind)
 
-    mean, model = fit_tangent_model(covs, labels, model_cfg, frechet_cfg)
+    mean, model = fit_tangent_model(covs, labels, model_cfg)
     if not np.any(model.weights):
         raise DegenerateModel("tangent-space model has an all-zero weight vector")
 
@@ -266,6 +257,7 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR, frechet_c
     full_filters = solution.eigenvectors[:, order]
     full_beta = np.log(solution.eigenvalues)[order]
     filters = full_filters[:, :k]
+    logcov = feature_kind == LOGCOV
     return TssfModel(
         filters=filters,
         beta=full_beta[:k],
@@ -274,7 +266,7 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR, frechet_c
         full_filters=full_filters,
         full_beta=full_beta,
         sort_index=order,
-        filtered_mean=_filtered_mean(filters, covs, frechet_cfg),
+        filtered_mean=frechet_mean(_filtered_stack(filters, covs)) if logcov else None,
         feature_kind=feature_kind,
     )
 
@@ -319,7 +311,10 @@ def _filtered_features(model, covs, kind):
     if kind == DIAGLOGCOV:
         w, v = _spd_eigh(covs, name="filtered covariance")
         return ((v * v) @ np.log(w)[..., None])[..., 0]  # diagonal of V log(w) V^T
-    half, inv_half = model._filtered_mean_powers
+    if model.filtered_mean is None:
+        kind = model.feature_kind
+        raise UnsupportedFeatureKind(f"'logcov' features of a model extracted for {kind!r}")
+    half, inv_half = _half_powers(model.filtered_mean)
     return _vec(half @ _whitened_log(inv_half, covs, "filtered covariance") @ half)
 
 

@@ -79,12 +79,6 @@ class TestFitCsp:
         mapped = (ratio.eigenvalues - 1) / (ratio.eigenvalues + 1)
         np.testing.assert_allclose(discr.eigenvalues, mapped, atol=1e-8)
 
-    def test_frechet_class_means_option(self, rng):
-        covs, labels = two_class_covs(rng, t=20)
-        model = csp.fit_csp(covs, labels, 2, class_mean="frechet")
-        assert model.class_mean == "frechet"
-        assert model.filters.shape == (4, 2)
-
     def test_scaling_invariance_of_discriminative_form(self, rng):
         covs, labels = two_class_covs(rng)
         mean_pos = covs[labels == 1].mean(axis=0)

@@ -36,6 +36,15 @@ class TestTrialSet:
         assert sub.n_trials == 3
         np.testing.assert_array_equal(sub.trial(1), ts.trial(2))
 
+    def test_subset_is_one_contiguous_copy(self, rng):
+        ts = small_set(rng, t=7)
+        idx = np.array([5, 0, 3, 3])
+        sub = ts.subset(idx)
+        assert sub.data.flags.c_contiguous and not np.shares_memory(sub.data, ts.data)
+        assert sub.data.tobytes() == np.ascontiguousarray(ts.data[:, :, idx]).tobytes()
+        np.testing.assert_array_equal(sub.labels, ts.labels[idx])
+        np.testing.assert_array_equal(sub.session_ids, ts.session_ids[idx])
+
 
 class TestEegtFormat:
     def test_roundtrip_bit_exact(self, tmp_path, rng):

@@ -215,6 +215,14 @@ class TestFrechetMean:
         manifold.frechet_mean(np.stack([np.eye(3), 2.0 * np.eye(3)]))
         assert len(calls) >= 2
 
+    def test_final_sweep_logs_are_the_whitened_logs_at_the_mean(self, rng):
+        pts = np.array([random_spd(rng, 5, spread=1.5) for _ in range(12)])
+        mean, logs = manifold._frechet_mean_and_logs(pts)
+        np.testing.assert_array_equal(mean, manifold.frechet_mean(pts))
+        inv_half = manifold.powm(mean, -0.5)
+        expected = [manifold.logm(sym(inv_half @ p @ inv_half)) for p in pts]
+        np.testing.assert_allclose(logs, expected, rtol=1e-12, atol=1e-13)
+
     def test_peak_memory_at_64_channels(self, bench_c64):
         # logm needs its input, eigenvectors, scaled eigenvectors and output:
         # four (T, C, C) stacks; any further stack held across it shows here
@@ -500,6 +508,99 @@ def count_logm_calls(monkeypatch):
 
     monkeypatch.setattr(manifold, "logm", counting)
     return calls
+
+
+def outcome(check, a, jitter=0.0):
+    """"accepted", or the type and message of whatever ``check`` raised."""
+    try:
+        check(a, jitter)
+    except Exception as exc:  # noqa: BLE001  (the outcome is compared, whatever it is)
+        return type(exc), str(exc)
+    return "accepted"
+
+
+def eigenvalue_rule(a, jitter=0.0):
+    """Outcome of ensure_spd without the Cholesky certificate."""
+
+    def check(a, jitter):
+        a = manifold._check_symmetric(a)
+        if jitter:
+            a = a + jitter * np.eye(a.shape[-1])
+        manifold._check_definite(np.linalg.eigvalsh(a), manifold.SPD_TOL, "matrix")
+
+    return outcome(check, a, jitter)
+
+
+def ensure_spd_outcome(a, jitter=0.0):
+    return outcome(lambda a, jitter: manifold.ensure_spd(a, jitter=jitter), a, jitter)
+
+
+class TestCertifiedSpdCheck:
+    @staticmethod
+    def with_spectrum(rng, eigenvalues):
+        q = random_orthogonal(rng, len(eigenvalues))
+        a = (q * np.asarray(eigenvalues)) @ q.T
+        return 0.5 * (a + a.T)
+
+    def boundary_set(self, rng):
+        # lam_min / lam_max at 0.5, 0.99, 1.01 and 3 times SPD_TOL, at C = 2
+        # and 6, at unit and 1e-8 scale; indefinite matrices with positive
+        # trace; clearly SPD matrices
+        tol = manifold.SPD_TOL
+        mats = []
+        for c in (2, 6):
+            for factor in (0.5, 0.99, 1.01, 3.0):
+                for scale in (1.0, 1e-8):
+                    spectrum = np.concatenate([[1.0], np.linspace(1.0, 0.1, c - 2), [factor * tol]])
+                    mats.append(self.with_spectrum(rng, scale * spectrum[:c]))
+            mats.append(self.with_spectrum(rng, np.r_[3.0, -1.0, np.ones(c - 2)]))
+            mats.append(self.with_spectrum(rng, np.r_[5.0, -1e-3, np.ones(c - 2)]))
+            mats.append(random_spd(rng, c))
+        return mats
+
+    def test_decisions_equal_eigenvalue_rule_one_matrix(self, rng):
+        outcomes = set()
+        for a in self.boundary_set(rng):
+            expected = eigenvalue_rule(a)
+            assert ensure_spd_outcome(a) == expected
+            outcomes.add(expected == "accepted")
+        assert outcomes == {True, False}  # both decisions are exercised
+
+    def test_decisions_equal_eigenvalue_rule_stacks(self, rng):
+        mats = self.boundary_set(rng)
+        for c in (2, 6):
+            same = [a for a in mats if a.shape == (c, c)]
+            for i in range(len(same)):
+                # a clearly SPD stack with one boundary matrix at position 1
+                stack = np.stack([random_spd(rng, c), same[i], random_spd(rng, c)])
+                assert ensure_spd_outcome(stack) == eigenvalue_rule(stack)
+            assert ensure_spd_outcome(np.stack(same)) == eigenvalue_rule(np.stack(same))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_and_jitter(self, rng, bad):
+        a = random_spd(rng, 4)
+        for stack in (a, np.stack([a, a])):
+            entry = stack.copy()
+            entry[..., 1, 1] = bad
+            assert ensure_spd_outcome(entry) == eigenvalue_rule(entry)
+            off = stack.copy()
+            off[..., 2, 0] = off[..., 0, 2] = bad
+            assert ensure_spd_outcome(off) == eigenvalue_rule(off)
+            # a non-finite jitter gives a non-finite trace after the symmetry check
+            assert ensure_spd_outcome(stack, jitter=bad) == eigenvalue_rule(stack, jitter=bad)
+
+    def test_certificate_accepts_only_what_the_rule_accepts(self, rng):
+        tol = manifold.SPD_TOL
+        for a in self.boundary_set(rng):
+            if manifold._certified_spd(a, tol):
+                assert eigenvalue_rule(a) == "accepted"
+        # the certificate carries the common case: a well-conditioned stack,
+        # and a matrix at 3x the tolerance whose trace is its largest eigenvalue
+        stack = np.array([random_spd(rng, 8, spread=2.0) for _ in range(20)])
+        assert manifold._certified_spd(stack, tol)
+        assert manifold._certified_spd(np.diag([1.0, 3.0 * tol]), tol)
+        assert not manifold._certified_spd(np.diag([1.0, 1.01 * tol]), tol)
 
 
 class TestStacks:

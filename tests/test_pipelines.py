@@ -251,22 +251,77 @@ def test_tangent_model_fitted_once_for_shared_training_set(monkeypatch):
     ts = synth_set(seed=12, channels=5, trials=30)
     calls = []
 
-    def counting_frechet_mean(points, cfg=None):
-        calls.append(np.shape(points)[-1])
-        return manifold.frechet_mean(points, cfg)
+    def counting(fn):
+        def counted(points, cfg=None):
+            calls.append(np.shape(points)[-1])
+            return fn(points, cfg)
+
+        return counted
 
     tssf_module._clear_fit_store()
-    monkeypatch.setattr(tssf_module, "frechet_mean", counting_frechet_mean)
+    # the tangent fit takes its mean (and logs) from _frechet_mean_and_logs,
+    # the "logcov" reference is a frechet_mean
+    for fn in ("frechet_mean", "_frechet_mean_and_logs"):
+        monkeypatch.setattr(tssf_module, fn, counting(getattr(tssf_module, fn)))
     try:
         for name in ("TSSF_Var_1_step", "TSSF_LogCov_2_step", "TS_AIRM"):
             spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
             pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
     finally:
         tssf_module._clear_fit_store()
-    # one mean of the 5 x 5 training covariances; each TSSF pipeline adds
-    # the mean of its own 2 x 2 filtered covariances
+    # one mean of the 5 x 5 training covariances; only TSSF_LogCov_2_step
+    # adds the mean of its 2 x 2 filtered covariances
     assert calls.count(5) == 1
-    assert calls.count(2) == 2
+    assert calls.count(2) == 1
+
+
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_fit_reads_trials_only_for_their_covariances(name, monkeypatch):
+    ts = synth_set(seed=19, channels=5, trials=30)
+    spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
+    expected = pipelines.make_pipeline(spec).fit(ts.data, ts.labels).decision_scores(ts.data)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("fit filtered the trial data")
+
+    # the scorer's two routes from trial data to covariances
+    monkeypatch.setattr(pipelines, "_filtered_covariances", fail)
+    monkeypatch.setattr(pipelines, "_covariance_stack", fail)
+    pipe = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(pipe.decision_scores(ts.data), expected)
+
+
+@pytest.mark.parametrize(
+    "name", ["CSP", "TSSF_Var_1_step", "TSSF_Var_2_step", "TSSF_Cov_2_step", "TSSF_LogCov_2_step"]
+)
+def test_training_features_by_congruence_equal_filtered_trials(name, monkeypatch):
+    # the covariance of a filtered trial F^T x is F^T C F, so the features
+    # and variance floor a fit takes from its filtered covariance stack are
+    # those of the filtered trials
+    ts = synth_set(seed=20, channels=6, trials=30)
+    seen = []
+
+    def recording(x, y, cfg):
+        seen.append(x)
+        return fit_from_config(x, y, cfg)
+
+    fit_from_config = pipelines.fit_from_config
+    monkeypatch.setattr(pipelines, "fit_from_config", recording)
+    spec = pipelines.PipelineSpec(name=name, k=4, classifier=FIXED)
+    pipe = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
+    filtered = covariances_of(np.tensordot(pipe.filters, ts.data, axes=(0, 0)))
+    if not pipe.one_step:
+        expected = np.array(
+            [tssf.compute_features(pipe.model, cov, pipe.feature_kind) for cov in filtered]
+        )
+        (features,) = seen
+        np.testing.assert_allclose(
+            features, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
+        )
+    if pipe.feature_kind == tssf.LOGVAR:
+        floor = manifold.SPD_TOL * filtered.diagonal(0, -2, -1).min()
+        assert pipe._var_floor == pytest.approx(floor, rel=1e-12)
 
 
 class TestPipelineValidation:

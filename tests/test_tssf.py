@@ -178,6 +178,14 @@ class TestComputeFeatures:
         with pytest.raises(UnsupportedFeatureKind):
             tssf.compute_features(model, np.eye(2), "sparse")
 
+    @pytest.mark.parametrize("kind", [tssf.LOGVAR, tssf.DIAGLOGCOV])
+    def test_logcov_needs_a_logcov_model(self, rng, kind):
+        # only a "logcov" model holds the filtered-space mean its features need
+        model, _, _ = fitted_model(rng, k=2, kind=kind)
+        assert model.filtered_mean is None
+        with pytest.raises(UnsupportedFeatureKind, match=f"'logcov' features of a model extracted for '{kind}'"):
+            tssf.compute_features(model, np.eye(2), tssf.LOGCOV)
+
 
 class TestPredict:
     def test_one_step_arithmetic(self, rng):
@@ -320,10 +328,29 @@ class TestFitTangentModel:
         model = tssf.extract_tssf(covs, labels, 2, model_cfg=tssf.ClassifierConfig(reg=2.0))
         assert not model.reference_mean.flags.writeable
 
+    def test_trains_on_the_final_frechet_sweep(self, rng, monkeypatch):
+        # the model is fitted on the whitened logs of the mean's last sweep,
+        # which are tangent_vectors(mean, covs) up to rounding; no log is
+        # recomputed after the mean
+        covs, labels = synth_covs(rng)
+        cfg = tssf.ClassifierConfig(kind="lda")  # closed form: stable under rounding
+
+        def fail(*args, **kwargs):
+            raise AssertionError("tangent vectors recomputed after the Frechet mean")
+
+        tssf_module._clear_fit_store()
+        monkeypatch.setattr(tssf_module, "_whitened_log", fail)
+        mean, model = tssf.fit_tangent_model(covs, labels, cfg)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(mean, manifold.frechet_mean(covs))
+        expected = tssf.fit_lda(tssf.tangent_vectors(mean, covs), labels)
+        np.testing.assert_allclose(model.weights, expected.weights, rtol=1e-9, atol=1e-9)
+        assert model.intercept == pytest.approx(expected.intercept, rel=1e-9, abs=1e-9)
+
     def test_none_means_default_configs(self, rng):
         covs, labels = synth_covs(rng, t=20)
         first = tssf.fit_tangent_model(covs, labels)
-        assert tssf.fit_tangent_model(covs, labels, tssf.ClassifierConfig(), manifold.FrechetConfig()) is first
+        assert tssf.fit_tangent_model(covs, labels, tssf.ClassifierConfig()) is first
 
     def test_different_inputs_miss(self, rng):
         covs, labels = synth_covs(rng)
@@ -332,11 +359,10 @@ class TestFitTangentModel:
         flipped = labels.copy()
         flipped[:2] = -flipped[:2]
         variants = [
-            (covs, flipped, cfg, None),
-            (covs, labels, tssf.ClassifierConfig(reg=3.0), None),
-            (covs, labels, tssf.ClassifierConfig(kind="lda"), None),
-            (covs, labels, cfg, manifold.FrechetConfig(tolerance=1e-9)),
-            (covs[:-2], labels[:-2], cfg, None),
+            (covs, flipped, cfg),
+            (covs, labels, tssf.ClassifierConfig(reg=3.0)),
+            (covs, labels, tssf.ClassifierConfig(kind="lda")),
+            (covs[:-2], labels[:-2], cfg),
         ]
         for args in variants:
             mean, model = tssf.fit_tangent_model(*args)
