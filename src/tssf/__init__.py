@@ -111,6 +111,7 @@ from .evalstats import (
     PairedComparison,
     bench_predict,
     compare_paired,
+    cross_validate,
     kfold_cv,
     roc_auc,
     smd,

@@ -70,7 +70,10 @@ def parse(text):
                     raise FormatError(
                         f"matrix {key!r} row {r} has {len(entries)} entries, expected {cols}"
                     )
-                block.append([float(v) for v in entries])
+                try:
+                    block.append([float(v) for v in entries])
+                except ValueError:
+                    raise FormatError(f"matrix {key!r} row {r} has a non-numeric entry") from None
                 i += 1
             out[key] = np.array(block, dtype=float)
         else:

@@ -200,41 +200,29 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
-    from .evalstats import compare_paired, comparisons_to_csv, kfold_cv, reports_to_csv
+    import itertools
+
     from .errors import DegenerateStatistic, DimMismatch
-    from .evalstats import PairedComparison
+    from .evalstats import PairedComparison, compare_paired, comparisons_to_csv
+    from .evalstats import cross_validate, reports_to_csv
     from .pipelines import make_pipeline
 
     specs = [_pipeline_spec(name, args) for name in args.pipeline]
     trialset = _load_trials(args)
-    reports = []
-    for spec in specs:
-        report = kfold_cv(
-            trialset, lambda s=spec: make_pipeline(s), folds=args.folds, seed=args.seed
-        )
-        reports.append(report)
+    factories = [lambda s=spec: make_pipeline(s) for spec in specs]
+    reports = cross_validate(trialset, factories, folds=args.folds, seed=args.seed)
+    for report in reports:
         print(report.summary())
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(reports_to_csv(reports))
     comparisons = []
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            a, b = reports[i], reports[j]
-            try:
-                cmp = compare_paired(a.pipeline, a.aucs, b.pipeline, b.aucs)
-            except (DegenerateStatistic, DimMismatch):
-                cmp = PairedComparison(
-                    name_a=a.pipeline,
-                    name_b=b.pipeline,
-                    scores_a=a.aucs,
-                    scores_b=b.aucs,
-                    smd=float("nan"),
-                    p_value=1.0,
-                )
-            comparisons.append(cmp)
-            print(
-                f"{cmp.name_a} vs {cmp.name_b}: SMD={cmp.smd:.4f} p={cmp.p_value:.4g}"
-            )
+    for a, b in itertools.combinations(reports, 2):
+        try:
+            cmp = compare_paired(a.pipeline, a.aucs, b.pipeline, b.aucs)
+        except (DegenerateStatistic, DimMismatch):  # reported as SMD nan, p 1
+            cmp = PairedComparison(a.pipeline, b.pipeline, a.aucs, b.aucs, float("nan"), 1.0)
+        comparisons.append(cmp)
+        print(f"{cmp.name_a} vs {cmp.name_b}: SMD={cmp.smd:.4f} p={cmp.p_value:.4g}")
     cmp_path = _comparisons_path(args.out)
     if comparisons:
         with open(cmp_path, "w", encoding="utf-8") as fh:

@@ -76,8 +76,12 @@ class TrialSet:
         return self.data[:, :, t]
 
     def subset(self, indices):
-        """New TrialSet restricted to the given trial indices."""
+        """New TrialSet restricted to the given trial indices or boolean mask."""
         indices = np.asarray(indices)
+        if indices.dtype == bool:
+            if indices.shape != (self.n_trials,):
+                raise InvalidInput(f"mask has {indices.size} entries for {self.n_trials} trials")
+            indices = np.flatnonzero(indices)
         return TrialSet(
             data=np.take(self.data, indices, axis=2),  # one C-contiguous copy
             labels=self.labels[indices],

@@ -2,8 +2,9 @@
 
 Pipelines are evaluated with stratified k-fold cross-validation run
 independently within each session, and the per-fold ROC-AUC scores are
-pooled. Pipeline comparisons use the standardized mean difference of the
-paired per-fold scores and a one-sided Wilcoxon signed-rank p-value.
+pooled; folds are the outer loop and pipelines the inner one. Pipeline
+comparisons use the standardized mean difference of the paired per-fold
+scores and a one-sided Wilcoxon signed-rank p-value.
 """
 
 import time
@@ -209,51 +210,65 @@ class EvalReport:
         )
 
 
-def kfold_cv(trialset, pipeline_factory, folds=5, seed=0):
-    """Session-wise stratified k-fold cross-validation of one pipeline.
+def cross_validate(trialset, factories, folds=5, seed=0):
+    """Session-wise stratified k-fold cross-validation of several pipelines.
 
-    For every session, the session's trials are split into ``folds``
-    stratified folds (seeded per session, deterministic). Each fold fits a
-    fresh pipeline from ``pipeline_factory`` on the training trials only
-    (reference means, filters, and classifiers all see no test data) and
-    scores the held-out trials with ROC-AUC. Scores from all sessions are
-    pooled into one report.
+    Each session's trials are split into ``folds`` stratified folds
+    (seeded per session, deterministic). Each fold fits a fresh pipeline
+    from every factory on its training trials only, back to back, so they
+    share one tangent-space fit (:func:`tssf.tssf.fit_tangent_model`,
+    timed as part of the first), then scores its held-out trials with
+    each by ROC-AUC. Returns one report per factory, pooling all sessions.
     """
     if folds < 2:
         raise InvalidInput("folds must be >= 2")
-    sess_col, fold_col, auc_col, fit_col, pred_col = [], [], [], [], []
-    pipe = None
+    sess_col, fold_col, pipes = [], [], [None] * len(factories)
+    auc_cols, fit_cols, pred_cols = ([[] for _ in factories] for _ in range(3))
     for session in np.unique(trialset.session_ids):
         sess_idx = np.flatnonzero(trialset.session_ids == session)
         test_folds = stratified_folds(trialset.labels[sess_idx], folds, (seed, int(session)))
         for f, test_rel in enumerate(test_folds):
             test_idx = sess_idx[test_rel]
             train_idx = np.setdiff1d(sess_idx, test_idx)
-            train_labels = trialset.labels[train_idx]
-            if np.unique(train_labels).size < 2 or np.unique(trialset.labels[test_idx]).size < 2:
-                raise InvalidInput(
-                    f"session {session} fold {f}: a class is absent from a split"
-                )
-            pipe = pipeline_factory()
-            tic = time.perf_counter()
-            pipe.fit(trialset.data[:, :, train_idx], train_labels)
-            fit_col.append(time.perf_counter() - tic)
-            tic = time.perf_counter()
-            scores = pipe.decision_scores(trialset.data[:, :, test_idx])
-            pred_col.append(time.perf_counter() - tic)
-            auc_col.append(roc_auc(scores, trialset.labels[test_idx]))
+            train_labels, test_labels = trialset.labels[train_idx], trialset.labels[test_idx]
+            if np.unique(train_labels).size < 2 or np.unique(test_labels).size < 2:
+                raise InvalidInput(f"session {session} fold {f}: a class is absent from a split")
+            pipes = [factory() for factory in factories]
+            # each fold slice lives for one call, so one is in memory at a time
+            _timed("fit", pipes, fit_cols, trialset.data[:, :, train_idx], train_labels)
+            scores = _timed("decision_scores", pipes, pred_cols, trialset.data[:, :, test_idx])
+            for auc_col, pipe_scores in zip(auc_cols, scores):
+                auc_col.append(roc_auc(pipe_scores, test_labels))
             sess_col.append(int(session))
             fold_col.append(f)
-    return EvalReport(
-        pipeline=getattr(pipe, "name", "pipeline"),
-        k=getattr(pipe, "k", 0),
-        feature_kind=str(getattr(pipe, "feature_kind", "")),
-        sessions=np.asarray(sess_col),
-        folds=np.asarray(fold_col),
-        aucs=np.asarray(auc_col),
-        fit_seconds=np.asarray(fit_col),
-        predict_seconds=np.asarray(pred_col),
-    )
+    return [
+        EvalReport(
+            pipeline=getattr(pipe, "name", "pipeline"),
+            k=getattr(pipe, "k", 0),
+            feature_kind=str(getattr(pipe, "feature_kind", "")),
+            sessions=np.asarray(sess_col),
+            folds=np.asarray(fold_col),
+            aucs=np.asarray(aucs),
+            fit_seconds=np.asarray(fits),
+            predict_seconds=np.asarray(preds),
+        )
+        for pipe, aucs, fits, preds in zip(pipes, auc_cols, fit_cols, pred_cols)
+    ]
+
+
+def _timed(method, pipes, seconds, *args):
+    # each pipeline's method(*args), its wall time appended to its list in seconds
+    results = []
+    for pipe, col in zip(pipes, seconds):
+        tic = time.perf_counter()
+        results.append(getattr(pipe, method)(*args))
+        col.append(time.perf_counter() - tic)
+    return results
+
+
+def kfold_cv(trialset, pipeline_factory, folds=5, seed=0):
+    """The :func:`cross_validate` report of one pipeline."""
+    return cross_validate(trialset, [pipeline_factory], folds, seed)[0]
 
 
 @dataclass

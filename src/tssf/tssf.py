@@ -16,9 +16,10 @@ exactly (see ``exact_decision_value``).
 
 Every TSSF variant and the plain tangent-space classifier fitted on one
 training set share one Frechet mean and one tangent-space linear model.
-:func:`fit_tangent_model` computes that pair and keeps the most recent
-results, so identical fits within a process are computed once; the
-arrays it returns are read-only.
+:func:`fit_tangent_model` computes that pair and remembers the last fit
+only, so consecutive fits on one training set (the pipelines of one
+cross-validation fold, see :func:`tssf.evalstats.cross_validate`)
+compute it once; the arrays it returns are read-only.
 
 The per-trial functions (:func:`apply_filters`, :func:`compute_features`,
 :func:`predict_one_step`) work on one filtered trial at a time and are the
@@ -27,9 +28,7 @@ their one compiled scoring route and their ``pipeline/1`` model file live
 in :mod:`tssf.pipelines`; this module keeps no file format of its own.
 """
 
-import collections
 import hashlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,12 +92,10 @@ def _check_training_set(covs, labels):
     return covs, labels
 
 
-# most recent fit_tangent_model results, keyed by a digest of the inputs;
-# an entry is about 50 KB at C=64, and 32 cover one cross-validated eval
-# over up to 32 distinct training sets
-_FIT_STORE_SIZE = 32
-_fit_store = collections.OrderedDict()
-_fit_store_lock = threading.Lock()
+# the last fit_tangent_model call as (digest of its inputs, result); a
+# miss replaces the pair in one assignment, so a reader never sees one
+# call's key with another call's result
+_last_fit = (None, None)
 
 
 def _fit_key(covs, labels, model_cfg):
@@ -136,33 +133,23 @@ def fit_tangent_model(covs, labels, model_cfg=None):
     Notes
     -----
     A call with the same covariances, labels (values, shape and dtype)
-    and classifier configuration as one of the last 32 distinct calls in
-    this process returns that call's result: the same objects, so the same
-    bits.
+    and classifier configuration as the previous call in this process
+    returns that call's result: the same objects, so the same bits.
     """
+    global _last_fit
     covs, labels = _check_training_set(covs, labels)
     model_cfg = model_cfg or ClassifierConfig()
     key = _fit_key(covs, labels, model_cfg)
-    with _fit_store_lock:
-        if key in _fit_store:
-            _fit_store.move_to_end(key)
-            return _fit_store[key]
+    last_key, last_result = _last_fit
+    if key == last_key:
+        return last_result
     mean, logs = _frechet_mean_and_logs(covs)
     model = fit_from_config(_vec(logs), labels, model_cfg)
     mean.setflags(write=False)
     model.weights.setflags(write=False)
     result = (mean, model)
-    with _fit_store_lock:
-        _fit_store[key] = result
-        if len(_fit_store) > _FIT_STORE_SIZE:
-            _fit_store.popitem(last=False)
+    _last_fit = (key, result)
     return result
-
-
-def _clear_fit_store():
-    # forget every stored fit_tangent_model result
-    with _fit_store_lock:
-        _fit_store.clear()
 
 
 @dataclass(frozen=True)
@@ -228,9 +215,9 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
     Notes
     -----
     Steps: Frechet mean of the covariances, whitened tangent vectors and
-    linear model fit (:func:`fit_tangent_model`, so a fit on the same
-    inputs is reused); weight vector reshaped to a symmetric matrix and
-    re-projected onto the manifold at the mean; generalized
+    linear model fit (:func:`fit_tangent_model`, so the previous fit is
+    reused when its inputs were the same); weight vector reshaped to a
+    symmetric matrix and re-projected onto the manifold at the mean; generalized
     eigendecomposition of (weight covariance, mean); components sorted by
     absolute log-eigenvalue, descending (ties by descending eigenvalue,
     then original position); truncation to ``k`` columns.

@@ -8,6 +8,7 @@ import pytest
 
 import tssf
 from tssf import _textdoc, dataio
+from tssf import tssf as tssf_module
 from tssf.cli import main
 
 CONFIG = """\
@@ -158,6 +159,25 @@ class TestEval:
         assert cmp_lines[0] == "pipeline_a,pipeline_b,n,smd,p_value"
         assert len(cmp_lines) == 2  # one comparison row
 
+    def test_repeated_evals_do_the_same_work(self, tmp_path, data_path, monkeypatch):
+        sizes = []
+        mean_and_logs = tssf_module._frechet_mean_and_logs
+
+        def counted(covs, *args, **kwargs):
+            sizes.append(np.shape(covs)[-1])
+            return mean_and_logs(covs, *args, **kwargs)
+
+        monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
+        monkeypatch.setattr(tssf_module, "_frechet_mean_and_logs", counted)
+        argv = ["eval", "--data", str(data_path), "--pipeline", "TSSF_Var_1_step",
+                "--pipeline", "TS_AIRM", "--k", "2", "--reg", "1.0", "--folds", "3"]
+        counts = []
+        for out in ("r1.csv", "r2.csv"):
+            before = len(sizes)
+            assert main(argv + ["--out", str(tmp_path / out)]) == 0
+            counts.append(sizes[before:].count(4))
+        assert counts == [3, 3]  # one 4 x 4 mean per fold, in every eval
+
     def test_folds_1_exits_2(self, tmp_path, data_path):
         code = main(
             ["eval", "--data", str(data_path), "--pipeline", "CSP",
@@ -272,6 +292,16 @@ class TestPatterns:
         )
         assert code == 2
         assert "no spatial filters" in capsys.readouterr().err
+
+    def test_non_numeric_filter_entry_exits_2(self, tmp_path, data_path, capsys):
+        model_path = tmp_path / "bad.txt"
+        model_path.write_text("format: tssf/1\nfilters: 2x1\n  1.0\n  zz\n")
+        code = main(
+            ["patterns", "--model", str(model_path), "--data", str(data_path),
+             "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+        assert "'filters' row 1 has a non-numeric entry" in capsys.readouterr().err
 
     def test_channel_mismatch_exits_2(self, tmp_path, data_path, config_path):
         model_path = self.fit_model(tmp_path, data_path)

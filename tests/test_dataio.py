@@ -45,6 +45,20 @@ class TestTrialSet:
         np.testing.assert_array_equal(sub.labels, ts.labels[idx])
         np.testing.assert_array_equal(sub.session_ids, ts.session_ids[idx])
 
+    def test_subset_by_boolean_mask(self, rng):
+        ts = small_set(rng, t=6, sessions=2)
+        mask = np.array([True, False, True, True, False, False])
+        sub = ts.subset(mask)
+        assert sub.data.flags.c_contiguous
+        np.testing.assert_array_equal(sub.data, ts.data[:, :, mask])
+        np.testing.assert_array_equal(sub.labels, ts.labels[mask])
+        np.testing.assert_array_equal(sub.session_ids, ts.session_ids[mask])
+        whole = ts.subset(np.ones(6, dtype=bool))
+        np.testing.assert_array_equal(whole.data, ts.data)
+        np.testing.assert_array_equal(whole.labels, ts.labels)
+        with pytest.raises(InvalidInput):
+            ts.subset(np.ones(5, dtype=bool))
+
 
 class TestEegtFormat:
     def test_roundtrip_bit_exact(self, tmp_path, rng):

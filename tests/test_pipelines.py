@@ -7,7 +7,7 @@ from tssf import tssf as tssf_module
 from tssf.errors import DegenerateModel, FormatError, InvalidInput, NotPositiveDefinite
 
 
-def synth_set(seed=0, channels=4, trials=40, sigma=0.4):
+def synth_set(seed=0, channels=4, trials=40, sigma=0.4, sessions=1):
     cfg = tssf.SynthConfig(
         channels=channels,
         samples=300,
@@ -17,6 +17,7 @@ def synth_set(seed=0, channels=4, trials=40, sigma=0.4):
         var_pos=(4.0, 1.0),
         var_neg=(1.0, 4.0),
         noise_sigma=sigma,
+        sessions=sessions,
     )
     return tssf.synth_generate(cfg)
 
@@ -61,11 +62,12 @@ class TestAllPipelines:
         scores = pipe.decision_scores(ts.data)
         assert evalstats.roc_auc(scores, ts.labels) > 0.9
 
-    def test_deterministic_scores(self, name):
+    def test_deterministic_scores(self, name, monkeypatch):
         ts = synth_set(seed=4, trials=20)
         spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
         p1 = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
-        tssf_module._clear_fit_store()  # refit, rather than reuse the stored tangent model
+        # refit, rather than reuse the remembered tangent model
+        monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
         p2 = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
         np.testing.assert_array_equal(
             p1.decision_scores(ts.data), p2.decision_scores(ts.data)
@@ -177,6 +179,15 @@ class TestLoadPipeline:
         with pytest.raises(FormatError):
             tssf.load_pipeline(path)
 
+    def test_non_numeric_matrix_entry_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        lines = path.read_text().split("\n")
+        row = lines.index(next(line for line in lines if line.startswith("filters:"))) + 1
+        lines[row] = "  zz" + lines[row][lines[row].index(" ", 2) :]
+        path.write_text("\n".join(lines))
+        with pytest.raises(FormatError, match="'filters' row 0"):
+            tssf.load_pipeline(path)
+
     def test_unfitted_pipeline_not_saved(self, tmp_path):
         pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name="CSP", k=2))
         with pytest.raises(InvalidInput):
@@ -258,17 +269,14 @@ def test_tangent_model_fitted_once_for_shared_training_set(monkeypatch):
 
         return counted
 
-    tssf_module._clear_fit_store()
+    monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
     # the tangent fit takes its mean (and logs) from _frechet_mean_and_logs,
     # the "logcov" reference is a frechet_mean
     for fn in ("frechet_mean", "_frechet_mean_and_logs"):
         monkeypatch.setattr(tssf_module, fn, counting(getattr(tssf_module, fn)))
-    try:
-        for name in ("TSSF_Var_1_step", "TSSF_LogCov_2_step", "TS_AIRM"):
-            spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
-            pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
-    finally:
-        tssf_module._clear_fit_store()
+    for name in ("TSSF_Var_1_step", "TSSF_LogCov_2_step", "TS_AIRM"):
+        spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
+        pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
     # one mean of the 5 x 5 training covariances; only TSSF_LogCov_2_step
     # adds the mean of its 2 x 2 filtered covariances
     assert calls.count(5) == 1
@@ -342,7 +350,48 @@ class TestPipelineValidation:
             pipe.fit(ts.data, ts.labels)
 
 
+CV_PIPELINES = ("CSP", "TSSF_Var_1_step", "TSSF_LogCov_2_step", "TS_AIRM")
+
+
+def cv_factories(names):
+    return [
+        lambda n=name: pipelines.make_pipeline(pipelines.PipelineSpec(n, k=2, classifier=FIXED))
+        for name in names
+    ]
+
+
 class TestKfoldIntegration:
+    def test_cross_validate_fits_one_tangent_model_per_fold(self, monkeypatch):
+        ts = synth_set(seed=21, channels=5, trials=48, sessions=2)
+        sizes = []
+        mean_and_logs = tssf_module._frechet_mean_and_logs
+
+        def counted(covs, *args, **kwargs):
+            sizes.append(np.shape(covs)[-1])
+            return mean_and_logs(covs, *args, **kwargs)
+
+        monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
+        monkeypatch.setattr(tssf_module, "_frechet_mean_and_logs", counted)
+        reports = evalstats.cross_validate(ts, cv_factories(CV_PIPELINES), folds=4, seed=0)
+        assert [report.pipeline for report in reports] == list(CV_PIPELINES)
+        assert all(report.aucs.shape == (8,) for report in reports)
+        assert sizes == [5] * 8  # one 5 x 5 mean per (session, fold)
+
+    def test_cross_validate_equals_kfold_cv_per_pipeline(self):
+        ts = synth_set(seed=22, channels=5, trials=48, sigma=3.0, sessions=2)
+        reports = evalstats.cross_validate(ts, cv_factories(CV_PIPELINES), folds=4, seed=3)
+        for name, report in zip(CV_PIPELINES, reports):
+            (factory,) = cv_factories([name])
+            alone = evalstats.kfold_cv(ts, factory, folds=4, seed=3)
+            assert (report.pipeline, report.k, report.feature_kind) == (
+                alone.pipeline,
+                alone.k,
+                alone.feature_kind,
+            )
+            for field in ("aucs", "sessions", "folds"):
+                ours, theirs = getattr(report, field), getattr(alone, field)
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
     def test_tssf_pipeline_cv(self):
         ts = synth_set(seed=8, trials=40)
         report = evalstats.kfold_cv(

@@ -305,13 +305,13 @@ class TestTangentVectors:
 
 
 class TestFitTangentModel:
-    def test_stored_fit_equals_fresh_fit_bitwise(self, rng):
+    def test_stored_fit_equals_fresh_fit_bitwise(self, rng, monkeypatch):
         covs, labels = synth_covs(rng)
         cfg = tssf.ClassifierConfig(reg=2.0)
         first = tssf.fit_tangent_model(covs, labels, cfg)
         again = tssf.fit_tangent_model(covs.copy(), labels.copy(), cfg)
         assert again[0] is first[0] and again[1] is first[1]
-        tssf_module._clear_fit_store()
+        monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
         mean, model = tssf.fit_tangent_model(covs, labels, cfg)
         assert mean is not first[0]
         np.testing.assert_array_equal(mean, first[0])
@@ -338,7 +338,7 @@ class TestFitTangentModel:
         def fail(*args, **kwargs):
             raise AssertionError("tangent vectors recomputed after the Frechet mean")
 
-        tssf_module._clear_fit_store()
+        monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
         monkeypatch.setattr(tssf_module, "_whitened_log", fail)
         mean, model = tssf.fit_tangent_model(covs, labels, cfg)
         monkeypatch.undo()
@@ -371,26 +371,11 @@ class TestFitTangentModel:
         assert mean is not base[0]
         np.testing.assert_array_equal(mean, base[0])
 
-    def test_store_keeps_the_most_recent_fits(self, rng, monkeypatch):
-        covs, labels = synth_covs(rng, t=20)
-        cfg = [tssf.ClassifierConfig(reg=r) for r in (1.0, 2.0, 3.0)]
-        monkeypatch.setattr(tssf_module, "_FIT_STORE_SIZE", 2)
-        tssf_module._clear_fit_store()
-        first = tssf.fit_tangent_model(covs, labels, cfg[0])
-        tssf.fit_tangent_model(covs, labels, cfg[1])
-        assert tssf.fit_tangent_model(covs, labels, cfg[0]) is first  # now most recent
-        tssf.fit_tangent_model(covs, labels, cfg[2])  # evicts cfg[1]
-        assert tssf.fit_tangent_model(covs, labels, cfg[0]) is first
-        assert len(tssf_module._fit_store) == 2
-        tssf_module._clear_fit_store()
-
-    def test_concurrent_fits_agree_and_respect_capacity(self, rng, monkeypatch):
+    def test_concurrent_fits_agree(self, rng, monkeypatch):
         covs, labels = synth_covs(rng, c=3, t=12)
         cfgs = [tssf.ClassifierConfig(reg=r) for r in (0.5, 1.0, 2.0, 4.0)]
-        tssf_module._clear_fit_store()
         expected = [tssf.fit_tangent_model(covs, labels, cfg) for cfg in cfgs]
-        monkeypatch.setattr(tssf_module, "_FIT_STORE_SIZE", 2)
-        tssf_module._clear_fit_store()
+        monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
         errors = []
 
         def work(offset):
@@ -400,7 +385,6 @@ class TestFitTangentModel:
                     mean, model = tssf.fit_tangent_model(covs, labels, cfgs[j])
                     np.testing.assert_array_equal(mean, expected[j][0])
                     np.testing.assert_array_equal(model.weights, expected[j][1].weights)
-                    assert len(tssf_module._fit_store) <= 2
             except Exception as exc:  # reported through errors below
                 errors.append(exc)
 
@@ -414,7 +398,6 @@ class TestFitTangentModel:
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-            tssf_module._clear_fit_store()
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
 
