@@ -3,7 +3,7 @@
 The format is intentionally trivial so that model files diff cleanly:
 one ``key: value`` line per scalar or vector field, and matrices as a
 ``key: RxC`` header followed by R indented rows. Floats are written with
-``repr`` so every value round-trips bit-exactly.
+``repr`` so every value round-trips bit-exactly; the getters reject NaN and ±inf.
 """
 
 import numpy as np
@@ -104,9 +104,15 @@ def get_str(doc, key):
     return value
 
 
+def _finite(key, value):
+    if not np.isfinite(value).all():
+        raise FormatError(f"field {key!r} holds a non-finite number")
+    return value
+
+
 def get_float(doc, key):
     try:
-        return float(get_str(doc, key))
+        return _finite(key, float(get_str(doc, key)))
     except ValueError:
         raise FormatError(f"field {key!r} is not a float") from None
 
@@ -123,7 +129,7 @@ def get_vector(doc, key, dtype=float):
     if not raw:
         return np.array([], dtype=dtype)
     try:
-        return np.array([dtype(v) for v in raw.split()], dtype=dtype)
+        return _finite(key, np.array([dtype(v) for v in raw.split()], dtype=dtype))
     except ValueError:
         raise FormatError(f"field {key!r} is not a vector") from None
 
@@ -135,4 +141,4 @@ def get_matrix(doc, key):
         raise FormatError(f"missing field {key!r}") from None
     if isinstance(value, str):
         raise FormatError(f"field {key!r} is not a matrix block")
-    return value
+    return _finite(key, value)

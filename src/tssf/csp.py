@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import _check_training_set
 from .errors import InvalidInput
 from .manifold import (
     _component_order,
@@ -48,17 +49,7 @@ class CspModel:
 
 
 def _class_means(covs, labels):
-    covs = np.asarray(covs, dtype=float)
-    labels = np.asarray(labels)
-    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
-        raise InvalidInput("covs must have shape (T, C, C)")
-    if labels.shape != (covs.shape[0],):
-        raise InvalidInput("need one label per covariance")
-    pos = covs[labels == 1]
-    neg = covs[labels == -1]
-    if len(pos) == 0 or len(neg) == 0:
-        raise InvalidInput("both classes must be present")
-    return pos.mean(axis=0), neg.mean(axis=0)
+    return covs[labels == 1].mean(axis=0), covs[labels == -1].mean(axis=0)
 
 
 def fit_csp(covs, labels, k):
@@ -78,6 +69,7 @@ def fit_csp(covs, labels, k):
     of the spectrum when the spectrum is balanced -- the classic
     "both ends" rule expressed as one ordering.
     """
+    covs, labels = _check_training_set(covs, labels)
     mean_pos, mean_neg = _class_means(covs, labels)
     c = mean_pos.shape[0]
     if k % 2 != 0:
@@ -117,7 +109,7 @@ class CspEquivalenceReport:
 
 def csp_tssf_equivalence_report(covs, labels):
     """Evaluate the CSP equivalence chain on a binary dataset."""
-    covs = np.asarray(covs, dtype=float)
+    covs, labels = _check_training_set(covs, labels)
     mean_pos, mean_neg = _class_means(covs, labels)
     diff = mean_pos - mean_neg
     common = mean_pos + mean_neg
@@ -132,7 +124,6 @@ def csp_tssf_equivalence_report(covs, labels):
     map_dev = float(np.max(np.abs(np.sort(mapped)[::-1] - discr.eigenvalues)))
 
     mean_all = frechet_mean(covs)
-    labels = np.asarray(labels)
     tangents = log_map_at(mean_all, covs)
     shift = tangents[labels == 1].mean(axis=0) - tangents[labels == -1].mean(axis=0)
     if degenerate:

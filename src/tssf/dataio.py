@@ -18,6 +18,10 @@ C records    channel names, each a u32 byte length + UTF-8 bytes
 Reads are strict: wrong magic or version, truncation, and trailing bytes
 all raise :class:`~tssf.errors.FormatError`, and ``read(write(x))`` is
 bit-exact.
+
+A trial's covariance is ``X X^T / N`` of the trial with its channel means
+removed, checked SPD at ``manifold.SPD_TOL``. Every fit first checks its
+training set with ``_check_training_set``.
 """
 
 import os
@@ -28,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import FormatError, InvalidInput, NotPositiveDefinite
+from .errors import DegenerateModel, FormatError, InvalidInput, NotPositiveDefinite
 from .manifold import ensure_spd
 
 MAGIC = b"EEGT"
@@ -88,6 +92,29 @@ class TrialSet:
             session_ids=self.session_ids[indices],
             channel_names=list(self.channel_names),
         )
+
+
+def _check_training_set(data, labels, trial_axis=0):
+    """Check a training set before a fit does any other work.
+
+    ``data`` is a (T, C, C) covariance stack, or with ``trial_axis=2`` a
+    C x N x T trial tensor; ``labels`` holds one label per trial, each -1
+    or +1, and both must occur. Raises ``InvalidInput``, or
+    ``DegenerateModel`` for a single class; returns both as arrays.
+    """
+    data = np.asarray(data, dtype=float)
+    labels = np.asarray(labels)
+    if data.ndim != 3 or (trial_axis == 0 and data.shape[1] != data.shape[2]):
+        want = "(T, C, C) covariance stack" if trial_axis == 0 else "C x N x T tensor"
+        raise InvalidInput(f"training data of shape {data.shape} is not a {want}")
+    if labels.shape != (data.shape[trial_axis],):
+        raise InvalidInput(f"need one label per trial, got {labels.shape} for {data.shape}")
+    bad = ~np.isin(labels, (-1, 1))
+    if bad.any():
+        raise InvalidInput(f"labels must be -1 or +1, got {labels[bad][0].item()!r}")
+    if np.unique(labels).size < 2:
+        raise DegenerateModel("training labels hold a single class; need both -1 and +1")
+    return data, labels
 
 
 def write_trials(trialset, path):
@@ -188,22 +215,20 @@ def load_manifest(path):
     )
 
 
-def _covariance_stack(data, center=True, scale=True):
+def _covariance_stack(data):
     """Per-trial sample covariances of a C x N x T tensor, shape (T, C, C).
 
     The covariance arithmetic of the whole library, without the SPD check
     (an extra eigendecomposition per trial that online prediction cannot
-    afford). Per-channel means are removed first when ``center``, and the
-    product is divided by N when ``scale``. ``x @ x.T`` goes through BLAS
-    ``syrk``, so every covariance is exactly symmetric.
+    afford): per-channel means are removed, and the product is divided by
+    N. ``x @ x.T`` goes through BLAS ``syrk``, so every covariance is
+    exactly symmetric.
     """
     n = data.shape[1]
     x = data.transpose(2, 0, 1).copy()  # (T, C, N), C-contiguous for BLAS
-    if center:
-        x -= x.sum(axis=2, keepdims=True) / n  # bit-identical to mean(), cheaper
+    x -= x.sum(axis=2, keepdims=True) / n  # bit-identical to mean(), cheaper
     covs = x @ x.swapaxes(1, 2)
-    if scale:
-        covs /= n
+    covs /= n
     return covs
 
 
@@ -212,7 +237,7 @@ def _covariance_stack(data, center=True, scale=True):
 _BLOCK_BYTES = 4 << 20
 
 
-def _spd_covariances(data, center=True, scale=True, spd_tol=1e-10, jitter=0.0):
+def _spd_covariances(data):
     """:func:`_covariance_stack` plus one vectorized SPD check of the stack.
 
     The stack is computed in blocks of trials, so the transposed copy of
@@ -228,32 +253,30 @@ def _spd_covariances(data, center=True, scale=True, spd_tol=1e-10, jitter=0.0):
     block = max(1, _BLOCK_BYTES // (8 * c * n))
     covs = np.empty((t, c, c))
     for lo in range(0, t, block):
-        covs[lo : lo + block] = _covariance_stack(data[:, :, lo : lo + block], center, scale)
+        covs[lo : lo + block] = _covariance_stack(data[:, :, lo : lo + block])
     try:
-        return ensure_spd(covs, spd_tol=spd_tol, jitter=jitter, name="covariance")
+        return ensure_spd(covs, name="covariance")
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
-            f"{exc} (estimate is rank-deficient: use more samples per trial, "
-            "drop constant channels, or pass jitter > 0)"
+            f"{exc} (rank-deficient estimate: use more samples per trial or drop constant channels)"
         ) from exc
 
 
-def empirical_covariance(trial, center=True, scale=True, spd_tol=1e-10, jitter=0.0):
-    """Sample covariance ``X @ X.T`` of one C x N trial.
+def empirical_covariance(trial):
+    """Sample covariance of one C x N trial: ``X X^T / N`` of the centred X.
 
-    Per-channel means are removed first when ``center`` (default), and the
-    product is divided by N when ``scale`` (default). The result is
-    validated SPD; rank-deficient estimates are rejected.
+    Per-channel means are removed first. The result is validated SPD;
+    rank-deficient estimates are rejected.
     """
     x = np.asarray(trial, dtype=float)
     if x.ndim != 2:
         raise InvalidInput("trial must be a C x N matrix")
-    return _spd_covariances(x[:, :, None], center, scale, spd_tol, jitter)[0]
+    return _spd_covariances(x[:, :, None])[0]
 
 
-def covariances(trialset, center=True, scale=True, spd_tol=1e-10, jitter=0.0):
+def covariances(trialset):
     """Per-trial covariances of a TrialSet, shape (T, C, C), trial order."""
-    return _spd_covariances(trialset.data, center, scale, spd_tol, jitter)
+    return _spd_covariances(trialset.data)
 
 
 def fir_bandpass(trialset, low_hz=8.0, high_hz=32.0, fs_hz=250.0, taps=129):

@@ -19,6 +19,7 @@ from .errors import InvalidInput
 from .evalstats import roc_auc, stratified_folds
 
 DEFAULT_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
+SVM_TOL = 1e-6  # KKT gap at which every SVM fit of the library stops
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def svm_objective(weights, intercept, x, y, reg):
     return 0.5 * float(weights @ weights) + reg * float(hinge.mean())
 
 
-def fit_linear_svm(x, y, reg, tol=1e-6, max_iter=10**5, full_output=False):
+def fit_linear_svm(x, y, reg, tol=SVM_TOL, max_iter=10**5, full_output=False):
     """Fit the L2-regularized hinge-loss SVM.
 
     Parameters
@@ -234,7 +235,7 @@ def fit_lda(x, y):
     return LinearModel(weights=weights, intercept=intercept, reg=0.0)
 
 
-def grid_search_cv(x, y, grid=None, folds=5, seed=0, tol=1e-6):
+def grid_search_cv(x, y, grid=None, folds=5, seed=0):
     """Pick the SVM regularization by stratified inner cross-validation.
 
     Each grid value is scored by its mean ROC-AUC over ``folds``
@@ -268,13 +269,13 @@ def grid_search_cv(x, y, grid=None, folds=5, seed=0, tol=1e-6):
         aucs = []
         for train_idx, test_idx, gram in splits:
             w, b, _ = _solve_svm_dual(
-                x[train_idx], y[train_idx], reg, tol, 10**5, gram=gram
+                x[train_idx], y[train_idx], reg, SVM_TOL, 10**5, gram=gram
             )
             aucs.append(roc_auc(x[test_idx] @ w + b, y[test_idx]))
         mean_auc = float(np.mean(aucs))
         if mean_auc > best_auc or (mean_auc == best_auc and reg < best_reg):
             best_reg, best_auc = reg, mean_auc
-    model = fit_linear_svm(x, y, best_reg, tol=tol)
+    model = fit_linear_svm(x, y, best_reg)
     return best_reg, model
 
 
@@ -292,7 +293,6 @@ class ClassifierConfig:
     grid: tuple = None
     folds: int = 5
     seed: int = 0
-    tol: float = 1e-6
 
     def validate(self):
         if self.kind not in ("svm", "lda"):
@@ -308,10 +308,8 @@ def fit_from_config(x, y, cfg=None):
     if cfg.kind == "lda":
         return fit_lda(x, y)
     if cfg.reg is not None:
-        return fit_linear_svm(x, y, cfg.reg, tol=cfg.tol)
-    _, model = grid_search_cv(
-        x, y, grid=cfg.grid, folds=cfg.folds, seed=cfg.seed, tol=cfg.tol
-    )
+        return fit_linear_svm(x, y, cfg.reg)
+    _, model = grid_search_cv(x, y, grid=cfg.grid, folds=cfg.folds, seed=cfg.seed)
     return model
 
 

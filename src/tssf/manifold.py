@@ -17,6 +17,10 @@ route and check definiteness from the eigenvalues it computes, so they are
 mutually consistent. The order and sign conventions of :func:`sym_eig`
 apply to the eigenvectors it returns (and so to :func:`ged`); matrix
 functions do not depend on them.
+
+Every function judges input by the same two constants, and none takes a
+tolerance: a matrix is symmetric within ``SYM_RTOL`` of its largest entry,
+and SPD when its smallest eigenvalue exceeds ``SPD_TOL`` times its largest.
 """
 
 import functools
@@ -108,10 +112,10 @@ def _check_definite(w, spd_tol, name):
         )
 
 
-def _spd_eigh(a, spd_tol=SPD_TOL, name="matrix"):
+def _spd_eigh(a, name="matrix"):
     # ascending eigenpairs of every matrix of a stack, checked SPD
     w, v = np.linalg.eigh(a)
-    _check_definite(w, spd_tol, name)
+    _check_definite(w, SPD_TOL, name)
     return w, v
 
 
@@ -130,20 +134,17 @@ def _log_inner(w_stack, b, name="matrix"):
     return (((b @ v) * v).sum(axis=-2) * np.log(lam)).sum(axis=-1)
 
 
-def ensure_spd(a, spd_tol=SPD_TOL, jitter=0.0, name="matrix"):
-    """Validate that ``a`` is SPD, optionally after adding ``jitter * I``.
+def ensure_spd(a, name="matrix"):
+    """Validate that ``a`` is SPD at ``SPD_TOL`` and return it as floats.
 
-    Inputs failing the check are rejected, never silently regularized;
-    callers that want regularization must request it via ``jitter``. A
+    Inputs failing the check are rejected, never silently regularized. A
     stack is checked matrix by matrix, and the error names the first
-    failing index. Returns the (possibly jittered) matrix. A Cholesky
-    certificate spares the eigenvalues of a clearly SPD stack.
+    failing index. A Cholesky certificate spares the eigenvalues of a
+    clearly SPD stack.
     """
     a = _check_symmetric(a, name)
-    if jitter:
-        a = a + jitter * np.eye(a.shape[-1])
-    if not _certified_spd(a, spd_tol):
-        _check_definite(np.linalg.eigvalsh(a), spd_tol, name)
+    if not _certified_spd(a, SPD_TOL):
+        _check_definite(np.linalg.eigvalsh(a), SPD_TOL, name)
     return a
 
 
@@ -162,14 +163,14 @@ def _certified_spd(a, spd_tol):
     return True
 
 
-def _logm(a, spd_tol=SPD_TOL, name="matrix"):
-    w, v = _spd_eigh(a, spd_tol, name)
+def _logm(a, name="matrix"):
+    w, v = _spd_eigh(a, name)
     return _from_eig(np.log(w), v)
 
 
-def logm(a, spd_tol=SPD_TOL):
+def logm(a):
     """Matrix logarithm of an SPD matrix (eigenvalue route)."""
-    return _logm(_check_symmetric(a), spd_tol)
+    return _logm(_check_symmetric(a))
 
 
 def expm(s):
@@ -178,15 +179,15 @@ def expm(s):
     return _from_eig(np.exp(w), v)
 
 
-def powm(a, p, spd_tol=SPD_TOL):
+def powm(a, p):
     """Real matrix power ``a ** p`` of an SPD matrix, ``p != 0``."""
     if p == 0:
         raise InvalidInput("power p must be nonzero")
-    w, v = _spd_eigh(_check_symmetric(a), spd_tol)
+    w, v = _spd_eigh(_check_symmetric(a))
     return _from_eig(w**p, v)
 
 
-def airm_distance(a, b, spd_tol=SPD_TOL):
+def airm_distance(a, b):
     """Affine-invariant Riemannian distance between two SPD matrices.
 
     Computed as ``|| log eig(a^{-1/2} b a^{-1/2}) ||_2`` via the
@@ -200,7 +201,7 @@ def airm_distance(a, b, spd_tol=SPD_TOL):
         w = scipy.linalg.eigh(b, a, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"first argument is not SPD: {exc}") from exc
-    if w[0] <= 0 or w[0] <= spd_tol * w[-1]:
+    if w[0] <= 0 or w[0] <= SPD_TOL * w[-1]:
         raise NotPositiveDefinite("second argument is not SPD")
     return float(np.linalg.norm(np.log(w)))
 
@@ -457,7 +458,7 @@ class GedResult:
     eigenvalues: np.ndarray
 
 
-def ged(a, b, spd_tol=SPD_TOL):
+def ged(a, b):
     """Generalized eigendecomposition of ``(a, b)`` by whitening with ``b``.
 
     Parameters
@@ -489,11 +490,11 @@ def _component_order(d):
     return np.lexsort((np.arange(d.size), -d, -np.abs(np.log(d))))
 
 
-def subspace_angle_by_cluster(f1, f2, eigenvalues, rel_gap=1e-6):
+def subspace_angle_by_cluster(f1, f2, eigenvalues):
     """Largest principal angle between matched eigenvector sets.
 
     Columns of ``f1`` and ``f2`` must be ordered consistently with
-    ``eigenvalues``. Nearby eigenvalues (relative gap below ``rel_gap``)
+    ``eigenvalues``. Nearby eigenvalues (relative gap below 1e-6)
     are grouped into one cluster, and the angle is computed between the
     subspaces each cluster spans, which is the comparison that stays
     well-posed when eigenvalues are degenerate.
@@ -508,7 +509,7 @@ def subspace_angle_by_cluster(f1, f2, eigenvalues, rel_gap=1e-6):
     for stop in range(1, eigenvalues.size + 1):
         boundary = stop == eigenvalues.size or (
             abs(eigenvalues[stop] - eigenvalues[stop - 1])
-            > rel_gap * max(1.0, abs(eigenvalues[stop - 1]))
+            > 1e-6 * max(1.0, abs(eigenvalues[stop - 1]))
         )
         if boundary:
             angles = scipy.linalg.subspace_angles(f1[:, start:stop], f2[:, start:stop])

@@ -45,8 +45,8 @@ import numpy as np
 
 from . import _textdoc
 from .csp import fit_csp
-from .dataio import _covariance_stack, _spd_covariances
-from .errors import DegenerateModel, FormatError, InvalidInput
+from .dataio import _check_training_set, _covariance_stack, _spd_covariances
+from .errors import FormatError, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import SPD_TOL, _half_powers, _log_inner, unvec
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
@@ -62,18 +62,6 @@ from .tssf import (
 )
 
 TANGENT = "tangent"
-
-
-def _check_fit_inputs(trials, labels):
-    trials = np.asarray(trials, dtype=float)
-    labels = np.asarray(labels)
-    if trials.ndim != 3:
-        raise InvalidInput("trials must be a C x N x T tensor")
-    if labels.shape != (trials.shape[2],):
-        raise InvalidInput("need one label per trial")
-    if np.unique(labels).size < 2:
-        raise DegenerateModel("training data contains a single class")
-    return trials, labels
 
 
 def _filtered_covariances(projection, trials):
@@ -131,7 +119,7 @@ class _Pipeline:
 
 class CspPipeline(_Pipeline):
     def fit(self, trials, labels):
-        trials, labels = _check_fit_inputs(trials, labels)
+        trials, labels = _check_training_set(trials, labels, trial_axis=2)
         covs = _spd_covariances(trials)
         self.model = fit_csp(covs, labels, self.k)
         self.filters = self.model.filters
@@ -145,7 +133,7 @@ class CspPipeline(_Pipeline):
 
 class TssfPipeline(_Pipeline):
     def fit(self, trials, labels):
-        trials, labels = _check_fit_inputs(trials, labels)
+        trials, labels = _check_training_set(trials, labels, trial_axis=2)
         covs = _spd_covariances(trials)
         self.model = extract_tssf(
             covs, labels, self.k, model_cfg=self.classifier_cfg, feature_kind=self.feature_kind
@@ -180,7 +168,7 @@ class TangentSpacePipeline(_Pipeline):
         self.reference_mean = None
 
     def fit(self, trials, labels):
-        trials, labels = _check_fit_inputs(trials, labels)
+        trials, labels = _check_training_set(trials, labels, trial_axis=2)
         self.reference_mean, self.clf = fit_tangent_model(
             _spd_covariances(trials), labels, self.classifier_cfg
         )
@@ -284,4 +272,6 @@ def load_pipeline(path):
     width = pipe.k or pipe._projection.shape[0]  # TS_AIRM keeps all C dimensions
     if pipe._projection.shape[1] != width or pipe._coef.shape != (width,) * pipe._coef.ndim:
         raise FormatError(f"projection and coef do not match k={pipe.k}")
+    if pipe._var_floor < 0.0:  # a negative floor would pass a constant trial
+        raise FormatError(f"var_floor must be >= 0, got {pipe._var_floor!r}")
     return pipe

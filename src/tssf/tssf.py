@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import _check_training_set
 from .errors import (
     DegenerateModel,
     DimMismatch,
@@ -80,18 +81,6 @@ def tangent_vectors(ref, covs):
     return _vec(_whitened_log(inv_half, _check_symmetric(covs, "covariance"), "covariance"))
 
 
-def _check_training_set(covs, labels):
-    covs = np.asarray(covs, dtype=float)
-    labels = np.asarray(labels)
-    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
-        raise InvalidInput("covs must have shape (T, C, C)")
-    if labels.shape != (covs.shape[0],):
-        raise InvalidInput("need one label per covariance")
-    if np.unique(labels).size < 2:
-        raise DegenerateModel("labels are constant; need both classes")
-    return covs, labels
-
-
 # the last fit_tangent_model call as (digest of its inputs, result); a
 # miss replaces the pair in one assignment, so a reader never sees one
 # call's key with another call's result
@@ -127,8 +116,8 @@ def fit_tangent_model(covs, labels, model_cfg=None):
 
     Raises
     ------
-    DegenerateModel
-        On single-class labels.
+    InvalidInput, DegenerateModel
+        On a bad shape or label value; on single-class labels.
 
     Notes
     -----
@@ -224,8 +213,9 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
 
     Raises
     ------
-    DegenerateModel
-        On single-class labels or an all-zero fitted weight vector.
+    InvalidInput, DegenerateModel
+        On a bad shape, label value or ``k``; on single-class labels or an
+        all-zero fitted weight vector.
     """
     covs, labels = _check_training_set(covs, labels)
     c = covs.shape[1]

@@ -141,6 +141,20 @@ class TestFit:
         )
         assert code == 3
 
+    def test_constant_channel_exits_3_naming_the_trial(self, tmp_path, data_path, capsys):
+        ts = dataio.read_trials(data_path)
+        ts.data[2, :, 5] = 1.5  # channel 2 of trial 5 is constant
+        flat_path = tmp_path / "flat.eegt"
+        dataio.write_trials(ts, flat_path)
+        code = main(
+            ["fit", "--data", str(flat_path), "--pipeline", "TSSF_Var_1_step",
+             "--k", "2", "--reg", "1.0", "--out", str(tmp_path / "m")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "covariance 5 is not positive definite" in err
+        assert "jitter" not in err
+
 
 class TestEval:
     def test_two_pipelines_one_comparison(self, tmp_path, data_path, capsys):

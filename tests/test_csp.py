@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tssf import csp, manifold
-from tssf.errors import InvalidInput
+from tssf.errors import DegenerateModel, InvalidInput
 
 from conftest import random_spd
 
@@ -55,7 +55,7 @@ class TestFitCsp:
 
     def test_single_class_rejected(self, rng):
         covs, _ = two_class_covs(rng)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(DegenerateModel):
             csp.fit_csp(covs, np.ones(len(covs)), 2)
 
     def test_selection_takes_both_spectrum_ends(self, rng):

@@ -133,12 +133,6 @@ class TestManifest:
 
 
 class TestEmpiricalCovariance:
-    def test_identity_trial(self):
-        # 2 channels x 2 samples, no centering: X X^T / N = I / 2
-        with pytest.warns(UserWarning):  # N <= C rank warning
-            cov = dataio.empirical_covariance(np.eye(2), center=False, scale=True)
-        np.testing.assert_allclose(cov, np.eye(2) / 2, atol=1e-15)
-
     def test_constant_row_rejected(self, rng):
         trial = rng.standard_normal((3, 50))
         trial[1] = 2.5
@@ -174,18 +168,12 @@ class TestEmpiricalCovariance:
         with pytest.raises(NotPositiveDefinite, match="covariance 3 "):
             dataio.covariances(ts)
 
-    def test_unscaled(self, rng):
-        trial = rng.standard_normal((3, 50))
-        scaled = dataio.empirical_covariance(trial, scale=True)
-        raw = dataio.empirical_covariance(trial, scale=False)
-        np.testing.assert_allclose(raw, 50 * scaled, rtol=1e-12)
-
     def test_scaling_leaves_filter_directions(self, rng):
-        # 1/N scaling moves the Frechet mean by the same scalar and leaves
-        # generalized eigenvector directions untouched
+        # scaling every covariance moves the Frechet mean by the same
+        # scalar and leaves generalized eigenvector directions untouched
         ts = small_set(rng, c=3, n=100, t=8)
-        covs = dataio.covariances(ts, scale=True)
-        covs_raw = dataio.covariances(ts, scale=False)
+        covs = dataio.covariances(ts)
+        covs_raw = 100 * dataio.covariances(ts)
         mean = manifold.frechet_mean(covs)
         mean_raw = manifold.frechet_mean(covs_raw)
         np.testing.assert_allclose(mean_raw, 100 * mean, rtol=1e-8)

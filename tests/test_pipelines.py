@@ -83,6 +83,19 @@ class TestAllPipelines:
             pipe.fit(ts.data[:, :, keep], ts.labels[keep])
 
 
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_label_values_checked_before_any_covariance(name, monkeypatch):
+    ts = synth_set(seed=5, trials=10)
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=2, classifier=FIXED))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("fit computed covariances before checking its labels")
+
+    monkeypatch.setattr(pipelines, "_spd_covariances", fail)
+    with pytest.raises(InvalidInput, match=r"-1 or \+1, got 0$"):
+        pipe.fit(ts.data, (ts.labels > 0).astype(int))
+
+
 def covariances_of(data):
     c, _, t = data.shape
     trialset = tssf.TrialSet(data, np.ones(t), np.zeros(t), [f"ch{i}" for i in range(c)])
@@ -186,6 +199,34 @@ class TestLoadPipeline:
         lines[row] = "  zz" + lines[row][lines[row].index(" ", 2) :]
         path.write_text("\n".join(lines))
         with pytest.raises(FormatError, match="'filters' row 0"):
+            tssf.load_pipeline(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("projection", "nan"),
+            ("coef", "inf"),
+            ("intercept", "nan"),
+            ("filters", "-inf"),
+            ("var_floor", "-1.0"),
+            ("var_floor", "inf"),
+        ],
+    )
+    def test_non_finite_or_negative_number_rejected(self, tmp_path, field, value):
+        # replace the field's first number: on its own line, or first in
+        # the row that follows a matrix header
+        path = self.saved(tmp_path)
+        lines = path.read_text().split("\n")
+        i = next(j for j, line in enumerate(lines) if line.startswith(field + ":"))
+        if lines[i + 1].startswith(" "):
+            i += 1
+            head, values = "  ", lines[i].split()
+        else:
+            head, _, rest = lines[i].partition(" ")
+            head, values = head + " ", rest.split()
+        lines[i] = head + " ".join([value] + values[1:])
+        path.write_text("\n".join(lines))
+        with pytest.raises(FormatError, match=field):
             tssf.load_pipeline(path)
 
     def test_unfitted_pipeline_not_saved(self, tmp_path):

@@ -409,3 +409,19 @@ class TestFitTangentModel:
             tssf.fit_tangent_model(covs, labels[:-1])
         with pytest.raises(DegenerateModel):
             tssf.fit_tangent_model(covs, np.ones(10))
+
+    def test_label_values_checked_before_any_mean(self, rng, monkeypatch):
+        covs, labels = synth_covs(rng, t=10)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a Frechet mean was computed before the labels were checked")
+
+        monkeypatch.setattr(tssf_module, "_frechet_mean_and_logs", fail)
+        fits = (
+            tssf.fit_tangent_model,
+            lambda covs, labels: tssf.extract_tssf(covs, labels, 2),
+            lambda covs, labels: tssf.fit_csp(covs, labels, 2),
+        )
+        for fit in fits:
+            with pytest.raises(InvalidInput, match=r"-1 or \+1, got 0$"):
+                fit(covs, (labels > 0).astype(int))
