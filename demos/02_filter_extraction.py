@@ -39,10 +39,11 @@ print(f"generated {trialset.n_trials} trials, C={trialset.n_channels}, "
 ######################################################################
 # Filter extraction
 # -----------------
-# Frechet mean -> tangent vectors -> linear SVM -> weight matrix back
-# onto the manifold -> generalized eigendecomposition against the mean.
-# Components are ranked by |log eigenvalue|: a coefficient near zero
-# contributes nothing to the decision function.
+# Frechet mean -> tangent vectors -> linear SVM -> whitened weight matrix
+# W = V diag(beta) V^T -> filters mean^{-1/2} V. These are the generalized
+# eigenvectors of (weight matrix mapped onto the manifold, mean), and beta
+# their log eigenvalues. Components are ranked by |beta|: a coefficient
+# near zero contributes nothing to the decision function.
 
 model = tssf.extract_tssf(
     covs,

@@ -245,6 +245,7 @@ def cmd_patterns(args):
     from .dataio import covariances
     from .errors import FormatError, InvalidInput
     from .patterns import compute_patterns, patterns_to_csv
+    from .pipelines import load_pipeline
 
     with open(args.model, "r", encoding="utf-8") as fh:
         doc = parse(fh.read())
@@ -253,6 +254,8 @@ def cmd_patterns(args):
         raise FormatError(f"unrecognized model format {fmt!r}")
     if "filters" not in doc:
         raise InvalidInput(f"{doc.get('name', 'this')} model has no spatial filters")
+    if fmt == "pipeline/1":
+        load_pipeline(args.model)  # the whole file, so its filters must match its k
     filters = get_matrix(doc, "filters")
     trialset = _load_trials(args)
     if trialset.n_channels != filters.shape[0]:

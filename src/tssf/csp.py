@@ -77,7 +77,7 @@ def fit_csp(covs, labels, k):
     if not 2 <= k <= c:
         raise InvalidInput(f"k must be in [2, {c}], got {k}")
     solution = ged(mean_pos, mean_neg)
-    selection = _component_order(solution.eigenvalues)[:k]
+    selection = _component_order(np.log(solution.eigenvalues))[:k]
     return CspModel(
         filters=solution.eigenvectors[:, selection],
         eigenvalues=solution.eigenvalues,

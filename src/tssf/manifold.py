@@ -197,12 +197,11 @@ def airm_distance(a, b):
     a = _check_symmetric(a, "a", stack=False)
     b = _check_symmetric(b, "b", stack=False)
     _check_same_dim(a, b)
-    try:
-        w = scipy.linalg.eigh(b, a, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"first argument is not SPD: {exc}") from exc
-    if w[0] <= 0 or w[0] <= SPD_TOL * w[-1]:
-        raise NotPositiveDefinite("second argument is not SPD")
+    ensure_spd(a, "a")
+    ensure_spd(b, "b")
+    w = scipy.linalg.eigh(b, a, eigvals_only=True)
+    if not w[0] > 0:  # both SPD, but their condition numbers multiply past 1/eps
+        raise NotPositiveDefinite(f"(b, a) too ill-conditioned: generalized eigenvalue {w[0]:.3e}")
     return float(np.linalg.norm(np.log(w)))
 
 
@@ -484,10 +483,10 @@ def ged(a, b):
     return GedResult(eigenvectors=inv_half @ v, eigenvalues=w)
 
 
-def _component_order(d):
-    # the ranking of GED components (eigenvalues d) shared by CSP and TSSF:
-    # descending |log d|, ties by descending d, then by position
-    return np.lexsort((np.arange(d.size), -d, -np.abs(np.log(d))))
+def _component_order(log_d):
+    # the ranking of GED components (log eigenvalues log_d) shared by CSP and
+    # TSSF: descending |log_d|, ties by descending log_d, then by position
+    return np.lexsort((np.arange(log_d.size), -log_d, -np.abs(log_d)))
 
 
 def subspace_angle_by_cluster(f1, f2, eigenvalues):

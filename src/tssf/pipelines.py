@@ -272,6 +272,8 @@ def load_pipeline(path):
     width = pipe.k or pipe._projection.shape[0]  # TS_AIRM keeps all C dimensions
     if pipe._projection.shape[1] != width or pipe._coef.shape != (width,) * pipe._coef.ndim:
         raise FormatError(f"projection and coef do not match k={pipe.k}")
+    if pipe.filters is not None and pipe.filters.shape != (pipe._projection.shape[0], pipe.k):
+        raise FormatError(f"filters of shape {pipe.filters.shape} are not (channels, k={pipe.k})")
     if pipe._var_floor < 0.0:  # a negative floor would pass a constant trial
         raise FormatError(f"var_floor must be >= 0, got {pipe._var_floor!r}")
     return pipe

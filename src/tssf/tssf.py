@@ -1,12 +1,11 @@
 """Spatial filter extraction from tangent-space linear models.
 
-A linear decision function fitted on tangent vectors is turned into a
-bank of spatial filters: the fitted weight vector is reshaped back into a
-symmetric matrix, re-projected onto the manifold through the exponential
-map at the reference mean, and jointly diagonalized with that mean by a
-generalized eigendecomposition. The log-eigenvalues double as regression
-coefficients, so filtered log-power features can be scored directly
-("one-step") without fitting a second classifier.
+A linear decision function fitted on tangent vectors is a bank of spatial
+filters. With its weight vector reshaped into ``W = V diag(lam) V^T``
+(whitened at the reference mean ``m``), the filters are ``m^{-1/2} V``,
+the generalized eigenvectors of ``(m^{1/2} expm(W) m^{1/2}, m)``, and
+``lam`` their log-eigenvalues. These coefficients score filtered log-power
+features directly ("one-step") without fitting a second classifier.
 
 Tangent vectors here are whitened: ``vec(logm(m^{-1/2} C m^{-1/2}))`` at
 reference mean ``m``. With that convention the dot product of two tangent
@@ -47,14 +46,13 @@ from .manifold import (
     _component_order,
     _frechet_mean_and_logs,
     _half_powers,
+    _log_inner,
     _spd_eigh,
     _vec,
     _whitened_log,
     ensure_spd,
-    expm,
     frechet_mean,
-    ged,
-    logm,
+    sym_eig,
     unvec,
 )
 
@@ -145,13 +143,12 @@ def fit_tangent_model(covs, labels, model_cfg=None):
 class TssfModel:
     """Spatial filters plus the ingredients of one-step scoring.
 
-    ``full_filters`` are all C generalized eigenvectors in sorted order
-    (``filters`` is their K-column prefix), ``full_beta`` the matching
-    sorted log-eigenvalues (``beta`` is their K-prefix, the one-step
-    coefficients), ``sort_index`` the permutation from
-    descending-eigenvalue order to sorted order, and ``filtered_mean``
-    the Frechet mean of the K x K filtered training covariances (the
-    reference of "logcov" features; None for models of any other kind).
+    ``full_filters`` are all C filters in sorted order (``filters`` is their
+    K-column prefix), ``full_beta`` the matching sorted log-eigenvalues
+    (``beta`` is their K-prefix, the one-step coefficients), and
+    ``filtered_mean`` the Frechet mean of the K x K filtered training
+    covariances (the reference of "logcov" features; None for models of
+    any other kind).
     """
 
     filters: np.ndarray
@@ -160,7 +157,6 @@ class TssfModel:
     reference_mean: np.ndarray
     full_filters: np.ndarray
     full_beta: np.ndarray
-    sort_index: np.ndarray
     filtered_mean: np.ndarray | None
     feature_kind: str = LOGVAR
 
@@ -206,9 +202,9 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
     Steps: Frechet mean of the covariances, whitened tangent vectors and
     linear model fit (:func:`fit_tangent_model`, so the previous fit is
     reused when its inputs were the same); weight vector reshaped to a
-    symmetric matrix and re-projected onto the manifold at the mean; generalized
-    eigendecomposition of (weight covariance, mean); components sorted by
-    absolute log-eigenvalue, descending (ties by descending eigenvalue,
+    symmetric matrix ``W = V diag(lam) V^T``, giving filters ``mean^{-1/2} V``
+    and log-eigenvalues ``lam`` with no matrix exponential to overflow;
+    components sorted by ``|lam|``, descending (ties by descending ``lam``,
     then original position); truncation to ``k`` columns.
 
     Raises
@@ -227,12 +223,11 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
     if not np.any(model.weights):
         raise DegenerateModel("tangent-space model has an all-zero weight vector")
 
-    half, _ = _half_powers(mean)
-    weight_cov = half @ expm(unvec(model.weights)) @ half
-    solution = ged(weight_cov, mean)
-    order = _component_order(solution.eigenvalues)
-    full_filters = solution.eigenvectors[:, order]
-    full_beta = np.log(solution.eigenvalues)[order]
+    lam, v = sym_eig(unvec(model.weights))
+    _, inv_half = _half_powers(mean)
+    order = _component_order(lam)
+    full_filters = (inv_half @ v)[:, order]
+    full_beta = lam[order]
     filters = full_filters[:, :k]
     logcov = feature_kind == LOGCOV
     return TssfModel(
@@ -242,7 +237,6 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
         reference_mean=mean,
         full_filters=full_filters,
         full_beta=full_beta,
-        sort_index=order,
         filtered_mean=frechet_mean(_filtered_stack(filters, covs)) if logcov else None,
         feature_kind=feature_kind,
     )
@@ -312,7 +306,7 @@ def _log_variances(covs, var_floor=0.0):
 
 
 def predict_one_step(model, features, kind=None):
-    """Score features directly with the sorted log-eigenvalues.
+    """Score features directly with the sorted coefficients ``beta``.
 
     ``score = beta . features + intercept``; the label is the sign of the
     score with sign(0) = +1. Only "logvar" and "diaglogcov" features are
@@ -346,7 +340,8 @@ def exact_decision_value(weight_cov, ref, trial_cov, ged_result):
     full-rank F this equals the manifold inner product at ``ref`` between
     the tangent images of ``weight_cov`` and ``trial_cov``, i.e. the
     decision value of the underlying tangent-space linear model (without
-    its intercept).
+    its intercept). ``ged_result`` must whiten ``ref`` and diagonalize
+    ``weight_cov``, or :class:`~tssf.errors.InvalidInput` is raised.
     """
     f = np.asarray(ged_result.eigenvectors, dtype=float)
     d = np.asarray(ged_result.eigenvalues, dtype=float)
@@ -354,11 +349,11 @@ def exact_decision_value(weight_cov, ref, trial_cov, ged_result):
         raise InvalidInput("filters must be square (full rank) for the exact value")
     if np.linalg.matrix_rank(f) < f.shape[0]:
         raise InvalidInput("filters are rank deficient")
-    ref = np.asarray(ref, dtype=float)
     if not np.allclose(f.T @ ref @ f, np.eye(f.shape[0]), atol=1e-6):
         raise InvalidInput("ged_result does not whiten ref; was it solved on (weight_cov, ref)?")
+    if not np.allclose(f.T @ weight_cov @ f, np.diag(d), rtol=0.0, atol=1e-6 * np.abs(d).max()):
+        raise InvalidInput("ged_result does not diagonalize weight_cov")
     if np.any(d <= 0):
         raise InvalidInput("weight covariance eigenvalues must be positive")
     filtered = f.T @ np.asarray(trial_cov, dtype=float) @ f
-    log_filtered = logm(0.5 * (filtered + filtered.T))
-    return float(np.log(d) @ np.diag(log_filtered))
+    return float(_log_inner(filtered, np.diag(np.log(d)), "filtered trial covariance"))

@@ -317,6 +317,20 @@ class TestPatterns:
         assert code == 2
         assert "'filters' row 1 has a non-numeric entry" in capsys.readouterr().err
 
+    def test_filters_not_channels_by_k_exits_2(self, tmp_path, data_path, capsys):
+        model_path = self.fit_model(tmp_path, data_path, pipeline="CSP")
+        doc = _textdoc.parse(model_path.read_text())
+        doc["filters"] = np.ones((6, 5))
+        model_path.write_text(_textdoc.dump(doc.items()))
+        out = tmp_path / "p.csv"
+        code = main(
+            ["patterns", "--model", str(model_path), "--data", str(data_path),
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "filters of shape (6, 5)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_channel_mismatch_exits_2(self, tmp_path, data_path, config_path):
         model_path = self.fit_model(tmp_path, data_path)
         other_cfg = tmp_path / "other.cfg"

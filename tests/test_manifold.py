@@ -141,6 +141,36 @@ class TestAirmDistance:
         with pytest.raises(DimMismatch):
             manifold.airm_distance(random_spd(rng, 3), random_spd(rng, 4))
 
+    def test_wide_generalized_spectrum(self):
+        # each argument is SPD within SPD_TOL, while the generalized
+        # eigenvalues 1e-6 and 1e6 of (b, a) span 1e12
+        a, b = np.diag([1e6, 1.0]), np.diag([1.0, 1e6])
+        assert manifold.airm_distance(a, b) == pytest.approx(np.sqrt(2.0) * np.log(1e6), rel=1e-12)
+        assert manifold.airm_distance(b, a) == pytest.approx(np.sqrt(2.0) * np.log(1e6), rel=1e-12)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_names_the_argument_that_is_not_spd(self, first):
+        bad, good = np.diag([1.0, 1e-13]), np.eye(2)
+        args, name = ((bad, good), "a") if first else ((good, bad), "b")
+        with pytest.raises(NotPositiveDefinite, match=f"^{name} is not positive definite"):
+            manifold.airm_distance(*args)
+
+    def test_ill_conditioned_pair_never_gives_nan(self, rng):
+        # both arguments pass the SPD check, but their condition numbers of
+        # almost 1e10 multiply past 1/eps: a typed error or a finite distance
+        def spd(first, last):
+            q = random_orthogonal(rng, 6)
+            s = (q * np.logspace(first, last, 6)) @ q.T
+            return 0.5 * (s + s.T)
+
+        for _ in range(20):
+            try:
+                d = manifold.airm_distance(spd(0, -9.9), spd(-9.9, 0))
+            except NotPositiveDefinite as exc:
+                assert "(b, a) too ill-conditioned" in str(exc)
+            else:
+                assert np.isfinite(d)
+
 
 class TestFrechetMean:
     def test_single_and_repeated_point(self, rng):
@@ -412,8 +442,8 @@ class TestGed:
     def test_component_order(self):
         # descending |log d|; 4 and 1/4 tie there and go by descending d;
         # the equal 2s keep their positions
-        d = np.array([2.0, 0.25, 1.0, 4.0, 2.0, 0.9])
-        np.testing.assert_array_equal(manifold._component_order(d), [3, 1, 0, 4, 5, 2])
+        log_d = np.log([2.0, 0.25, 1.0, 4.0, 2.0, 0.9])
+        np.testing.assert_array_equal(manifold._component_order(log_d), [3, 1, 0, 4, 5, 2])
 
 
 class TestOrthogonalLogCommutation:

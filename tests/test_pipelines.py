@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tssf
-from tssf import dataio, evalstats, manifold, pipelines
+from tssf import _textdoc, dataio, evalstats, manifold, pipelines
 from tssf import tssf as tssf_module
 from tssf.errors import DegenerateModel, FormatError, InvalidInput, NotPositiveDefinite
 
@@ -227,6 +227,17 @@ class TestLoadPipeline:
         lines[i] = head + " ".join([value] + values[1:])
         path.write_text("\n".join(lines))
         with pytest.raises(FormatError, match=field):
+            tssf.load_pipeline(path)
+
+    @pytest.mark.parametrize("name", ["CSP", "TSSF_Var_1_step", "TSSF_LogCov_2_step", "TS_AIRM"])
+    @pytest.mark.parametrize("shape", [(6, 5), (4, 3), (3, 2)])
+    def test_filters_not_channels_by_k_rejected(self, tmp_path, name, shape):
+        # the saved pipelines have 4 channels and k=2 (TS_AIRM has no filters)
+        path = self.saved(tmp_path, name)
+        doc = _textdoc.parse(path.read_text())
+        doc["filters"] = np.ones(shape)
+        path.write_text(_textdoc.dump(doc.items()))
+        with pytest.raises(FormatError, match=rf"filters of shape \({shape[0]}, {shape[1]}\)"):
             tssf.load_pipeline(path)
 
     def test_unfitted_pipeline_not_saved(self, tmp_path):

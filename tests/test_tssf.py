@@ -14,7 +14,7 @@ from tssf.errors import (
     UnsupportedFeatureKind,
 )
 
-from conftest import random_spd
+from conftest import random_orthogonal, random_spd
 
 
 def synth_covs(rng, c=4, t=30, sep=1.0, n=400):
@@ -102,11 +102,106 @@ class TestExtract:
         m2 = tssf.extract_tssf(covs, labels, 2, model_cfg=cfg)
         np.testing.assert_array_equal(m2.filters, m3.filters[:, :2])
         np.testing.assert_array_equal(m2.beta, m3.beta[:2])
-        np.testing.assert_array_equal(m2.sort_index, m3.sort_index)
+        np.testing.assert_array_equal(m2.full_filters, m3.full_filters)
         # every model keeps all C sorted coefficients, whatever its k
         np.testing.assert_array_equal(m2.full_beta, m3.full_beta)
         np.testing.assert_array_equal(m3.beta, m3.full_beta[:3])
         assert m3.full_beta.shape == (4,)
+
+
+def weights_with_spread(rng, c, spread):
+    """Whitened tangent weight matrix with eigenvalues spanning ``spread``."""
+    lam = np.linspace(-0.43, 0.57, c) * spread  # no |lam| ties
+    q = random_orthogonal(rng, c)
+    return (q * lam) @ q.T
+
+
+def extract_with_weights(monkeypatch, mean, w):
+    # extract_tssf with the tangent fit replaced by (mean, vec(w)), so the
+    # extraction step alone sees the chosen weights
+    fit = tssf.LinearModel(weights=manifold.vec(w), intercept=0.25, reg=1.0)
+    monkeypatch.setattr(tssf_module, "fit_tangent_model", lambda *args: (mean, fit))
+    covs = np.array([mean] * 4)
+    return tssf.extract_tssf(covs, [1, -1, 1, -1], len(mean))
+
+
+def paper_route(mean, w):
+    # the filters as the paper defines them: GED of the weights mapped
+    # onto the manifold at the mean, against the mean
+    half = manifold.powm(mean, 0.5)
+    solution = manifold.ged(half @ manifold.expm(w) @ half, mean)
+    log_d = np.log(solution.eigenvalues)
+    order = manifold._component_order(log_d)
+    return solution.eigenvectors[:, order], log_d[order]
+
+
+class TestDirectRoute:
+    @pytest.mark.parametrize("spread", [0.5, 2.0, 5.0, 10.0])
+    def test_equals_paper_route(self, monkeypatch, rng, spread):
+        mean = random_spd(rng, 6)
+        w = weights_with_spread(rng, 6, spread)
+        model = extract_with_weights(monkeypatch, mean, w)
+        filters, beta = paper_route(mean, w)
+        np.testing.assert_allclose(model.full_beta, beta, rtol=0, atol=1e-10 * np.abs(beta).max())
+        signs = np.sign(np.sum(model.full_filters * filters, axis=0))
+        scale = np.abs(filters).max()
+        np.testing.assert_allclose(model.full_filters, filters * signs, rtol=0, atol=1e-10 * scale)
+        assert model.intercept == 0.25
+
+    def test_wide_spread_gives_the_weight_eigenvalues(self, monkeypatch, rng):
+        # at spread 40, exp(lam_min) is below the rounding of exp(lam_max):
+        # the exponential route loses the small end of the spectrum
+        mean = random_spd(rng, 6)
+        w = weights_with_spread(rng, 6, 40.0)
+        model = extract_with_weights(monkeypatch, mean, w)
+        self.assert_filters_of(model, w)
+
+    def test_huge_lda_weights(self, rng):
+        # 136 tangent dimensions and 80 trials: the LDA within scatter is
+        # singular, and its ridge leaves weights of about 1e10, so expm of
+        # the weight matrix would overflow
+        covs, labels = synth_covs(rng, c=16, t=80)
+        cfg = tssf.ClassifierConfig(kind="lda")
+        with pytest.warns(UserWarning, match="ridge"):
+            mean, fit = tssf.fit_tangent_model(covs, labels, cfg)
+        w = tssf.unvec(fit.weights)
+        assert np.abs(w).max() > 1e8
+        model = tssf.extract_tssf(covs, labels, 2, model_cfg=cfg)
+        assert model.reference_mean is mean
+        self.assert_filters_of(model, w)
+
+    @staticmethod
+    def assert_filters_of(model, w):
+        lam = np.linalg.eigvalsh(w)
+        beta = model.full_beta
+        assert np.all(np.isfinite(beta)) and np.all(np.isfinite(model.full_filters))
+        np.testing.assert_allclose(np.sort(beta), lam, rtol=0, atol=1e-12 * np.abs(lam).max())
+        assert np.all(np.diff(np.abs(beta)) <= 0)
+        # the filters whiten the mean and diagonalize the whitened weights
+        f = model.full_filters
+        np.testing.assert_allclose(f.T @ model.reference_mean @ f, np.eye(len(f)), atol=1e-8)
+        v = manifold.powm(model.reference_mean, 0.5) @ f
+        np.testing.assert_allclose(v.T @ w @ v, np.diag(beta), atol=1e-10 * np.abs(lam).max())
+
+    def test_two_eigendecompositions_after_the_fit(self, monkeypatch, rng):
+        covs, labels = synth_covs(rng, c=5)
+        cfg = tssf.ClassifierConfig(reg=1.0)
+        tssf.fit_tangent_model(covs, labels, cfg)  # extract_tssf reuses this fit
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("extraction must not call expm or ged")
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(manifold, "expm", forbidden)
+        monkeypatch.setattr(manifold, "ged", forbidden)
+        tssf.extract_tssf(covs, labels, 3, model_cfg=cfg)
+        assert shapes == [(5, 5), (5, 5)]
 
 
 class TestApplyFilters:
@@ -266,6 +361,15 @@ class TestExactDecisionValue:
         res = manifold.GedResult(eigenvectors=f, eigenvalues=np.ones(3))
         with pytest.raises(InvalidInput):
             tssf.exact_decision_value(np.eye(3), np.eye(3), np.eye(3), res)
+
+    def test_mismatched_weight_cov_rejected(self, rng):
+        ref = random_spd(rng, 3)
+        cw = random_spd(rng, 3)
+        res = manifold.ged(cw, ref)
+        trial = random_spd(rng, 3)
+        for other in (2.0 * cw, random_spd(rng, 3)):
+            with pytest.raises(InvalidInput, match="diagonalize weight_cov"):
+                tssf.exact_decision_value(other, ref, trial, res)
 
     def test_mismatched_reference_rejected(self, rng):
         ref = random_spd(rng, 3)
