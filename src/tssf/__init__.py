@@ -45,7 +45,6 @@ from .errors import (
     UnsupportedFeatureKind,
 )
 from .manifold import (
-    FrechetConfig,
     GedResult,
     airm_distance,
     ensure_spd,
@@ -66,8 +65,6 @@ from .manifold import (
 from .linmodel import (
     ClassifierConfig,
     LinearModel,
-    decision_value,
-    fit_lda,
     fit_linear_svm,
     grid_search_cv,
     svm_objective,

@@ -63,9 +63,7 @@ def _parser():
     p_eval.set_defaults(func=cmd_eval)
 
     p_pat = sub.add_parser("patterns", parents=[common_data], help="export spatial patterns")
-    p_pat.add_argument(
-        "--model", required=True, help="saved pipeline/1 model (or a tssf/1 or csp/1 file)"
-    )
+    p_pat.add_argument("--model", required=True, help="saved pipeline/1 model")
     p_pat.add_argument("--out", required=True, help="CSV to write")
     p_pat.set_defaults(func=cmd_patterns)
 
@@ -241,22 +239,15 @@ def _comparisons_path(out):
 def cmd_patterns(args):
     import numpy as np
 
-    from ._textdoc import get_matrix, parse
     from .dataio import covariances
-    from .errors import FormatError, InvalidInput
+    from .errors import InvalidInput
     from .patterns import compute_patterns, patterns_to_csv
     from .pipelines import load_pipeline
 
-    with open(args.model, "r", encoding="utf-8") as fh:
-        doc = parse(fh.read())
-    fmt = doc.get("format")
-    if fmt not in ("pipeline/1", "tssf/1", "csp/1"):
-        raise FormatError(f"unrecognized model format {fmt!r}")
-    if "filters" not in doc:
-        raise InvalidInput(f"{doc.get('name', 'this')} model has no spatial filters")
-    if fmt == "pipeline/1":
-        load_pipeline(args.model)  # the whole file, so its filters must match its k
-    filters = get_matrix(doc, "filters")
+    pipe = load_pipeline(args.model)  # the whole file, so its filters must match its k
+    filters = pipe.filters
+    if filters is None:
+        raise InvalidInput(f"{pipe.name} model has no spatial filters")
     trialset = _load_trials(args)
     if trialset.n_channels != filters.shape[0]:
         raise InvalidInput(

@@ -1,8 +1,8 @@
 """Linear models on tangent vectors.
 
 The classifiers used on tangent-space features: an L2-regularized linear
-SVM solved by a deterministic most-violating-pair dual ascent, Fisher LDA,
-and regularization grid search with stratified inner cross-validation.
+SVM solved by a deterministic most-violating-pair dual ascent and
+regularization grid search with stratified inner cross-validation.
 
 The SVM minimizes ``0.5 ||w||^2 + reg * mean_i hinge(1 - y_i (w.x_i + b))``
 with an unpenalized intercept. Averaging the loss (rather than summing it)
@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInput
 from .evalstats import roc_auc, stratified_folds
@@ -29,10 +28,6 @@ class LinearModel:
     weights: np.ndarray
     intercept: float
     reg: float
-
-    @property
-    def feature_dim(self):
-        return self.weights.size
 
 
 @dataclass
@@ -201,40 +196,6 @@ def _step_bounds(ai, aj, yi, yj, cap):
     return max(lo_i, lo_j), min(hi_i, hi_j)
 
 
-def fit_lda(x, y):
-    """Fisher LDA: ``w = S_within^{-1} (mu_pos - mu_neg)``.
-
-    The within scatter is the unnormalized sum of outer products of the
-    class-centered samples. If it is singular, a ridge of
-    ``1e-10 * trace / dim`` is added (reported via a warning). The
-    intercept puts the decision boundary at the midpoint of the projected
-    class means.
-    """
-    x, y, _, _ = _check_dataset(x, y)
-    mu_pos = x[y > 0].mean(axis=0)
-    mu_neg = x[y < 0].mean(axis=0)
-    centered = x.copy()
-    centered[y > 0] -= mu_pos
-    centered[y < 0] -= mu_neg
-    scatter = centered.T @ centered
-    diff = mu_pos - mu_neg
-    try:
-        cho = scipy.linalg.cho_factor(scatter)
-        weights = scipy.linalg.cho_solve(cho, diff)
-    except scipy.linalg.LinAlgError:
-        ridge = 1e-10 * np.trace(scatter) / scatter.shape[0]
-        if ridge <= 0:
-            ridge = 1e-10
-        warnings.warn(
-            f"within scatter is singular; adding ridge {ridge:g} to its diagonal",
-            stacklevel=2,
-        )
-        scatter = scatter + ridge * np.eye(scatter.shape[0])
-        weights = scipy.linalg.cho_solve(scipy.linalg.cho_factor(scatter), diff)
-    intercept = -float(weights @ (mu_pos + mu_neg)) / 2.0
-    return LinearModel(weights=weights, intercept=intercept, reg=0.0)
-
-
 def grid_search_cv(x, y, grid=None, folds=5, seed=0):
     """Pick the SVM regularization by stratified inner cross-validation.
 
@@ -283,20 +244,17 @@ def grid_search_cv(x, y, grid=None, folds=5, seed=0):
 class ClassifierConfig:
     """How to fit a linear model on a feature matrix.
 
-    ``kind`` is "svm" or "lda". For the SVM, a fixed ``reg`` wins over
-    ``grid``; with neither, the default grid {0.01, 0.1, 1, 10, 100} is
-    searched by stratified inner CV.
+    The classifier is the linear SVM. A fixed ``reg`` wins over ``grid``;
+    with neither, the default grid {0.01, 0.1, 1, 10, 100} is searched by
+    stratified inner CV.
     """
 
-    kind: str = "svm"
     reg: float = None
     grid: tuple = None
     folds: int = 5
     seed: int = 0
 
     def validate(self):
-        if self.kind not in ("svm", "lda"):
-            raise InvalidInput(f"unknown classifier kind {self.kind!r}")
         if self.reg is not None and self.reg <= 0:
             raise InvalidInput("reg must be positive")
         return self
@@ -305,19 +263,7 @@ class ClassifierConfig:
 def fit_from_config(x, y, cfg=None):
     """Fit a LinearModel according to a ClassifierConfig."""
     cfg = (cfg or ClassifierConfig()).validate()
-    if cfg.kind == "lda":
-        return fit_lda(x, y)
     if cfg.reg is not None:
         return fit_linear_svm(x, y, cfg.reg)
     _, model = grid_search_cv(x, y, grid=cfg.grid, folds=cfg.folds, seed=cfg.seed)
     return model
-
-
-def decision_value(model, x):
-    """Evaluate ``weights . x + intercept``; the label is its sign."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.feature_dim,):
-        raise InvalidInput(
-            f"feature vector has shape {x.shape}, model expects ({model.feature_dim},)"
-        )
-    return float(model.weights @ x + model.intercept)

@@ -38,6 +38,8 @@ from .errors import (
 
 SYM_RTOL = 1e-12
 SPD_TOL = 1e-10
+FRECHET_MAX_UPDATES = 50  # updates of the mean before frechet_mean gives up
+FRECHET_TOL = 1e-10  # whitened residual at which frechet_mean stops
 
 
 def _check_symmetric(a, name="matrix", stack=True):
@@ -205,20 +207,7 @@ def airm_distance(a, b):
     return float(np.linalg.norm(np.log(w)))
 
 
-@dataclass(frozen=True)
-class FrechetConfig:
-    """Stopping rule for :func:`frechet_mean`.
-
-    ``max_iterations`` bounds the number of updates of the mean (each one a
-    curvature-corrected step, see :func:`frechet_mean`); ``tolerance`` is the
-    whitened residual below which the mean counts as converged.
-    """
-
-    max_iterations: int = 50
-    tolerance: float = 1e-10
-
-
-def frechet_mean(points, cfg=None):
+def frechet_mean(points):
     """Frechet (Karcher) mean of SPD matrices under the affine-invariant metric.
 
     Initialized at the arithmetic mean. Each iteration whitens the points at
@@ -243,36 +232,32 @@ def frechet_mean(points, cfg=None):
     it from about 1 to below 1e-12.
 
     Converged when the whitened residual ``||G||_F`` drops below
-    ``cfg.tolerance``. That norm is the length of the mean tangent in the
-    metric at ``m``, so it does not change when every point is scaled (or
-    transformed by any congruence): ``frechet_mean(s * P)`` is
+    ``FRECHET_TOL`` (1e-10). That norm is the length of the mean tangent in
+    the metric at ``m``, so it does not change when every point is scaled
+    (or transformed by any congruence): ``frechet_mean(s * P)`` is
     ``s * frechet_mean(P)`` whatever the data units.
 
     Parameters
     ----------
     points : array-like, shape (T, C, C)
         SPD matrices (a stack, or a sequence of C x C arrays).
-    cfg : FrechetConfig, optional
 
     Returns
     -------
     ndarray, shape (C, C)
-        The mean; its whitened residual is below ``cfg.tolerance``.
+        The mean; its whitened residual is below ``FRECHET_TOL``.
 
     Raises
     ------
     ConvergenceFailure
-        If the residual is still above tolerance after
-        ``cfg.max_iterations`` updates (the exception carries it).
+        If the residual is still above ``FRECHET_TOL`` after
+        ``FRECHET_MAX_UPDATES`` (50) updates (the exception carries it).
     """
-    return _frechet_mean_and_logs(points, cfg)[0]
+    return _frechet_mean_and_logs(points)[0]
 
 
-def _frechet_mean_and_logs(points, cfg=None):
+def _frechet_mean_and_logs(points):
     # frechet_mean, and the whitened logs of the points at it (the last sweep's)
-    cfg = cfg or FrechetConfig()
-    if cfg.max_iterations < 1 or cfg.tolerance <= 0:
-        raise InvalidInput("max_iterations must be >= 1 and tolerance > 0")
     try:
         pts = np.asarray(points, dtype=float)
     except ValueError:
@@ -282,7 +267,7 @@ def _frechet_mean_and_logs(points, cfg=None):
     pts = _check_symmetric(pts, "point")
 
     mean = pts.mean(axis=0)
-    for step in range(cfg.max_iterations + 1):
+    for step in range(FRECHET_MAX_UPDATES + 1):
         half, inv_half = _half_powers(mean)
         w = inv_half @ pts @ inv_half
         w = 0.5 * (w + w.swapaxes(1, 2))
@@ -290,14 +275,14 @@ def _frechet_mean_and_logs(points, cfg=None):
         del w  # logm's four (T, C, C) stacks set the peak: keep no other
         grad = logs.mean(axis=0)
         residual = np.linalg.norm(grad)
-        if residual < cfg.tolerance:
+        if residual < FRECHET_TOL:
             return mean, logs
-        if step < cfg.max_iterations:
+        if step < FRECHET_MAX_UPDATES:
             mean = half @ expm(_curvature_step(logs, grad)) @ half
         del logs  # not even the last sweep's logs while the next logm runs
     raise ConvergenceFailure(
-        f"Frechet mean did not converge in {cfg.max_iterations} iterations "
-        f"(residual {residual:.3e} > {cfg.tolerance:g})",
+        f"Frechet mean did not converge in {FRECHET_MAX_UPDATES} iterations "
+        f"(residual {residual:.3e} > {FRECHET_TOL:g})",
         residual=residual,
     )
 

@@ -46,7 +46,7 @@ import numpy as np
 from . import _textdoc
 from .csp import fit_csp
 from .dataio import _check_training_set, _covariance_stack, _spd_covariances
-from .errors import FormatError, InvalidInput
+from .errors import DimMismatch, FormatError, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import SPD_TOL, _half_powers, _log_inner, unvec
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
@@ -77,6 +77,11 @@ def _compiled_scores(self, trials):
     """Decision scores of a C x N x T tensor, one per trial."""
     trials = np.ascontiguousarray(trials, dtype=float)
     p = self._projection
+    if trials.ndim != 3 or trials.shape[0] != p.shape[0]:
+        raise DimMismatch(
+            f"trials of shape {trials.shape} do not fit a projection of shape "
+            f"{p.shape}: expected ({p.shape[0]}, N, T)"
+        )
     if p.shape[0] == p.shape[1]:
         # congruence of the C x C covariance takes two C x C products;
         # projecting the C x N trial would take more whenever N > 2C

@@ -281,23 +281,6 @@ class TestPatterns:
         )
         assert "max |F^T A - I|" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("fmt", ["tssf/1", "csp/1"])
-    def test_legacy_filter_documents_export(self, tmp_path, data_path, fmt):
-        # files written before pipeline/1 keep exporting: only their
-        # filters matrix is read
-        filters = np.array([[1.0, 0.5], [0.0, 1.0], [0.25, 0.0], [0.0, -1.0]])
-        model_path = tmp_path / "legacy.txt"
-        model_path.write_text(_textdoc.dump([("format", fmt), ("k", 2), ("filters", filters)]))
-        out = tmp_path / "patterns.csv"
-        code = main(
-            ["patterns", "--model", str(model_path), "--data", str(data_path),
-             "--out", str(out)]
-        )
-        assert code == 0
-        ts = dataio.read_trials(data_path)
-        expected = tssf.compute_patterns(filters, tssf.covariances(ts).mean(axis=0))
-        assert out.read_text() == tssf.patterns_to_csv(expected, ts.channel_names)
-
     def test_ts_airm_model_exits_2(self, tmp_path, data_path, capsys):
         model_path = self.fit_model(tmp_path, data_path, pipeline="TS_AIRM")
         code = main(
@@ -308,8 +291,11 @@ class TestPatterns:
         assert "no spatial filters" in capsys.readouterr().err
 
     def test_non_numeric_filter_entry_exits_2(self, tmp_path, data_path, capsys):
-        model_path = tmp_path / "bad.txt"
-        model_path.write_text("format: tssf/1\nfilters: 2x1\n  1.0\n  zz\n")
+        model_path = self.fit_model(tmp_path, data_path)
+        lines = model_path.read_text().split("\n")
+        row = lines.index(next(line for line in lines if line.startswith("filters:"))) + 2
+        lines[row] = "  zz" + lines[row][lines[row].index(" ", 2) :]
+        model_path.write_text("\n".join(lines))
         code = main(
             ["patterns", "--model", str(model_path), "--data", str(data_path),
              "--out", str(tmp_path / "p.csv")]

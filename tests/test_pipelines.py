@@ -4,7 +4,13 @@ import pytest
 import tssf
 from tssf import _textdoc, dataio, evalstats, manifold, pipelines
 from tssf import tssf as tssf_module
-from tssf.errors import DegenerateModel, FormatError, InvalidInput, NotPositiveDefinite
+from tssf.errors import (
+    DegenerateModel,
+    DimMismatch,
+    FormatError,
+    InvalidInput,
+    NotPositiveDefinite,
+)
 
 
 def synth_set(seed=0, channels=4, trials=40, sigma=0.4, sessions=1):
@@ -106,7 +112,7 @@ def library_scores(pipe, trials):
     """Scores of a fitted pipeline through the public library functions."""
     if pipe.name == "TS_AIRM":
         vectors = tssf.tangent_vectors(pipe.reference_mean, covariances_of(trials))
-        return [tssf.decision_value(pipe.clf, v) for v in vectors]
+        return vectors @ pipe.clf.weights + pipe.clf.intercept
     filtered = np.stack(
         [tssf.apply_filters(pipe.model, trials[:, :, t]) for t in range(trials.shape[2])], axis=2
     )
@@ -114,7 +120,7 @@ def library_scores(pipe, trials):
     feats = [tssf.compute_features(pipe.model, cov, pipe.feature_kind) for cov in covs]
     if pipe.one_step:
         return [tssf.predict_one_step(pipe.model, f)[0] for f in feats]
-    return [tssf.decision_value(pipe.clf, f) for f in feats]
+    return np.array(feats) @ pipe.clf.weights + pipe.clf.intercept
 
 
 @pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
@@ -246,6 +252,25 @@ class TestLoadPipeline:
             tssf.save_pipeline(pipe, tmp_path / "model.txt")
 
 
+@pytest.mark.parametrize(
+    "name, loaded",
+    [("TSSF_Var_1_step", False), ("TSSF_LogCov_2_step", False), ("TS_AIRM", False),
+     ("TSSF_Var_1_step", True)],
+)
+def test_trials_of_the_wrong_shape_raise_dim_mismatch(name, loaded, tmp_path):
+    ts = synth_set(seed=18, channels=8, trials=20)
+    spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
+    pipe = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
+    if loaded:
+        tssf.save_pipeline(pipe, tmp_path / "model.txt")
+        pipe = tssf.load_pipeline(tmp_path / "model.txt")
+    projection = str(pipe._projection.shape)
+    for trials in (np.ones((7, 256, 3)), ts.data[:, :, 0], ts.data[None]):
+        with pytest.raises(DimMismatch) as exc:
+            pipe.decision_scores(trials)
+        assert str(trials.shape) in str(exc.value) and projection in str(exc.value)
+
+
 def test_flat_channel_in_test_trial_raises():
     ts = synth_set(seed=11, trials=20)
     pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name="TS_AIRM", classifier=FIXED))
@@ -315,9 +340,9 @@ def test_tangent_model_fitted_once_for_shared_training_set(monkeypatch):
     calls = []
 
     def counting(fn):
-        def counted(points, cfg=None):
+        def counted(points):
             calls.append(np.shape(points)[-1])
-            return fn(points, cfg)
+            return fn(points)
 
         return counted
 

@@ -34,3 +34,15 @@ def test_every_traced_pipeline_class_binds_its_methods(tracer):
         cls = getattr(pipelines, cls_name)
         for method in tracer.PIPELINE_METHODS:
             assert method in cls.__dict__, f"{cls_name}.{method}"
+
+
+@pytest.mark.parametrize(
+    "module_name", ["tssf.manifold", "tssf.pipelines", "tssf.tssf", "tssf.csp"]
+)
+def test_frechet_mean_stays_bound(module_name):
+    # the benchmark self-test checks that the tracer wraps frechet_mean in
+    # each of these modules, so each must keep the name bound
+    from tssf.manifold import frechet_mean
+
+    module = importlib.import_module(module_name)
+    assert getattr(module, "frechet_mean", None) is frechet_mean
