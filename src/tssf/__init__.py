@@ -83,12 +83,7 @@ from .tssf import (
     predict_one_step,
     tangent_vectors,
 )
-from .csp import (
-    CspEquivalenceReport,
-    CspModel,
-    csp_tssf_equivalence_report,
-    fit_csp,
-)
+from .csp import CspModel, fit_csp
 from .patterns import PatternSet, compute_patterns, patterns_to_csv
 from .dataio import (
     SynthConfig,

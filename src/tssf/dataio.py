@@ -25,6 +25,7 @@ training set with ``_check_training_set``.
 """
 
 import os
+import stat
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -109,12 +110,18 @@ def _check_training_set(data, labels, trial_axis=0):
         raise InvalidInput(f"training data of shape {data.shape} is not a {want}")
     if labels.shape != (data.shape[trial_axis],):
         raise InvalidInput(f"need one label per trial, got {labels.shape} for {data.shape}")
+    _check_labels(labels)
+    return data, labels
+
+
+def _check_labels(labels):
+    # the label contract of every fit, the linear models' included: each
+    # label -1 or +1 (the first bad one named), and both classes present
     bad = ~np.isin(labels, (-1, 1))
     if bad.any():
         raise InvalidInput(f"labels must be -1 or +1, got {labels[bad][0].item()!r}")
     if np.unique(labels).size < 2:
         raise DegenerateModel("training labels hold a single class; need both -1 and +1")
-    return data, labels
 
 
 def write_trials(trialset, path):
@@ -123,7 +130,8 @@ def write_trials(trialset, path):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIII", FORMAT_VERSION, c, n, t))
-        fh.write(trialset.data.astype("<f8").tobytes(order="C"))
+        # the tensor's own buffer when it is already C-contiguous "<f8"
+        fh.write(np.ascontiguousarray(trialset.data, dtype="<f8").data)
         fh.write(trialset.labels.astype("<i1").tobytes())
         fh.write(trialset.session_ids.astype("<u4").tobytes())
         for name in trialset.channel_names:
@@ -133,35 +141,41 @@ def write_trials(trialset, path):
 
 
 def read_trials(path):
-    """Read an EEGT file; raises FormatError on any structural problem."""
+    """Read an EEGT file; raises FormatError on any structural problem.
+
+    The data tensor is read straight into its array, so the file's bytes
+    are not held a second time.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    view = memoryview(blob)
-    pos = 0
 
-    def take(nbytes, what):
-        nonlocal pos
-        if pos + nbytes > len(view):
-            raise FormatError(f"truncated file: {what} needs {nbytes} bytes")
-        out = view[pos : pos + nbytes]
-        pos += nbytes
-        return out
+        def take(nbytes, what):
+            raw = fh.read(nbytes)
+            if len(raw) < nbytes:
+                raise FormatError(f"truncated file: {what} needs {nbytes} bytes")
+            return raw
 
-    if bytes(take(4, "magic")) != MAGIC:
-        raise FormatError("bad magic; not an EEGT file")
-    version, c, n, t = struct.unpack("<IIII", take(16, "header"))
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    data = np.frombuffer(take(8 * c * n * t, "data tensor"), dtype="<f8")
-    data = data.reshape(c, n, t).copy()
-    labels = np.frombuffer(take(t, "labels"), dtype="<i1").copy()
-    sessions = np.frombuffer(take(4 * t, "session ids"), dtype="<u4").copy()
-    names = []
-    for i in range(c):
-        (length,) = struct.unpack("<I", take(4, f"channel name {i} length"))
-        names.append(bytes(take(length, f"channel name {i}")).decode("utf-8"))
-    if pos != len(view):
-        raise FormatError(f"{len(view) - pos} trailing bytes after channel names")
+        if take(4, "magic") != MAGIC:
+            raise FormatError("bad magic; not an EEGT file")
+        version, c, n, t = struct.unpack("<IIII", take(16, "header"))
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported format version {version}")
+        nbytes = 8 * c * n * t
+        truncated = FormatError(f"truncated file: data tensor needs {nbytes} bytes")
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and nbytes > info.st_size - fh.tell():
+            raise truncated  # before a corrupt header's sizes allocate anything
+        data = np.empty((c, n, t), dtype="<f8")
+        if fh.readinto(data) != nbytes:
+            raise truncated
+        labels = np.frombuffer(take(t, "labels"), dtype="<i1").copy()
+        sessions = np.frombuffer(take(4 * t, "session ids"), dtype="<u4").copy()
+        names = []
+        for i in range(c):
+            (length,) = struct.unpack("<I", take(4, f"channel name {i} length"))
+            names.append(take(length, f"channel name {i}").decode("utf-8"))
+        trailing = len(fh.read())
+    if trailing:
+        raise FormatError(f"{trailing} trailing bytes after channel names")
     return TrialSet(data=data, labels=labels, session_ids=sessions, channel_names=names)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import _check_labels
 from .errors import InvalidInput
 from .evalstats import roc_auc, stratified_folds
 
@@ -47,13 +48,10 @@ def _check_dataset(x, y):
         raise InvalidInput("feature matrix must be 2-D (samples x features)")
     if y.shape != (x.shape[0],):
         raise InvalidInput("label count must match sample count")
-    if not np.all(np.isin(y, (-1, 1))):
-        raise InvalidInput("labels must be -1 or +1")
+    _check_labels(y)
     y = y.astype(float)
-    npos, nneg = int(np.sum(y > 0)), int(np.sum(y < 0))
-    if npos == 0 or nneg == 0:
-        raise InvalidInput("both classes must be present")
-    return x, y, npos, nneg
+    npos = int(np.sum(y > 0))
+    return x, y, npos, y.size - npos
 
 
 def svm_objective(weights, intercept, x, y, reg):
@@ -87,6 +85,12 @@ def fit_linear_svm(x, y, reg, tol=SVM_TOL, max_iter=10**5, full_output=False):
     Returns
     -------
     LinearModel, or (LinearModel, SvmFitInfo) when ``full_output``.
+
+    Raises
+    ------
+    InvalidInput, DegenerateModel
+        On a bad shape, label value (named) or ``reg``; on single-class
+        labels, as every fit of the library does.
     """
     x, y, npos, nneg = _check_dataset(x, y)
     if min(npos, nneg) < 2:

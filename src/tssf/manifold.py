@@ -126,6 +126,14 @@ def _from_eig(w, v):
     return (v * w[..., None, :]) @ v.swapaxes(-1, -2)
 
 
+def _congruence(f, x):
+    # F^T X F for one symmetric X or every matrix of a stack, made exactly
+    # symmetric: the covariance of the filtered trial F^T x, and for a
+    # symmetric F (a whitening power) the whitened matrix F X F
+    y = f.T @ x @ f
+    return 0.5 * (y + y.swapaxes(-1, -2))
+
+
 def _log_inner(w_stack, b, name="matrix"):
     # <b, logm(w_t)> for every matrix w_t of a stack and one symmetric b,
     # read off the eigenpairs w_t = V diag(lam) V^T as
@@ -269,8 +277,7 @@ def _frechet_mean_and_logs(points):
     mean = pts.mean(axis=0)
     for step in range(FRECHET_MAX_UPDATES + 1):
         half, inv_half = _half_powers(mean)
-        w = inv_half @ pts @ inv_half
-        w = 0.5 * (w + w.swapaxes(1, 2))
+        w = _congruence(inv_half, pts)
         logs = logm(w)
         del w  # logm's four (T, C, C) stacks set the peak: keep no other
         grad = logs.mean(axis=0)
@@ -357,8 +364,7 @@ def exp_map_at(ref, s):
     s = _check_symmetric(s, "s")
     _check_same_dim(ref, s)
     half, inv_half = _half_powers(ref)
-    m = inv_half @ s @ inv_half
-    return half @ expm(0.5 * (m + m.swapaxes(-1, -2))) @ half
+    return half @ expm(_congruence(inv_half, s)) @ half
 
 
 def vec_dim(c):
@@ -463,8 +469,7 @@ def ged(a, b):
     b = _check_symmetric(b, "b", stack=False)
     _check_same_dim(a, b)
     _, inv_half = _half_powers(b)
-    m = inv_half @ a @ inv_half
-    w, v = sym_eig(0.5 * (m + m.T))
+    w, v = sym_eig(_congruence(inv_half, a))
     return GedResult(eigenvectors=inv_half @ v, eigenvalues=w)
 
 

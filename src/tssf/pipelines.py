@@ -48,14 +48,13 @@ from .csp import fit_csp
 from .dataio import _check_training_set, _covariance_stack, _spd_covariances
 from .errors import DimMismatch, FormatError, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
-from .manifold import SPD_TOL, _half_powers, _log_inner, unvec
+from .manifold import SPD_TOL, _congruence, _half_powers, _log_inner, unvec
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
 from .tssf import (
     DIAGLOGCOV,
     LOGCOV,
     LOGVAR,
     _filtered_features,
-    _filtered_stack,
     _log_variances,
     extract_tssf,
     fit_tangent_model,
@@ -128,7 +127,7 @@ class CspPipeline(_Pipeline):
         covs = _spd_covariances(trials)
         self.model = fit_csp(covs, labels, self.k)
         self.filters = self.model.filters
-        filtered = _filtered_stack(self.filters, covs)
+        filtered = _congruence(self.filters, covs)
         self.clf = fit_from_config(_log_variances(filtered), labels, self.classifier_cfg)
         floor = SPD_TOL * filtered.diagonal(0, -2, -1).min()
         return self._compile(self.filters, self.clf.weights, self.clf.intercept, floor)
@@ -144,7 +143,7 @@ class TssfPipeline(_Pipeline):
             covs, labels, self.k, model_cfg=self.classifier_cfg, feature_kind=self.feature_kind
         )
         self.filters = filters = self.model.filters
-        filtered = _filtered_stack(filters, covs)
+        filtered = _congruence(filters, covs)
         if self.one_step:
             weights, intercept = self.model.beta, self.model.intercept
         else:

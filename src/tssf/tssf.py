@@ -44,6 +44,7 @@ from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import (
     _check_symmetric,
     _component_order,
+    _congruence,
     _frechet_mean_and_logs,
     _half_powers,
     _log_inner,
@@ -169,13 +170,6 @@ class TssfModel:
         return self.filters.shape[0]
 
 
-def _filtered_stack(filters, covs):
-    # F^T C F for every covariance C of a stack: the covariance of the
-    # filtered trial F^T x, by congruence, made exactly symmetric
-    filtered = filters.T @ covs @ filters
-    return 0.5 * (filtered + filtered.swapaxes(-1, -2))
-
-
 def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
     """Extract spatial filters from a tangent-space linear model.
 
@@ -237,7 +231,7 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
         reference_mean=mean,
         full_filters=full_filters,
         full_beta=full_beta,
-        filtered_mean=frechet_mean(_filtered_stack(filters, covs)) if logcov else None,
+        filtered_mean=frechet_mean(_congruence(filters, covs)) if logcov else None,
         feature_kind=feature_kind,
     )
 

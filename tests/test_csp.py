@@ -101,25 +101,3 @@ class TestFitCsp:
         off_diag = common_filtered - np.diag(np.diag(common_filtered))
         assert np.abs(off_diag).max() < 1e-8
 
-
-class TestEquivalenceReport:
-    def test_well_separated_instance(self, rng):
-        covs, labels = two_class_covs(rng)
-        report = csp.csp_tssf_equivalence_report(covs, labels)
-        assert report.principal_angle < 1e-8
-        assert report.eigenvalue_map_deviation < 1e-8
-        assert not report.degenerate
-        assert np.isfinite(report.mean_shift_residual)
-
-    def test_commuting_diagonal_means(self):
-        covs = np.array([np.diag([4.0, 1.0]), np.diag([1.0, 4.0])] * 4)
-        labels = np.array([1, -1] * 4)
-        report = csp.csp_tssf_equivalence_report(covs, labels)
-        assert report.principal_angle < 1e-10
-
-    def test_identical_distributions_degenerate(self, rng):
-        a = random_spd(rng, 3)
-        covs = np.array([a] * 8)
-        labels = np.array([1, -1] * 4)
-        report = csp.csp_tssf_equivalence_report(covs, labels)
-        assert report.degenerate

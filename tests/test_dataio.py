@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,51 @@ class TestEegtFormat:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FormatError):
             dataio.read_trials(path)
+
+    def test_header_sizes_beyond_the_file(self, tmp_path, rng):
+        # a corrupt header's sizes raise FormatError before they allocate
+        path = tmp_path / "x.eegt"
+        dataio.write_trials(small_set(rng), path)
+        blob = bytearray(path.read_bytes())
+        blob[8:20] = struct.pack("<III", 2**31, 2**31, 2**31)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="data tensor"):
+            dataio.read_trials(path)
+
+    def test_write_holds_no_copy_of_the_tensor(self, tmp_path, rng):
+        ts = small_set(rng, c=16, n=256, t=128)  # a 4 MiB tensor
+        path = tmp_path / "x.eegt"
+        tracemalloc.start()
+        try:
+            dataio.write_trials(ts, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * ts.data.nbytes
+        expected = b"".join(
+            [
+                b"EEGT",
+                struct.pack("<IIII", 1, 16, 256, 128),
+                ts.data.astype("<f8").tobytes(order="C"),
+                ts.labels.astype("<i1").tobytes(),
+                ts.session_ids.astype("<u4").tobytes(),
+            ]
+            + [struct.pack("<I", len(name)) + name.encode() for name in ts.channel_names]
+        )
+        assert path.read_bytes() == expected
+
+    def test_read_holds_the_file_once(self, tmp_path, rng):
+        ts = small_set(rng, c=16, n=256, t=128)  # a 4 MiB tensor
+        path = tmp_path / "x.eegt"
+        dataio.write_trials(ts, path)
+        tracemalloc.start()
+        try:
+            back = dataio.read_trials(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * ts.data.nbytes
+        np.testing.assert_array_equal(back.data, ts.data)
 
 
 class TestManifest:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tssf import linmodel, manifold
-from tssf.errors import InvalidInput
+from tssf.errors import DegenerateModel, InvalidInput
 
 from conftest import random_spd, random_symmetric
 
@@ -147,8 +147,27 @@ class TestSvm:
 
     def test_single_class_rejected(self, rng):
         x = rng.standard_normal((6, 2))
-        with pytest.raises(InvalidInput):
+        with pytest.raises(DegenerateModel):
             linmodel.fit_linear_svm(x, np.ones(6), reg=1.0)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda x, y: linmodel.fit_linear_svm(x, y, reg=1.0),
+            lambda x, y: linmodel.grid_search_cv(x, y, folds=2),
+            lambda x, y: linmodel.fit_from_config(x, y),
+        ],
+        ids=["fit_linear_svm", "grid_search_cv", "fit_from_config"],
+    )
+    def test_label_contract_of_every_fit(self, rng, fit):
+        # the contract of every other fit: a single class is DegenerateModel
+        # (exit 3), and a bad label is InvalidInput naming it
+        x, y = blobs(rng, n_per_class=4)
+        with pytest.raises(DegenerateModel, match="single class"):
+            fit(x, -np.ones(8))
+        y[5] = 2
+        with pytest.raises(InvalidInput, match="got 2"):
+            fit(x, y)
 
     def test_one_sample_per_class_rejected(self, rng):
         x = rng.standard_normal((2, 2))

@@ -672,6 +672,24 @@ class TestStacks:
             manifold.frechet_mean(pts)
 
 
+class TestCongruence:
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_exactly_symmetric_and_bitwise_the_replaced_forms(self, rng, stack):
+        c = 6
+        x = np.array([random_spd(rng, c) for _ in range(7)])
+        x = x if stack else x[0]
+        filters = rng.standard_normal((c, 3))
+        whitening = sym(rng.standard_normal((c, c)))  # an exactly symmetric factor
+        out = manifold._congruence(filters, x)
+        assert np.array_equal(out, out.swapaxes(-1, -2))
+        y = filters.T @ x @ filters
+        assert np.array_equal(out, 0.5 * (y + y.swapaxes(-1, -2)))
+        y = whitening @ x @ whitening
+        out = manifold._congruence(whitening, x)
+        assert np.array_equal(out, out.swapaxes(-1, -2))
+        assert np.array_equal(out, 0.5 * (y + y.swapaxes(-1, -2)))
+
+
 class TestLogInner:
     @pytest.mark.parametrize("c", [1, 2, 8, 64])
     @pytest.mark.parametrize("diagonal", [True, False])
