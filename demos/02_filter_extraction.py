@@ -105,8 +105,8 @@ print(f"k=2 one-step training accuracy: {correct / trialset.n_trials:.3f}")
 # are what a reviewer inspects for physiological plausibility.
 
 data_cov = covs.mean(axis=0)
-pattern_set = tssf.compute_patterns(small.filters, data_cov)
+patterns = tssf.compute_patterns(small.filters, data_cov)
 print("\npattern matrix (channels x components):")
-print(np.round(pattern_set.patterns, 3))
+print(np.round(patterns, 3))
 print("\nCSV export:")
-print(tssf.patterns_to_csv(pattern_set, trialset.channel_names))
+print(tssf.patterns_to_csv(patterns, trialset.channel_names))

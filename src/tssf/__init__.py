@@ -84,7 +84,7 @@ from .tssf import (
     tangent_vectors,
 )
 from .csp import CspModel, fit_csp
-from .patterns import PatternSet, compute_patterns, patterns_to_csv
+from .patterns import compute_patterns, patterns_to_csv
 from .dataio import (
     SynthConfig,
     TrialSet,

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 synth      generate a synthetic trial file from a config
-fit        fit one pipeline and save it as a pipeline/1 model file
+fit        fit one pipeline and save it as a pipeline/2 model file
 eval       cross-validate pipelines and write score/comparison CSVs
 patterns   export the spatial patterns of a saved model as CSV
 bench      measure per-trial prediction latency of fitted pipelines
@@ -47,7 +47,7 @@ def _parser():
     p_fit.add_argument("--grid", default=None, help="comma list of regularizations")
     p_fit.add_argument("--folds", type=int, default=5, help="inner CV folds")
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--out", required=True, help="pipeline/1 model file to write")
+    p_fit.add_argument("--out", required=True, help="pipeline/2 model file to write")
     p_fit.set_defaults(func=cmd_fit)
 
     p_eval = sub.add_parser("eval", parents=[common_data], help="cross-validate pipelines")
@@ -63,7 +63,7 @@ def _parser():
     p_eval.set_defaults(func=cmd_eval)
 
     p_pat = sub.add_parser("patterns", parents=[common_data], help="export spatial patterns")
-    p_pat.add_argument("--model", required=True, help="saved pipeline/1 model")
+    p_pat.add_argument("--model", required=True, help="saved pipeline/2 model")
     p_pat.add_argument("--out", required=True, help="CSV to write")
     p_pat.set_defaults(func=cmd_patterns)
 
@@ -254,12 +254,12 @@ def cmd_patterns(args):
             f"model expects {filters.shape[0]} channels, data has {trialset.n_channels}"
         )
     data_cov = covariances(trialset).mean(axis=0)
-    pattern_set = compute_patterns(filters, data_cov)
+    patterns = compute_patterns(filters, data_cov)
     if filters.shape[0] == filters.shape[1]:
-        residual = np.abs(filters.T @ pattern_set.patterns - np.eye(filters.shape[1])).max()
+        residual = np.abs(filters.T @ patterns - np.eye(filters.shape[1])).max()
         print(f"square filters: max |F^T A - I| = {residual:.2e}")
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(patterns_to_csv(pattern_set, trialset.channel_names))
+        fh.write(patterns_to_csv(patterns, trialset.channel_names))
     print(f"wrote {args.out}: {filters.shape[0]} channels x {filters.shape[1]} components")
     return 0
 

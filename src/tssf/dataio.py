@@ -216,11 +216,13 @@ def load_manifest(path):
     for session, file_path in read_manifest(path):
         ts = read_trials(file_path)
         ts.session_ids[:] = session
+        first = sets[0] if sets else ts
+        if ts.data.shape[:2] != first.data.shape[:2] or ts.channel_names != first.channel_names:
+            raise InvalidInput(
+                f"manifest file {file_path} disagrees with the first file "
+                "on channels, channel names or samples"
+            )
         sets.append(ts)
-    first = sets[0]
-    for ts in sets[1:]:
-        if ts.data.shape[:2] != first.data.shape[:2]:
-            raise InvalidInput("manifest files disagree on channels or samples")
     return TrialSet(
         data=np.concatenate([ts.data for ts in sets], axis=2),
         labels=np.concatenate([ts.labels for ts in sets]),

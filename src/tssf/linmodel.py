@@ -19,6 +19,7 @@ from .errors import InvalidInput
 from .evalstats import roc_auc, stratified_folds
 
 DEFAULT_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
+SVM_MAX_UPDATES = 10**5  # pair updates before an SVM fit gives up and warns
 SVM_TOL = 1e-6  # KKT gap at which every SVM fit of the library stops
 
 
@@ -61,8 +62,13 @@ def svm_objective(weights, intercept, x, y, reg):
     return 0.5 * float(weights @ weights) + reg * float(hinge.mean())
 
 
-def fit_linear_svm(x, y, reg, tol=SVM_TOL, max_iter=10**5, full_output=False):
+def fit_linear_svm(x, y, reg, full_output=False):
     """Fit the L2-regularized hinge-loss SVM.
+
+    The solver stops when the maximal KKT violation (most-violating-pair
+    gap) drops below ``SVM_TOL``. Running out of ``SVM_MAX_UPDATES`` pair
+    updates with the gap still above it issues a ``RuntimeWarning`` (the
+    gap reported is the last one measured, before the final update).
 
     Parameters
     ----------
@@ -72,13 +78,6 @@ def fit_linear_svm(x, y, reg, tol=SVM_TOL, max_iter=10**5, full_output=False):
         Labels in {-1, +1}; each class needs at least 2 samples.
     reg : float
         Positive hinge-loss weight (larger = less regularization).
-    tol : float
-        Stop when the maximal KKT violation (most-violating-pair gap)
-        drops below ``tol``.
-    max_iter : int
-        Hard cap on pair updates. Reaching it with the gap still above
-        ``tol`` issues a ``RuntimeWarning`` (the gap reported is the last
-        one measured, before the final update).
     full_output : bool
         Also return an :class:`SvmFitInfo`.
 
@@ -97,12 +96,13 @@ def fit_linear_svm(x, y, reg, tol=SVM_TOL, max_iter=10**5, full_output=False):
         raise InvalidInput("need at least 2 samples per class")
     if reg <= 0:
         raise InvalidInput("reg must be positive")
-    weights, intercept, info = _solve_svm_dual(x, y, reg, tol, max_iter)
+    weights, intercept, info = _solve_svm_dual(x, y, reg)
     model = LinearModel(weights=weights, intercept=intercept, reg=float(reg))
     return (model, info) if full_output else model
 
 
-def _solve_svm_dual(x, y, reg, tol, max_iter, gram=None):
+def _solve_svm_dual(x, y, reg, gram=None):
+    tol, max_iter = SVM_TOL, SVM_MAX_UPDATES
     t = x.shape[0]
     cap = reg / t
     if gram is None:
@@ -162,8 +162,8 @@ def _solve_svm_dual(x, y, reg, tol, max_iter, gram=None):
         # the stall and zero-step exits above are numerical convergence;
         # running out of updates is not
         warnings.warn(
-            f"SVM (reg={reg:g}) stopped after max_iter={max_iter} updates with "
-            f"KKT gap {m_val - big_m_val:.3e} > tol {tol:g}",
+            f"SVM (reg={reg:g}) stopped after SVM_MAX_UPDATES={max_iter} updates with "
+            f"KKT gap {m_val - big_m_val:.3e} > SVM_TOL {tol:g}",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -233,9 +233,7 @@ def grid_search_cv(x, y, grid=None, folds=5, seed=0):
     for reg in grid:
         aucs = []
         for train_idx, test_idx, gram in splits:
-            w, b, _ = _solve_svm_dual(
-                x[train_idx], y[train_idx], reg, SVM_TOL, 10**5, gram=gram
-            )
+            w, b, _ = _solve_svm_dual(x[train_idx], y[train_idx], reg, gram=gram)
             aucs.append(roc_auc(x[test_idx] @ w + b, y[test_idx]))
         mean_auc = float(np.mean(aucs))
         if mean_auc > best_auc or (mean_auc == best_auc and reg < best_reg):

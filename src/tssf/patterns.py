@@ -8,25 +8,11 @@ are recovered from the filters and the data covariance as
 reduces to the inverse transpose of F.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 from .errors import DimMismatch, InvalidInput
 from .manifold import ensure_spd
-
-
-@dataclass(frozen=True)
-class PatternSet:
-    """One pattern column per filter column, plus the covariance used."""
-
-    patterns: np.ndarray
-    source_cov_used: np.ndarray
-
-    @property
-    def k(self):
-        return self.patterns.shape[1]
 
 
 def compute_patterns(filters, data_cov):
@@ -40,6 +26,11 @@ def compute_patterns(filters, data_cov):
     data_cov : ndarray, shape (C, C)
         SPD data covariance (use the arithmetic mean of the training
         trial covariances).
+
+    Returns
+    -------
+    ndarray, shape (C, K)
+        One pattern column per filter column.
     """
     f = np.asarray(filters, dtype=float)
     if f.ndim != 2:
@@ -52,13 +43,11 @@ def compute_patterns(filters, data_cov):
     projected = cov @ f
     gram = f.T @ projected
     gram = 0.5 * (gram + gram.T)
-    patterns = scipy.linalg.solve(gram, projected.T, assume_a="pos").T
-    return PatternSet(patterns=patterns, source_cov_used=cov)
+    return scipy.linalg.solve(gram, projected.T, assume_a="pos").T
 
 
-def patterns_to_csv(pattern_set, channel_names):
-    """Render patterns as CSV: one row per channel, one column per component."""
-    patterns = pattern_set.patterns
+def patterns_to_csv(patterns, channel_names):
+    """Render a (C, K) pattern array as CSV: one row per channel, one column per component."""
     if len(channel_names) != patterns.shape[0]:
         raise DimMismatch("need one channel name per pattern row")
     header = "channel," + ",".join(f"comp{i}" for i in range(patterns.shape[1]))

@@ -34,16 +34,16 @@ covariances C: a filtered trial F^T x has covariance F^T C F, the stack
 that training features and the variance floor are taken from.
 
 :func:`save_pipeline` writes the compiled form, plus the spatial filters
-of CSP and TSSF for ``patterns``, as one ``pipeline/1`` document, and
+of CSP and TSSF for ``patterns``, as one ``pipeline/2`` JSON file, and
 :func:`load_pipeline` reads it back into a pipeline that scores bitwise
 like the fitted one.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _textdoc
 from .csp import fit_csp
 from .dataio import _check_training_set, _covariance_stack, _spd_covariances
 from .errors import DimMismatch, FormatError, InvalidInput
@@ -223,61 +223,96 @@ def make_pipeline(spec):
 
 
 def save_pipeline(pipe, path):
-    """Write a fitted pipeline as a "pipeline/1" structured-text document.
+    """Write a fitted pipeline as one "pipeline/2" JSON object.
 
-    Fields: name, k, feature_kind, intercept, var_floor, projection (a
-    matrix), coef (a vector for "logvar" pipelines, else a symmetric
-    matrix) and, for CSP and TSSF pipelines, filters.
+    Fields: format, name, k, feature_kind, intercept, var_floor,
+    projection (a matrix), coef (a vector for "logvar" pipelines, else a
+    symmetric matrix) and, for CSP and TSSF pipelines, filters. ``json``
+    writes floats with ``repr`` and reads them with ``float``, so every
+    value round-trips bit-exactly; ``indent=1`` puts each value on its own
+    line, so model files diff cleanly.
     """
     if pipe._projection is None:
         raise InvalidInput(f"{pipe.name} pipeline is not fitted")
-    entries = [
-        ("format", "pipeline/1"),
-        ("name", pipe.name),
-        ("k", pipe.k),
-        ("feature_kind", pipe.feature_kind),
-        ("intercept", pipe._intercept),
-        ("var_floor", pipe._var_floor),
-        ("projection", pipe._projection),
-        ("coef", pipe._coef),
-    ]
+    doc = {
+        "format": "pipeline/2",
+        "name": pipe.name,
+        "k": pipe.k,
+        "feature_kind": pipe.feature_kind,
+        "intercept": pipe._intercept,
+        "var_floor": pipe._var_floor,
+        "projection": pipe._projection.tolist(),
+        "coef": pipe._coef.tolist(),
+    }
     if pipe.filters is not None:
-        entries.append(("filters", pipe.filters))
+        doc["filters"] = pipe.filters.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_textdoc.dump(entries))
+        json.dump(doc, fh, indent=1)
+
+
+def _field(doc, key):
+    try:
+        return doc[key]
+    except KeyError:
+        raise FormatError(f"missing field {key!r}") from None
+
+
+def _floats(doc, key, ndim):
+    """Field ``key`` as a finite float array with ``ndim`` dimensions."""
+    # an object array keeps each leaf as json parsed it: numpy alone would
+    # read "1.5" as 1.5, true as 1.0 and null as nan, and a ragged matrix
+    # comes out with fewer dimensions
+    value = np.array(_field(doc, key), dtype=object)
+    if value.ndim != ndim or any(type(v) is not float for v in value.flat):
+        what = ("a float", "a vector of floats", "a matrix of floats with rows of one length")
+        raise FormatError(f"field {key!r} is not {what[ndim]}")
+    value = value.astype(float)
+    if not np.isfinite(value).all():
+        raise FormatError(f"field {key!r} holds a non-finite number")
+    return value
 
 
 def load_pipeline(path):
-    """Read a "pipeline/1" document into a pipeline ready to score.
+    """Read a "pipeline/2" file into a pipeline ready to score.
 
     The pipeline holds the compiled form and the filters only; its
     ``decision_scores`` are bitwise those of the pipeline that was saved.
+    Any other content raises :class:`~tssf.errors.FormatError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _textdoc.parse(fh.read())
-    if doc.get("format") != "pipeline/1":
-        raise FormatError("not a pipeline/1 model file")
-    name = _textdoc.get_str(doc, "name")
-    if name not in PIPELINES:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FormatError(f"model file is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "pipeline/2":
+        raise FormatError("not a pipeline/2 model file")
+    name = _field(doc, "name")
+    if name not in PIPELINE_NAMES:
         raise FormatError(f"unknown pipeline {name!r}")
     cls, kind, one_step = PIPELINES[name]
-    if _textdoc.get_str(doc, "feature_kind") != kind:
+    if _field(doc, "feature_kind") != kind:
         raise FormatError(f"{name} must have feature kind {kind!r}")
-    pipe = cls(name, _textdoc.get_int(doc, "k"), kind, one_step)
-    get_coef = _textdoc.get_vector if kind == LOGVAR else _textdoc.get_matrix
+    k = _field(doc, "k")
+    airm = cls is TangentSpacePipeline  # no filters: it keeps all C dimensions
+    if type(k) is not int or (k != 0 if airm else k < 1):
+        raise FormatError(f"{name} needs k {'= 0' if airm else '>= 1'}, got {k!r}")
+    pipe = cls(name, k, kind, one_step)
     pipe._compile(
-        _textdoc.get_matrix(doc, "projection"),
-        get_coef(doc, "coef"),
-        _textdoc.get_float(doc, "intercept"),
-        _textdoc.get_float(doc, "var_floor"),
+        _floats(doc, "projection", 2),
+        _floats(doc, "coef", 1 if kind == LOGVAR else 2),
+        _floats(doc, "intercept", 0),
+        _floats(doc, "var_floor", 0),
     )
-    if "filters" in doc:
-        pipe.filters = _textdoc.get_matrix(doc, "filters")
-    width = pipe.k or pipe._projection.shape[0]  # TS_AIRM keeps all C dimensions
+    channels = pipe._projection.shape[0]
+    width = channels if airm else k
     if pipe._projection.shape[1] != width or pipe._coef.shape != (width,) * pipe._coef.ndim:
-        raise FormatError(f"projection and coef do not match k={pipe.k}")
-    if pipe.filters is not None and pipe.filters.shape != (pipe._projection.shape[0], pipe.k):
-        raise FormatError(f"filters of shape {pipe.filters.shape} are not (channels, k={pipe.k})")
+        raise FormatError(f"projection and coef do not match k={k}")
+    if not airm:
+        pipe.filters = _floats(doc, "filters", 2)
+        if pipe.filters.shape != (channels, k):
+            raise FormatError(f"filters of shape {pipe.filters.shape} are not (channels, k={k})")
+    elif "filters" in doc:
+        raise FormatError(f"{name} has no spatial filters, but the file has a 'filters' field")
     if pipe._var_floor < 0.0:  # a negative floor would pass a constant trial
         raise FormatError(f"var_floor must be >= 0, got {pipe._var_floor!r}")
     return pipe

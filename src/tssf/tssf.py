@@ -23,7 +23,7 @@ compute it once; the arrays it returns are read-only.
 The per-trial functions (:func:`apply_filters`, :func:`compute_features`,
 :func:`predict_one_step`) work on one filtered trial at a time and are the
 reference that the pipelines' scores are tested against. Whole pipelines,
-their one compiled scoring route and their ``pipeline/1`` model file live
+their one compiled scoring route and their ``pipeline/2`` model file live
 in :mod:`tssf.pipelines`; this module keeps no file format of its own.
 """
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tssf
-from tssf import _textdoc, dataio
+from tssf import dataio
 from tssf import tssf as tssf_module
 from tssf.cli import main
 
@@ -70,7 +70,7 @@ class TestSynth:
 
 class TestFit:
     def test_tssf_fit_writes_model(self, tmp_path, data_path, capsys):
-        out = tmp_path / "model.tssf"
+        out = tmp_path / "model.json"
         code = main(
             ["fit", "--data", str(data_path), "--pipeline", "TSSF_Var_1_step",
              "--k", "2", "--reg", "1.0", "--out", str(out)]
@@ -84,7 +84,7 @@ class TestFit:
         assert [line.endswith("<- kept") for line in table] == [True, True, False, False]
 
     def test_saved_pipeline_scores_like_eval_fit(self, tmp_path, data_path):
-        out = tmp_path / "model.txt"
+        out = tmp_path / "model.json"
         argv = ["fit", "--data", str(data_path), "--pipeline", "TSSF_LogCov_2_step",
                 "--k", "2", "--reg", "1.0", "--out", str(out)]
         assert main(argv) == 0
@@ -97,7 +97,7 @@ class TestFit:
         )
 
     def test_ts_airm_fit_writes_model(self, tmp_path, data_path):
-        out = tmp_path / "model.txt"
+        out = tmp_path / "model.json"
         code = main(
             ["fit", "--data", str(data_path), "--pipeline", "TS_AIRM",
              "--reg", "1.0", "--out", str(out)]
@@ -106,7 +106,7 @@ class TestFit:
         assert tssf.load_pipeline(out).name == "TS_AIRM"
 
     def test_csp_fit_writes_model(self, tmp_path, data_path):
-        out = tmp_path / "model.csp"
+        out = tmp_path / "model.json"
         code = main(
             ["fit", "--data", str(data_path), "--pipeline", "CSP",
              "--k", "2", "--reg", "1.0", "--out", str(out)]
@@ -246,7 +246,7 @@ class TestEval:
 
 class TestPatterns:
     def fit_model(self, tmp_path, data_path, pipeline="TSSF_Var_1_step"):
-        model_path = tmp_path / "model.txt"
+        model_path = tmp_path / "model.json"
         assert (
             main(["fit", "--data", str(data_path), "--pipeline", pipeline,
                   "--k", "2", "--reg", "1.0", "--out", str(model_path)])
@@ -267,7 +267,7 @@ class TestPatterns:
         assert len(lines) == 5  # 4 channels
 
     def test_square_filters_logged_check(self, tmp_path, data_path, capsys):
-        model_path = tmp_path / "model.txt"
+        model_path = tmp_path / "model.json"
         assert (
             main(["fit", "--data", str(data_path), "--pipeline", "TSSF_Var_1_step",
                   "--k", "4", "--reg", "1.0", "--out", str(model_path)])
@@ -290,24 +290,57 @@ class TestPatterns:
         assert code == 2
         assert "no spatial filters" in capsys.readouterr().err
 
-    def test_non_numeric_filter_entry_exits_2(self, tmp_path, data_path, capsys):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(intercept=float("nan")),
+             "field 'intercept' holds a non-finite number"),
+            (lambda doc: doc.pop("filters"), "missing field 'filters'"),
+            (lambda doc: doc.update(k=0), "TSSF_Var_1_step needs k >= 1, got 0"),
+            (lambda doc: doc.update(var_floor=-1.0), "var_floor must be >= 0"),
+            (lambda doc: doc.update(format="pipeline/1"), "not a pipeline/2 model file"),
+        ],
+    )
+    def test_malformed_model_exits_2(self, tmp_path, data_path, capsys, edit, message):
         model_path = self.fit_model(tmp_path, data_path)
-        lines = model_path.read_text().split("\n")
-        row = lines.index(next(line for line in lines if line.startswith("filters:"))) + 2
-        lines[row] = "  zz" + lines[row][lines[row].index(" ", 2) :]
-        model_path.write_text("\n".join(lines))
+        doc = json.loads(model_path.read_text())
+        edit(doc)
+        model_path.write_text(json.dumps(doc, indent=1))
         code = main(
             ["patterns", "--model", str(model_path), "--data", str(data_path),
              "--out", str(tmp_path / "p.csv")]
         )
         assert code == 2
-        assert "'filters' row 1 has a non-numeric entry" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_non_numeric_filter_entry_exits_2(self, tmp_path, data_path, capsys):
+        model_path = self.fit_model(tmp_path, data_path)
+        doc = json.loads(model_path.read_text())
+        doc["filters"][1][0] = "zz"
+        model_path.write_text(json.dumps(doc, indent=1))
+        code = main(
+            ["patterns", "--model", str(model_path), "--data", str(data_path),
+             "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+        assert "field 'filters' is not a matrix of floats" in capsys.readouterr().err
+
+    def test_text_model_file_exits_2(self, tmp_path, data_path, capsys):
+        # the line-oriented text format that preceded pipeline/2
+        model_path = tmp_path / "model.txt"
+        model_path.write_text("format: pipeline/1\nname: TSSF_Var_1_step\nk: 2\n")
+        code = main(
+            ["patterns", "--model", str(model_path), "--data", str(data_path),
+             "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+        assert "model file is not JSON" in capsys.readouterr().err
 
     def test_filters_not_channels_by_k_exits_2(self, tmp_path, data_path, capsys):
         model_path = self.fit_model(tmp_path, data_path, pipeline="CSP")
-        doc = _textdoc.parse(model_path.read_text())
-        doc["filters"] = np.ones((6, 5))
-        model_path.write_text(_textdoc.dump(doc.items()))
+        doc = json.loads(model_path.read_text())
+        doc["filters"] = np.ones((6, 5)).tolist()
+        model_path.write_text(json.dumps(doc, indent=1))
         out = tmp_path / "p.csv"
         code = main(
             ["patterns", "--model", str(model_path), "--data", str(data_path),

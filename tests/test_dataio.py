@@ -170,6 +170,18 @@ class TestManifest:
         np.testing.assert_array_equal(np.unique(merged.session_ids), [3, 7])
         np.testing.assert_array_equal(merged.data[:, :, :4], a.data)
 
+    @pytest.mark.parametrize("c, n, prefix", [(4, 40, "x"), (3, 40, "ch"), (4, 50, "ch")])
+    def test_files_that_disagree_rejected(self, tmp_path, rng, c, n, prefix):
+        # the third file differs from the first in channel names, count or samples
+        a, b = small_set(rng, c=4, n=40), small_set(rng, c=c, n=n)
+        b.channel_names = [f"{prefix}{i}" for i in range(c)]
+        for name, ts in (("a.eegt", a), ("b.eegt", a), ("c.eegt", b), ("d.eegt", b)):
+            dataio.write_trials(ts, tmp_path / name)
+        manifest = tmp_path / "files.txt"
+        manifest.write_text("0 a.eegt\n1 b.eegt\n2 c.eegt\n3 d.eegt\n")
+        with pytest.raises(InvalidInput, match=r"manifest file \S*c\.eegt disagrees"):
+            dataio.load_manifest(manifest)
+
     def test_bad_lines(self, tmp_path):
         manifest = tmp_path / "m.txt"
         manifest.write_text("notanint file.eegt\n")

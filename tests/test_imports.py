@@ -1,8 +1,10 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports or keeps private.
 
 A name bound by an import and never read is left-over surface. An import
 kept on purpose (a re-export) says so with ``# noqa: F401`` on its line.
-The package's ``__init__.py`` re-exports by design and is not checked.
+The package's ``__init__.py`` re-exports by design and is not checked for
+imports. Likewise, a private (``_``-prefixed) module-level function, class
+or constant that no module of the package reads is dead code.
 """
 
 import ast
@@ -33,6 +35,43 @@ def unused_imports(source):
                     imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [(line, name) for line, name in imported if name not in read]
+
+
+def unread_private_names(sources):
+    """Sorted names of the private module-level functions, classes and
+    constants defined in ``sources`` that no source reads."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(n for n in defined - read if n.startswith("_") and not n.startswith("__"))
+
+
+def package_sources():
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                yield fh.read()
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names(package_sources()) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    a = "_A = 1\n_B = 2\ndef _f():\n    return _A\nclass _K:\n    pass\n__all__ = []\n"
+    b = "from a import _K\nx = _K()\ny = mod._f\n"
+    assert unread_private_names([a, b]) == ["_B"]
+    assert unread_private_names([a]) == ["_B", "_K", "_f"]
 
 
 @pytest.mark.parametrize("module", MODULES)

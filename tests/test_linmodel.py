@@ -77,7 +77,7 @@ def whole_array_svm_dual(x, y, reg, tol, max_iter):
 
 
 class TestSvm:
-    def test_bitwise_equal_to_whole_array_loop(self, rng):
+    def test_bitwise_equal_to_whole_array_loop(self, rng, monkeypatch):
         # the solver updates its index sets in place; every result bit must
         # match recomputing them over whole arrays, also when capped
         for trial in range(40):
@@ -89,9 +89,10 @@ class TestSvm:
             y[:2], y[2:4] = 1.0, -1.0
             reg = float(10.0 ** rng.uniform(-2, 2))
             max_iter = (5, 10**5)[trial % 2]
+            monkeypatch.setattr(linmodel, "SVM_MAX_UPDATES", max_iter)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                w, b, info = linmodel._solve_svm_dual(x, y, reg, 1e-6, max_iter)
+                w, b, info = linmodel._solve_svm_dual(x, y, reg)
             w_ref, b_ref, path_ref = whole_array_svm_dual(x, y, reg, 1e-6, max_iter)
             assert w.tobytes() == w_ref.tobytes()
             assert b == b_ref
@@ -105,18 +106,20 @@ class TestSvm:
         preds = np.sign(x @ model.weights + model.intercept)
         np.testing.assert_array_equal(preds, y)
 
-    def test_duplicated_dataset_same_model(self, rng):
+    def test_duplicated_dataset_same_model(self, rng, monkeypatch):
+        monkeypatch.setattr(linmodel, "SVM_TOL", 1e-10)
         x, y = blobs(rng, n_per_class=10, sep=1.0)
-        m1 = linmodel.fit_linear_svm(x, y, reg=1.0, tol=1e-10)
+        m1 = linmodel.fit_linear_svm(x, y, reg=1.0)
         x2 = np.vstack([x, x])
         y2 = np.concatenate([y, y])
-        m2 = linmodel.fit_linear_svm(x2, y2, reg=1.0, tol=1e-10)
+        m2 = linmodel.fit_linear_svm(x2, y2, reg=1.0)
         np.testing.assert_allclose(m2.weights, m1.weights, atol=1e-8)
         assert m2.intercept == pytest.approx(m1.intercept, abs=1e-8)
 
-    def test_objective_matches_subgradient_oracle(self, rng):
+    def test_objective_matches_subgradient_oracle(self, rng, monkeypatch):
+        monkeypatch.setattr(linmodel, "SVM_TOL", 1e-8)
         x, y = blobs(rng, n_per_class=10, sep=0.5)
-        model = linmodel.fit_linear_svm(x, y, reg=2.0, tol=1e-8)
+        model = linmodel.fit_linear_svm(x, y, reg=2.0)
         ours = linmodel.svm_objective(model.weights, model.intercept, x, y, 2.0)
         oracle = subgradient_oracle(x, y, 2.0)
         assert abs(ours - oracle) < 1e-4
@@ -130,13 +133,14 @@ class TestSvm:
 
     def test_kkt_gap_reported(self, rng):
         x, y = blobs(rng, n_per_class=10)
-        _, info = linmodel.fit_linear_svm(x, y, reg=1.0, tol=1e-6, full_output=True)
+        _, info = linmodel.fit_linear_svm(x, y, reg=1.0, full_output=True)
         assert info.kkt_gap <= 1e-6
 
-    def test_iteration_cap_warns(self, rng):
+    def test_iteration_cap_warns(self, rng, monkeypatch):
+        monkeypatch.setattr(linmodel, "SVM_MAX_UPDATES", 1)
         x, y = blobs(rng, n_per_class=10, sep=0.3)
-        with pytest.warns(RuntimeWarning, match=r"reg=2.*max_iter=1 .*KKT gap"):
-            _, info = linmodel.fit_linear_svm(x, y, reg=2.0, max_iter=1, full_output=True)
+        with pytest.warns(RuntimeWarning, match=r"reg=2.*SVM_MAX_UPDATES=1 .*KKT gap"):
+            _, info = linmodel.fit_linear_svm(x, y, reg=2.0, full_output=True)
         assert info.iterations == 1 and info.kkt_gap > 1e-6
 
     def test_converged_fit_is_silent(self, rng):

@@ -11,31 +11,31 @@ class TestComputePatterns:
     def test_orthogonal_filters_identity_cov(self, rng):
         f = random_orthogonal(rng, 4)
         out = patterns.compute_patterns(f, np.eye(4))
-        np.testing.assert_allclose(out.patterns, f, atol=1e-12)
+        np.testing.assert_allclose(out, f, atol=1e-12)
 
     def test_diagonal_inverse_transpose(self):
         out = patterns.compute_patterns(np.diag([2.0, 1.0]), np.eye(2))
-        np.testing.assert_allclose(out.patterns, np.diag([0.5, 1.0]), atol=1e-14)
+        np.testing.assert_allclose(out, np.diag([0.5, 1.0]), atol=1e-14)
 
     def test_square_full_rank_is_inverse_transpose(self, rng):
         f = random_invertible(rng, 5)
         cov = random_spd(rng, 5)
         out = patterns.compute_patterns(f, cov)
-        np.testing.assert_allclose(out.patterns, np.linalg.inv(f).T, atol=1e-8)
+        np.testing.assert_allclose(out, np.linalg.inv(f).T, atol=1e-8)
 
     def test_reconstruction_rectangular(self, rng):
         f = random_invertible(rng, 5)[:, :3]
         cov = random_spd(rng, 5)
         out = patterns.compute_patterns(f, cov)
-        np.testing.assert_allclose(f.T @ out.patterns, np.eye(3), atol=1e-8)
+        np.testing.assert_allclose(f.T @ out, np.eye(3), atol=1e-8)
 
     def test_filter_scale_covariance(self, rng):
         f = random_invertible(rng, 4)[:, :2]
         cov = random_spd(rng, 4)
-        base = patterns.compute_patterns(f, cov).patterns
+        base = patterns.compute_patterns(f, cov)
         f_scaled = f.copy()
         f_scaled[:, 0] *= 5.0
-        scaled = patterns.compute_patterns(f_scaled, cov).patterns
+        scaled = patterns.compute_patterns(f_scaled, cov)
         np.testing.assert_allclose(scaled[:, 0], base[:, 0] / 5.0, atol=1e-10)
         np.testing.assert_allclose(scaled[:, 1], base[:, 1], atol=1e-10)
 

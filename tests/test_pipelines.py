@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import tssf
-from tssf import _textdoc, dataio, evalstats, manifold, pipelines
+from tssf import dataio, evalstats, manifold, pipelines
 from tssf import tssf as tssf_module
 from tssf.errors import (
     DegenerateModel,
@@ -144,7 +146,7 @@ def test_saved_pipeline_scores_bitwise_like_fitted_one(name, tmp_path):
     train, test = ts.data[:, :, :30], ts.data[:, :, 30:]
     spec = pipelines.PipelineSpec(name=name, k=2, classifier=tssf.ClassifierConfig(grid=(0.1, 1.0)))
     pipe = pipelines.make_pipeline(spec).fit(train, ts.labels[:30])
-    path = tmp_path / "model.txt"
+    path = tmp_path / "model.json"
     tssf.save_pipeline(pipe, path)
     loaded = tssf.load_pipeline(path)
     assert (type(loaded), loaded.name, loaded.k, loaded.feature_kind, loaded.one_step) == (
@@ -160,8 +162,22 @@ def test_saved_pipeline_scores_bitwise_like_fitted_one(name, tmp_path):
     else:
         np.testing.assert_array_equal(loaded.filters, pipe.model.filters)
     text = path.read_text()
-    assert text.startswith("format: pipeline/1\nname: " + name + "\n")
-    assert ("filters:" in text) == (name != "TS_AIRM")
+    keys = ["format", "name", "k", "feature_kind", "intercept", "var_floor", "projection", "coef"]
+    assert list(json.loads(text)) == keys + ["filters"] * (name != "TS_AIRM")
+    assert text.startswith('{\n "format": "pipeline/2",\n "name": "' + name + '",\n')
+    # one value per line: each row of a matrix spans one line per entry
+    assert ' [\n  [\n   ' in text and "," not in text.replace(",\n", "")
+
+
+def test_extreme_floats_round_trip_bitwise(tmp_path):
+    ts = synth_set(seed=15, channels=4, trials=20)
+    spec = pipelines.PipelineSpec(name="CSP", k=2, classifier=FIXED)
+    pipe = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
+    extremes = [5e-324, -0.0, np.finfo(float).max, -np.finfo(float).tiny, 0.1, 1 / 3]
+    pipe.filters = np.array(extremes[:4] + extremes[4:] * 2).reshape(4, 2)
+    tssf.save_pipeline(pipe, tmp_path / "model.json")
+    loaded = tssf.load_pipeline(tmp_path / "model.json")
+    assert loaded.filters.tobytes() == pipe.filters.tobytes()
 
 
 def test_square_projection_scores_by_congruence():
@@ -175,36 +191,78 @@ def test_square_projection_scores_by_congruence():
     np.testing.assert_allclose(pipe.decision_scores(ts.data), expected, rtol=1e-12, atol=1e-12)
 
 
+def edit_model(path, edit):
+    """Apply ``edit`` to a saved model file's JSON object and write it back."""
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc, indent=1))
+
+
 class TestLoadPipeline:
-    def saved(self, tmp_path, name="TSSF_Var_1_step"):
+    def saved(self, tmp_path, name="TSSF_Var_1_step", k=2):
         ts = synth_set(seed=17, trials=20)
-        spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
-        path = tmp_path / "model.txt"
+        spec = pipelines.PipelineSpec(name=name, k=k, classifier=FIXED)
+        path = tmp_path / "model.json"
         tssf.save_pipeline(pipelines.make_pipeline(spec).fit(ts.data, ts.labels), path)
         return path
 
     @pytest.mark.parametrize(
-        "old, new",
+        "field, value, match",
         [
-            ("format: pipeline/1", "format: tssf/1"),
-            ("name: TSSF_Var_1_step", "name: TSSF_Var_3_step"),
-            ("feature_kind: logvar", "feature_kind: logcov"),
-            ("k: 2", "k: 3"),
+            ("format", "pipeline/1", "not a pipeline/2 model file"),
+            ("name", "TSSF_Var_3_step", "unknown pipeline"),
+            ("name", ["CSP"], "unknown pipeline"),
+            ("feature_kind", "logcov", "feature kind 'logvar'"),
+            ("k", 3, "projection and coef do not match k=3"),
+            ("k", 0, "needs k >= 1"),
+            ("k", 2.0, "needs k >= 1"),
+            ("k", True, "needs k >= 1"),
+            ("intercept", "0.5", "'intercept' is not a float"),
+            ("intercept", True, "'intercept' is not a float"),
+            ("var_floor", None, "'var_floor' is not a float"),
+            ("coef", [0.5, None], "'coef' is not a vector of floats"),
+            ("projection", [[0.5, 0.5], [0.5]], "'projection' is not a matrix of floats"),
+            ("filters", [[0.5, 0.5]] * 3 + [[0.5]], "'filters' is not a matrix of floats"),
+            ("filters", [0.5] * 8, "'filters' is not a matrix of floats"),
         ],
+        ids=["format", "name", "name-list", "feature_kind", "k-3", "k-0", "k-float", "k-bool",
+             "intercept-str", "intercept-bool", "var_floor-null", "coef-null",
+             "projection-ragged", "filters-ragged", "filters-vector"],
     )
-    def test_malformed_document_rejected(self, tmp_path, old, new):
+    def test_malformed_field_rejected(self, tmp_path, field, value, match):
         path = self.saved(tmp_path)
-        path.write_text(path.read_text().replace(old, new))
-        with pytest.raises(FormatError):
+        edit_model(path, lambda doc: doc.update({field: value}))
+        with pytest.raises(FormatError, match=match):
             tssf.load_pipeline(path)
 
     def test_non_numeric_matrix_entry_rejected(self, tmp_path):
+        def put_text(doc):
+            doc["filters"][0][0] = "zz"
+
         path = self.saved(tmp_path)
-        lines = path.read_text().split("\n")
-        row = lines.index(next(line for line in lines if line.startswith("filters:"))) + 1
-        lines[row] = "  zz" + lines[row][lines[row].index(" ", 2) :]
-        path.write_text("\n".join(lines))
-        with pytest.raises(FormatError, match="'filters' row 0"):
+        edit_model(path, put_text)
+        with pytest.raises(FormatError, match="field 'filters' is not a matrix of floats"):
+            tssf.load_pipeline(path)
+
+    @pytest.mark.parametrize(
+        "field", ["name", "k", "feature_kind", "intercept", "var_floor", "projection", "coef",
+                  "filters"]
+    )
+    def test_missing_field_rejected(self, tmp_path, field):
+        path = self.saved(tmp_path)
+        edit_model(path, lambda doc: doc.pop(field))
+        with pytest.raises(FormatError, match=f"missing field '{field}'"):
+            tssf.load_pipeline(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["format: pipeline/1\nname: TSSF_Var_1_step\n", "", "[1.0]", '{"format": "pipeline/2"',
+         b"\xff\xfe{}"],
+    )
+    def test_file_that_is_not_a_model_object_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(FormatError):
             tssf.load_pipeline(path)
 
     @pytest.mark.parametrize(
@@ -214,23 +272,22 @@ class TestLoadPipeline:
             ("coef", "inf"),
             ("intercept", "nan"),
             ("filters", "-inf"),
+            ("filters", "1e999"),
             ("var_floor", "-1.0"),
             ("var_floor", "inf"),
         ],
     )
     def test_non_finite_or_negative_number_rejected(self, tmp_path, field, value):
-        # replace the field's first number: on its own line, or first in
-        # the row that follows a matrix header
+        # replace the field's first number with a literal that json reads
+        # as a float: NaN, Infinity and 1e999 all parse
+        literal = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(value, value)
         path = self.saved(tmp_path)
         lines = path.read_text().split("\n")
-        i = next(j for j, line in enumerate(lines) if line.startswith(field + ":"))
-        if lines[i + 1].startswith(" "):
-            i += 1
-            head, values = "  ", lines[i].split()
-        else:
-            head, _, rest = lines[i].partition(" ")
-            head, values = head + " ", rest.split()
-        lines[i] = head + " ".join([value] + values[1:])
+        i = next(j for j, line in enumerate(lines) if line.startswith(f' "{field}":'))
+        while not lines[i].rstrip(",")[-1].isdigit():
+            i += 1  # the first number of a vector or matrix
+        head, sep, _ = lines[i].rpartition(" ")
+        lines[i] = head + sep + literal + ("," if lines[i].endswith(",") else "")
         path.write_text("\n".join(lines))
         with pytest.raises(FormatError, match=field):
             tssf.load_pipeline(path)
@@ -238,18 +295,39 @@ class TestLoadPipeline:
     @pytest.mark.parametrize("name", ["CSP", "TSSF_Var_1_step", "TSSF_LogCov_2_step", "TS_AIRM"])
     @pytest.mark.parametrize("shape", [(6, 5), (4, 3), (3, 2)])
     def test_filters_not_channels_by_k_rejected(self, tmp_path, name, shape):
-        # the saved pipelines have 4 channels and k=2 (TS_AIRM has no filters)
+        # the saved pipelines have 4 channels and k=2; TS_AIRM has no filters
         path = self.saved(tmp_path, name)
-        doc = _textdoc.parse(path.read_text())
-        doc["filters"] = np.ones(shape)
-        path.write_text(_textdoc.dump(doc.items()))
-        with pytest.raises(FormatError, match=rf"filters of shape \({shape[0]}, {shape[1]}\)"):
+        edit_model(path, lambda doc: doc.update(filters=np.ones(shape).tolist()))
+        match = rf"filters of shape \({shape[0]}, {shape[1]}\)"
+        with pytest.raises(FormatError, match="no spatial filters" if name == "TS_AIRM" else match):
+            tssf.load_pipeline(path)
+
+    @pytest.mark.parametrize("name", ["CSP", "TSSF_Var_1_step", "TSSF_LogCov_2_step"])
+    def test_filtering_pipeline_without_filters_rejected(self, tmp_path, name):
+        path = self.saved(tmp_path, name)
+        edit_model(path, lambda doc: doc.pop("filters"))
+        with pytest.raises(FormatError, match="missing field 'filters'"):
+            tssf.load_pipeline(path)
+
+    def test_full_rank_tssf_file_with_k_0_rejected(self, tmp_path):
+        # k = C gives a square projection; with k 0 and no filters it would
+        # pass for the unfiltered route of TS_AIRM
+        path = self.saved(tmp_path, k=4)
+        edit_model(path, lambda doc: (doc.update(k=0), doc.pop("filters")))
+        with pytest.raises(FormatError, match="TSSF_Var_1_step needs k >= 1, got 0"):
+            tssf.load_pipeline(path)
+
+    @pytest.mark.parametrize("k", [7, 4, -1])
+    def test_ts_airm_file_with_k_not_0_rejected(self, tmp_path, k):
+        path = self.saved(tmp_path, "TS_AIRM")
+        edit_model(path, lambda doc: doc.update(k=k))
+        with pytest.raises(FormatError, match=f"TS_AIRM needs k = 0, got {k}"):
             tssf.load_pipeline(path)
 
     def test_unfitted_pipeline_not_saved(self, tmp_path):
         pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name="CSP", k=2))
         with pytest.raises(InvalidInput):
-            tssf.save_pipeline(pipe, tmp_path / "model.txt")
+            tssf.save_pipeline(pipe, tmp_path / "model.json")
 
 
 @pytest.mark.parametrize(
@@ -262,8 +340,8 @@ def test_trials_of_the_wrong_shape_raise_dim_mismatch(name, loaded, tmp_path):
     spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
     pipe = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
     if loaded:
-        tssf.save_pipeline(pipe, tmp_path / "model.txt")
-        pipe = tssf.load_pipeline(tmp_path / "model.txt")
+        tssf.save_pipeline(pipe, tmp_path / "model.json")
+        pipe = tssf.load_pipeline(tmp_path / "model.json")
     projection = str(pipe._projection.shape)
     for trials in (np.ones((7, 256, 3)), ts.data[:, :, 0], ts.data[None]):
         with pytest.raises(DimMismatch) as exc:

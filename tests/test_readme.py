@@ -25,7 +25,7 @@ def run(argv, cwd):
 
 def test_library_quick_start_runs(tmp_path):
     run([sys.executable, "-c", quick_start("Quick start (library)", "python")], tmp_path)
-    assert (tmp_path / "model.txt").read_text().startswith("format: pipeline/1\n")
+    assert (tmp_path / "model.json").read_text().startswith('{\n "format": "pipeline/2",\n')
 
 
 def test_cli_quick_start_runs(tmp_path, monkeypatch):
@@ -34,5 +34,5 @@ def test_cli_quick_start_runs(tmp_path, monkeypatch):
     script = 'set -e\ntssf() { "$PYTHON" -m tssf.cli "$@"; }\n'
     script += quick_start("Quick start (CLI)", "sh")
     run(["bash", "-c", script], tmp_path)
-    for name in ("trials.eegt", "model.txt", "report.csv", "patterns.csv", "bench.csv", "airm.txt"):
+    for name in ("trials.eegt", "model.json", "report.csv", "patterns.csv", "bench.csv", "airm.json"):
         assert (tmp_path / name).exists(), name
