@@ -40,25 +40,24 @@ def _parser():
         "--band", help="low:high:fs band-pass applied before processing"
     )
 
-    p_fit = sub.add_parser("fit", parents=[common_data], help="fit and save one pipeline")
+    common_model = argparse.ArgumentParser(add_help=False)
+    common_model.add_argument("--k", type=int, default=6, help="filter components (default 6)")
+    common_model.add_argument("--reg", type=float, default=None, help="fixed SVM regularization")
+    common_model.add_argument("--grid", default=None, help="comma list of regularizations")
+    common_model.add_argument("--seed", type=int, default=0)
+    parents = [common_data, common_model]
+
+    p_fit = sub.add_parser("fit", parents=parents, help="fit and save one pipeline")
     p_fit.add_argument("--pipeline", required=True, help="pipeline name")
-    p_fit.add_argument("--k", type=int, default=6, help="filter components (default 6)")
-    p_fit.add_argument("--reg", type=float, default=None, help="fixed SVM regularization")
-    p_fit.add_argument("--grid", default=None, help="comma list of regularizations")
     p_fit.add_argument("--folds", type=int, default=5, help="inner CV folds")
-    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", required=True, help="pipeline/2 model file to write")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_eval = sub.add_parser("eval", parents=[common_data], help="cross-validate pipelines")
+    p_eval = sub.add_parser("eval", parents=parents, help="cross-validate pipelines")
     p_eval.add_argument(
         "--pipeline", action="append", required=True, help="repeatable pipeline name"
     )
-    p_eval.add_argument("--k", type=int, default=6)
-    p_eval.add_argument("--reg", type=float, default=None)
-    p_eval.add_argument("--grid", default=None)
     p_eval.add_argument("--folds", type=int, default=5)
-    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out", required=True, help="fold-score CSV to write")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -67,18 +66,14 @@ def _parser():
     p_pat.add_argument("--out", required=True, help="CSV to write")
     p_pat.set_defaults(func=cmd_patterns)
 
-    p_bench = sub.add_parser("bench", parents=[common_data], help="prediction latency")
+    p_bench = sub.add_parser("bench", parents=parents, help="prediction latency")
     p_bench.add_argument(
         "--pipeline",
         action="append",
         default=None,
         help="repeatable; default CSP, TSSF_Var_1_step, TS_AIRM",
     )
-    p_bench.add_argument("--k", type=int, default=6)
-    p_bench.add_argument("--reg", type=float, default=None)
-    p_bench.add_argument("--grid", default=None)
     p_bench.add_argument("--reps", type=int, default=10, help="timed sweeps (>= 10 recommended)")
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", default=None, help="optional CSV to write")
     p_bench.set_defaults(func=cmd_bench)
     return parser
@@ -135,17 +130,14 @@ def _classifier_config(args):
     from .linmodel import ClassifierConfig
 
     grid = None
-    if getattr(args, "grid", None):
+    if args.grid:
         try:
             grid = tuple(float(v) for v in args.grid.split(","))
         except ValueError:
             raise InvalidInput("--grid must be a comma list of numbers") from None
-    return ClassifierConfig(
-        reg=getattr(args, "reg", None),
-        grid=grid,
-        folds=getattr(args, "folds", 5),
-        seed=getattr(args, "seed", 0),
-    )
+    # bench has no --folds: its fits use the default inner-CV folds
+    folds = getattr(args, "folds", ClassifierConfig.folds)
+    return ClassifierConfig(reg=args.reg, grid=grid, folds=folds, seed=args.seed)
 
 
 def _pipeline_spec(name, args):

@@ -32,14 +32,6 @@ class CspModel:
     eigenvalues: np.ndarray
     selection: np.ndarray
 
-    @property
-    def k(self):
-        return self.filters.shape[1]
-
-    @property
-    def n_channels(self):
-        return self.filters.shape[0]
-
 
 def fit_csp(covs, labels, k):
     """Fit CSP filters from per-trial covariances.

@@ -365,8 +365,13 @@ class SynthConfig:
 
     @classmethod
     def from_text(cls, path):
-        """Read a config file of ``key: value`` lines (# for comments)."""
-        fields = {f.name: f for f in cls.__dataclass_fields__.values()}
+        """Read a config file of ``key: value`` lines (# for comments).
+
+        Each value is read by the type of its field's default: a tuple is
+        a list of numbers (comma or space separated), a str is taken as
+        written, and a float or int must parse as one.
+        """
+        fields = cls.__dataclass_fields__
         kwargs = {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -379,24 +384,15 @@ class SynthConfig:
                 key, value = key.strip(), value.strip()
                 if key not in fields:
                     raise InvalidInput(f"config line {lineno}: unknown key {key!r}")
-                kwargs[key] = _parse_config_value(key, value)
+                kind = type(fields[key].default)
+                try:
+                    if kind is tuple:
+                        kwargs[key] = tuple(float(v) for v in value.replace(",", " ").split())
+                    else:
+                        kwargs[key] = kind(value)
+                except ValueError:
+                    raise InvalidInput(f"config key {key!r} has a bad value {value!r}") from None
         return cls(**kwargs).validate()
-
-
-def _parse_config_value(key, value):
-    if key in ("var_pos", "var_neg"):
-        try:
-            return tuple(float(v) for v in value.replace(",", " ").split())
-        except ValueError:
-            raise InvalidInput(f"{key} must be a list of numbers") from None
-    if key == "mixing":
-        return value
-    try:
-        if key in ("background_variance", "noise_sigma", "nonstationarity"):
-            return float(value)
-        return int(value)
-    except ValueError:
-        raise InvalidInput(f"config key {key!r} has a bad value {value!r}") from None
 
 
 def synth_generate(cfg):

@@ -102,33 +102,35 @@ def fit_linear_svm(x, y, reg, full_output=False):
 
 
 def _solve_svm_dual(x, y, reg, gram=None):
+    # the dual in beta = y * alpha: each beta_i lies in its own box
+    # [lo_i, hi_i], [0, cap] for y_i = +1 and [-cap, 0] for y_i = -1, and a
+    # pair update moves beta_i by +step and beta_j by -step, so sum(beta)
+    # stays 0. The loop reads its scalars from Python lists and updates the
+    # "up" (beta < hi) and "low" (beta > lo) index sets only where beta
+    # changed; f = gram @ beta, so the b candidates are y - f.
     tol, max_iter = SVM_TOL, SVM_MAX_UPDATES
     t = x.shape[0]
     cap = reg / t
     if gram is None:
         gram = x @ x.T
-    # The loop reads its scalars from Python lists and updates the "up" and
-    # "low" index sets only where alpha changed. Row i of ycols is
-    # y * gram[:, i]; labels are +-1, so every product is a sign flip and
-    # each update has the bits of ``step * y * (gram[:, i] - gram[:, j])``.
-    ys = y.tolist()
     diag = gram.diagonal().tolist()
-    ycols = np.ascontiguousarray(gram.T) * y
-    alpha = [0.0] * t
-    qalpha = np.zeros(t)  # (Q alpha)_i with Q_ij = y_i y_j gram_ij
+    cols = np.ascontiguousarray(gram.T)  # row i is gram[:, i]
+    pos = y > 0
+    lo, hi = np.where(pos, 0.0, -cap), np.where(pos, cap, 0.0)
+    up, low = hi > 0.0, lo < 0.0  # the index sets at beta = 0
+    lo, hi = lo.tolist(), hi.tolist()
+    beta = [0.0] * t
+    f = np.zeros(t)
     dual = 0.0
     path = [dual]
-    pos = y > 0
-    up = pos & (cap > 0)  # the KKT index sets at alpha = 0 (see _kkt_sets)
-    low = ~pos & (cap > 0)
     stall_window = 2 * t
     last_window_dual = np.inf
     it = 0
     m_val = np.inf
     big_m_val = -np.inf
     while it < max_iter:
-        # b candidates y_i - f_i; KKT requires max over "up" <= min over "low"
-        cand = y - y * qalpha
+        # KKT requires max over "up" <= min over "low" of the b candidates
+        cand = y - f
         up_vals = np.where(up, cand, -np.inf)
         low_vals = np.where(low, cand, np.inf)
         i = int(up_vals.argmax())
@@ -143,18 +145,17 @@ def _solve_svm_dual(x, y, reg, gram=None):
             last_window_dual = dual
         curvature = diag[i] + diag[j] - 2.0 * float(gram[i, j])
         curvature = max(curvature, 1e-12)
-        yi, yj = ys[i], ys[j]
-        slope = yi * (float(qalpha[i]) - 1.0) - yj * (float(qalpha[j]) - 1.0)
+        slope = big_m_val - m_val
         step = -slope / curvature
-        lo, hi = _step_bounds(alpha[i], alpha[j], yi, yj, cap)
-        step = min(max(step, lo), hi)
+        step = max(step, lo[i] - beta[i], beta[j] - hi[j])
+        step = min(step, hi[i] - beta[i], beta[j] - lo[j])
         if step == 0.0:
             break
-        alpha[i] += yi * step
-        alpha[j] -= yj * step
+        beta[i] += step
+        beta[j] -= step
         for k in (i, j):
-            up[k], low[k] = _kkt_sets(alpha[k], ys[k], cap)
-        qalpha += step * (ycols[i] - ycols[j])
+            up[k], low[k] = beta[k] < hi[k], beta[k] > lo[k]
+        f += step * (cols[i] - cols[j])
         dual += slope * step + 0.5 * curvature * step * step
         path.append(dual)
         it += 1
@@ -170,8 +171,8 @@ def _solve_svm_dual(x, y, reg, gram=None):
     if np.isfinite(m_val) and np.isfinite(big_m_val):
         intercept = 0.5 * (m_val + big_m_val)
     else:  # all multipliers pinned to one bound; fall back to feasible value
-        intercept = float(np.median(y - y * qalpha))
-    weights = x.T @ (np.asarray(alpha) * y)
+        intercept = float(np.median(y - f))
+    weights = x.T @ np.asarray(beta)
     info = SvmFitInfo(
         objective_path=np.asarray(path),
         iterations=it,
@@ -180,36 +181,17 @@ def _solve_svm_dual(x, y, reg, gram=None):
     return weights, float(intercept), info
 
 
-def _kkt_sets(a, yk, cap):
-    # (in "up", in "low"): alpha_k can still grow along +y_k, along -y_k
-    if yk > 0:
-        return a < cap, a > 0
-    return a > 0, a < cap
-
-
-def _step_bounds(ai, aj, yi, yj, cap):
-    # alpha_i moves by +yi*step, alpha_j by -yj*step; keep both in [0, cap]
-    if yi > 0:
-        lo_i, hi_i = -ai, cap - ai
-    else:
-        lo_i, hi_i = ai - cap, ai
-    if yj > 0:
-        lo_j, hi_j = aj - cap, aj
-    else:
-        lo_j, hi_j = -aj, cap - aj
-    return max(lo_i, lo_j), min(hi_i, hi_j)
-
-
 def grid_search_cv(x, y, grid=None, folds=5, seed=0):
     """Pick the SVM regularization by stratified inner cross-validation.
 
     Each grid value is scored by its mean ROC-AUC over ``folds``
     stratified splits (seeded, so the search is deterministic); ties go
-    to the smallest value. The returned model is refit on all data.
+    to the smallest value. The returned model is refit on all data, and
+    its ``reg`` is the chosen value.
 
     Returns
     -------
-    (best_reg, LinearModel)
+    LinearModel
     """
     x, y, npos, nneg = _check_dataset(x, y)
     grid = DEFAULT_GRID if grid is None else tuple(grid)
@@ -223,23 +205,20 @@ def grid_search_cv(x, y, grid=None, folds=5, seed=0):
         raise InvalidInput(
             f"{folds} folds exceed the smaller class size {min(npos, nneg)}"
         )
-    test_folds = stratified_folds(y, folds, seed)
     splits = []
-    for test_idx in test_folds:
-        train_idx = np.setdiff1d(np.arange(y.size), test_idx)
-        xt = x[train_idx]
-        splits.append((train_idx, test_idx, xt @ xt.T))
+    for test_idx in stratified_folds(y, folds, seed):
+        xt = np.delete(x, test_idx, axis=0)
+        splits.append((xt, np.delete(y, test_idx), xt @ xt.T, x[test_idx], y[test_idx]))
     best_reg, best_auc = None, -np.inf
     for reg in grid:
         aucs = []
-        for train_idx, test_idx, gram in splits:
-            w, b, _ = _solve_svm_dual(x[train_idx], y[train_idx], reg, gram=gram)
-            aucs.append(roc_auc(x[test_idx] @ w + b, y[test_idx]))
+        for xt, yt, gram, xs, ys in splits:
+            w, b, _ = _solve_svm_dual(xt, yt, reg, gram=gram)
+            aucs.append(roc_auc(xs @ w + b, ys))
         mean_auc = float(np.mean(aucs))
         if mean_auc > best_auc or (mean_auc == best_auc and reg < best_reg):
             best_reg, best_auc = reg, mean_auc
-    model = fit_linear_svm(x, y, best_reg)
-    return best_reg, model
+    return fit_linear_svm(x, y, best_reg)
 
 
 @dataclass(frozen=True)
@@ -267,5 +246,4 @@ def fit_from_config(x, y, cfg=None):
     cfg = (cfg or ClassifierConfig()).validate()
     if cfg.reg is not None:
         return fit_linear_svm(x, y, cfg.reg)
-    _, model = grid_search_cv(x, y, grid=cfg.grid, folds=cfg.folds, seed=cfg.seed)
-    return model
+    return grid_search_cv(x, y, grid=cfg.grid, folds=cfg.folds, seed=cfg.seed)

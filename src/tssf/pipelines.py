@@ -209,8 +209,11 @@ class PipelineSpec:
             raise InvalidInput(
                 f"unknown pipeline {self.name!r}; choose from {', '.join(PIPELINE_NAMES)}"
             )
-        if self.k < 1:
-            raise InvalidInput("k must be >= 1")
+        # TS_AIRM keeps all C dimensions and ignores k; one --k serves every
+        # pipeline of an eval, so it takes any k >= 0
+        min_k = 0 if PIPELINES[self.name][0] is TangentSpacePipeline else 1
+        if self.k < min_k:
+            raise InvalidInput(f"k must be >= {min_k}")
         self.classifier.validate()
         return self
 

@@ -45,6 +45,7 @@ from .manifold import (
     _check_symmetric,
     _component_order,
     _congruence,
+    _first_failure,
     _frechet_mean_and_logs,
     _half_powers,
     _log_inner,
@@ -165,10 +166,6 @@ class TssfModel:
     def k(self):
         return self.filters.shape[1]
 
-    @property
-    def n_channels(self):
-        return self.filters.shape[0]
-
 
 def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
     """Extract spatial filters from a tangent-space linear model.
@@ -237,12 +234,13 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
 
 
 def apply_filters(model, trial):
-    """Filter one C x N trial: ``filters.T @ trial`` (K x N)."""
+    """Filter one C x N trial with a TSSF or CSP model: ``filters.T @ trial`` (K x N)."""
     trial = np.asarray(trial, dtype=float)
-    if trial.ndim != 2 or trial.shape[0] != model.n_channels:
+    c = model.filters.shape[0]
+    if trial.ndim != 2 or trial.shape[0] != c:
         raise DimMismatch(
             f"trial has {trial.shape[0] if trial.ndim == 2 else '?'} channels, "
-            f"model expects {model.n_channels}"
+            f"model expects {c}"
         )
     return model.filters.T @ trial
 
@@ -257,8 +255,9 @@ def compute_features(model, filtered_cov, kind=None):
     """
     kind = _check_kind(kind or model.feature_kind)
     cov = ensure_spd(filtered_cov, name="filtered covariance")
-    if cov.shape[-1] != model.k:
-        raise DimMismatch(f"filtered covariance must be {model.k} x {model.k}")
+    k = model.filters.shape[1]
+    if cov.shape[-1] != k:
+        raise DimMismatch(f"filtered covariance must be {k} x {k}")
     return _filtered_features(model, cov, kind)
 
 
@@ -290,11 +289,12 @@ def _log_variances(covs, var_floor=0.0):
     # single trial costs more than the check.
     var = covs.diagonal(0, -2, -1)
     if not var.min(initial=np.inf) > var_floor:  # one reduction; NaN fails too
-        i = tuple(np.argwhere(~(var > var_floor))[0])
-        where = "" if len(i) == 1 else f" {i[0]}" if len(i) == 2 else f" {i[:-1]}"
+        above = var > var_floor
+        i, where = _first_failure(above.all(axis=-1))
+        c = int(np.argmin(above[i]))
         raise NotPositiveDefinite(
             f"filtered covariance{where} is not positive definite: "
-            f"variance {var[i]:.3e} in component {i[-1]} is not above {var_floor:.3e}"
+            f"variance {var[i][c]:.3e} in component {c} is not above {var_floor:.3e}"
         )
     return np.log(var)
 

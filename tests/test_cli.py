@@ -105,6 +105,25 @@ class TestFit:
         assert code == 0
         assert tssf.load_pipeline(out).name == "TS_AIRM"
 
+    def test_ts_airm_fit_with_k_0(self, tmp_path, data_path):
+        # 0 is the only k a TS_AIRM model file holds
+        out = tmp_path / "model.json"
+        code = main(
+            ["fit", "--data", str(data_path), "--pipeline", "TS_AIRM",
+             "--k", "0", "--reg", "1.0", "--out", str(out)]
+        )
+        assert code == 0
+        assert tssf.load_pipeline(out).k == 0
+
+    @pytest.mark.parametrize("pipeline,k", [("TS_AIRM", "-1"), ("CSP", "0")])
+    def test_k_below_pipeline_minimum_exits_2(self, tmp_path, data_path, pipeline, k, capsys):
+        code = main(
+            ["fit", "--data", str(data_path), "--pipeline", pipeline,
+             "--k", k, "--reg", "1.0", "--out", str(tmp_path / "m")]
+        )
+        assert code == 2
+        assert "k must be >=" in capsys.readouterr().err
+
     def test_csp_fit_writes_model(self, tmp_path, data_path):
         out = tmp_path / "model.json"
         code = main(

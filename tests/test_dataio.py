@@ -373,3 +373,15 @@ class TestSynth:
         with pytest.raises(InvalidInput):
             dataio.SynthConfig.from_text(path)
 
+    def test_config_values_read_by_field_type(self, tmp_path):
+        # an int field rejects "8.0"; a float field reads "1" as 1.0
+        path = tmp_path / "synth.cfg"
+        path.write_text("noise_sigma: 1\nvar_pos: 2 1\n")
+        cfg = dataio.SynthConfig.from_text(path)
+        assert type(cfg.noise_sigma) is float and cfg.noise_sigma == 1.0
+        assert cfg.var_pos == (2.0, 1.0)
+        for bad in ("channels: 8.0", "seed: x", "noise_sigma: x", "var_pos: 4, x"):
+            path.write_text(bad + "\n")
+            with pytest.raises(InvalidInput, match="has a bad value"):
+                dataio.SynthConfig.from_text(path)
+

@@ -63,8 +63,11 @@ def whole_array_svm_dual(x, y, reg, tol, max_iter):
             last_window_dual = dual
         curvature = max(gram[i, i] + gram[j, j] - 2.0 * gram[i, j], 1e-12)
         slope = y[i] * (qalpha[i] - 1.0) - y[j] * (qalpha[j] - 1.0)
-        lo, hi = linmodel._step_bounds(alpha[i], alpha[j], y[i], y[j], cap)
-        step = min(max(-slope / curvature, lo), hi)
+        # alpha_i moves by +y_i * step and alpha_j by -y_j * step; both stay
+        # in [0, cap]
+        lo_i, hi_i = (-alpha[i], cap - alpha[i]) if y[i] > 0 else (alpha[i] - cap, alpha[i])
+        lo_j, hi_j = (alpha[j] - cap, alpha[j]) if y[j] > 0 else (-alpha[j], cap - alpha[j])
+        step = min(max(-slope / curvature, lo_i, lo_j), hi_i, hi_j)
         if step == 0.0:
             break
         alpha[i] += y[i] * step
@@ -187,26 +190,25 @@ class TestSvm:
 class TestGridSearch:
     def test_single_element_grid(self, rng):
         x, y = blobs(rng)
-        reg, model = linmodel.grid_search_cv(x, y, grid=[3.0], folds=2)
-        assert reg == 3.0
+        model = linmodel.grid_search_cv(x, y, grid=[3.0], folds=2)
         assert model.reg == 3.0
 
     def test_duplicate_grid_tie(self, rng):
         x, y = blobs(rng)
-        reg, _ = linmodel.grid_search_cv(x, y, grid=[2.0, 2.0], folds=2)
-        assert reg == 2.0
+        model = linmodel.grid_search_cv(x, y, grid=[2.0, 2.0], folds=2)
+        assert model.reg == 2.0
 
     def test_separable_prefers_smallest(self, rng):
         x, y = blobs(rng, n_per_class=20, sep=4.0)
-        reg, _ = linmodel.grid_search_cv(x, y, folds=5, seed=1)
-        assert reg == 0.01  # every grid point reaches AUC 1.0; tie rule
+        model = linmodel.grid_search_cv(x, y, folds=5, seed=1)
+        assert model.reg == 0.01  # every grid point reaches AUC 1.0; tie rule
 
     def test_deterministic_under_seed(self, rng):
         x, y = blobs(rng, n_per_class=12, sep=0.3)
-        r1 = linmodel.grid_search_cv(x, y, folds=3, seed=7)
-        r2 = linmodel.grid_search_cv(x, y, folds=3, seed=7)
-        assert r1[0] == r2[0]
-        np.testing.assert_array_equal(r1[1].weights, r2[1].weights)
+        m1 = linmodel.grid_search_cv(x, y, folds=3, seed=7)
+        m2 = linmodel.grid_search_cv(x, y, folds=3, seed=7)
+        assert m1.reg == m2.reg
+        np.testing.assert_array_equal(m1.weights, m2.weights)
 
     def test_folds_exceed_class_size(self, rng):
         x, y = blobs(rng, n_per_class=3)

@@ -39,8 +39,15 @@ class TestSpec:
             pipelines.PipelineSpec(name="TSSF_LogCov_1_step").validate()
 
     def test_bad_k(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="k must be >= 1"):
             pipelines.PipelineSpec(name="CSP", k=0).validate()
+        with pytest.raises(InvalidInput, match="k must be >= 0"):
+            pipelines.make_pipeline(pipelines.PipelineSpec(name="TS_AIRM", k=-1))
+
+    def test_ts_airm_takes_k_0(self):
+        # 0 is the k a TS_AIRM model file holds (any other k is ignored)
+        pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name="TS_AIRM", k=0))
+        assert pipe.k == 0
 
     def test_all_names_buildable(self):
         for name in pipelines.PIPELINE_NAMES:
