@@ -95,10 +95,7 @@ def main(argv=None):
 
     try:
         return args.func(args)
-    except (InvalidInput, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InvalidInput, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateModel, ConvergenceFailure, NotPositiveDefinite, DegenerateStatistic) as exc:

@@ -27,7 +27,6 @@ training set with ``_check_training_set``.
 import os
 import stat
 import struct
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -261,11 +260,6 @@ def _spd_covariances(data):
     covariance is the same bits as in one :func:`_covariance_stack` call.
     """
     c, n, t = data.shape
-    if n <= c:
-        warnings.warn(
-            f"trial has {n} samples for {c} channels; covariance may be rank-deficient",
-            stacklevel=3,
-        )
     block = max(1, _BLOCK_BYTES // (8 * c * n))
     covs = np.empty((t, c, c))
     for lo in range(0, t, block):

@@ -7,6 +7,7 @@ comparisons use the standardized mean difference of the paired per-fold
 scores and a one-sided Wilcoxon signed-rank p-value.
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -106,7 +107,8 @@ def wilcoxon_one_sided(scores_a, scores_b):
     b = np.asarray(scores_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise InvalidInput("paired scores must be matching 1-D arrays")
-    d = a - b
+    with np.errstate(invalid="ignore"):  # inf - inf is the NaN checked next
+        d = a - b
     if np.isnan(d).any():
         raise DegenerateStatistic("a paired difference is NaN")
     d = d[d != 0]
@@ -123,14 +125,12 @@ def wilcoxon_one_sided(scores_a, scores_b):
     if n <= 25:
         p = _exact_signed_rank_sf(ranks, w_pos)
     else:
-        import scipy.stats  # on first use: it takes most of a second to load
-
         mu = n * (n + 1) / 4.0
         _, counts = np.unique(ranks, return_counts=True)
         ties = counts[counts > 1].astype(float)
         var = n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(ties**3 - ties)) / 48.0
         z = (w_pos - mu - 0.5) / np.sqrt(var)
-        p = float(scipy.stats.norm.sf(z))
+        p = 0.5 * math.erfc(z / math.sqrt(2.0))  # the standard normal tail
     return min(max(p, np.finfo(float).tiny), 1.0)
 
 
@@ -219,10 +219,12 @@ def cross_validate(trialset, factories, folds=5, seed=0):
     share one tangent-space fit (:func:`tssf.tssf.fit_tangent_model`,
     timed as part of the first), then scores its held-out trials with
     each by ROC-AUC. Returns one report per factory, pooling all sessions.
+    Each factory returns a fresh object with ``fit``, ``decision_scores``
+    and the ``name``, ``k`` and ``feature_kind`` that label its report.
     """
-    if folds < 2:
-        raise InvalidInput("folds must be >= 2")
-    sess_col, fold_col, pipes = [], [], [None] * len(factories)
+    if trialset.n_trials == 0:  # no fold, so no pipeline to label the reports
+        raise InvalidInput("the trial set is empty")
+    sess_col, fold_col = [], []
     auc_cols, fit_cols, pred_cols = ([[] for _ in factories] for _ in range(3))
     for session in np.unique(trialset.session_ids):
         sess_idx = np.flatnonzero(trialset.session_ids == session)
@@ -243,9 +245,9 @@ def cross_validate(trialset, factories, folds=5, seed=0):
             fold_col.append(f)
     return [
         EvalReport(
-            pipeline=getattr(pipe, "name", "pipeline"),
-            k=getattr(pipe, "k", 0),
-            feature_kind=str(getattr(pipe, "feature_kind", "")),
+            pipeline=pipe.name,
+            k=pipe.k,
+            feature_kind=pipe.feature_kind,
             sessions=np.asarray(sess_col),
             folds=np.asarray(fold_col),
             aucs=np.asarray(aucs),

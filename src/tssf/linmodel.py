@@ -88,20 +88,21 @@ def fit_linear_svm(x, y, reg, full_output=False):
     Raises
     ------
     InvalidInput, DegenerateModel
-        On a bad shape, label value (named) or ``reg``; on single-class
-        labels, as every fit of the library does.
+        On a bad shape, label value (named) or ``reg``, or on features
+        that are not finite or so large that the solver overflows; on
+        single-class labels, as every fit of the library does.
     """
     x, y, npos, nneg = _check_dataset(x, y)
     if min(npos, nneg) < 2:
         raise InvalidInput("need at least 2 samples per class")
     if reg <= 0:
         raise InvalidInput("reg must be positive")
-    weights, intercept, info = _solve_svm_dual(x, y, reg)
+    weights, intercept, info = _solve_svm_dual(x, y, reg, _gram(x, reg))
     model = LinearModel(weights=weights, intercept=intercept, reg=float(reg))
     return (model, info) if full_output else model
 
 
-def _solve_svm_dual(x, y, reg, gram=None):
+def _solve_svm_dual(x, y, reg, gram):
     # the dual in beta = y * alpha: each beta_i lies in its own box
     # [lo_i, hi_i], [0, cap] for y_i = +1 and [-cap, 0] for y_i = -1, and a
     # pair update moves beta_i by +step and beta_j by -step, so sum(beta)
@@ -111,8 +112,6 @@ def _solve_svm_dual(x, y, reg, gram=None):
     tol, max_iter = SVM_TOL, SVM_MAX_UPDATES
     t = x.shape[0]
     cap = reg / t
-    if gram is None:
-        gram = x @ x.T
     diag = gram.diagonal().tolist()
     cols = np.ascontiguousarray(gram.T)  # row i is gram[:, i]
     pos = y > 0
@@ -149,8 +148,6 @@ def _solve_svm_dual(x, y, reg, gram=None):
         step = -slope / curvature
         step = max(step, lo[i] - beta[i], beta[j] - hi[j])
         step = min(step, hi[i] - beta[i], beta[j] - lo[j])
-        if step == 0.0:
-            break
         beta[i] += step
         beta[j] -= step
         for k in (i, j):
@@ -159,26 +156,31 @@ def _solve_svm_dual(x, y, reg, gram=None):
         dual += slope * step + 0.5 * curvature * step * step
         path.append(dual)
         it += 1
-    if it == max_iter and m_val - big_m_val > tol:
-        # the stall and zero-step exits above are numerical convergence;
-        # running out of updates is not
+    if it == max_iter:
+        # its last gap was above tol; the stall exit above is numerical
+        # convergence, running out of updates is not
         warnings.warn(
             f"SVM (reg={reg:g}) stopped after SVM_MAX_UPDATES={max_iter} updates with "
             f"KKT gap {m_val - big_m_val:.3e} > SVM_TOL {tol:g}",
             RuntimeWarning,
             stacklevel=3,
         )
-    if np.isfinite(m_val) and np.isfinite(big_m_val):
-        intercept = 0.5 * (m_val + big_m_val)
-    else:  # all multipliers pinned to one bound; fall back to feasible value
-        intercept = float(np.median(y - f))
-    weights = x.T @ np.asarray(beta)
-    info = SvmFitInfo(
-        objective_path=np.asarray(path),
-        iterations=it,
-        kkt_gap=float(m_val - big_m_val),
-    )
-    return weights, float(intercept), info
+    info = SvmFitInfo(objective_path=np.asarray(path), iterations=it, kkt_gap=m_val - big_m_val)
+    # both index sets stay non-empty (an empty "up" puts every beta at hi,
+    # so sum(beta) = n_pos * cap, not 0), so the midpoint is finite
+    return x.T @ np.asarray(beta), 0.5 * (m_val + big_m_val), info
+
+
+def _gram(x, reg):
+    # x x^T for solves at any reg up to `reg`. With g = max|gram|, a
+    # curvature is at most 4 g and an entry of f at most reg g, so all stay
+    # finite when 4 max(1, reg) g is (a Python float overflows to inf
+    # without a warning); a NaN or inf feature makes g NaN or inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x @ x.T
+    if not np.isfinite(4.0 * max(1.0, reg) * float(np.abs(gram).max())):
+        raise InvalidInput("SVM features are not finite, or so large that the solver overflows")
+    return gram
 
 
 def grid_search_cv(x, y, grid=None, folds=5, seed=0):
@@ -208,7 +210,7 @@ def grid_search_cv(x, y, grid=None, folds=5, seed=0):
     splits = []
     for test_idx in stratified_folds(y, folds, seed):
         xt = np.delete(x, test_idx, axis=0)
-        splits.append((xt, np.delete(y, test_idx), xt @ xt.T, x[test_idx], y[test_idx]))
+        splits.append((xt, np.delete(y, test_idx), _gram(xt, max(grid)), x[test_idx], y[test_idx]))
     best_reg, best_auc = None, -np.inf
     for reg in grid:
         aucs = []

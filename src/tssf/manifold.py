@@ -65,7 +65,7 @@ def _check_symmetric(a, name="matrix", stack=True):
 def _first_failure(ok):
     # index of the first False of a per-matrix bool array, and its text
     # for an error message ("" for a single matrix)
-    i = np.unravel_index(np.argmin(ok), ok.shape)
+    i = tuple(int(n) for n in np.unravel_index(np.argmin(ok), ok.shape))
     return i, "" if not i else f" {i[0]}" if len(i) == 1 else f" {i}"
 
 
@@ -96,28 +96,27 @@ def sym_eig(a):
     v = np.take_along_axis(v, order[..., None, :], -1)
     # sign convention: largest-magnitude entry of each column positive
     picks = np.argmax(np.abs(v), axis=-2)
-    signs = np.sign(np.take_along_axis(v, picks[..., None, :], -2))
-    signs[signs == 0] = 1.0
+    signs = np.sign(np.take_along_axis(v, picks[..., None, :], -2))  # unit columns: never 0
     return w, v * signs
 
 
-def _check_definite(w, spd_tol, name):
+def _check_definite(w, name):
     # w: ascending eigenvalues of each matrix of a stack; a matrix is SPD
-    # when its smallest eigenvalue exceeds spd_tol times the magnitude of
+    # when its smallest eigenvalue exceeds SPD_TOL times the magnitude of
     # its largest (so the largest is positive too); NaN fails
-    ok = w[..., 0] > spd_tol * np.abs(w[..., -1])
+    ok = w[..., 0] > SPD_TOL * np.abs(w[..., -1])
     if not ok.all():
         i, where = _first_failure(ok)
         raise NotPositiveDefinite(
             f"{name}{where} is not positive definite: eigenvalue range "
-            f"[{w[i][0]:.3e}, {w[i][-1]:.3e}] fails tolerance {spd_tol:g}"
+            f"[{w[i][0]:.3e}, {w[i][-1]:.3e}] fails tolerance {SPD_TOL:g}"
         )
 
 
 def _spd_eigh(a, name="matrix"):
     # ascending eigenpairs of every matrix of a stack, checked SPD
     w, v = np.linalg.eigh(a)
-    _check_definite(w, SPD_TOL, name)
+    _check_definite(w, name)
     return w, v
 
 
@@ -153,21 +152,21 @@ def ensure_spd(a, name="matrix"):
     clearly SPD stack.
     """
     a = _check_symmetric(a, name)
-    if not _certified_spd(a, SPD_TOL):
-        _check_definite(np.linalg.eigvalsh(a), SPD_TOL, name)
+    if not _certified_spd(a):
+        _check_definite(np.linalg.eigvalsh(a), name)
     return a
 
 
-def _certified_spd(a, spd_tol):
-    # True if cholesky(a - 2 spd_tol tr(a) I) succeeds for every matrix: then
-    # lam_min > 2 spd_tol tr(a) >= 2 spd_tol lam_max, with a margin far above
+def _certified_spd(a):
+    # True if cholesky(a - 2 SPD_TOL tr(a) I) succeeds for every matrix: then
+    # lam_min > 2 SPD_TOL tr(a) >= 2 SPD_TOL lam_max, with a margin far above
     # Cholesky's backward error (Higham, Accuracy and Stability of Numerical
     # Algorithms, 2nd ed., sec. 10.1), so every matrix passes _check_definite
     trace = a.trace(0, -2, -1)
     if not (np.isfinite(trace) & (trace > 0)).all():
         return False
     try:
-        np.linalg.cholesky(a - (2.0 * spd_tol * trace)[..., None, None] * np.eye(a.shape[-1]))
+        np.linalg.cholesky(a - (2.0 * SPD_TOL * trace)[..., None, None] * np.eye(a.shape[-1]))
     except np.linalg.LinAlgError:
         return False
     return True

@@ -251,8 +251,11 @@ def compute_features(model, filtered_cov, kind=None):
     ``logvar``: log of the diagonal (length K). ``diaglogcov``: diagonal
     of the matrix logarithm (length K). ``logcov``: tangent vector of the
     covariance at the filtered-space Frechet mean (length K(K+1)/2). A
-    ``(..., K, K)`` stack gives one feature row per matrix.
+    ``(..., K, K)`` stack gives one feature row per matrix. A CSP model
+    has no feature kind of its own, so it needs ``kind``.
     """
+    if kind is None and not isinstance(model, TssfModel):
+        raise InvalidInput(f"a {type(model).__name__} has no feature kind: pass kind")
     kind = _check_kind(kind or model.feature_kind)
     cov = ensure_spd(filtered_cov, name="filtered covariance")
     k = model.filters.shape[1]
@@ -304,12 +307,14 @@ def predict_one_step(model, features, kind=None):
 
     ``score = beta . features + intercept``; the label is the sign of the
     score with sign(0) = +1. Only "logvar" and "diaglogcov" features are
-    one-step scorable.
+    one-step scorable, and only by a TssfModel.
 
     Returns
     -------
     (score, label)
     """
+    if not isinstance(model, TssfModel):
+        raise InvalidInput(f"one-step scoring needs a TssfModel, not a {type(model).__name__}")
     kind = kind or model.feature_kind
     if kind not in ONE_STEP_KINDS:
         raise UnsupportedFeatureKind(

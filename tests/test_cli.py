@@ -255,12 +255,26 @@ class TestEval:
         )
         assert code == 0
 
-    def test_bad_band_exits_2(self, tmp_path, data_path):
-        code = main(
-            ["eval", "--data", str(data_path), "--band", "8:32", "--pipeline", "CSP",
-             "--k", "2", "--reg", "1.0", "--out", str(tmp_path / "r.csv")]
-        )
-        assert code == 2
+    def test_bad_band_exits_2(self, tmp_path, data_path, capsys):
+        for band in ("8:32", "8:x:250"):
+            code = main(
+                ["eval", "--data", str(data_path), "--band", band, "--pipeline", "CSP",
+                 "--k", "2", "--reg", "1.0", "--out", str(tmp_path / "r.csv")]
+            )
+            assert code == 2
+            assert "--band must be" in capsys.readouterr().err
+
+    def test_grid_flag(self, tmp_path, data_path, capsys):
+        # a one-value grid picks that value, so the folds equal a fixed reg's
+        argv = ["eval", "--data", str(data_path), "--pipeline", "TSSF_Var_2_step",
+                "--pipeline", "TS_AIRM", "--k", "2", "--folds", "3"]
+        outs = tmp_path / "grid.csv", tmp_path / "reg.csv"
+        assert main(argv + ["--grid", "1", "--out", str(outs[0])]) == 0
+        assert main(argv + ["--reg", "1", "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--grid", "0.1,x", "--out", str(outs[0])]) == 2
+        assert "--grid must be a comma list of numbers" in capsys.readouterr().err
 
 
 class TestPatterns:
@@ -471,6 +485,8 @@ import tssf
 assert "scipy.stats" not in sys.modules and "scipy.signal" not in sys.modules
 assert tssf.roc_auc(np.array([0.1, 0.9, 0.4]), np.array([-1, 1, -1])) == 1.0
 assert tssf.wilcoxon_one_sided(np.arange(6.0), np.zeros(6)) == 1 / 32
+a = np.arange(40.0)  # 40 differences: the normal approximation
+assert tssf.wilcoxon_one_sided(a + np.linspace(-0.2, 1.0, 40), a) < 1e-3
 assert "scipy.stats" not in sys.modules
 ts = tssf.synth_generate(tssf.SynthConfig(channels=3, samples=200, trials_per_class=2, seed=1))
 filtered = tssf.fir_bandpass(ts, taps=31)

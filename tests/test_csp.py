@@ -52,6 +52,9 @@ class TestFitCsp:
         covs, labels = two_class_covs(rng)
         with pytest.raises(InvalidInput):
             csp.fit_csp(covs, labels, 3)
+        c = covs.shape[1]
+        with pytest.raises(InvalidInput, match=rf"k must be in \[2, {c}\]"):
+            csp.fit_csp(covs, labels, c + 2)
 
     def test_single_class_rejected(self, rng):
         covs, _ = two_class_covs(rng)

@@ -1,5 +1,8 @@
+import os
 import struct
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +34,20 @@ class TestTrialSet:
                 labels=[1, 2],
                 session_ids=[0, 0],
                 channel_names=["a", "b"],
+            )
+        with pytest.raises(InvalidInput, match="one entry per trial"):
+            dataio.TrialSet(
+                data=rng.standard_normal((2, 3, 2)),
+                labels=[1, -1],
+                session_ids=[0],
+                channel_names=["a", "b"],
+            )
+        with pytest.raises(InvalidInput, match="one channel name per channel"):
+            dataio.TrialSet(
+                data=rng.standard_normal((2, 3, 2)),
+                labels=[1, -1],
+                session_ids=[0, 0],
+                channel_names=["a"],
             )
 
     def test_subset(self, rng):
@@ -104,6 +121,29 @@ class TestEegtFormat:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
             dataio.read_trials(path)
+        path.write_bytes(blob[:-1])  # the data tensor whole, a channel name cut
+        with pytest.raises(FormatError, match="truncated file: channel name 2 needs"):
+            dataio.read_trials(path)
+
+    def test_truncated_stream(self, tmp_path, rng):
+        # a pipe has no size to check up front: the short read of the data
+        # tensor itself is what raises
+        dataio.write_trials(small_set(rng), tmp_path / "x.eegt")
+        blob = (tmp_path / "x.eegt").read_bytes()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(blob[:100])
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with pytest.raises(FormatError, match="truncated file: data tensor needs"):
+                dataio.read_trials(fifo)
+        finally:
+            writer.join()
 
     def test_trailing_bytes(self, tmp_path, rng):
         path = tmp_path / "x.eegt"
@@ -190,6 +230,12 @@ class TestManifest:
         manifest.write_text("\n")
         with pytest.raises(FormatError):
             dataio.read_manifest(manifest)
+        manifest.write_text("0\n")
+        with pytest.raises(FormatError, match="line 1: expected '<session> <path>'"):
+            dataio.read_manifest(manifest)
+        manifest.write_text("# sessions\n-1 a.eegt\n")
+        with pytest.raises(FormatError, match="line 2: session id must be >= 0"):
+            dataio.read_manifest(manifest)
 
 
 class TestEmpiricalCovariance:
@@ -227,6 +273,20 @@ class TestEmpiricalCovariance:
         ts.data[1, :, 3] = 2.5
         with pytest.raises(NotPositiveDefinite, match="covariance 3 "):
             dataio.covariances(ts)
+
+    @pytest.mark.parametrize("c, n", [(2, 2), (4, 3), (8, 8), (8, 1)])
+    def test_too_few_samples_raise_without_warning(self, rng, c, n):
+        # N <= C samples give a covariance of rank < C: the SPD check names
+        # the fix, and nothing warns first
+        ts = small_set(rng, c=c, n=n, t=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match="use more samples per trial"):
+                dataio.covariances(ts)
+
+    def test_trial_must_be_a_matrix(self, rng):
+        with pytest.raises(InvalidInput, match="C x N matrix"):
+            dataio.empirical_covariance(rng.standard_normal((3, 40, 1)))
 
     def test_scaling_leaves_filter_directions(self, rng):
         # scaling every covariance moves the Frechet mean by the same
@@ -350,6 +410,16 @@ class TestSynth:
             dataio.SynthConfig(n_discriminative=9, channels=8).validate()
         with pytest.raises(InvalidInput):
             dataio.SynthConfig(var_pos=(1.0,)).validate()
+        for bad, match in [
+            (dict(channels=0), "must be >= 1"),
+            (dict(background_variance=0.0), "source variances must be positive"),
+            (dict(var_neg=(1.0, -4.0)), "source variances must be positive"),
+            (dict(nonstationarity=-0.1), "nonstationarity must be >= 0"),
+            (dict(mixing="orthogonal"), "mixing must be"),
+            (dict(sessions=0), "sessions must be >= 1"),
+        ]:
+            with pytest.raises(InvalidInput, match=match):
+                dataio.SynthConfig(**bad).validate()
 
     def test_config_from_text(self, tmp_path):
         path = tmp_path / "synth.cfg"
@@ -371,6 +441,9 @@ class TestSynth:
         path = tmp_path / "synth.cfg"
         path.write_text("channel_count: 4\n")
         with pytest.raises(InvalidInput):
+            dataio.SynthConfig.from_text(path)
+        path.write_text("# no colon below\nchannels 4\n")
+        with pytest.raises(InvalidInput, match="config line 2: expected 'key: value'"):
             dataio.SynthConfig.from_text(path)
 
     def test_config_values_read_by_field_type(self, tmp_path):

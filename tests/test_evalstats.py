@@ -66,6 +66,8 @@ class TestStratifiedFolds:
     def test_too_few_folds(self):
         with pytest.raises(InvalidInput):
             evalstats.stratified_folds(np.array([1, -1]), 1, seed=0)
+        with pytest.raises(InvalidInput, match="more folds than samples"):
+            evalstats.stratified_folds(np.array([1, -1, 1]), 4, seed=0)
 
 
 class TestRocAuc:
@@ -92,6 +94,10 @@ class TestRocAuc:
         base = evalstats.roc_auc(scores, labels)
         assert evalstats.roc_auc(np.exp(scores), labels) == base
         assert evalstats.roc_auc(3 * scores + 7, labels) == base
+
+    def test_shape_mismatch(self):
+        with pytest.raises(InvalidInput, match="matching 1-D arrays"):
+            evalstats.roc_auc([0.9, 0.1, 0.3], [1, -1])
 
     def test_single_class(self):
         with pytest.raises(InvalidInput):
@@ -129,6 +135,8 @@ class TestSmd:
     def test_too_few(self):
         with pytest.raises(InvalidInput):
             evalstats.smd([1.0], [0.5])
+        with pytest.raises(InvalidInput, match="matching 1-D arrays"):
+            evalstats.smd([1.0, 2.0, 3.0], [0.5, 1.5])
 
 
 class TestWilcoxon:
@@ -160,6 +168,16 @@ class TestWilcoxon:
         a = rng.standard_normal(n)
         p = evalstats.wilcoxon_one_sided(a + d, a)
         assert 0.0 < p < 0.05
+        # the normal tail from math.erfc is scipy's to rounding (no ties here)
+        import scipy.stats
+
+        w_pos = scipy.stats.rankdata(np.abs(d))[d > 0].sum()
+        z = (w_pos - n * (n + 1) / 4.0 - 0.5) / np.sqrt(n * (n + 1) * (2 * n + 1) / 24.0)
+        assert p == pytest.approx(scipy.stats.norm.sf(z), rel=1e-14)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(InvalidInput, match="matching 1-D arrays"):
+            evalstats.wilcoxon_one_sided([1.0, 2.0], [[1.0, 2.0]])
 
     def test_all_zero_differences(self):
         with pytest.raises(DegenerateStatistic):
@@ -242,6 +260,11 @@ class TestKfoldCv:
         with pytest.raises(InvalidInput):
             evalstats.kfold_cv(ts, _OraclePipeline, folds=1)
 
+    def test_empty_trial_set_rejected(self, rng):
+        ts = label_coded_set(rng).subset(np.arange(0))
+        with pytest.raises(InvalidInput, match="trial set is empty"):
+            evalstats.kfold_cv(ts, _OraclePipeline)
+
     def test_class_absent_in_split(self, rng):
         # 5 folds on a session with 2+2 trials leaves empty test folds
         ts = label_coded_set(rng, t=4)
@@ -270,6 +293,8 @@ class TestBenchPredict:
         ts = label_coded_set(rng)
         with pytest.raises(InvalidInput):
             evalstats.bench_predict({"oracle": _OraclePipeline()}, ts.data, repetitions=0)
+        with pytest.raises(InvalidInput, match="C x N x T tensor"):
+            evalstats.bench_predict({"oracle": _OraclePipeline()}, ts.data[:, :, 0])
 
     def test_nondeterministic_predictor_detected(self, rng):
         ts = label_coded_set(rng)

@@ -68,8 +68,6 @@ def whole_array_svm_dual(x, y, reg, tol, max_iter):
         lo_i, hi_i = (-alpha[i], cap - alpha[i]) if y[i] > 0 else (alpha[i] - cap, alpha[i])
         lo_j, hi_j = (alpha[j] - cap, alpha[j]) if y[j] > 0 else (-alpha[j], cap - alpha[j])
         step = min(max(-slope / curvature, lo_i, lo_j), hi_i, hi_j)
-        if step == 0.0:
-            break
         alpha[i] += y[i] * step
         alpha[j] -= y[j] * step
         qalpha += step * y * (gram[:, i] - gram[:, j])
@@ -95,7 +93,7 @@ class TestSvm:
             monkeypatch.setattr(linmodel, "SVM_MAX_UPDATES", max_iter)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                w, b, info = linmodel._solve_svm_dual(x, y, reg)
+                w, b, info = linmodel._solve_svm_dual(x, y, reg, x @ x.T)
             w_ref, b_ref, path_ref = whole_array_svm_dual(x, y, reg, 1e-6, max_iter)
             assert w.tobytes() == w_ref.tobytes()
             assert b == b_ref
@@ -185,6 +183,45 @@ class TestSvm:
         x, y = blobs(rng, 3)
         with pytest.raises(InvalidInput):
             linmodel.fit_linear_svm(x, y, reg=0.0)
+        with pytest.raises(InvalidInput, match="reg must be positive"):
+            linmodel.fit_from_config(x, y, linmodel.ClassifierConfig(reg=-1.0))
+
+    def test_bad_shapes(self, rng):
+        x, y = blobs(rng, 3)
+        with pytest.raises(InvalidInput, match="must be 2-D"):
+            linmodel.fit_linear_svm(x[:, 0], y, reg=1.0)
+        with pytest.raises(InvalidInput, match="label count"):
+            linmodel.fit_linear_svm(x, y[:-1], reg=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda x, y: linmodel.fit_linear_svm(x, y, reg=1.0),
+            lambda x, y: linmodel.grid_search_cv(x, y, folds=5),
+        ],
+        ids=["fit_linear_svm", "grid_search_cv"],
+    )
+    def test_non_finite_features_rejected(self, rng, fit, bad):
+        # one entry makes the Gram matrix NaN, inf, or (1e200^2) overflow:
+        # the fit raises instead of returning a NaN model, and numpy warns
+        # of nothing (RuntimeWarnings fail the suite)
+        x, y = blobs(rng, n_per_class=20, dim=10)
+        for row in (0, 39):  # the first and the last inner-CV fold
+            xb = x.copy()
+            xb[row, 4] = bad
+            with pytest.raises(InvalidInput, match="SVM features"):
+                fit(xb, y)
+
+    def test_overflowing_solver_rejected(self, rng):
+        # a finite Gram matrix whose largest entry is 1.7e308: a pair
+        # curvature g_ii + g_jj - 2 g_ij overflows, and without the bound
+        # the model comes out NaN
+        x, y = blobs(rng, n_per_class=20, dim=10)
+        x *= np.sqrt(1.7e308 / np.einsum("ij,ij->i", x, x).max())
+        assert np.isfinite(x @ x.T).all()
+        with pytest.raises(InvalidInput, match="solver overflows"):
+            linmodel.fit_linear_svm(x, y, reg=1.0)
 
 
 class TestGridSearch:
@@ -219,6 +256,13 @@ class TestGridSearch:
         x, y = blobs(rng)
         with pytest.raises(InvalidInput):
             linmodel.grid_search_cv(x, y, grid=[])
+
+    def test_bad_grid_and_folds(self, rng):
+        x, y = blobs(rng)
+        with pytest.raises(InvalidInput, match="grid values must be positive"):
+            linmodel.grid_search_cv(x, y, grid=[1.0, 0.0])
+        with pytest.raises(InvalidInput, match="folds must be >= 2"):
+            linmodel.grid_search_cv(x, y, folds=1)
 
 
 class TestDecisionValue:

@@ -40,6 +40,8 @@ class TestSymEig:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(InvalidInput):
             manifold.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidInput, match=r"must be square, got shape \(2, 3\)"):
+            manifold.sym_eig(np.zeros((2, 3)))
 
     def test_symmetry_tolerance(self):
         a = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
@@ -214,6 +216,8 @@ class TestFrechetMean:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             manifold.frechet_mean([])
+        with pytest.raises(DimMismatch, match="same shape"):
+            manifold.frechet_mean([np.eye(2), np.eye(3)])
 
     def test_close_to_fixed_point_mean(self, rng):
         # the curvature-corrected step converges to the point the unit-step
@@ -355,6 +359,8 @@ class TestVec:
     def test_unvec_rejects_bad_length(self):
         with pytest.raises(InvalidInput):
             manifold.unvec(np.zeros(5))
+        with pytest.raises(InvalidInput, match="must be 1-D"):
+            manifold.unvec(np.zeros((2, 3)))
 
 
 class TestInnerProduct:
@@ -477,6 +483,10 @@ class TestSubspaceAngles:
         eigs = np.array([3.0, 2.0, 1.0])
         assert manifold.subspace_angle_by_cluster(f1, f2, eigs) > 1.0
 
+    def test_misaligned_inputs_rejected(self):
+        with pytest.raises(DimMismatch, match="must align"):
+            manifold.subspace_angle_by_cluster(np.eye(3), np.eye(3), np.ones(2))
+
 
 def loop_frechet_mean(points, tol=1e-10, max_iterations=50, curvature=True):
     """The Frechet-mean iteration one point at a time (reference).
@@ -554,7 +564,7 @@ def eigenvalue_rule(a):
 
     def check(a):
         a = manifold._check_symmetric(a)
-        manifold._check_definite(np.linalg.eigvalsh(a), manifold.SPD_TOL, "matrix")
+        manifold._check_definite(np.linalg.eigvalsh(a), "matrix")
 
     return outcome(check, a)
 
@@ -619,14 +629,14 @@ class TestCertifiedSpdCheck:
     def test_certificate_accepts_only_what_the_rule_accepts(self, rng):
         tol = manifold.SPD_TOL
         for a in self.boundary_set(rng):
-            if manifold._certified_spd(a, tol):
+            if manifold._certified_spd(a):
                 assert eigenvalue_rule(a) == "accepted"
         # the certificate carries the common case: a well-conditioned stack,
         # and a matrix at 3x the tolerance whose trace is its largest eigenvalue
         stack = np.array([random_spd(rng, 8, spread=2.0) for _ in range(20)])
-        assert manifold._certified_spd(stack, tol)
-        assert manifold._certified_spd(np.diag([1.0, 3.0 * tol]), tol)
-        assert not manifold._certified_spd(np.diag([1.0, 1.01 * tol]), tol)
+        assert manifold._certified_spd(stack)
+        assert manifold._certified_spd(np.diag([1.0, 3.0 * tol]))
+        assert not manifold._certified_spd(np.diag([1.0, 1.01 * tol]))
 
 
 class TestStacks:
@@ -658,6 +668,11 @@ class TestStacks:
         for fn in (manifold.ensure_spd, manifold.logm, lambda a: manifold.powm(a, 2.0)):
             with pytest.raises(NotPositiveDefinite, match="matrix 3 "):
                 fn(stack)
+        # a two-axis stack is named by a tuple of plain ints
+        two = np.stack([stack[[0, 1, 2, 4]]] * 2)
+        two[1, 0] = stack[3]
+        with pytest.raises(NotPositiveDefinite, match=r"matrix \(1, 0\) is not positive"):
+            manifold.ensure_spd(two)
 
     def test_frechet_mean_matches_loop_reference(self, rng):
         pts = np.array([random_spd(rng, 5, spread=1.5) for _ in range(12)])

@@ -47,6 +47,8 @@ class TestComputePatterns:
     def test_channel_mismatch(self, rng):
         with pytest.raises(DimMismatch):
             patterns.compute_patterns(np.eye(3), random_spd(rng, 4))
+        with pytest.raises(InvalidInput, match="C x K matrix"):
+            patterns.compute_patterns(np.ones(4), random_spd(rng, 4))
 
 
 class TestCsv:

@@ -11,6 +11,7 @@ from tssf.errors import (
     DegenerateModel,
     DimMismatch,
     InvalidInput,
+    NotPositiveDefinite,
     UnsupportedFeatureKind,
 )
 
@@ -259,6 +260,38 @@ class TestComputeFeatures:
         with pytest.raises(UnsupportedFeatureKind):
             tssf.compute_features(model, np.eye(2), "sparse")
 
+    def test_size_mismatch(self, rng):
+        model, _, _ = fitted_model(rng, k=2)
+        with pytest.raises(DimMismatch, match="must be 2 x 2"):
+            tssf.compute_features(model, np.eye(3))
+
+    def test_first_failing_variance_named(self):
+        # one axis names the matrix by its index, two axes by a tuple of ints
+        stack = np.tile(np.eye(3), (2, 4, 1, 1))
+        stack[1, 0, 1, 1] = 0.0
+        with pytest.raises(
+            NotPositiveDefinite,
+            match=r"^filtered covariance \(1, 0\) is not positive definite: "
+            r"variance 0\.000e\+00 in component 1 is not above 0\.000e\+00$",
+        ):
+            tssf_module._log_variances(stack)
+        with pytest.raises(
+            NotPositiveDefinite,
+            match=r"^filtered covariance 4 is not positive definite: "
+            r"variance 0\.000e\+00 in component 1 is not above 0\.000e\+00$",
+        ):
+            tssf_module._log_variances(stack.reshape(8, 3, 3))
+
+    def test_csp_model_needs_an_explicit_kind(self, rng):
+        covs, labels = synth_covs(rng)
+        model = tssf.fit_csp(covs, labels, 2)
+        cov = model.filters.T @ covs[0] @ model.filters
+        np.testing.assert_array_equal(
+            tssf.compute_features(model, cov, tssf.LOGVAR), np.log(np.diag(cov))
+        )
+        with pytest.raises(InvalidInput, match="CspModel has no feature kind"):
+            tssf.compute_features(model, cov)
+
     @pytest.mark.parametrize("kind", [tssf.LOGVAR, tssf.DIAGLOGCOV])
     def test_logcov_needs_a_logcov_model(self, rng, kind):
         # only a "logcov" model holds the filtered-space mean its features need
@@ -292,6 +325,12 @@ class TestPredict:
         model, _, _ = fitted_model(rng, k=2)
         with pytest.raises(InvalidInput):
             tssf.predict_one_step(model, np.zeros(3), tssf.LOGVAR)
+
+    def test_one_step_needs_a_tssf_model(self, rng):
+        covs, labels = synth_covs(rng)
+        model = tssf.fit_csp(covs, labels, 2)
+        with pytest.raises(InvalidInput, match="needs a TssfModel, not a CspModel"):
+            tssf.predict_one_step(model, np.zeros(2), tssf.LOGVAR)
 
     def test_two_step_passthrough_matches_one_step(self, rng):
         model, _, _ = fitted_model(rng, k=2)
@@ -347,6 +386,16 @@ class TestExactDecisionValue:
         res = manifold.GedResult(eigenvectors=f, eigenvalues=np.ones(3))
         with pytest.raises(InvalidInput):
             tssf.exact_decision_value(np.eye(3), np.eye(3), np.eye(3), res)
+        res = manifold.GedResult(eigenvectors=np.eye(3)[:, :2], eigenvalues=np.ones(2))
+        with pytest.raises(InvalidInput, match="must be square"):
+            tssf.exact_decision_value(np.eye(3), np.eye(3), np.eye(3), res)
+
+    def test_indefinite_weight_cov_rejected(self, rng):
+        ref = random_spd(rng, 3)
+        cw = np.diag([2.0, 1.0, -1.0])
+        res = manifold.ged(cw, ref)
+        with pytest.raises(InvalidInput, match="eigenvalues must be positive"):
+            tssf.exact_decision_value(cw, ref, random_spd(rng, 3), res)
 
     def test_mismatched_weight_cov_rejected(self, rng):
         ref = random_spd(rng, 3)
