@@ -86,6 +86,10 @@ class TrialSet:
             if indices.shape != (self.n_trials,):
                 raise InvalidInput(f"mask has {indices.size} entries for {self.n_trials} trials")
             indices = np.flatnonzero(indices)
+        elif indices.size == 0:
+            indices = np.arange(0)  # np.asarray([]) is float
+        elif indices.dtype.kind not in "iu":
+            raise InvalidInput(f"trial indices must be integers or a mask, got {indices.dtype}")
         return TrialSet(
             data=np.take(self.data, indices, axis=2),  # one C-contiguous copy
             labels=self.labels[indices],

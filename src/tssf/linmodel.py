@@ -10,7 +10,7 @@ makes the optimum invariant to duplicating the dataset.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +34,10 @@ class LinearModel:
 
 @dataclass
 class SvmFitInfo:
-    """Solver diagnostics: the recorded objective is the dual objective in
-    minimization form, so it is non-increasing over iterations."""
+    """Solver diagnostics: the pair updates made and the last KKT gap measured."""
 
-    objective_path: np.ndarray = field(default_factory=lambda: np.array([]))
-    iterations: int = 0
-    kkt_gap: float = np.nan
+    iterations: int
+    kkt_gap: float
 
 
 def _check_dataset(x, y):
@@ -62,13 +60,13 @@ def svm_objective(weights, intercept, x, y, reg):
     return 0.5 * float(weights @ weights) + reg * float(hinge.mean())
 
 
-def fit_linear_svm(x, y, reg, full_output=False):
+def fit_linear_svm(x, y, reg):
     """Fit the L2-regularized hinge-loss SVM.
 
-    The solver stops when the maximal KKT violation (most-violating-pair
-    gap) drops below ``SVM_TOL``. Running out of ``SVM_MAX_UPDATES`` pair
-    updates with the gap still above it issues a ``RuntimeWarning`` (the
-    gap reported is the last one measured, before the final update).
+    The solver has two exits: the maximal KKT violation (most-violating-pair
+    gap) is at most ``SVM_TOL``, or ``SVM_MAX_UPDATES`` pair updates are
+    used up with the gap still above it, which issues a ``RuntimeWarning``
+    (the gap reported is the last one measured, before the final update).
 
     Parameters
     ----------
@@ -78,12 +76,10 @@ def fit_linear_svm(x, y, reg, full_output=False):
         Labels in {-1, +1}; each class needs at least 2 samples.
     reg : float
         Positive hinge-loss weight (larger = less regularization).
-    full_output : bool
-        Also return an :class:`SvmFitInfo`.
 
     Returns
     -------
-    LinearModel, or (LinearModel, SvmFitInfo) when ``full_output``.
+    LinearModel
 
     Raises
     ------
@@ -97,9 +93,8 @@ def fit_linear_svm(x, y, reg, full_output=False):
         raise InvalidInput("need at least 2 samples per class")
     if reg <= 0:
         raise InvalidInput("reg must be positive")
-    weights, intercept, info = _solve_svm_dual(x, y, reg, _gram(x, reg))
-    model = LinearModel(weights=weights, intercept=intercept, reg=float(reg))
-    return (model, info) if full_output else model
+    weights, intercept, _ = _solve_svm_dual(x, y, reg, _gram(x, reg))
+    return LinearModel(weights=weights, intercept=intercept, reg=float(reg))
 
 
 def _solve_svm_dual(x, y, reg, gram):
@@ -120,10 +115,6 @@ def _solve_svm_dual(x, y, reg, gram):
     lo, hi = lo.tolist(), hi.tolist()
     beta = [0.0] * t
     f = np.zeros(t)
-    dual = 0.0
-    path = [dual]
-    stall_window = 2 * t
-    last_window_dual = np.inf
     it = 0
     m_val = np.inf
     big_m_val = -np.inf
@@ -136,36 +127,27 @@ def _solve_svm_dual(x, y, reg, gram):
         j = int(low_vals.argmin())
         m_val = float(up_vals[i])
         big_m_val = float(low_vals[j])
-        if m_val - big_m_val <= tol:
+        gap = m_val - big_m_val
+        if gap <= tol:
             break
-        if it > 0 and it % stall_window == 0:
-            if dual == last_window_dual:
-                break  # exact stall; numerically converged
-            last_window_dual = dual
-        curvature = diag[i] + diag[j] - 2.0 * float(gram[i, j])
-        curvature = max(curvature, 1e-12)
-        slope = big_m_val - m_val
-        step = -slope / curvature
-        step = max(step, lo[i] - beta[i], beta[j] - hi[j])
+        curvature = max(diag[i] + diag[j] - 2.0 * float(gram[i, j]), 1e-12)
+        step = max(gap / curvature, lo[i] - beta[i], beta[j] - hi[j])
         step = min(step, hi[i] - beta[i], beta[j] - lo[j])
         beta[i] += step
         beta[j] -= step
         for k in (i, j):
             up[k], low[k] = beta[k] < hi[k], beta[k] > lo[k]
         f += step * (cols[i] - cols[j])
-        dual += slope * step + 0.5 * curvature * step * step
-        path.append(dual)
         it += 1
     if it == max_iter:
-        # its last gap was above tol; the stall exit above is numerical
-        # convergence, running out of updates is not
+        # its last gap, measured before the final update, was above tol
         warnings.warn(
             f"SVM (reg={reg:g}) stopped after SVM_MAX_UPDATES={max_iter} updates with "
             f"KKT gap {m_val - big_m_val:.3e} > SVM_TOL {tol:g}",
             RuntimeWarning,
             stacklevel=3,
         )
-    info = SvmFitInfo(objective_path=np.asarray(path), iterations=it, kkt_gap=m_val - big_m_val)
+    info = SvmFitInfo(iterations=it, kkt_gap=m_val - big_m_val)
     # both index sets stay non-empty (an empty "up" puts every beta at hi,
     # so sum(beta) = n_pos * cap, not 0), so the midpoint is finite
     return x.T @ np.asarray(beta), 0.5 * (m_val + big_m_val), info

@@ -5,9 +5,14 @@ import pytest
 
 # pyproject's pytest `pythonpath` puts src/ on this process's sys.path;
 # subprocesses started by the tests (the CLI, thread-cap probes) import
-# tssf from the same checkout through PYTHONPATH
+# tssf from the same checkout through PYTHONPATH, and fail on a
+# RuntimeWarning (an SVM cap warning, say) as pyproject's filterwarnings
+# makes this process do
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+os.environ["PYTHONWARNINGS"] = ",".join(
+    filter(None, (os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"))
+)
 
 
 def random_spd(rng, c, spread=1.0):

@@ -55,6 +55,12 @@ class TestTrialSet:
         sub = ts.subset([0, 2, 4])
         assert sub.n_trials == 3
         np.testing.assert_array_equal(sub.trial(1), ts.trial(2))
+        for empty in ([], np.arange(0)):
+            sub = ts.subset(empty)
+            assert sub.data.shape == (ts.n_channels, ts.n_samples, 0)
+            assert sub.labels.shape == sub.session_ids.shape == (0,)
+        with pytest.raises(InvalidInput, match="integers or a mask, got float64"):
+            ts.subset([0.0])
 
     def test_subset_is_one_contiguous_copy(self, rng):
         ts = small_set(rng, t=7)
