@@ -8,16 +8,31 @@ eval       cross-validate pipelines and write score/comparison CSVs
 patterns   export the spatial patterns of a saved model as CSV
 bench      measure per-trial prediction latency of fitted pipelines
 
-Exit codes: 0 success, 2 usage/config errors, 3 numerical or degenerate
-failures. All commands honor ``--seed`` and are reproducible under it.
+Exit codes: 0 success; 2 usage/config errors, including a file that
+cannot be read or written or is not UTF-8 where text is expected; 3
+numerical or degenerate failures. Every command but ``patterns`` takes
+``--seed`` and is reproducible under it.
 The ``TSSF_THREADS`` environment variable caps BLAS parallelism (see the
 ``tssf`` package; ``TSSF_THREADS=1`` gives single-threaded runs for
 benchmarking).
 """
 
 import argparse
+import dataclasses
+import itertools
 import os
 import sys
+
+import numpy as np
+
+from .dataio import SynthConfig, covariances, fir_bandpass, load_manifest, read_trials
+from .dataio import synth_generate, write_trials
+from .errors import DegenerateStatistic, FormatError, InvalidInput, TssfError
+from .evalstats import PairedComparison, bench_predict, bench_to_csv, compare_paired
+from .evalstats import comparisons_to_csv, cross_validate, reports_to_csv
+from .linmodel import ClassifierConfig
+from .patterns import compute_patterns, patterns_to_csv
+from .pipelines import PipelineSpec, load_pipeline, make_pipeline, save_pipeline
 
 
 def _parser():
@@ -84,29 +99,17 @@ def main(argv=None):
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    from .errors import (
-        ConvergenceFailure,
-        DegenerateModel,
-        DegenerateStatistic,
-        FormatError,
-        InvalidInput,
-        NotPositiveDefinite,
-    )
-
     try:
         return args.func(args)
-    except (InvalidInput, FormatError, FileNotFoundError) as exc:
+    except (InvalidInput, FormatError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateModel, ConvergenceFailure, NotPositiveDefinite, DegenerateStatistic) as exc:
+    except TssfError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
 
 def _load_trials(args):
-    from .dataio import fir_bandpass, load_manifest, read_trials
-    from .errors import InvalidInput
-
     if bool(args.data) == bool(args.manifest):
         raise InvalidInput("provide exactly one of --data or --manifest")
     trialset = read_trials(args.data) if args.data else load_manifest(args.manifest)
@@ -123,9 +126,6 @@ def _load_trials(args):
 
 
 def _classifier_config(args):
-    from .errors import InvalidInput
-    from .linmodel import ClassifierConfig
-
     grid = None
     if args.grid:
         try:
@@ -138,16 +138,10 @@ def _classifier_config(args):
 
 
 def _pipeline_spec(name, args):
-    from .pipelines import PipelineSpec
-
     return PipelineSpec(name=name, k=args.k, classifier=_classifier_config(args)).validate()
 
 
 def cmd_synth(args):
-    import dataclasses
-
-    from .dataio import SynthConfig, synth_generate, write_trials
-
     cfg = SynthConfig.from_text(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed).validate()
@@ -163,10 +157,6 @@ def cmd_synth(args):
 
 
 def cmd_fit(args):
-    import numpy as np
-
-    from .pipelines import make_pipeline, save_pipeline
-
     spec = _pipeline_spec(args.pipeline, args)
     trialset = _load_trials(args)
     pipe = make_pipeline(spec).fit(trialset.data, trialset.labels)
@@ -187,13 +177,6 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
-    import itertools
-
-    from .errors import DegenerateStatistic, DimMismatch
-    from .evalstats import PairedComparison, compare_paired, comparisons_to_csv
-    from .evalstats import cross_validate, reports_to_csv
-    from .pipelines import make_pipeline
-
     specs = [_pipeline_spec(name, args) for name in args.pipeline]
     trialset = _load_trials(args)
     factories = [lambda s=spec: make_pipeline(s) for spec in specs]
@@ -206,7 +189,7 @@ def cmd_eval(args):
     for a, b in itertools.combinations(reports, 2):
         try:
             cmp = compare_paired(a.pipeline, a.aucs, b.pipeline, b.aucs)
-        except (DegenerateStatistic, DimMismatch):  # reported as SMD nan, p 1
+        except DegenerateStatistic:  # reported as SMD nan, p 1
             cmp = PairedComparison(a.pipeline, b.pipeline, a.aucs, b.aucs, float("nan"), 1.0)
         comparisons.append(cmp)
         print(f"{cmp.name_a} vs {cmp.name_b}: SMD={cmp.smd:.4f} p={cmp.p_value:.4g}")
@@ -226,13 +209,6 @@ def _comparisons_path(out):
 
 
 def cmd_patterns(args):
-    import numpy as np
-
-    from .dataio import covariances
-    from .errors import InvalidInput
-    from .patterns import compute_patterns, patterns_to_csv
-    from .pipelines import load_pipeline
-
     pipe = load_pipeline(args.model)  # the whole file, so its filters must match its k
     filters = pipe.filters
     if filters is None:
@@ -254,9 +230,6 @@ def cmd_patterns(args):
 
 
 def cmd_bench(args):
-    from .evalstats import bench_predict, bench_to_csv
-    from .pipelines import make_pipeline
-
     names = args.pipeline or ["CSP", "TSSF_Var_1_step", "TS_AIRM"]
     specs = [_pipeline_spec(name, args) for name in names]
     trialset = _load_trials(args)

@@ -175,7 +175,10 @@ def read_trials(path):
         names = []
         for i in range(c):
             (length,) = struct.unpack("<I", take(4, f"channel name {i} length"))
-            names.append(take(length, f"channel name {i}").decode("utf-8"))
+            try:
+                names.append(take(length, f"channel name {i}").decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"channel name {i} is not UTF-8: {exc}") from None
         trailing = len(fh.read())
     if trailing:
         raise FormatError(f"{trailing} trailing bytes after channel names")
@@ -264,6 +267,8 @@ def _spd_covariances(data):
     covariance is the same bits as in one :func:`_covariance_stack` call.
     """
     c, n, t = data.shape
+    if c == 0 or n == 0:
+        raise InvalidInput(f"trials of shape {data.shape} have no channels or no samples")
     block = max(1, _BLOCK_BYTES // (8 * c * n))
     covs = np.empty((t, c, c))
     for lo in range(0, t, block):
@@ -293,28 +298,29 @@ def covariances(trialset):
     return _spd_covariances(trialset.data)
 
 
-def fir_bandpass(trialset, low_hz=8.0, high_hz=32.0, fs_hz=250.0, taps=129):
+_FIR_TAPS = 129
+
+
+def fir_bandpass(trialset, low_hz=8.0, high_hz=32.0, fs_hz=250.0):
     """Zero-phase FIR band-pass of every channel of every trial.
 
-    A Hamming-windowed sinc band-pass is applied forward and time-reversed
+    A 129-tap Hamming-windowed sinc band-pass runs forward and reversed
     (no phase distortion; the amplitude response is squared). ``low_hz``
     and ``high_hz`` are passband edges: the Hamming transition bands
     extend outside them, so in-band tones keep their amplitude.
     """
     if not (0.0 < low_hz < high_hz < fs_hz / 2.0):
         raise InvalidInput("need 0 < low < high < fs/2")
-    if taps < 3 or taps % 2 == 0:
-        raise InvalidInput("taps must be odd and >= 3")
     import scipy.signal  # on first use: it takes most of a second to load
 
     n = trialset.n_samples
-    transition = 3.3 * fs_hz / taps  # approximate Hamming transition width
+    transition = 3.3 * fs_hz / _FIR_TAPS  # approximate Hamming transition width
     cut_low = max(low_hz - transition / 2.0, 0.05 * low_hz)
     cut_high = min(high_hz + transition / 2.0, fs_hz / 2.0 - 0.05 * (fs_hz / 2.0 - high_hz))
     coef = scipy.signal.firwin(
-        taps, [cut_low, cut_high], pass_zero=False, fs=fs_hz, window="hamming"
+        _FIR_TAPS, [cut_low, cut_high], pass_zero=False, fs=fs_hz, window="hamming"
     )
-    padlen = min(3 * taps, n - 1)
+    padlen = min(3 * _FIR_TAPS, n - 1)
     filtered = scipy.signal.filtfilt(coef, [1.0], trialset.data, axis=1, padlen=padlen)
     return replace(trialset, data=filtered)
 

@@ -114,8 +114,17 @@ def _check_definite(w, name):
 
 
 def _spd_eigh(a, name="matrix"):
-    # ascending eigenpairs of every matrix of a stack, checked SPD
-    w, v = np.linalg.eigh(a)
+    # ascending eigenpairs of every matrix of a stack, checked SPD. LAPACK
+    # may not converge on a NaN or inf entry: that matrix is named then,
+    # so the scoring path carries no finiteness check of its own
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        if finite.all():
+            raise
+        _, where = _first_failure(finite)
+        raise NotPositiveDefinite(f"{name}{where} has a non-finite entry") from None
     _check_definite(w, name)
     return w, v
 

@@ -76,10 +76,10 @@ def _compiled_scores(self, trials):
     """Decision scores of a C x N x T tensor, one per trial."""
     trials = np.ascontiguousarray(trials, dtype=float)
     p = self._projection
-    if trials.ndim != 3 or trials.shape[0] != p.shape[0]:
+    if trials.ndim != 3 or trials.shape[0] != p.shape[0] or trials.shape[1] == 0:
         raise DimMismatch(
             f"trials of shape {trials.shape} do not fit a projection of shape "
-            f"{p.shape}: expected ({p.shape[0]}, N, T)"
+            f"{p.shape}: expected ({p.shape[0]}, N, T) with N >= 1"
         )
     if p.shape[0] == p.shape[1]:
         # congruence of the C x C covariance takes two C x C products;

@@ -416,6 +416,51 @@ class TestBench:
         assert code == 2
 
 
+FIT_ARGS = ["--k", "2", "--reg", "1.0", "--folds", "3"]
+
+
+@pytest.mark.parametrize(
+    "case", ["eval --out", "fit --out", "patterns --out", "--data", "--model", "--config",
+             "--manifest"],
+)
+def test_file_that_cannot_be_used_exits_2(case, tmp_path, data_path, capsys):
+    # a directory where a file is read or written, or a text file that is
+    # not UTF-8
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    latin1 = tmp_path / "latin1.txt"
+    if case == "--config":
+        latin1.write_bytes("# caf\xe9\n".encode("latin-1") + CONFIG.encode())
+    else:
+        latin1.write_bytes(f"# caf\xe9\n0 {data_path}\n".encode("latin-1"))
+    model = tmp_path / "model.json"
+    data, out = ["--data", str(data_path)], ["--out", str(tmp_path / "out.csv")]
+    assert main(["fit", *data, "--pipeline", "CSP", *FIT_ARGS, "--out", str(model)]) == 0
+    argv = {
+        "eval --out": ["eval", *data, "--pipeline", "CSP", *FIT_ARGS, "--out", str(folder)],
+        "fit --out": ["fit", *data, "--pipeline", "CSP", *FIT_ARGS, "--out", str(folder)],
+        "patterns --out": ["patterns", "--model", str(model), *data, "--out", str(folder)],
+        "--data": ["eval", "--data", str(folder), "--pipeline", "CSP", *FIT_ARGS, *out],
+        "--model": ["patterns", "--model", str(folder), *data, *out],
+        "--config": ["synth", "--config", str(latin1), *out],
+        "--manifest": ["eval", "--manifest", str(latin1), "--pipeline", "CSP", *FIT_ARGS, *out],
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("shape", [(0, 50, 8), (4, 0, 8)], ids=["no channels", "no samples"])
+def test_eval_of_trials_with_no_channels_or_no_samples_exits_2(shape, tmp_path, capsys):
+    path = tmp_path / "empty.eegt"
+    labels = np.where(np.arange(8) % 2 == 0, 1, -1)
+    names = [f"ch{i}" for i in range(shape[0])]
+    dataio.write_trials(dataio.TrialSet(np.ones(shape), labels, np.zeros(8), names), path)
+    argv = ["eval", "--data", str(path), "--pipeline", "CSP", *FIT_ARGS]
+    assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 2
+    assert "no channels or no samples" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_no_command_exits_2(self):
         assert main([]) == 2
@@ -489,7 +534,7 @@ a = np.arange(40.0)  # 40 differences: the normal approximation
 assert tssf.wilcoxon_one_sided(a + np.linspace(-0.2, 1.0, 40), a) < 1e-3
 assert "scipy.stats" not in sys.modules
 ts = tssf.synth_generate(tssf.SynthConfig(channels=3, samples=200, trials_per_class=2, seed=1))
-filtered = tssf.fir_bandpass(ts, taps=31)
+filtered = tssf.fir_bandpass(ts)
 assert filtered.data.shape == ts.data.shape
 assert "scipy.signal" in sys.modules
 """

@@ -5,6 +5,10 @@ kept on purpose (a re-export) says so with ``# noqa: F401`` on its line.
 The package's ``__init__.py`` re-exports by design and is not checked for
 imports. Likewise, a private (``_``-prefixed) module-level function, class
 or constant that no module of the package reads is dead code.
+
+Imports sit at module level: ``import tssf`` loads every module of the
+package, so an import inside a function only binds a name already loaded.
+The one exception defers a module that ``import tssf`` must not load.
 """
 
 import ast
@@ -83,3 +87,35 @@ def test_no_unused_import(module):
 def test_the_check_sees_an_unused_import():
     source = "import os\nfrom numpy import linalg, fft\nfrom a import b  # noqa: F401\nfft.x\n"
     assert unused_imports(source) == [(1, "os"), (2, "linalg")]
+
+
+# (module file, function, imported module) of each import kept in a function
+DEFERRED_IMPORTS = [("dataio.py", "fir_bandpass", "scipy.signal")]
+
+
+def function_imports(source):
+    """(function, module) of each import statement inside a function."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    found.extend((fn.name, alias.name) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    found.append((fn.name, "." * node.level + (node.module or "")))
+    return found
+
+
+def test_imports_only_at_module_level():
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                found.extend((name, *where) for where in function_imports(fh.read()))
+    assert found == DEFERRED_IMPORTS
+
+
+def test_the_check_sees_an_import_in_a_function():
+    source = "import os\ndef f():\n    import numpy.linalg\n    from . import errors\n"
+    source += "class K:\n    def g(self):\n        from .a import b\n"
+    assert function_imports(source) == [("f", "numpy.linalg"), ("f", "."), ("g", ".a")]

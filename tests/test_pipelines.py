@@ -383,6 +383,34 @@ def test_zero_test_trial_raises_on_logvar(name):
 
 
 @pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_no_channels_or_no_samples_raise_invalid_input(name):
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=2, classifier=FIXED))
+    for empty in (np.ones((0, 6, 4)), np.ones((4, 0, 4))):
+        with pytest.raises(InvalidInput, match="no channels or no samples"):
+            pipe.fit(empty, [1, -1, 1, -1])
+    ts = synth_set(seed=19, trials=20)
+    pipe.fit(ts.data, ts.labels)
+    with pytest.raises(InvalidInput, match="with N >= 1"):
+        pipe.decision_scores(ts.data[:, :0, :3])
+
+
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_non_finite_test_sample_raises_naming_the_trial(name):
+    # LAPACK's eigh may not converge on a NaN or inf entry; the log-matrix
+    # pipelines name the trial all the same
+    ts = synth_set(seed=20, channels=8, trials=20)
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=4, classifier=FIXED))
+    pipe.fit(ts.data, ts.labels)
+    trials = ts.data[:, :, :5].copy()
+    trials[2, 7, 3] = np.nan
+    with pytest.raises(NotPositiveDefinite, match="covariance 3 "):
+        pipe.decision_scores(trials)
+    trials[2, 7, 3] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NotPositiveDefinite, match="covariance 3 "):
+        pipe.decision_scores(trials)  # inf - inf in the centring warns
+
+
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
 def test_no_log_matrix_or_tangent_vector_at_prediction(name, monkeypatch):
     ts = synth_set(seed=13, channels=5, trials=30)
     pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=2, classifier=FIXED))
