@@ -10,8 +10,10 @@ bench      measure per-trial prediction latency of fitted pipelines
 
 Exit codes: 0 success; 2 usage/config errors, including a file that
 cannot be read or written or is not UTF-8 where text is expected; 3
-numerical or degenerate failures. Every command but ``patterns`` takes
-``--seed`` and is reproducible under it.
+numerical or degenerate failures. ``fit``, ``eval`` and ``bench`` open
+their output files before any fit, so an output that cannot be written
+exits 2 at once. Every command but ``patterns`` takes ``--seed`` and is
+reproducible under it.
 The ``TSSF_THREADS`` environment variable caps BLAS parallelism (see the
 ``tssf`` package; ``TSSF_THREADS=1`` gives single-threaded runs for
 benchmarking).
@@ -141,6 +143,13 @@ def _pipeline_spec(name, args):
     return PipelineSpec(name=name, k=args.k, classifier=_classifier_config(args)).validate()
 
 
+def _check_writable(path):
+    # append mode creates a missing file but leaves an existing one as it
+    # is until the command writes it
+    with open(path, "a", encoding="utf-8"):
+        pass
+
+
 def cmd_synth(args):
     cfg = SynthConfig.from_text(args.config)
     if args.seed is not None:
@@ -159,6 +168,7 @@ def cmd_synth(args):
 def cmd_fit(args):
     spec = _pipeline_spec(args.pipeline, args)
     trialset = _load_trials(args)
+    _check_writable(args.out)
     pipe = make_pipeline(spec).fit(trialset.data, trialset.labels)
     save_pipeline(pipe, args.out)
     if spec.name == "CSP":
@@ -179,6 +189,9 @@ def cmd_fit(args):
 def cmd_eval(args):
     specs = [_pipeline_spec(name, args) for name in args.pipeline]
     trialset = _load_trials(args)
+    _check_writable(args.out)
+    if len(specs) > 1:
+        _check_writable(_comparisons_path(args.out))
     factories = [lambda s=spec: make_pipeline(s) for spec in specs]
     reports = cross_validate(trialset, factories, folds=args.folds, seed=args.seed)
     for report in reports:
@@ -233,6 +246,8 @@ def cmd_bench(args):
     names = args.pipeline or ["CSP", "TSSF_Var_1_step", "TS_AIRM"]
     specs = [_pipeline_spec(name, args) for name in names]
     trialset = _load_trials(args)
+    if args.out:
+        _check_writable(args.out)
     fitted = {}
     for spec in specs:
         fitted[spec.name] = make_pipeline(spec).fit(trialset.data, trialset.labels)

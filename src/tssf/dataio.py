@@ -241,10 +241,11 @@ def _covariance_stack(data):
     """Per-trial sample covariances of a C x N x T tensor, shape (T, C, C).
 
     The covariance arithmetic of the whole library, without the SPD check
-    (an extra eigendecomposition per trial that online prediction cannot
-    afford): per-channel means are removed, and the product is divided by
-    N. ``x @ x.T`` goes through BLAS ``syrk``, so every covariance is
-    exactly symmetric.
+    of :func:`_spd_covariances` (a Cholesky certificate of the stack, with
+    an ``eigvalsh`` fallback), which online prediction does without:
+    per-channel means are removed, and the product is divided by N.
+    ``x @ x.T`` goes through BLAS ``syrk``, so every covariance is exactly
+    symmetric.
     """
     n = data.shape[1]
     x = data.transpose(2, 0, 1).copy()  # (T, C, N), C-contiguous for BLAS

@@ -309,8 +309,8 @@ def bench_predict(fitted, trials, repetitions=10):
     ``TSSF_THREADS=1`` environment variable) for meaningful numbers.
     """
     trials = np.asarray(trials, dtype=float)
-    if trials.ndim != 3:
-        raise InvalidInput("trials must be a C x N x T tensor")
+    if trials.ndim != 3 or trials.shape[2] == 0:
+        raise InvalidInput(f"trials must be a C x N x T tensor with T >= 1, got {trials.shape}")
     if repetitions < 1:
         raise InvalidInput("repetitions must be >= 1")
     if repetitions < 10:

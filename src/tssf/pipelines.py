@@ -22,16 +22,19 @@ covariance, mirroring online use.
 Every ``fit`` ends in the same compiled form: a projection P,
 coefficients (a vector w on log-variances, or a symmetric B on a log
 matrix), an intercept and a variance floor. One scoring function serves
-all pipelines. It forms W = P^T S P from each trial's covariance S and
-returns ``w . log(diag W)`` or ``<B, logm W>``, plus the intercept. The
-log-matrix score is read off the eigenpairs of W,
+all pipelines; for each trial x with covariance S it returns
+``w . log(diag W)`` or ``<B, logm W>`` of W = P^T S P, plus the intercept.
+The log-variance pipelines (CSP, TSSF_Var_*) take diag W as the
+variances of the rows of P^T x directly, for any K, so no K x K matrix
+is built. The log-matrix score is read off the eigenpairs of W,
 ``sum_i log(lam_i) (V^T B V)_ii``, so no log matrix and no tangent vector
-is built. A C x K projection with K < C filters the C x N trial before
-the covariance is taken; a square one (TS_AIRM's P = mean^{-1/2}, or TSSF
-with K = C) is applied to the C x C covariance by congruence, which costs
-less whenever N > 2C. A ``fit`` reads the trials only for their
-covariances C: a filtered trial F^T x has covariance F^T C F, the stack
-that training features and the variance floor are taken from.
+is built. For the log-matrix kinds only, a C x K projection with K < C
+filters the C x N trial before the covariance is taken; a square one
+(TS_AIRM's P = mean^{-1/2}, or TSSF with K = C) is applied to the C x C
+covariance by congruence, which costs less whenever N > 2C. A ``fit``
+reads the trials only for their covariances C: a filtered trial F^T x
+has covariance F^T C F, the stack that training features and the
+variance floor are taken from.
 
 :func:`save_pipeline` writes the compiled form, plus the spatial filters
 of CSP and TSSF for ``patterns``, as one ``pipeline/2`` JSON file, and
@@ -72,6 +75,19 @@ def _filtered_covariances(projection, trials):
     return _covariance_stack(flat.reshape(projection.shape[1], n, t))
 
 
+def _filtered_variances(projection, trials):
+    # variance of each trial after projection, shape (T, K): the diagonal
+    # of _filtered_covariances without its K x K products. Both sums over
+    # the samples are BLAS products with a ones vector; numpy's strided
+    # y.sum(axis=1) is slower than the whole covariance stack
+    c, n, t = trials.shape
+    y = (projection.T @ trials.reshape(c, n * t)).reshape(projection.shape[1], n, t)
+    ones = np.ones(n)
+    y -= (ones @ y)[:, None, :] / n
+    y *= y
+    return ((ones @ y) / n).T
+
+
 def _compiled_scores(self, trials):
     """Decision scores of a C x N x T tensor, one per trial."""
     trials = np.ascontiguousarray(trials, dtype=float)
@@ -81,14 +97,15 @@ def _compiled_scores(self, trials):
             f"trials of shape {trials.shape} do not fit a projection of shape "
             f"{p.shape}: expected ({p.shape[0]}, N, T) with N >= 1"
         )
+    if self._coef.ndim == 1:
+        var = _filtered_variances(p, trials)
+        return _log_variances(var, self._var_floor) @ self._coef + self._intercept
     if p.shape[0] == p.shape[1]:
         # congruence of the C x C covariance takes two C x C products;
         # projecting the C x N trial would take more whenever N > 2C
         covs, name = p.T @ _covariance_stack(trials) @ p, "covariance"
     else:
         covs, name = _filtered_covariances(p, trials), "filtered covariance"
-    if self._coef.ndim == 1:
-        return _log_variances(covs, self._var_floor) @ self._coef + self._intercept
     return _log_inner(covs, self._coef, name) + self._intercept
 
 
@@ -128,8 +145,9 @@ class CspPipeline(_Pipeline):
         self.model = fit_csp(covs, labels, self.k)
         self.filters = self.model.filters
         filtered = _congruence(self.filters, covs)
-        self.clf = fit_from_config(_log_variances(filtered), labels, self.classifier_cfg)
-        floor = SPD_TOL * filtered.diagonal(0, -2, -1).min()
+        var = filtered.diagonal(0, -2, -1)
+        self.clf = fit_from_config(_log_variances(var), labels, self.classifier_cfg)
+        floor = SPD_TOL * var.min()
         return self._compile(self.filters, self.clf.weights, self.clf.intercept, floor)
 
     decision_scores = _compiled_scores

@@ -271,10 +271,11 @@ def _filtered_features(model, covs, kind):
     training features (pipelines score without building log-matrix
     features, see ``pipelines``). Non-SPD input raises
     :class:`~tssf.errors.NotPositiveDefinite` naming the first failing
-    matrix; "logvar" checks only that every variance is positive.
+    matrix; "logvar" checks only that every variance is positive and
+    finite.
     """
     if kind == LOGVAR:
-        return _log_variances(covs)
+        return _log_variances(covs.diagonal(0, -2, -1))
     if kind == DIAGLOGCOV:
         w, v = _spd_eigh(covs, name="filtered covariance")
         return ((v * v) @ np.log(w)[..., None])[..., 0]  # diagonal of V log(w) V^T
@@ -285,19 +286,20 @@ def _filtered_features(model, covs, kind):
     return _vec(half @ _whitened_log(inv_half, covs, "filtered covariance") @ half)
 
 
-def _log_variances(covs, var_floor=0.0):
-    # log of the diagonal of every matrix of a stack; raises
-    # NotPositiveDefinite naming the first matrix with a variance not above
-    # var_floor. The method form skips np.diagonal's dispatch, which on a
-    # single trial costs more than the check.
-    var = covs.diagonal(0, -2, -1)
-    if not var.min(initial=np.inf) > var_floor:  # one reduction; NaN fails too
-        above = var > var_floor
-        i, where = _first_failure(above.all(axis=-1))
-        c = int(np.argmin(above[i]))
+def _log_variances(var, var_floor=0.0):
+    # log of a (..., K) array of variances; raises NotPositiveDefinite
+    # naming the first row with a variance not above var_floor or not
+    # finite (a huge sample overflows to inf, whose log would turn the
+    # score into NaN against mixed-sign coefficients)
+    if not (var.min(initial=np.inf) > var_floor and var.max(initial=0.0) < np.inf):
+        ok = (var > var_floor) & (var < np.inf)  # NaN fails both
+        i, where = _first_failure(ok.all(axis=-1))
+        c = int(np.argmin(ok[i]))
+        v = var[i][c]
+        fault = f"is not above {var_floor:.3e}" if v <= var_floor else "is not finite"
         raise NotPositiveDefinite(
             f"filtered covariance{where} is not positive definite: "
-            f"variance {var[i][c]:.3e} in component {c} is not above {var_floor:.3e}"
+            f"variance {v:.3e} in component {c} {fault}"
         )
     return np.log(var)
 

@@ -420,12 +420,12 @@ FIT_ARGS = ["--k", "2", "--reg", "1.0", "--folds", "3"]
 
 
 @pytest.mark.parametrize(
-    "case", ["eval --out", "fit --out", "patterns --out", "--data", "--model", "--config",
-             "--manifest"],
+    "case", ["eval --out", "fit --out", "bench --out", "patterns --out", "--data", "--model",
+             "--config", "--manifest"],
 )
-def test_file_that_cannot_be_used_exits_2(case, tmp_path, data_path, capsys):
+def test_file_that_cannot_be_used_exits_2(case, tmp_path, data_path, capsys, monkeypatch):
     # a directory where a file is read or written, or a text file that is
-    # not UTF-8
+    # not UTF-8; an output is opened before any fit
     folder = tmp_path / "folder"
     folder.mkdir()
     latin1 = tmp_path / "latin1.txt"
@@ -439,12 +439,19 @@ def test_file_that_cannot_be_used_exits_2(case, tmp_path, data_path, capsys):
     argv = {
         "eval --out": ["eval", *data, "--pipeline", "CSP", *FIT_ARGS, "--out", str(folder)],
         "fit --out": ["fit", *data, "--pipeline", "CSP", *FIT_ARGS, "--out", str(folder)],
+        "bench --out": ["bench", *data, "--pipeline", "CSP", "--k", "2", "--out", str(folder)],
         "patterns --out": ["patterns", "--model", str(model), *data, "--out", str(folder)],
         "--data": ["eval", "--data", str(folder), "--pipeline", "CSP", *FIT_ARGS, *out],
         "--model": ["patterns", "--model", str(folder), *data, *out],
         "--config": ["synth", "--config", str(latin1), *out],
         "--manifest": ["eval", "--manifest", str(latin1), "--pipeline", "CSP", *FIT_ARGS, *out],
     }[case]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a pipeline was fitted")
+
+    monkeypatch.setattr(tssf.cli, "cross_validate", fail)
+    monkeypatch.setattr(tssf.cli, "make_pipeline", fail)
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -295,6 +295,10 @@ class TestBenchPredict:
             evalstats.bench_predict({"oracle": _OraclePipeline()}, ts.data, repetitions=0)
         with pytest.raises(InvalidInput, match="C x N x T tensor"):
             evalstats.bench_predict({"oracle": _OraclePipeline()}, ts.data[:, :, 0])
+        counting = _CountingPredictor()
+        with pytest.raises(InvalidInput, match=r"T >= 1, got \(2, 8, 0\)"):
+            evalstats.bench_predict({"counting": counting}, ts.data[:, :, :0])
+        assert counting.calls == 0
 
     def test_nondeterministic_predictor_detected(self, rng):
         ts = label_coded_set(rng)

@@ -145,6 +145,37 @@ def test_scores_equal_library_route_and_single_trial_calls(name):
         np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=atol)
         single = [pipe.decision_scores(trials[:, :, t : t + 1])[0] for t in range(trials.shape[2])]
         np.testing.assert_allclose(single, scores, rtol=1e-12, atol=atol)
+        assert pipe.decision_scores(trials[:, :, :0]).shape == (0,)
+
+
+@pytest.mark.parametrize("k", [2, 6], ids=["k<C", "k=C"])
+@pytest.mark.parametrize("name", ["CSP", "TSSF_Var_1_step", "TSSF_Var_2_step"])
+def test_logvar_scores_from_filtered_variances_alone(name, k, monkeypatch):
+    # w . log diag(F^T S F) + b, with no covariance stack of the trials,
+    # for a square projection too
+    ts = synth_set(seed=23, channels=6, trials=200)
+    spec = pipelines.PipelineSpec(name=name, k=k, classifier=FIXED)
+    pipe = pipelines.make_pipeline(spec).fit(ts.data[:, :, :40], ts.labels[:40])
+    if pipe.one_step:
+        weights, intercept = pipe.model.beta, pipe.model.intercept
+    else:
+        weights, intercept = pipe.clf.weights, pipe.clf.intercept
+    covs = covariances_of(ts.data)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the scorer built a covariance stack")
+
+    monkeypatch.setattr(pipelines, "_filtered_covariances", fail)
+    monkeypatch.setattr(pipelines, "_covariance_stack", fail)
+    for t in (1, 10, 200):
+        trials = ts.data[:, :, :t]
+        var = (pipe.filters.T @ covs[:t] @ pipe.filters).diagonal(0, -2, -1)
+        expected = np.log(var) @ weights + intercept
+        scores = pipe.decision_scores(trials)
+        atol = 1e-12 * np.abs(expected).max()
+        np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=atol)
+        single = [pipe.decision_scores(trials[:, :, i : i + 1])[0] for i in range(t)]
+        np.testing.assert_allclose(single, scores, rtol=1e-12, atol=atol)
 
 
 @pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
@@ -410,6 +441,23 @@ def test_non_finite_test_sample_raises_naming_the_trial(name):
         pipe.decision_scores(trials)  # inf - inf in the centring warns
 
 
+@pytest.mark.parametrize("name", ["CSP", "TSSF_Var_1_step", "TSSF_Var_2_step"])
+def test_overflowing_test_sample_raises_on_logvar(name):
+    # a finite but huge sample overflows the trial's variances to inf,
+    # whose log would make the score NaN against mixed-sign coefficients
+    ts = synth_set(seed=3, channels=8, trials=20)
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=4, classifier=FIXED))
+    pipe.fit(ts.data, ts.labels)
+    trials = ts.data[:, :, :5].copy()
+    trials[2, 7, 3] = 1e200
+    message = r"^filtered covariance {} is not positive definite: variance inf in component \d+ "
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotPositiveDefinite, match=message.format(3) + "is not finite$"):
+            pipe.decision_scores(trials)
+        with pytest.raises(NotPositiveDefinite, match=message.format(0) + "is not finite$"):
+            pipe.decision_scores(trials[:, :, 3:4])
+
+
 @pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
 def test_no_log_matrix_or_tangent_vector_at_prediction(name, monkeypatch):
     ts = synth_set(seed=13, channels=5, trials=30)
@@ -482,9 +530,10 @@ def test_fit_reads_trials_only_for_their_covariances(name, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("fit filtered the trial data")
 
-    # the scorer's two routes from trial data to covariances
+    # the scorer's three routes from trial data to covariances or variances
     monkeypatch.setattr(pipelines, "_filtered_covariances", fail)
     monkeypatch.setattr(pipelines, "_covariance_stack", fail)
+    monkeypatch.setattr(pipelines, "_filtered_variances", fail)
     pipe = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
     monkeypatch.undo()
     np.testing.assert_array_equal(pipe.decision_scores(ts.data), expected)

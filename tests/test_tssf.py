@@ -274,13 +274,13 @@ class TestComputeFeatures:
             match=r"^filtered covariance \(1, 0\) is not positive definite: "
             r"variance 0\.000e\+00 in component 1 is not above 0\.000e\+00$",
         ):
-            tssf_module._log_variances(stack)
+            tssf_module._log_variances(stack.diagonal(0, -2, -1))
         with pytest.raises(
             NotPositiveDefinite,
             match=r"^filtered covariance 4 is not positive definite: "
             r"variance 0\.000e\+00 in component 1 is not above 0\.000e\+00$",
         ):
-            tssf_module._log_variances(stack.reshape(8, 3, 3))
+            tssf_module._log_variances(stack.reshape(8, 3, 3).diagonal(0, -2, -1))
 
     def test_csp_model_needs_an_explicit_kind(self, rng):
         covs, labels = synth_covs(rng)
