@@ -3,7 +3,7 @@
 Subcommands
 -----------
 synth      generate a synthetic trial file from a config
-fit        fit one pipeline and save it as a pipeline/2 model file
+fit        fit one pipeline and save it as a JSON model file
 eval       cross-validate pipelines and write score/comparison CSVs
 patterns   export the spatial patterns of a saved model as CSV
 bench      measure per-trial prediction latency of fitted pipelines
@@ -34,7 +34,7 @@ from .evalstats import PairedComparison, bench_predict, bench_to_csv, compare_pa
 from .evalstats import comparisons_to_csv, cross_validate, reports_to_csv
 from .linmodel import ClassifierConfig
 from .patterns import compute_patterns, patterns_to_csv
-from .pipelines import PipelineSpec, load_pipeline, make_pipeline, save_pipeline
+from .pipelines import MODEL_FORMAT, PipelineSpec, load_pipeline, make_pipeline, save_pipeline
 
 
 def _parser():
@@ -67,7 +67,7 @@ def _parser():
     p_fit = sub.add_parser("fit", parents=parents, help="fit and save one pipeline")
     p_fit.add_argument("--pipeline", required=True, help="pipeline name")
     p_fit.add_argument("--folds", type=int, default=5, help="inner CV folds")
-    p_fit.add_argument("--out", required=True, help="pipeline/2 model file to write")
+    p_fit.add_argument("--out", required=True, help=f"{MODEL_FORMAT} model file to write")
     p_fit.set_defaults(func=cmd_fit)
 
     p_eval = sub.add_parser("eval", parents=parents, help="cross-validate pipelines")
@@ -79,7 +79,7 @@ def _parser():
     p_eval.set_defaults(func=cmd_eval)
 
     p_pat = sub.add_parser("patterns", parents=[common_data], help="export spatial patterns")
-    p_pat.add_argument("--model", required=True, help="saved pipeline/2 model")
+    p_pat.add_argument("--model", required=True, help=f"saved {MODEL_FORMAT} model")
     p_pat.add_argument("--out", required=True, help="CSV to write")
     p_pat.set_defaults(func=cmd_patterns)
 

@@ -205,8 +205,8 @@ def read_manifest(path):
                 session = int(parts[0])
             except ValueError:
                 raise FormatError(f"manifest line {lineno}: bad session id") from None
-            if session < 0:
-                raise FormatError(f"manifest line {lineno}: session id must be >= 0")
+            if not 0 <= session < 2**32:  # a u32 field of EEGT files
+                raise FormatError(f"manifest line {lineno}: session id must be >= 0 and < 2**32")
             file_path = parts[1]
             if not os.path.isabs(file_path):
                 file_path = os.path.join(base, file_path)

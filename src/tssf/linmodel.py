@@ -75,7 +75,7 @@ def fit_linear_svm(x, y, reg):
     y : ndarray, shape (T,)
         Labels in {-1, +1}; each class needs at least 2 samples.
     reg : float
-        Positive hinge-loss weight (larger = less regularization).
+        Positive finite hinge-loss weight (larger = less regularization).
 
     Returns
     -------
@@ -91,8 +91,8 @@ def fit_linear_svm(x, y, reg):
     x, y, npos, nneg = _check_dataset(x, y)
     if min(npos, nneg) < 2:
         raise InvalidInput("need at least 2 samples per class")
-    if reg <= 0:
-        raise InvalidInput("reg must be positive")
+    if not 0 < reg < np.inf:  # NaN fails too
+        raise InvalidInput("reg must be positive and finite")
     weights, intercept, _ = _solve_svm_dual(x, y, reg, _gram(x, reg))
     return LinearModel(weights=weights, intercept=intercept, reg=float(reg))
 
@@ -181,8 +181,8 @@ def grid_search_cv(x, y, grid=None, folds=5, seed=0):
     grid = DEFAULT_GRID if grid is None else tuple(grid)
     if not grid:
         raise InvalidInput("grid must be non-empty")
-    if any(g <= 0 for g in grid):
-        raise InvalidInput("grid values must be positive")
+    if not all(0 < g < np.inf for g in grid):
+        raise InvalidInput("grid values must be positive and finite")
     if folds < 2:
         raise InvalidInput("folds must be >= 2")
     if folds > min(npos, nneg):
@@ -220,8 +220,10 @@ class ClassifierConfig:
     seed: int = 0
 
     def validate(self):
-        if self.reg is not None and self.reg <= 0:
-            raise InvalidInput("reg must be positive")
+        if self.reg is not None and not 0 < self.reg < np.inf:
+            raise InvalidInput("reg must be positive and finite")
+        if self.grid is not None and not all(0 < g < np.inf for g in self.grid):
+            raise InvalidInput("grid values must be positive and finite")
         return self
 
 

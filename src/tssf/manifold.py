@@ -100,23 +100,24 @@ def sym_eig(a):
     return w, v * signs
 
 
-def _check_definite(w, name):
+def _check_definite(w, name, floor=0.0):
     # w: ascending eigenvalues of each matrix of a stack; a matrix is SPD
     # when its smallest eigenvalue exceeds SPD_TOL times the magnitude of
-    # its largest (so the largest is positive too); NaN fails
-    ok = w[..., 0] > SPD_TOL * np.abs(w[..., -1])
+    # its largest (so the largest is positive too), and `floor`; NaN fails
+    ok = w[..., 0] > np.maximum(SPD_TOL * np.abs(w[..., -1]), floor)
     if not ok.all():
         i, where = _first_failure(ok)
+        rule = f"tolerance {SPD_TOL:g}" + (f" or floor {floor:.3e}" if floor else "")
         raise NotPositiveDefinite(
             f"{name}{where} is not positive definite: eigenvalue range "
-            f"[{w[i][0]:.3e}, {w[i][-1]:.3e}] fails tolerance {SPD_TOL:g}"
+            f"[{w[i][0]:.3e}, {w[i][-1]:.3e}] fails {rule}"
         )
 
 
-def _spd_eigh(a, name="matrix"):
-    # ascending eigenpairs of every matrix of a stack, checked SPD. LAPACK
-    # may not converge on a NaN or inf entry: that matrix is named then,
-    # so the scoring path carries no finiteness check of its own
+def _spd_eigh(a, name="matrix", floor=0.0):
+    # ascending eigenpairs of every matrix of a stack, checked SPD above
+    # `floor`. LAPACK may not converge on a NaN or inf entry: that matrix is
+    # named then, so the scoring path carries no finiteness check of its own
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError:
@@ -125,7 +126,7 @@ def _spd_eigh(a, name="matrix"):
             raise
         _, where = _first_failure(finite)
         raise NotPositiveDefinite(f"{name}{where} has a non-finite entry") from None
-    _check_definite(w, name)
+    _check_definite(w, name, floor)
     return w, v
 
 
@@ -142,14 +143,13 @@ def _congruence(f, x):
     return 0.5 * (y + y.swapaxes(-1, -2))
 
 
-def _log_inner(w_stack, b, name="matrix"):
-    # <b, logm(w_t)> for every matrix w_t of a stack and one symmetric b,
-    # read off the eigenpairs w_t = V diag(lam) V^T as
-    # sum_i log(lam_i) (V^T b V)_ii, so no log matrix is built; raises
-    # NotPositiveDefinite naming the first non-SPD w_t. eigh reads only the
-    # lower triangle, so w_t may carry rounding-level asymmetry.
-    lam, v = _spd_eigh(w_stack, name=name)
-    return (((b @ v) * v).sum(axis=-2) * np.log(lam)).sum(axis=-1)
+def _diag_logm(a, name="matrix", floor=0.0):
+    # the diagonal of logm(a) for every matrix of a stack, (V o V) log(lam)
+    # of its eigenpairs, so no log matrix is built; NotPositiveDefinite names
+    # the first matrix not SPD above `floor`. eigh reads only the lower
+    # triangle, so a may carry rounding-level asymmetry.
+    w, v = _spd_eigh(a, name, floor)
+    return ((v * v) @ np.log(w)[..., None])[..., 0]
 
 
 def ensure_spd(a, name="matrix"):

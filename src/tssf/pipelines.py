@@ -19,27 +19,26 @@ Every pipeline object exposes ``fit(trials, labels)`` and
 are always recomputed from the trial data, never taken from a stored
 covariance, mirroring online use.
 
-Every ``fit`` ends in the same compiled form: a projection P,
-coefficients (a vector w on log-variances, or a symmetric B on a log
-matrix), an intercept and a variance floor. One scoring function serves
-all pipelines; for each trial x with covariance S it returns
-``w . log(diag W)`` or ``<B, logm W>`` of W = P^T S P, plus the intercept.
-The log-variance pipelines (CSP, TSSF_Var_*) take diag W as the
-variances of the rows of P^T x directly, for any K, so no K x K matrix
-is built. The log-matrix score is read off the eigenpairs of W,
-``sum_i log(lam_i) (V^T B V)_ii``, so no log matrix and no tangent vector
-is built. For the log-matrix kinds only, a C x K projection with K < C
-filters the C x N trial before the covariance is taken; a square one
-(TS_AIRM's P = mean^{-1/2}, or TSSF with K = C) is applied to the C x C
-covariance by congruence, which costs less whenever N > 2C. A ``fit``
-reads the trials only for their covariances C: a filtered trial F^T x
-has covariance F^T C F, the stack that training features and the
-variance floor are taken from.
+Every ``fit`` ends in the same compiled form: a projection P, one weight
+per column of P, an intercept and a floor. One scoring function serves
+all pipelines: for a trial x with covariance S and W = P^T S P it returns
+``w . log diag W`` (CSP, TSSF_Var_*) or ``w . diag logm W`` (the others),
+plus the intercept. A classifier that weighs a whole log matrix,
+``<B, logm W>``, is folded into that form at fit: with B = U diag(mu) U^T,
+``<B, logm W> = mu . diag logm(U^T W U)``, so P becomes P U and w = mu,
+the paper's filters with one weight per filter. diag W is taken as the
+variances of the rows of P^T x, and diag logm W from the eigenpairs of
+W, so no log matrix or tangent vector is built. For the log-matrix kinds,
+a square P (TS_AIRM, or TSSF with K = C) is applied to the C x C
+covariance by congruence, cheaper than filtering the C x N trial whenever
+N > 2C. A ``fit`` reads the trials only for their covariances C: a
+filtered trial F^T x has covariance F^T C F, the stack that training
+features and the floor are taken from.
 
 :func:`save_pipeline` writes the compiled form, plus the spatial filters
-of CSP and TSSF for ``patterns``, as one ``pipeline/2`` JSON file, and
-:func:`load_pipeline` reads it back into a pipeline that scores bitwise
-like the fitted one.
+of CSP and TSSF for ``patterns``, as one :data:`MODEL_FORMAT` JSON file,
+and :func:`load_pipeline` reads it back into a pipeline that scores
+bitwise like the fitted one.
 """
 
 import json
@@ -51,7 +50,7 @@ from .csp import fit_csp
 from .dataio import _check_training_set, _covariance_stack, _spd_covariances
 from .errors import DimMismatch, FormatError, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
-from .manifold import SPD_TOL, _congruence, _half_powers, _log_inner, unvec
+from .manifold import SPD_TOL, _congruence, _diag_logm, _half_powers, unvec
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
 from .tssf import (
     DIAGLOGCOV,
@@ -64,6 +63,7 @@ from .tssf import (
 )
 
 TANGENT = "tangent"
+MODEL_FORMAT = "pipeline/3"  # the one model file layout save_pipeline writes
 
 
 def _filtered_covariances(projection, trials):
@@ -97,16 +97,22 @@ def _compiled_scores(self, trials):
             f"trials of shape {trials.shape} do not fit a projection of shape "
             f"{p.shape}: expected ({p.shape[0]}, N, T) with N >= 1"
         )
-    if self._coef.ndim == 1:
-        var = _filtered_variances(p, trials)
-        return _log_variances(var, self._var_floor) @ self._coef + self._intercept
-    if p.shape[0] == p.shape[1]:
+    if self.feature_kind == LOGVAR:
+        feats = _log_variances(_filtered_variances(p, trials), self._var_floor)
+    elif p.shape[0] == p.shape[1]:
         # congruence of the C x C covariance takes two C x C products;
         # projecting the C x N trial would take more whenever N > 2C
-        covs, name = p.T @ _covariance_stack(trials) @ p, "covariance"
+        feats = _diag_logm(p.T @ _covariance_stack(trials) @ p, "covariance", self._var_floor)
     else:
-        covs, name = _filtered_covariances(p, trials), "filtered covariance"
-    return _log_inner(covs, self._coef, name) + self._intercept
+        feats = _diag_logm(_filtered_covariances(p, trials), "filtered covariance", self._var_floor)
+    return feats @ self._coef + self._intercept
+
+
+def _fold(projection, coef):
+    # <B, logm(P^T S P)> = mu . diag logm(U^T P^T S P U) for a symmetric
+    # B = U diag(mu) U^T: the projection P U with one weight per column
+    mu, u = np.linalg.eigh(coef)
+    return projection @ u, mu
 
 
 class _Pipeline:
@@ -128,13 +134,17 @@ class _Pipeline:
         self.clf = None
         self._projection = None
 
-    def _compile(self, projection, coef, intercept, var_floor=0.0):
-        # every fitted or loaded pipeline holds C-contiguous arrays, so BLAS
-        # sees one layout and a loaded pipeline scores the same bits
+    def _compile(self, projection, coef, intercept, covs):
+        # C-contiguous arrays, as load_pipeline reads them, so BLAS sees one
+        # layout and a loaded pipeline scores the same bits
         self._projection = np.ascontiguousarray(projection, dtype=float)
         self._coef = np.ascontiguousarray(coef, dtype=float)
         self._intercept = float(intercept)
-        self._var_floor = float(var_floor)
+        # a constant trial, or one far below the training data's scale, has
+        # variances and eigenvalues of rounding size, not 0: scoring rejects
+        # any not above SPD_TOL times the smallest training variance through P
+        var = _congruence(projection, covs).diagonal(0, -2, -1)
+        self._var_floor = float(SPD_TOL * var.min())
         return self
 
 
@@ -144,11 +154,9 @@ class CspPipeline(_Pipeline):
         covs = _spd_covariances(trials)
         self.model = fit_csp(covs, labels, self.k)
         self.filters = self.model.filters
-        filtered = _congruence(self.filters, covs)
-        var = filtered.diagonal(0, -2, -1)
+        var = _congruence(self.filters, covs).diagonal(0, -2, -1)
         self.clf = fit_from_config(_log_variances(var), labels, self.classifier_cfg)
-        floor = SPD_TOL * var.min()
-        return self._compile(self.filters, self.clf.weights, self.clf.intercept, floor)
+        return self._compile(self.filters, self.clf.weights, self.clf.intercept, covs)
 
     decision_scores = _compiled_scores
 
@@ -160,25 +168,19 @@ class TssfPipeline(_Pipeline):
         self.model = extract_tssf(
             covs, labels, self.k, model_cfg=self.classifier_cfg, feature_kind=self.feature_kind
         )
-        self.filters = filters = self.model.filters
-        filtered = _congruence(filters, covs)
+        self.filters = projection = self.model.filters
         if self.one_step:
             weights, intercept = self.model.beta, self.model.intercept
         else:
-            feats = _filtered_features(self.model, filtered, self.feature_kind)
+            feats = _filtered_features(self.model, _congruence(projection, covs), self.feature_kind)
             self.clf = fit_from_config(feats, labels, self.classifier_cfg)
             weights, intercept = self.clf.weights, self.clf.intercept
-        if self.feature_kind == LOGVAR:
-            # a constant held-out trial's variances are rounding noise, not 0
-            floor = SPD_TOL * filtered.diagonal(0, -2, -1).min()
-            return self._compile(filters, weights, intercept, floor)
-        if self.feature_kind == DIAGLOGCOV:
-            return self._compile(filters, np.diag(weights), intercept)
-        # the features are vec(h L h) with L = logm(h^-1 F^T S F h^-1)
-        # and h = filtered_mean^{1/2}, so w . vec(h L h) = <h unvec(w) h, L>,
-        # and L is the log of the covariance filtered by F h^-1
-        half, inv_half = _half_powers(self.model.filtered_mean)
-        return self._compile(filters @ inv_half, half @ unvec(weights) @ half, intercept)
+        if self.feature_kind == LOGCOV:
+            # w . vec(h L h) = <h unvec(w) h, L> for h = filtered_mean^{1/2},
+            # where L = logm(h^-1 F^T S F h^-1) is the log filtered by F h^-1
+            half, inv_half = _half_powers(self.model.filtered_mean)
+            projection, weights = _fold(projection @ inv_half, half @ unvec(weights) @ half)
+        return self._compile(projection, weights, intercept, covs)
 
     decision_scores = _compiled_scores
 
@@ -191,12 +193,12 @@ class TangentSpacePipeline(_Pipeline):
 
     def fit(self, trials, labels):
         trials, labels = _check_training_set(trials, labels, trial_axis=2)
-        self.reference_mean, self.clf = fit_tangent_model(
-            _spd_covariances(trials), labels, self.classifier_cfg
-        )
-        # P = mean^{-1/2} whitens each covariance at the reference mean
+        covs = _spd_covariances(trials)
+        self.reference_mean, self.clf = fit_tangent_model(covs, labels, self.classifier_cfg)
+        # <unvec(w), logm(P^T S P)> at P = mean^{-1/2}: the fold gives all C TSSF filters
         _, inv_half = _half_powers(self.reference_mean)
-        return self._compile(inv_half, unvec(self.clf.weights), self.clf.intercept)
+        projection, weights = _fold(inv_half, unvec(self.clf.weights))
+        return self._compile(projection, weights, self.clf.intercept, covs)
 
     decision_scores = _compiled_scores
 
@@ -244,11 +246,11 @@ def make_pipeline(spec):
 
 
 def save_pipeline(pipe, path):
-    """Write a fitted pipeline as one "pipeline/2" JSON object.
+    """Write a fitted pipeline as one :data:`MODEL_FORMAT` JSON object.
 
     Fields: format, name, k, feature_kind, intercept, var_floor,
-    projection (a matrix), coef (a vector for "logvar" pipelines, else a
-    symmetric matrix) and, for CSP and TSSF pipelines, filters. ``json``
+    projection (a matrix), coef (a vector, one weight per column of the
+    projection) and, for CSP and TSSF pipelines, filters. ``json``
     writes floats with ``repr`` and reads them with ``float``, so every
     value round-trips bit-exactly; ``indent=1`` puts each value on its own
     line, so model files diff cleanly.
@@ -256,7 +258,7 @@ def save_pipeline(pipe, path):
     if pipe._projection is None:
         raise InvalidInput(f"{pipe.name} pipeline is not fitted")
     doc = {
-        "format": "pipeline/2",
+        "format": MODEL_FORMAT,
         "name": pipe.name,
         "k": pipe.k,
         "feature_kind": pipe.feature_kind,
@@ -294,7 +296,7 @@ def _floats(doc, key, ndim):
 
 
 def load_pipeline(path):
-    """Read a "pipeline/2" file into a pipeline ready to score.
+    """Read a :data:`MODEL_FORMAT` file into a pipeline ready to score.
 
     The pipeline holds the compiled form and the filters only; its
     ``decision_scores`` are bitwise those of the pipeline that was saved.
@@ -305,8 +307,8 @@ def load_pipeline(path):
             doc = json.load(fh)
     except ValueError as exc:  # not UTF-8, or not JSON
         raise FormatError(f"model file is not JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != "pipeline/2":
-        raise FormatError("not a pipeline/2 model file")
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        raise FormatError(f"not a {MODEL_FORMAT} model file")
     name = _field(doc, "name")
     if name not in PIPELINE_NAMES:
         raise FormatError(f"unknown pipeline {name!r}")
@@ -318,15 +320,12 @@ def load_pipeline(path):
     if type(k) is not int or (k != 0 if airm else k < 1):
         raise FormatError(f"{name} needs k {'= 0' if airm else '>= 1'}, got {k!r}")
     pipe = cls(name, k, kind, one_step)
-    pipe._compile(
-        _floats(doc, "projection", 2),
-        _floats(doc, "coef", 1 if kind == LOGVAR else 2),
-        _floats(doc, "intercept", 0),
-        _floats(doc, "var_floor", 0),
-    )
+    pipe._projection, pipe._coef = _floats(doc, "projection", 2), _floats(doc, "coef", 1)
+    pipe._intercept = float(_floats(doc, "intercept", 0))
+    pipe._var_floor = float(_floats(doc, "var_floor", 0))
     channels = pipe._projection.shape[0]
     width = channels if airm else k
-    if pipe._projection.shape[1] != width or pipe._coef.shape != (width,) * pipe._coef.ndim:
+    if pipe._projection.shape[1] != width or pipe._coef.shape != (width,):
         raise FormatError(f"projection and coef do not match k={k}")
     if not airm:
         pipe.filters = _floats(doc, "filters", 2)
@@ -334,6 +333,6 @@ def load_pipeline(path):
             raise FormatError(f"filters of shape {pipe.filters.shape} are not (channels, k={k})")
     elif "filters" in doc:
         raise FormatError(f"{name} has no spatial filters, but the file has a 'filters' field")
-    if pipe._var_floor < 0.0:  # a negative floor would pass a constant trial
-        raise FormatError(f"var_floor must be >= 0, got {pipe._var_floor!r}")
+    if pipe._var_floor <= 0.0:  # a floor of 0 would pass a constant trial
+        raise FormatError(f"var_floor must be > 0, got {pipe._var_floor!r}")
     return pipe

@@ -23,7 +23,7 @@ compute it once; the arrays it returns are read-only.
 The per-trial functions (:func:`apply_filters`, :func:`compute_features`,
 :func:`predict_one_step`) work on one filtered trial at a time and are the
 reference that the pipelines' scores are tested against. Whole pipelines,
-their one compiled scoring route and their ``pipeline/2`` model file live
+their one compiled scoring route and their model file live
 in :mod:`tssf.pipelines`; this module keeps no file format of its own.
 """
 
@@ -45,11 +45,10 @@ from .manifold import (
     _check_symmetric,
     _component_order,
     _congruence,
+    _diag_logm,
     _first_failure,
     _frechet_mean_and_logs,
     _half_powers,
-    _log_inner,
-    _spd_eigh,
     _vec,
     _whitened_log,
     ensure_spd,
@@ -277,8 +276,7 @@ def _filtered_features(model, covs, kind):
     if kind == LOGVAR:
         return _log_variances(covs.diagonal(0, -2, -1))
     if kind == DIAGLOGCOV:
-        w, v = _spd_eigh(covs, name="filtered covariance")
-        return ((v * v) @ np.log(w)[..., None])[..., 0]  # diagonal of V log(w) V^T
+        return _diag_logm(covs, "filtered covariance")
     if model.filtered_mean is None:
         kind = model.feature_kind
         raise UnsupportedFeatureKind(f"'logcov' features of a model extracted for {kind!r}")
@@ -357,4 +355,4 @@ def exact_decision_value(weight_cov, ref, trial_cov, ged_result):
     if np.any(d <= 0):
         raise InvalidInput("weight covariance eigenvalues must be positive")
     filtered = f.T @ np.asarray(trial_cov, dtype=float) @ f
-    return float(_log_inner(filtered, np.diag(np.log(d)), "filtered trial covariance"))
+    return float(np.log(d) @ _diag_logm(filtered, "filtered trial covariance"))

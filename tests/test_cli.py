@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tssf
-from tssf import dataio
+from tssf import cli, dataio
 from tssf import tssf as tssf_module
 from tssf.cli import main
 
@@ -243,6 +243,39 @@ class TestEval:
         sessions = {line.split(",")[3] for line in body}
         assert sessions == {"0", "1"}
 
+    def test_session_id_beyond_u32_exits_2(self, tmp_path, data_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"0 {data_path}\n4294967296 {data_path}\n")
+        code = main(
+            ["eval", "--manifest", str(manifest), "--pipeline", "CSP",
+             "--k", "2", "--reg", "1.0", "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 2
+        assert "manifest line 2: session id must be >= 0 and < 2**32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--reg", "nan"], "reg"),
+            (["--reg", "inf"], "reg"),
+            (["--grid", "1,nan"], "grid values"),
+        ],
+        ids=["reg-nan", "reg-inf", "grid-nan"],
+    )
+    def test_non_finite_reg_exits_2_before_any_fit(
+        self, tmp_path, data_path, capsys, monkeypatch, flags, message
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("eval fitted before checking its regularization")
+
+        monkeypatch.setattr(cli, "cross_validate", fail)
+        code = main(
+            ["eval", "--data", str(data_path), "--pipeline", "TS_AIRM", *flags,
+             "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 2
+        assert f"error: {message} must be positive and finite" in capsys.readouterr().err
+
     def test_band_flag(self, tmp_path, config_path):
         cfg = tmp_path / "long.cfg"
         cfg.write_text(CONFIG.replace("samples: 200", "samples: 600"))
@@ -330,8 +363,8 @@ class TestPatterns:
              "field 'intercept' holds a non-finite number"),
             (lambda doc: doc.pop("filters"), "missing field 'filters'"),
             (lambda doc: doc.update(k=0), "TSSF_Var_1_step needs k >= 1, got 0"),
-            (lambda doc: doc.update(var_floor=-1.0), "var_floor must be >= 0"),
-            (lambda doc: doc.update(format="pipeline/1"), "not a pipeline/2 model file"),
+            (lambda doc: doc.update(var_floor=-1.0), "var_floor must be > 0"),
+            (lambda doc: doc.update(format="pipeline/1"), "not a pipeline/3 model file"),
         ],
     )
     def test_malformed_model_exits_2(self, tmp_path, data_path, capsys, edit, message):
@@ -359,7 +392,7 @@ class TestPatterns:
         assert "field 'filters' is not a matrix of floats" in capsys.readouterr().err
 
     def test_text_model_file_exits_2(self, tmp_path, data_path, capsys):
-        # the line-oriented text format that preceded pipeline/2
+        # the line-oriented text format that preceded the JSON model files
         model_path = tmp_path / "model.txt"
         model_path.write_text("format: pipeline/1\nname: TSSF_Var_1_step\nk: 2\n")
         code = main(

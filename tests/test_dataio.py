@@ -249,6 +249,10 @@ class TestManifest:
         manifest.write_text("# sessions\n-1 a.eegt\n")
         with pytest.raises(FormatError, match="line 2: session id must be >= 0"):
             dataio.read_manifest(manifest)
+        # the largest u32 is a session id; one more does not fit an EEGT file
+        manifest.write_text("4294967295 a.eegt\n4294967296 b.eegt\n")
+        with pytest.raises(FormatError, match=r"line 2: session id must be >= 0 and < 2\*\*32$"):
+            dataio.read_manifest(manifest)
 
 
 class TestEmpiricalCovariance:

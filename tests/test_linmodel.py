@@ -191,6 +191,17 @@ class TestSvm:
         with pytest.raises(InvalidInput, match="reg must be positive"):
             linmodel.fit_from_config(x, y, linmodel.ClassifierConfig(reg=-1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reg_rejected_everywhere(self, rng, bad):
+        x, y = blobs(rng)
+        with pytest.raises(InvalidInput, match="^reg must be positive and finite$"):
+            linmodel.fit_linear_svm(x, y, reg=bad)
+        with pytest.raises(InvalidInput, match="^grid values must be positive and finite$"):
+            linmodel.grid_search_cv(x, y, grid=[1.0, bad])
+        for cfg, what in [(dict(reg=bad), "reg"), (dict(grid=(1.0, bad)), "grid values")]:
+            with pytest.raises(InvalidInput, match=f"^{what} must be positive and finite$"):
+                linmodel.ClassifierConfig(**cfg).validate()
+
     def test_bad_shapes(self, rng):
         x, y = blobs(rng, 3)
         with pytest.raises(InvalidInput, match="must be 2-D"):

@@ -706,6 +706,8 @@ class TestCongruence:
 
 
 class TestLogInner:
+    # <B, logm W> as the compiled scorer reads it: with B = U diag(mu) U^T,
+    # <B, logm W> = mu . diag logm(U^T W U), the diagonal taken by _diag_logm
     @pytest.mark.parametrize("c", [1, 2, 8, 64])
     @pytest.mark.parametrize("diagonal", [True, False])
     def test_matches_tangent_vector_dot(self, rng, c, diagonal):
@@ -714,19 +716,31 @@ class TestLogInner:
         logs = manifold._vec(manifold.logm(stack))
         expected = logs @ manifold.vec(b)
         bound = np.linalg.norm(logs, axis=1) * np.linalg.norm(b)  # Cauchy-Schwarz
-        got = manifold._log_inner(stack, b)
+        mu, u = np.linalg.eigh(b)
+        got = manifold._diag_logm(u.T @ stack @ u) @ mu
         assert got.shape == (5,)
         assert np.all(np.abs(got - expected) <= 1e-12 * bound)
 
     def test_single_calls_equal_one_batch_call(self, rng):
         stack = np.array([random_spd(rng, 6, spread=1.5) for _ in range(7)])
-        b = random_symmetric(rng, 6)
-        batch = manifold._log_inner(stack, b)
-        single = [manifold._log_inner(stack[t : t + 1], b)[0] for t in range(7)]
+        batch = manifold._diag_logm(stack)
+        single = [manifold._diag_logm(stack[t : t + 1])[0] for t in range(7)]
         np.testing.assert_array_equal(single, batch)
+        np.testing.assert_allclose(
+            batch, manifold.logm(stack).diagonal(0, -2, -1), rtol=0, atol=1e-13
+        )
 
     def test_non_spd_matrix_named(self, rng):
         stack = np.array([random_spd(rng, 3) for _ in range(5)])
         stack[3] = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NotPositiveDefinite, match="covariance 3 "):
-            manifold._log_inner(stack, np.eye(3), "covariance")
+            manifold._diag_logm(stack, "covariance")
+
+    def test_eigenvalue_not_above_floor_named(self, rng):
+        # scaling keeps a matrix SPD by the relative rule; only the floor,
+        # in the data's units, rejects one scaled far below the others
+        stack = np.array([random_spd(rng, 3) for _ in range(5)])
+        stack[2] *= 1e-20
+        manifold._diag_logm(stack)
+        with pytest.raises(NotPositiveDefinite, match=r"^covariance 2 .* or floor 1\.000e-12$"):
+            manifold._diag_logm(stack, "covariance", floor=1e-12)

@@ -202,7 +202,9 @@ def test_saved_pipeline_scores_bitwise_like_fitted_one(name, tmp_path):
     text = path.read_text()
     keys = ["format", "name", "k", "feature_kind", "intercept", "var_floor", "projection", "coef"]
     assert list(json.loads(text)) == keys + ["filters"] * (name != "TS_AIRM")
-    assert text.startswith('{\n "format": "pipeline/2",\n "name": "' + name + '",\n')
+    assert text.startswith('{\n "format": "pipeline/3",\n "name": "' + name + '",\n')
+    # every pipeline compiles to filters with one weight per filter
+    assert pipe._coef.ndim == 1 and pipe._coef.shape == pipe._projection.shape[1:]
     # one value per line: each row of a matrix spans one line per entry
     assert ' [\n  [\n   ' in text and "," not in text.replace(",\n", "")
 
@@ -247,7 +249,7 @@ class TestLoadPipeline:
     @pytest.mark.parametrize(
         "field, value, match",
         [
-            ("format", "pipeline/1", "not a pipeline/2 model file"),
+            ("format", "pipeline/2", "not a pipeline/3 model file"),
             ("name", "TSSF_Var_3_step", "unknown pipeline"),
             ("name", ["CSP"], "unknown pipeline"),
             ("feature_kind", "logcov", "feature kind 'logvar'"),
@@ -312,6 +314,7 @@ class TestLoadPipeline:
             ("filters", "-inf"),
             ("filters", "1e999"),
             ("var_floor", "-1.0"),
+            ("var_floor", "0.0"),
             ("var_floor", "inf"),
         ],
     )
@@ -544,8 +547,8 @@ def test_fit_reads_trials_only_for_their_covariances(name, monkeypatch):
 )
 def test_training_features_by_congruence_equal_filtered_trials(name, monkeypatch):
     # the covariance of a filtered trial F^T x is F^T C F, so the features
-    # and variance floor a fit takes from its filtered covariance stack are
-    # those of the filtered trials
+    # a fit takes from its filtered covariance stack are those of the
+    # filtered trials
     ts = synth_set(seed=20, channels=6, trials=30)
     seen = []
 
@@ -566,9 +569,51 @@ def test_training_features_by_congruence_equal_filtered_trials(name, monkeypatch
         np.testing.assert_allclose(
             features, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
         )
-    if pipe.feature_kind == tssf.LOGVAR:
-        floor = manifold.SPD_TOL * filtered.diagonal(0, -2, -1).min()
-        assert pipe._var_floor == pytest.approx(floor, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_floor_is_spd_tol_times_smallest_projected_training_variance(name):
+    ts = synth_set(seed=20, channels=6, trials=30)
+    spec = pipelines.PipelineSpec(name=name, k=4, classifier=FIXED)
+    pipe = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
+    projected = covariances_of(np.tensordot(pipe._projection, ts.data, axes=(0, 0)))
+    floor = manifold.SPD_TOL * projected.diagonal(0, -2, -1).min()
+    assert pipe._var_floor == pytest.approx(floor, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, k", [(name, 2) for name in pipelines.PIPELINE_NAMES] + [("TSSF_LogCov_2_step", 1)]
+)
+def test_degenerate_test_trial_raises_in_every_pipeline(name, k):
+    # a trial scaled far below the training data, or constant on every
+    # channel, has filtered variances and eigenvalues of rounding size that
+    # can still pass as positive definite; every pipeline rejects them at
+    # the floor its training data set
+    cfg = tssf.SynthConfig(channels=4, samples=128, trials_per_class=20, seed=11, noise_sigma=1.0)
+    ts = tssf.synth_generate(cfg)
+    spec = pipelines.PipelineSpec(name=name, k=k, classifier=FIXED)
+    pipe = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
+    for degenerate in (1e-20 * ts.data[:, :, 0], np.full((4, 128), 0.5)):
+        trials = ts.data[:, :, :3].copy()
+        trials[:, :, 1] = degenerate
+        with pytest.raises(NotPositiveDefinite, match="covariance 1 is not positive definite"):
+            pipe.decision_scores(trials)
+
+
+@pytest.mark.parametrize("c", [4, 8, 16])
+def test_ts_airm_scores_as_full_rank_one_step_tssf(c):
+    # the paper's identity: a linear model on tangent vectors is C spatial
+    # filters with one weight each, so TS_AIRM compiles to the full-rank
+    # filters of TSSF_Cov_1_step, with weights its sorted coefficients
+    ts = synth_set(seed=24, channels=c, trials=60)
+    train, labels, test = ts.data[:, :, :40], ts.labels[:40], ts.data[:, :, 40:]
+    airm = pipelines.make_pipeline(pipelines.PipelineSpec("TS_AIRM", classifier=FIXED))
+    airm.fit(train, labels)
+    full = pipelines.make_pipeline(pipelines.PipelineSpec("TSSF_Cov_1_step", k=c, classifier=FIXED))
+    full.fit(train, labels)
+    expected = full.decision_scores(test)
+    assert np.abs(airm.decision_scores(test) - expected).max() <= 1e-12 * np.abs(expected).max()
+    np.testing.assert_array_equal(np.sort(airm._coef), np.sort(full.model.full_beta))
 
 
 class TestPipelineValidation:

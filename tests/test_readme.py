@@ -25,7 +25,7 @@ def run(argv, cwd):
 
 def test_library_quick_start_runs(tmp_path):
     run([sys.executable, "-c", quick_start("Quick start (library)", "python")], tmp_path)
-    assert (tmp_path / "model.json").read_text().startswith('{\n "format": "pipeline/2",\n')
+    assert (tmp_path / "model.json").read_text().startswith('{\n "format": "pipeline/3",\n')
 
 
 def test_cli_quick_start_runs(tmp_path, monkeypatch):
