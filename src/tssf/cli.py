@@ -129,7 +129,7 @@ def _load_trials(args):
 
 def _classifier_config(args):
     grid = None
-    if args.grid:
+    if args.grid is not None:
         try:
             grid = tuple(float(v) for v in args.grid.split(","))
         except ValueError:

@@ -179,12 +179,7 @@ def grid_search_cv(x, y, grid=None, folds=5, seed=0):
     """
     x, y, npos, nneg = _check_dataset(x, y)
     grid = DEFAULT_GRID if grid is None else tuple(grid)
-    if not grid:
-        raise InvalidInput("grid must be non-empty")
-    if not all(0 < g < np.inf for g in grid):
-        raise InvalidInput("grid values must be positive and finite")
-    if folds < 2:
-        raise InvalidInput("folds must be >= 2")
+    ClassifierConfig(grid=grid, folds=folds).validate()
     if folds > min(npos, nneg):
         raise InvalidInput(
             f"{folds} folds exceed the smaller class size {min(npos, nneg)}"
@@ -222,8 +217,12 @@ class ClassifierConfig:
     def validate(self):
         if self.reg is not None and not 0 < self.reg < np.inf:
             raise InvalidInput("reg must be positive and finite")
+        if self.grid is not None and not self.grid:
+            raise InvalidInput("grid must be non-empty")
         if self.grid is not None and not all(0 < g < np.inf for g in self.grid):
             raise InvalidInput("grid values must be positive and finite")
+        if self.folds < 2:
+            raise InvalidInput("folds must be >= 2")
         return self
 
 

@@ -14,7 +14,10 @@ the stack; ``frechet_mean`` takes a ``(T, C, C)`` stack of points.
 
 Matrix functions (``logm``/``expm``/``powm``) share one eigendecomposition
 route and check definiteness from the eigenvalues it computes, so they are
-mutually consistent. The order and sign conventions of :func:`sym_eig`
+mutually consistent. Every whitening by ``m^{-1/2}`` and un-whitening by
+``m^{1/2}`` is one congruence, ``_congruence``, whose result is exactly
+symmetric: the same whitening rounds the same way wherever it is done, and
+``log_map_at``/``exp_map_at`` return exactly symmetric matrices. The order and sign conventions of :func:`sym_eig`
 apply to the eigenvectors it returns (and so to :func:`ged`); matrix
 functions do not depend on them.
 
@@ -138,7 +141,7 @@ def _from_eig(w, v):
 def _congruence(f, x):
     # F^T X F for one symmetric X or every matrix of a stack, made exactly
     # symmetric: the covariance of the filtered trial F^T x, and for a
-    # symmetric F (a whitening power) the whitened matrix F X F
+    # symmetric F (a half power) every whitening and un-whitening F X F
     y = f.T @ x @ f
     return 0.5 * (y + y.swapaxes(-1, -2))
 
@@ -293,7 +296,7 @@ def _frechet_mean_and_logs(points):
         if residual < FRECHET_TOL:
             return mean, logs
         if step < FRECHET_MAX_UPDATES:
-            mean = half @ expm(_curvature_step(logs, grad)) @ half
+            mean = _congruence(half, expm(_curvature_step(logs, grad)))
         del logs  # not even the last sweep's logs while the next logm runs
     raise ConvergenceFailure(
         f"Frechet mean did not converge in {FRECHET_MAX_UPDATES} iterations "
@@ -311,6 +314,7 @@ def _karcher_hessian(logs):
 
     def hess(x):
         sx = s @ x
+        # not _congruence: the factors are a stack of L_t about one x
         return x + (sx + sx.T - 2.0 * (logs @ x @ logs).mean(axis=0)) / 12.0
 
     return hess
@@ -345,14 +349,6 @@ def _half_powers(a):
     return _from_eig(sq, v), _from_eig(1.0 / sq, v)
 
 
-def _whitened_log(inv_half, x, name="matrix"):
-    # logm(ref^{-1/2} x ref^{-1/2}) for every matrix of the stack x, given
-    # inv_half = ref^{-1/2}; raises NotPositiveDefinite for a non-SPD x.
-    # eigh reads only the lower triangle, so the product needs no
-    # symmetrizing: its rounding-level asymmetry is simply not read.
-    return _logm(inv_half @ x @ inv_half, name=name)
-
-
 def log_map_at(ref, x):
     """Logarithmic map of SPD ``x`` at reference point ``ref``.
 
@@ -363,7 +359,7 @@ def log_map_at(ref, x):
     x = _check_symmetric(x, "x")
     _check_same_dim(ref, x)
     half, inv_half = _half_powers(ref)
-    return half @ _whitened_log(inv_half, x) @ half
+    return _congruence(half, _logm(_congruence(inv_half, x)))
 
 
 def exp_map_at(ref, s):
@@ -372,7 +368,7 @@ def exp_map_at(ref, s):
     s = _check_symmetric(s, "s")
     _check_same_dim(ref, s)
     half, inv_half = _half_powers(ref)
-    return half @ expm(_congruence(inv_half, s)) @ half
+    return _congruence(half, expm(_congruence(inv_half, s)))
 
 
 def vec_dim(c):
@@ -438,9 +434,7 @@ def inner_product_at(ref, s1, s2):
     _check_same_dim(ref, s1)
     _check_same_dim(s1, s2)
     _, inv_half = _half_powers(ref)
-    w1 = inv_half @ s1 @ inv_half
-    w2 = inv_half @ s2 @ inv_half
-    return float(np.sum(w1 * w2))
+    return float(np.sum(_congruence(inv_half, s1) * _congruence(inv_half, s2)))
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,7 @@ def _compiled_scores(self, trials):
     elif p.shape[0] == p.shape[1]:
         # congruence of the C x C covariance takes two C x C products;
         # projecting the C x N trial would take more whenever N > 2C
+        # (not _congruence: eigh reads one triangle, so symmetrizing is waste)
         feats = _diag_logm(p.T @ _covariance_stack(trials) @ p, "covariance", self._var_floor)
     else:
         feats = _diag_logm(_filtered_covariances(p, trials), "filtered covariance", self._var_floor)
@@ -179,7 +180,7 @@ class TssfPipeline(_Pipeline):
             # w . vec(h L h) = <h unvec(w) h, L> for h = filtered_mean^{1/2},
             # where L = logm(h^-1 F^T S F h^-1) is the log filtered by F h^-1
             half, inv_half = _half_powers(self.model.filtered_mean)
-            projection, weights = _fold(projection @ inv_half, half @ unvec(weights) @ half)
+            projection, weights = _fold(projection @ inv_half, _congruence(half, unvec(weights)))
         return self._compile(projection, weights, intercept, covs)
 
     decision_scores = _compiled_scores

@@ -49,8 +49,8 @@ from .manifold import (
     _first_failure,
     _frechet_mean_and_logs,
     _half_powers,
+    _logm,
     _vec,
-    _whitened_log,
     ensure_spd,
     frechet_mean,
     sym_eig,
@@ -74,10 +74,13 @@ def tangent_vectors(ref, covs):
     """Whitened tangent vectors of SPD matrices at reference ``ref``.
 
     Returns the (T, C(C+1)/2) matrix with rows
-    ``vec(logm(ref^{-1/2} covs[t] ref^{-1/2}))``.
+    ``vec(logm(ref^{-1/2} covs[t] ref^{-1/2}))``. The whitening is the
+    Frechet mean's own congruence, so at the mean of
+    :func:`fit_tangent_model` the rows are its training features bit for
+    bit.
     """
     _, inv_half = _half_powers(_check_symmetric(ref, "ref", stack=False))
-    return _vec(_whitened_log(inv_half, _check_symmetric(covs, "covariance"), "covariance"))
+    return _vec(_logm(_congruence(inv_half, _check_symmetric(covs, "covariance")), "covariance"))
 
 
 # the last fit_tangent_model call as (digest of its inputs, result); a
@@ -281,7 +284,7 @@ def _filtered_features(model, covs, kind):
         kind = model.feature_kind
         raise UnsupportedFeatureKind(f"'logcov' features of a model extracted for {kind!r}")
     half, inv_half = _half_powers(model.filtered_mean)
-    return _vec(half @ _whitened_log(inv_half, covs, "filtered covariance") @ half)
+    return _vec(_congruence(half, _logm(_congruence(inv_half, covs), "filtered covariance")))
 
 
 def _log_variances(var, var_floor=0.0):
@@ -348,6 +351,7 @@ def exact_decision_value(weight_cov, ref, trial_cov, ged_result):
         raise InvalidInput("filters must be square (full rank) for the exact value")
     if np.linalg.matrix_rank(f) < f.shape[0]:
         raise InvalidInput("filters are rank deficient")
+    # not _congruence: this reference route checks the unsymmetrized products
     if not np.allclose(f.T @ ref @ f, np.eye(f.shape[0]), atol=1e-6):
         raise InvalidInput("ged_result does not whiten ref; was it solved on (weight_cov, ref)?")
     if not np.allclose(f.T @ weight_cov @ f, np.diag(d), rtol=0.0, atol=1e-6 * np.abs(d).max()):

@@ -306,8 +306,9 @@ class TestEval:
         assert main(argv + ["--reg", "1", "--out", str(outs[1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         capsys.readouterr()
-        assert main(argv + ["--grid", "0.1,x", "--out", str(outs[0])]) == 2
-        assert "--grid must be a comma list of numbers" in capsys.readouterr().err
+        for grid in ("0.1,x", ""):  # an empty --grid is not the default grid
+            assert main(argv + ["--grid", grid, "--out", str(outs[0])]) == 2
+            assert "--grid must be a comma list of numbers" in capsys.readouterr().err
 
 
 class TestPatterns:

@@ -274,11 +274,15 @@ class TestGridSearch:
             linmodel.grid_search_cv(x, y, grid=[])
 
     def test_bad_grid_and_folds(self, rng):
+        # the config rejects them before any fit, with the search's messages
         x, y = blobs(rng)
-        with pytest.raises(InvalidInput, match="grid values must be positive"):
-            linmodel.grid_search_cv(x, y, grid=[1.0, 0.0])
-        with pytest.raises(InvalidInput, match="folds must be >= 2"):
-            linmodel.grid_search_cv(x, y, folds=1)
+        for bad, message in [(dict(grid=()), "^grid must be non-empty$"),
+                             (dict(grid=(1.0, 0.0)), "^grid values must be positive"),
+                             (dict(folds=1), "^folds must be >= 2$")]:
+            with pytest.raises(InvalidInput, match=message):
+                linmodel.grid_search_cv(x, y, **bad)
+            with pytest.raises(InvalidInput, match=message):
+                linmodel.ClassifierConfig(**bad).validate()
 
 
 class TestDecisionValue:

@@ -326,6 +326,15 @@ class TestTangentMaps:
         with pytest.raises(NotPositiveDefinite):
             manifold.log_map_at(np.diag([1.0, -1.0]), np.eye(2))
 
+    @pytest.mark.parametrize("c", [4, 9, 16, 33, 64])
+    def test_exactly_symmetric(self, rng, c):
+        # both maps end in one symmetrized congruence by ref^{1/2}, whose
+        # eigenvector products alone are symmetric only to rounding
+        for _ in range(5):
+            ref, x = random_spd(rng, c), random_spd(rng, c)
+            for out in (manifold.log_map_at(ref, x), manifold.exp_map_at(ref, sym(x - ref))):
+                assert np.array_equal(out, out.T)
+
 
 class TestVec:
     def test_example(self):

@@ -44,6 +44,12 @@ class TestSpec:
         with pytest.raises(InvalidInput, match="k must be >= 0"):
             pipelines.make_pipeline(pipelines.PipelineSpec(name="TS_AIRM", k=-1))
 
+    def test_classifier_config_checked_before_fit(self):
+        with pytest.raises(InvalidInput, match="grid must be non-empty"):
+            pipelines.make_pipeline(
+                pipelines.PipelineSpec("TS_AIRM", classifier=tssf.ClassifierConfig(grid=()))
+            )
+
     def test_ts_airm_takes_k_0(self):
         # 0 is the k a TS_AIRM model file holds (any other k is ignored)
         pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name="TS_AIRM", k=0))

@@ -469,29 +469,35 @@ class TestFitTangentModel:
 
     def test_trains_on_the_final_frechet_sweep(self, rng, monkeypatch):
         # the model is fitted on the whitened logs of the mean's last sweep,
-        # which are tangent_vectors(mean, covs) up to rounding; no log is
-        # recomputed after the mean
+        # which are tangent_vectors(mean, covs) bit for bit; no log is
+        # recomputed after the mean: every _logm call is a sweep's logm
         covs, labels = synth_covs(rng)
-        features = []
+        features, logm_calls, sweeps = [], [], []
         fit = tssf_module.fit_from_config
 
         def capture(x, y, cfg):
             features.append(x)
             return fit(x, y, cfg)
 
-        def fail(*args, **kwargs):
-            raise AssertionError("tangent vectors recomputed after the Frechet mean")
+        def counting(calls, original):
+            def counted(*args, **kwargs):
+                calls.append(np.shape(args[0]))
+                return original(*args, **kwargs)
+
+            return counted
 
         monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
         monkeypatch.setattr(tssf_module, "fit_from_config", capture)
-        monkeypatch.setattr(tssf_module, "_whitened_log", fail)
+        for module in (manifold, tssf_module):
+            if hasattr(module, "_logm"):
+                monkeypatch.setattr(module, "_logm", counting(logm_calls, manifold._logm))
+        monkeypatch.setattr(manifold, "logm", counting(sweeps, manifold.logm))
         mean, _ = tssf.fit_tangent_model(covs, labels, tssf.ClassifierConfig(reg=2.0))
         monkeypatch.undo()
+        assert len(sweeps) >= 2 and logm_calls == sweeps
         np.testing.assert_array_equal(mean, manifold.frechet_mean(covs))
         assert len(features) == 1
-        np.testing.assert_allclose(
-            features[0], tssf.tangent_vectors(mean, covs), rtol=1e-9, atol=1e-9
-        )
+        np.testing.assert_array_equal(features[0], tssf.tangent_vectors(mean, covs))
 
     def test_none_means_default_configs(self, rng):
         covs, labels = synth_covs(rng, t=20)
