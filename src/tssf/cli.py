@@ -176,7 +176,7 @@ def cmd_fit(args):
         for rank, idx in enumerate(pipe.model.selection):
             lam = pipe.model.eigenvalues[idx]
             print(f"{rank:9d}  {lam:10.4f}  {abs(np.log(lam)):16.4f}")
-    elif pipe.model is not None:
+    else:
         print("sorted coefficients (use this table to choose k):")
         print("rank  beta      |beta|")
         for rank, beta in enumerate(pipe.model.full_beta):
@@ -222,10 +222,8 @@ def _comparisons_path(out):
 
 
 def cmd_patterns(args):
-    pipe = load_pipeline(args.model)  # the whole file, so its filters must match its k
-    filters = pipe.filters
-    if filters is None:
-        raise InvalidInput(f"{pipe.name} model has no spatial filters")
+    # the whole file, so its filters must match its k
+    filters = load_pipeline(args.model).filters
     trialset = _load_trials(args)
     if trialset.n_channels != filters.shape[0]:
         raise InvalidInput(

@@ -2,7 +2,8 @@
 
 Seven named pipelines cover the baseline and the tangent-space family.
 :data:`PIPELINES` is the one table that maps each name to its class, its
-feature kind and whether it scores in one step:
+feature kind, whether it scores in one step and whether it keeps all C
+filters:
 
 =================== ====================================================
 CSP                 CSP filters, log-variance features, linear SVM
@@ -11,8 +12,12 @@ TSSF_Var_2_step     same features, second SVM
 TSSF_Cov_1_step     diagonal of the log filtered covariance, one-step
 TSSF_Cov_2_step     same features, second SVM
 TSSF_LogCov_2_step  full tangent vector of the filtered covariance, SVM
-TS_AIRM             full tangent-space vectors at the Frechet mean, SVM
+TS_AIRM             TSSF_Cov_1_step with all C filters (k = C at fit)
 =================== ====================================================
+
+TS_AIRM is the tangent-space SVM at the Frechet mean: with all C filters
+the one-step scores are its decision values, so it needs no code path of
+its own.
 
 Every pipeline object exposes ``fit(trials, labels)`` and
 ``decision_scores(trials)`` on C x N x T tensors. Test-trial covariances
@@ -26,7 +31,8 @@ all pipelines: for a trial x with covariance S and W = P^T S P it returns
 plus the intercept. A classifier that weighs a whole log matrix,
 ``<B, logm W>``, is folded into that form at fit: with B = U diag(mu) U^T,
 ``<B, logm W> = mu . diag logm(U^T W U)``, so P becomes P U and w = mu,
-the paper's filters with one weight per filter. diag W is taken as the
+the paper's filters with one weight per filter (TSSF_LogCov_2_step's
+second SVM is such a classifier). diag W is taken as the
 variances of the rows of P^T x, and diag logm W from the eigenpairs of
 W, so no log matrix or tangent vector is built. For the log-matrix kinds,
 a square P (TS_AIRM, or TSSF with K = C) is applied to the C x C
@@ -36,7 +42,7 @@ filtered trial F^T x has covariance F^T C F, the stack that training
 features and the floor are taken from.
 
 :func:`save_pipeline` writes the compiled form, plus the spatial filters
-of CSP and TSSF for ``patterns``, as one :data:`MODEL_FORMAT` JSON file,
+for ``patterns``, as one :data:`MODEL_FORMAT` JSON file,
 and :func:`load_pipeline` reads it back into a pipeline that scores
 bitwise like the fitted one.
 """
@@ -59,10 +65,8 @@ from .tssf import (
     _filtered_features,
     _log_variances,
     extract_tssf,
-    fit_tangent_model,
 )
 
-TANGENT = "tangent"
 MODEL_FORMAT = "pipeline/3"  # the one model file layout save_pipeline writes
 
 
@@ -109,24 +113,17 @@ def _compiled_scores(self, trials):
     return feats @ self._coef + self._intercept
 
 
-def _fold(projection, coef):
-    # <B, logm(P^T S P)> = mu . diag logm(U^T P^T S P U) for a symmetric
-    # B = U diag(mu) U^T: the projection P U with one weight per column
-    mu, u = np.linalg.eigh(coef)
-    return projection @ u, mu
-
-
 class _Pipeline:
     """The spec and compiled form shared by the pipeline classes.
 
     Each subclass binds ``fit`` and ``decision_scores`` in its own body.
-    ``filters`` holds the spatial filters of CSP and TSSF pipelines (for
-    spatial patterns) and stays None for TS_AIRM.
+    ``filters`` holds the fitted spatial filters (for spatial patterns).
+    A spec k of 0 keeps all C filters, C taken from the data at fit.
     """
 
     def __init__(self, name, k, feature_kind, one_step, classifier=None):
         self.name = name
-        self.k = k
+        self._k = k
         self.feature_kind = feature_kind
         self.one_step = one_step
         self.classifier_cfg = classifier or ClassifierConfig()
@@ -134,6 +131,11 @@ class _Pipeline:
         self.model = None
         self.clf = None
         self._projection = None
+
+    @property
+    def k(self):
+        """The number of filters: the spec's k until a fit, then the fitted one."""
+        return self._k if self.filters is None else self.filters.shape[1]
 
     def _compile(self, projection, coef, intercept, covs):
         # C-contiguous arrays, as load_pipeline reads them, so BLAS sees one
@@ -153,7 +155,7 @@ class CspPipeline(_Pipeline):
     def fit(self, trials, labels):
         trials, labels = _check_training_set(trials, labels, trial_axis=2)
         covs = _spd_covariances(trials)
-        self.model = fit_csp(covs, labels, self.k)
+        self.model = fit_csp(covs, labels, self._k)
         self.filters = self.model.filters
         var = _congruence(self.filters, covs).diagonal(0, -2, -1)
         self.clf = fit_from_config(_log_variances(var), labels, self.classifier_cfg)
@@ -166,8 +168,9 @@ class TssfPipeline(_Pipeline):
     def fit(self, trials, labels):
         trials, labels = _check_training_set(trials, labels, trial_axis=2)
         covs = _spd_covariances(trials)
+        k = self._k or covs.shape[1]  # 0 keeps all C filters
         self.model = extract_tssf(
-            covs, labels, self.k, model_cfg=self.classifier_cfg, feature_kind=self.feature_kind
+            covs, labels, k, model_cfg=self.classifier_cfg, feature_kind=self.feature_kind
         )
         self.filters = projection = self.model.filters
         if self.one_step:
@@ -177,42 +180,34 @@ class TssfPipeline(_Pipeline):
             self.clf = fit_from_config(feats, labels, self.classifier_cfg)
             weights, intercept = self.clf.weights, self.clf.intercept
         if self.feature_kind == LOGCOV:
-            # w . vec(h L h) = <h unvec(w) h, L> for h = filtered_mean^{1/2},
-            # where L = logm(h^-1 F^T S F h^-1) is the log filtered by F h^-1
+            # w . vec(h L h) = <B, L> for B = h unvec(w) h, h = filtered_mean^{1/2}
+            # and L = logm(h^-1 F^T S F h^-1), the log filtered by F h^-1; with
+            # B = U diag(mu) U^T that is mu . diag logm of S filtered by F h^-1 U
             half, inv_half = _half_powers(self.model.filtered_mean)
-            projection, weights = _fold(projection @ inv_half, _congruence(half, unvec(weights)))
+            weights, u = np.linalg.eigh(_congruence(half, unvec(weights)))
+            projection = projection @ inv_half @ u
         return self._compile(projection, weights, intercept, covs)
 
     decision_scores = _compiled_scores
 
 
-class TangentSpacePipeline(_Pipeline):
-    def __init__(self, name, k, feature_kind, one_step, classifier=None):
-        # no spatial filtering: k is 0 and the feature dim is C(C+1)/2
-        super().__init__(name, 0, feature_kind, one_step, classifier)
-        self.reference_mean = None
-
-    def fit(self, trials, labels):
-        trials, labels = _check_training_set(trials, labels, trial_axis=2)
-        covs = _spd_covariances(trials)
-        self.reference_mean, self.clf = fit_tangent_model(covs, labels, self.classifier_cfg)
-        # <unvec(w), logm(P^T S P)> at P = mean^{-1/2}: the fold gives all C TSSF filters
-        _, inv_half = _half_powers(self.reference_mean)
-        projection, weights = _fold(inv_half, unvec(self.clf.weights))
-        return self._compile(projection, weights, self.clf.intercept, covs)
-
+class TangentSpacePipeline(TssfPipeline):
+    # TS_AIRM: one-step TSSF with all C filters; its own bindings keep its
+    # name on the methods that tracing tools patch per class
+    fit = TssfPipeline.fit
     decision_scores = _compiled_scores
 
 
-# name -> (class, feature kind, one-step)
+# name -> (class, feature kind, one-step, all C filters); a pipeline with
+# all filters ignores the spec's k and keeps k = C, taken from the data at fit
 PIPELINES = {
-    "CSP": (CspPipeline, LOGVAR, False),
-    "TSSF_Var_1_step": (TssfPipeline, LOGVAR, True),
-    "TSSF_Var_2_step": (TssfPipeline, LOGVAR, False),
-    "TSSF_Cov_1_step": (TssfPipeline, DIAGLOGCOV, True),
-    "TSSF_Cov_2_step": (TssfPipeline, DIAGLOGCOV, False),
-    "TSSF_LogCov_2_step": (TssfPipeline, LOGCOV, False),
-    "TS_AIRM": (TangentSpacePipeline, TANGENT, False),
+    "CSP": (CspPipeline, LOGVAR, False, False),
+    "TSSF_Var_1_step": (TssfPipeline, LOGVAR, True, False),
+    "TSSF_Var_2_step": (TssfPipeline, LOGVAR, False, False),
+    "TSSF_Cov_1_step": (TssfPipeline, DIAGLOGCOV, True, False),
+    "TSSF_Cov_2_step": (TssfPipeline, DIAGLOGCOV, False, False),
+    "TSSF_LogCov_2_step": (TssfPipeline, LOGCOV, False, False),
+    "TS_AIRM": (TangentSpacePipeline, DIAGLOGCOV, True, True),
 }
 PIPELINE_NAMES = tuple(PIPELINES)
 
@@ -230,11 +225,14 @@ class PipelineSpec:
             raise InvalidInput(
                 f"unknown pipeline {self.name!r}; choose from {', '.join(PIPELINE_NAMES)}"
             )
-        # TS_AIRM keeps all C dimensions and ignores k; one --k serves every
+        cls, _, _, all_filters = PIPELINES[self.name]
+        # a pipeline with all C filters ignores k; one --k serves every
         # pipeline of an eval, so it takes any k >= 0
-        min_k = 0 if PIPELINES[self.name][0] is TangentSpacePipeline else 1
+        min_k = 0 if all_filters else 1
         if self.k < min_k:
             raise InvalidInput(f"k must be >= {min_k}")
+        if cls is CspPipeline and self.k % 2:
+            raise InvalidInput(f"CSP needs an even k (filters come in pairs), got {self.k}")
         self.classifier.validate()
         return self
 
@@ -242,8 +240,8 @@ class PipelineSpec:
 def make_pipeline(spec):
     """Build a fresh, unfitted pipeline object from a spec."""
     spec.validate()
-    cls, kind, one_step = PIPELINES[spec.name]
-    return cls(spec.name, spec.k, kind, one_step, spec.classifier)
+    cls, kind, one_step, all_filters = PIPELINES[spec.name]
+    return cls(spec.name, 0 if all_filters else spec.k, kind, one_step, spec.classifier)
 
 
 def save_pipeline(pipe, path):
@@ -251,7 +249,7 @@ def save_pipeline(pipe, path):
 
     Fields: format, name, k, feature_kind, intercept, var_floor,
     projection (a matrix), coef (a vector, one weight per column of the
-    projection) and, for CSP and TSSF pipelines, filters. ``json``
+    projection) and filters. ``json``
     writes floats with ``repr`` and reads them with ``float``, so every
     value round-trips bit-exactly; ``indent=1`` puts each value on its own
     line, so model files diff cleanly.
@@ -267,9 +265,8 @@ def save_pipeline(pipe, path):
         "var_floor": pipe._var_floor,
         "projection": pipe._projection.tolist(),
         "coef": pipe._coef.tolist(),
+        "filters": pipe.filters.tolist(),
     }
-    if pipe.filters is not None:
-        doc["filters"] = pipe.filters.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
 
@@ -313,27 +310,24 @@ def load_pipeline(path):
     name = _field(doc, "name")
     if name not in PIPELINE_NAMES:
         raise FormatError(f"unknown pipeline {name!r}")
-    cls, kind, one_step = PIPELINES[name]
+    cls, kind, one_step, all_filters = PIPELINES[name]
     if _field(doc, "feature_kind") != kind:
         raise FormatError(f"{name} must have feature kind {kind!r}")
     k = _field(doc, "k")
-    airm = cls is TangentSpacePipeline  # no filters: it keeps all C dimensions
-    if type(k) is not int or (k != 0 if airm else k < 1):
-        raise FormatError(f"{name} needs k {'= 0' if airm else '>= 1'}, got {k!r}")
+    if type(k) is not int or k < 1:
+        raise FormatError(f"{name} needs k >= 1, got {k!r}")
     pipe = cls(name, k, kind, one_step)
     pipe._projection, pipe._coef = _floats(doc, "projection", 2), _floats(doc, "coef", 1)
     pipe._intercept = float(_floats(doc, "intercept", 0))
     pipe._var_floor = float(_floats(doc, "var_floor", 0))
     channels = pipe._projection.shape[0]
-    width = channels if airm else k
-    if pipe._projection.shape[1] != width or pipe._coef.shape != (width,):
+    if pipe._projection.shape[1] != k or pipe._coef.shape != (k,):
         raise FormatError(f"projection and coef do not match k={k}")
-    if not airm:
-        pipe.filters = _floats(doc, "filters", 2)
-        if pipe.filters.shape != (channels, k):
-            raise FormatError(f"filters of shape {pipe.filters.shape} are not (channels, k={k})")
-    elif "filters" in doc:
-        raise FormatError(f"{name} has no spatial filters, but the file has a 'filters' field")
+    if all_filters and k != channels:
+        raise FormatError(f"{name} keeps all {channels} filters, but k={k}")
+    pipe.filters = _floats(doc, "filters", 2)
+    if pipe.filters.shape != (channels, k):
+        raise FormatError(f"filters of shape {pipe.filters.shape} are not (channels, k={k})")
     if pipe._var_floor <= 0.0:  # a floor of 0 would pass a constant trial
         raise FormatError(f"var_floor must be > 0, got {pipe._var_floor!r}")
     return pipe

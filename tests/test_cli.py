@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tssf
 from tssf import cli, dataio
@@ -105,15 +106,36 @@ class TestFit:
         assert code == 0
         assert tssf.load_pipeline(out).name == "TS_AIRM"
 
-    def test_ts_airm_fit_with_k_0(self, tmp_path, data_path):
-        # 0 is the only k a TS_AIRM model file holds
+    def test_ts_airm_fit_with_k_0(self, tmp_path, data_path, capsys):
+        # TS_AIRM ignores --k: its file holds all C = 4 filters, and the
+        # table marks all 4 sorted coefficients kept
         out = tmp_path / "model.json"
         code = main(
             ["fit", "--data", str(data_path), "--pipeline", "TS_AIRM",
              "--k", "0", "--reg", "1.0", "--out", str(out)]
         )
         assert code == 0
-        assert tssf.load_pipeline(out).k == 0
+        pipe = tssf.load_pipeline(out)
+        assert (pipe.k, pipe.feature_kind, pipe.filters.shape) == (4, "diaglogcov", (4, 4))
+        table = capsys.readouterr().out.split("sorted coefficients")[1].splitlines()[2:]
+        assert [line.endswith("<- kept") for line in table] == [True] * 4 + [False]
+
+    def test_identical_trials_exit_3(self, tmp_path, capsys):
+        # every covariance is exactly the identity, so every tangent weight is 0
+        trial = np.tile(scipy.linalg.hadamard(8)[1:5], 32).astype(float)
+        labels = np.tile([1, -1], 5)
+        trialset = tssf.TrialSet(
+            np.repeat(trial[:, :, None], 10, axis=2), labels, np.zeros(10),
+            [f"ch{i}" for i in range(4)],
+        )
+        path = tmp_path / "same.eegt"
+        dataio.write_trials(trialset, path)
+        code = main(
+            ["fit", "--data", str(path), "--pipeline", "TS_AIRM",
+             "--reg", "1.0", "--out", str(tmp_path / "m")]
+        )
+        assert code == 3
+        assert "all-zero weight vector" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pipeline,k", [("TS_AIRM", "-1"), ("CSP", "0")])
     def test_k_below_pipeline_minimum_exits_2(self, tmp_path, data_path, pipeline, k, capsys):
@@ -210,6 +232,20 @@ class TestEval:
             assert main(argv + ["--out", str(tmp_path / out)]) == 0
             counts.append(sizes[before:].count(4))
         assert counts == [3, 3]  # one 4 x 4 mean per fold, in every eval
+
+    def test_odd_csp_k_exits_2_before_reading_data(self, tmp_path, data_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eval read its data before checking k")
+
+        monkeypatch.setattr(cli, "_load_trials", fail)
+        out = tmp_path / "r.csv"
+        code = main(
+            ["eval", "--data", str(data_path), "--pipeline", "TSSF_Var_1_step",
+             "--pipeline", "CSP", "--k", "3", "--reg", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert "CSP needs an even k" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_folds_1_exits_2(self, tmp_path, data_path):
         code = main(
@@ -348,14 +384,21 @@ class TestPatterns:
         )
         assert "max |F^T A - I|" in capsys.readouterr().out
 
-    def test_ts_airm_model_exits_2(self, tmp_path, data_path, capsys):
+    def test_ts_airm_model_exports_c_patterns(self, tmp_path, data_path, capsys):
+        # TS_AIRM's C filters are square, so its patterns are their inverse
         model_path = self.fit_model(tmp_path, data_path, pipeline="TS_AIRM")
+        out = tmp_path / "p.csv"
         code = main(
             ["patterns", "--model", str(model_path), "--data", str(data_path),
-             "--out", str(tmp_path / "p.csv")]
+             "--out", str(out)]
         )
-        assert code == 2
-        assert "no spatial filters" in capsys.readouterr().err
+        assert code == 0
+        assert "max |F^T A - I|" in capsys.readouterr().out
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "channel,comp0,comp1,comp2,comp3"
+        patterns = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+        filters = tssf.load_pipeline(model_path).filters
+        assert np.abs(filters.T @ patterns - np.eye(4)).max() <= 1e-10
 
     @pytest.mark.parametrize(
         "edit, message",

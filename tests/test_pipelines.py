@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tssf
 from tssf import dataio, evalstats, manifold, pipelines
@@ -51,18 +52,19 @@ class TestSpec:
             )
 
     def test_ts_airm_takes_k_0(self):
-        # 0 is the k a TS_AIRM model file holds (any other k is ignored)
+        # TS_AIRM ignores k and keeps all C filters; before a fit, its k is 0
         pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name="TS_AIRM", k=0))
         assert pipe.k == 0
 
     def test_all_names_buildable(self):
         for name in pipelines.PIPELINE_NAMES:
             pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=2))
-            cls, kind, one_step = pipelines.PIPELINES[name]
+            cls, kind, one_step, all_filters = pipelines.PIPELINES[name]
             assert (type(pipe), pipe.name, pipe.feature_kind, pipe.one_step) == (
                 cls, name, kind, one_step
             )
-            assert pipe.k == (0 if name == "TS_AIRM" else 2)
+            assert all_filters == (name == "TS_AIRM")
+            assert pipe.k == (0 if all_filters else 2)
 
     def test_every_class_binds_the_one_scorer(self):
         # perfbench/tracer.py wraps fit and decision_scores in each class's
@@ -125,9 +127,6 @@ def covariances_of(data):
 
 def library_scores(pipe, trials):
     """Scores of a fitted pipeline through the public library functions."""
-    if pipe.name == "TS_AIRM":
-        vectors = tssf.tangent_vectors(pipe.reference_mean, covariances_of(trials))
-        return vectors @ pipe.clf.weights + pipe.clf.intercept
     filtered = np.stack(
         [tssf.apply_filters(pipe.model, trials[:, :, t]) for t in range(trials.shape[2])], axis=2
     )
@@ -149,6 +148,12 @@ def test_scores_equal_library_route_and_single_trial_calls(name):
         expected = np.asarray(library_scores(pipe, trials))
         atol = 1e-12 * np.abs(expected).max()
         np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=atol)
+        if name == "TS_AIRM":
+            # all C filters score the tangent-space model's decision values
+            mean, tangent_model = tssf.fit_tangent_model(covariances_of(train), ts.labels[:30], FIXED)
+            vectors = tssf.tangent_vectors(mean, covariances_of(trials))
+            tangent = vectors @ tangent_model.weights + tangent_model.intercept
+            np.testing.assert_allclose(scores, tangent, rtol=1e-12, atol=atol)
         single = [pipe.decision_scores(trials[:, :, t : t + 1])[0] for t in range(trials.shape[2])]
         np.testing.assert_allclose(single, scores, rtol=1e-12, atol=atol)
         assert pipe.decision_scores(trials[:, :, :0]).shape == (0,)
@@ -201,13 +206,11 @@ def test_saved_pipeline_scores_bitwise_like_fitted_one(name, tmp_path):
     for t in range(test.shape[2]):
         single = test[:, :, t : t + 1]
         np.testing.assert_array_equal(loaded.decision_scores(single), pipe.decision_scores(single))
-    if name == "TS_AIRM":
-        assert pipe.filters is None and loaded.filters is None
-    else:
-        np.testing.assert_array_equal(loaded.filters, pipe.model.filters)
+    np.testing.assert_array_equal(loaded.filters, pipe.model.filters)
+    assert loaded.k == (5 if name == "TS_AIRM" else 2)
     text = path.read_text()
     keys = ["format", "name", "k", "feature_kind", "intercept", "var_floor", "projection", "coef"]
-    assert list(json.loads(text)) == keys + ["filters"] * (name != "TS_AIRM")
+    assert list(json.loads(text)) == keys + ["filters"]
     assert text.startswith('{\n "format": "pipeline/3",\n "name": "' + name + '",\n')
     # every pipeline compiles to filters with one weight per filter
     assert pipe._coef.ndim == 1 and pipe._coef.shape == pipe._projection.shape[1:]
@@ -227,8 +230,8 @@ def test_extreme_floats_round_trip_bitwise(tmp_path):
 
 
 def test_square_projection_scores_by_congruence():
-    # TSSF with k = C has a square projection and takes the covariance
-    # route of TS_AIRM; its scores still equal the per-trial library route
+    # TSSF with k = C, as TS_AIRM, has a square projection and takes the
+    # covariance route; its scores still equal the per-trial library route
     ts = synth_set(seed=16, channels=4, trials=30)
     pipe = pipelines.make_pipeline(
         pipelines.PipelineSpec(name="TSSF_Cov_2_step", k=4, classifier=FIXED)
@@ -342,11 +345,10 @@ class TestLoadPipeline:
     @pytest.mark.parametrize("name", ["CSP", "TSSF_Var_1_step", "TSSF_LogCov_2_step", "TS_AIRM"])
     @pytest.mark.parametrize("shape", [(6, 5), (4, 3), (3, 2)])
     def test_filters_not_channels_by_k_rejected(self, tmp_path, name, shape):
-        # the saved pipelines have 4 channels and k=2; TS_AIRM has no filters
+        # the saved pipelines have 4 channels and k=2, TS_AIRM k=4
         path = self.saved(tmp_path, name)
         edit_model(path, lambda doc: doc.update(filters=np.ones(shape).tolist()))
-        match = rf"filters of shape \({shape[0]}, {shape[1]}\)"
-        with pytest.raises(FormatError, match="no spatial filters" if name == "TS_AIRM" else match):
+        with pytest.raises(FormatError, match=rf"filters of shape \({shape[0]}, {shape[1]}\)"):
             tssf.load_pipeline(path)
 
     @pytest.mark.parametrize("name", ["CSP", "TSSF_Var_1_step", "TSSF_LogCov_2_step"])
@@ -357,18 +359,34 @@ class TestLoadPipeline:
             tssf.load_pipeline(path)
 
     def test_full_rank_tssf_file_with_k_0_rejected(self, tmp_path):
-        # k = C gives a square projection; with k 0 and no filters it would
-        # pass for the unfiltered route of TS_AIRM
+        # k = C gives a square projection; no pipeline reads a file with k 0
+        # and no filters
         path = self.saved(tmp_path, k=4)
         edit_model(path, lambda doc: (doc.update(k=0), doc.pop("filters")))
         with pytest.raises(FormatError, match="TSSF_Var_1_step needs k >= 1, got 0"):
             tssf.load_pipeline(path)
 
-    @pytest.mark.parametrize("k", [7, 4, -1])
-    def test_ts_airm_file_with_k_not_0_rejected(self, tmp_path, k):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_ts_airm_file_with_k_not_c_rejected(self, tmp_path, k):
+        # a consistent file of k < C filters scores like TSSF_Cov_1_step,
+        # not like the tangent-space classifier
+        def keep_k(doc):
+            doc.update(k=k, coef=doc["coef"][:k])
+            for key in ("projection", "filters"):
+                doc[key] = [row[:k] for row in doc[key]]
+
         path = self.saved(tmp_path, "TS_AIRM")
-        edit_model(path, lambda doc: doc.update(k=k))
-        with pytest.raises(FormatError, match=f"TS_AIRM needs k = 0, got {k}"):
+        edit_model(path, keep_k)
+        with pytest.raises(FormatError, match=f"TS_AIRM keeps all 4 filters, but k={k}$"):
+            tssf.load_pipeline(path)
+
+    def test_ts_airm_file_without_filters_rejected(self, tmp_path):
+        # the layout TS_AIRM files had before TS_AIRM kept its filters:
+        # feature kind "tangent", k 0 and no 'filters' field; such a file
+        # is refitted, not read
+        path = self.saved(tmp_path, "TS_AIRM")
+        edit_model(path, lambda doc: (doc.update(feature_kind="tangent", k=0), doc.pop("filters")))
+        with pytest.raises(FormatError, match="TS_AIRM must have feature kind 'diaglogcov'"):
             tssf.load_pipeline(path)
 
     def test_unfitted_pipeline_not_saved(self, tmp_path):
@@ -609,27 +627,46 @@ def test_degenerate_test_trial_raises_in_every_pipeline(name, k):
 @pytest.mark.parametrize("c", [4, 8, 16])
 def test_ts_airm_scores_as_full_rank_one_step_tssf(c):
     # the paper's identity: a linear model on tangent vectors is C spatial
-    # filters with one weight each, so TS_AIRM compiles to the full-rank
-    # filters of TSSF_Cov_1_step, with weights its sorted coefficients
+    # filters with one weight each, so TS_AIRM is TSSF_Cov_1_step with all
+    # C filters, weighted by its sorted coefficients
     ts = synth_set(seed=24, channels=c, trials=60)
     train, labels, test = ts.data[:, :, :40], ts.labels[:40], ts.data[:, :, 40:]
     airm = pipelines.make_pipeline(pipelines.PipelineSpec("TS_AIRM", classifier=FIXED))
     airm.fit(train, labels)
     full = pipelines.make_pipeline(pipelines.PipelineSpec("TSSF_Cov_1_step", k=c, classifier=FIXED))
     full.fit(train, labels)
-    expected = full.decision_scores(test)
-    assert np.abs(airm.decision_scores(test) - expected).max() <= 1e-12 * np.abs(expected).max()
-    np.testing.assert_array_equal(np.sort(airm._coef), np.sort(full.model.full_beta))
+    np.testing.assert_array_equal(airm.decision_scores(test), full.decision_scores(test))
+    np.testing.assert_array_equal(airm.filters, full.filters)
+    np.testing.assert_array_equal(airm._coef, full.model.full_beta)
+    assert airm.k == c
+
+
+def test_ts_airm_refit_keeps_all_filters_of_the_new_data():
+    # k = C is taken from the data at every fit, not from the last fit
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec("TS_AIRM", classifier=FIXED))
+    for c in (4, 6, 5):
+        ts = synth_set(seed=26, channels=c, trials=20)
+        assert pipe.fit(ts.data, ts.labels).k == c
+        assert pipe.filters.shape == pipe._projection.shape == (c, c)
+
+
+@pytest.mark.parametrize("name", ["TS_AIRM", "TSSF_Cov_1_step"])
+def test_identical_training_trials_raise_degenerate_model(name):
+    # orthogonal +-1 rows of zero mean: every trial's covariance is exactly
+    # the identity, so is their mean, and every tangent vector and fitted
+    # weight is 0; a model that would score one constant is refused
+    trial = np.tile(scipy.linalg.hadamard(8)[1:5], 32).astype(float)
+    trials = np.repeat(trial[:, :, None], 10, axis=2)
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name, k=4, classifier=FIXED))
+    with pytest.raises(DegenerateModel, match="all-zero weight vector"):
+        pipe.fit(trials, np.tile([1, -1], 5))
 
 
 class TestPipelineValidation:
     def test_csp_odd_k(self):
-        ts = synth_set(seed=6, trials=16)
-        pipe = pipelines.make_pipeline(
-            pipelines.PipelineSpec(name="CSP", k=3, classifier=FIXED)
-        )
-        with pytest.raises(InvalidInput):
-            pipe.fit(ts.data, ts.labels)
+        # rejected with the spec, before any data is read
+        with pytest.raises(InvalidInput, match="CSP needs an even k"):
+            pipelines.make_pipeline(pipelines.PipelineSpec(name="CSP", k=3, classifier=FIXED))
 
     def test_k_exceeds_channels(self):
         ts = synth_set(seed=7, trials=16)
