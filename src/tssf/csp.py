@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import _check_training_set
-from .errors import InvalidInput
-from .manifold import _component_order, ged
+from .errors import DegenerateModel, InvalidInput
+from .manifold import SPD_TOL, _component_order, ged
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
 
 
@@ -49,6 +49,13 @@ def fit_csp(covs, labels, k):
     descending eigenvalue, then position), which picks K/2 from each end
     of the spectrum when the spectrum is balanced -- the classic
     "both ends" rule expressed as one ordering.
+
+    Raises
+    ------
+    InvalidInput, DegenerateModel
+        On a bad shape, label value or ``k``; on single-class labels, or
+        when every ``|log eigenvalue|`` is at most ``SPD_TOL`` (class means
+        equal to rounding).
     """
     covs, labels = _check_training_set(covs, labels)
     mean_pos, mean_neg = covs[labels == 1].mean(axis=0), covs[labels == -1].mean(axis=0)
@@ -58,7 +65,14 @@ def fit_csp(covs, labels, k):
     if not 2 <= k <= c:
         raise InvalidInput(f"k must be in [2, {c}], got {k}")
     solution = ged(mean_pos, mean_neg)
-    selection = _component_order(np.log(solution.eigenvalues))[:k]
+    log_eig = np.log(solution.eigenvalues)
+    if not np.abs(log_eig).max() > SPD_TOL:
+        # equal class means: every filter's variance ratio is 1 to rounding
+        raise DegenerateModel(
+            f"no |log generalized eigenvalue| exceeds {SPD_TOL:g}: the class-mean "
+            "covariances are equal to rounding, so no filter tells the classes apart"
+        )
+    selection = _component_order(log_eig)[:k]
     return CspModel(
         filters=solution.eigenvectors[:, selection],
         eigenvalues=solution.eigenvalues,

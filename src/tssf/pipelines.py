@@ -6,7 +6,7 @@ feature kind, whether it scores in one step and whether it keeps all C
 filters:
 
 =================== ====================================================
-CSP                 CSP filters, log-variance features, linear SVM
+CSP                 TSSF_Var_2_step's fit with fit_csp's filters
 TSSF_Var_1_step     tangent-space filters, log-variance, one-step scores
 TSSF_Var_2_step     same features, second SVM
 TSSF_Cov_1_step     diagonal of the log filtered covariance, one-step
@@ -17,7 +17,9 @@ TS_AIRM             TSSF_Cov_1_step with all C filters (k = C at fit)
 
 TS_AIRM is the tangent-space SVM at the Frechet mean: with all C filters
 the one-step scores are its decision values, so it needs no code path of
-its own.
+its own. Nor does CSP: its filters come from :func:`~tssf.csp.fit_csp`
+instead of a tangent-space model, and the rest of its fit is
+TSSF_Var_2_step's.
 
 Every pipeline object exposes ``fit(trials, labels)`` and
 ``decision_scores(trials)`` on C x N x T tensors. Test-trial covariances
@@ -113,12 +115,14 @@ def _compiled_scores(self, trials):
     return feats @ self._coef + self._intercept
 
 
-class _Pipeline:
-    """The spec and compiled form shared by the pipeline classes.
+class TssfPipeline:
+    """One pipeline: a filter source, training features and a classifier.
 
-    Each subclass binds ``fit`` and ``decision_scores`` in its own body.
-    ``filters`` holds the fitted spatial filters (for spatial patterns).
-    A spec k of 0 keeps all C filters, C taken from the data at fit.
+    ``fit`` takes its filters from ``_extract`` (a tangent-space model
+    here, CSP in :class:`CspPipeline`) and compiles them with their
+    weights. ``filters`` holds the fitted spatial filters (for spatial
+    patterns). A spec k of 0 keeps all C filters, C taken from the data
+    at fit.
     """
 
     def __init__(self, name, k, feature_kind, one_step, classifier=None):
@@ -137,41 +141,16 @@ class _Pipeline:
         """The number of filters: the spec's k until a fit, then the fitted one."""
         return self._k if self.filters is None else self.filters.shape[1]
 
-    def _compile(self, projection, coef, intercept, covs):
-        # C-contiguous arrays, as load_pipeline reads them, so BLAS sees one
-        # layout and a loaded pipeline scores the same bits
-        self._projection = np.ascontiguousarray(projection, dtype=float)
-        self._coef = np.ascontiguousarray(coef, dtype=float)
-        self._intercept = float(intercept)
-        # a constant trial, or one far below the training data's scale, has
-        # variances and eigenvalues of rounding size, not 0: scoring rejects
-        # any not above SPD_TOL times the smallest training variance through P
-        var = _congruence(projection, covs).diagonal(0, -2, -1)
-        self._var_floor = float(SPD_TOL * var.min())
-        return self
+    def _extract(self, covs, labels, k):
+        return extract_tssf(
+            covs, labels, k, model_cfg=self.classifier_cfg, feature_kind=self.feature_kind
+        )
 
-
-class CspPipeline(_Pipeline):
-    def fit(self, trials, labels):
-        trials, labels = _check_training_set(trials, labels, trial_axis=2)
-        covs = _spd_covariances(trials)
-        self.model = fit_csp(covs, labels, self._k)
-        self.filters = self.model.filters
-        var = _congruence(self.filters, covs).diagonal(0, -2, -1)
-        self.clf = fit_from_config(_log_variances(var), labels, self.classifier_cfg)
-        return self._compile(self.filters, self.clf.weights, self.clf.intercept, covs)
-
-    decision_scores = _compiled_scores
-
-
-class TssfPipeline(_Pipeline):
     def fit(self, trials, labels):
         trials, labels = _check_training_set(trials, labels, trial_axis=2)
         covs = _spd_covariances(trials)
         k = self._k or covs.shape[1]  # 0 keeps all C filters
-        self.model = extract_tssf(
-            covs, labels, k, model_cfg=self.classifier_cfg, feature_kind=self.feature_kind
-        )
+        self.model = self._extract(covs, labels, k)
         self.filters = projection = self.model.filters
         if self.one_step:
             weights, intercept = self.model.beta, self.model.intercept
@@ -186,8 +165,28 @@ class TssfPipeline(_Pipeline):
             half, inv_half = _half_powers(self.model.filtered_mean)
             weights, u = np.linalg.eigh(_congruence(half, unvec(weights)))
             projection = projection @ inv_half @ u
-        return self._compile(projection, weights, intercept, covs)
+        # C-contiguous arrays, as load_pipeline reads them, so BLAS sees one
+        # layout and a loaded pipeline scores the same bits
+        self._projection = np.ascontiguousarray(projection, dtype=float)
+        self._coef = np.ascontiguousarray(weights, dtype=float)
+        self._intercept = float(intercept)
+        # a constant trial, or one far below the training data's scale, has
+        # variances and eigenvalues of rounding size, not 0: scoring rejects
+        # any not above SPD_TOL times the smallest training variance through P
+        var = _congruence(projection, covs).diagonal(0, -2, -1)
+        self._var_floor = float(SPD_TOL * var.min())
+        return self
 
+    decision_scores = _compiled_scores
+
+
+class CspPipeline(TssfPipeline):
+    # TSSF_Var_2_step with CSP filters; its own bindings keep its name on
+    # the methods that tracing tools patch per class
+    def _extract(self, covs, labels, k):
+        return fit_csp(covs, labels, k)
+
+    fit = TssfPipeline.fit
     decision_scores = _compiled_scores
 
 

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import (
+    SPD_TOL,
     _check_symmetric,
     _component_order,
     _congruence,
@@ -119,7 +120,9 @@ def fit_tangent_model(covs, labels, model_cfg=None):
     Raises
     ------
     InvalidInput, DegenerateModel
-        On a bad shape or label value; on single-class labels.
+        On a bad shape or label value; on single-class labels, or when
+        every whitened training log is at most ``SPD_TOL`` in magnitude
+        (covariances equal to rounding).
 
     Notes
     -----
@@ -135,6 +138,13 @@ def fit_tangent_model(covs, labels, model_cfg=None):
     if key == last_key:
         return last_result
     mean, logs = _frechet_mean_and_logs(covs)
+    if not np.abs(logs).max() > SPD_TOL:
+        # trials that are one matrix to rounding would fit weights of
+        # rounding size, and every trial would score the same constant
+        raise DegenerateModel(
+            f"no whitened training log exceeds {SPD_TOL:g} in magnitude: "
+            "the training covariances are equal to rounding"
+        )
     model = fit_from_config(_vec(logs), labels, model_cfg)
     mean.setflags(write=False)
     model.weights.setflags(write=False)
@@ -203,7 +213,8 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
     Raises
     ------
     InvalidInput, DegenerateModel
-        On a bad shape, label value or ``k``; on single-class labels or an
+        On a bad shape, label value or ``k``; on single-class labels,
+        covariances equal to rounding (see :func:`fit_tangent_model`) or an
         all-zero fitted weight vector.
     """
     covs, labels = _check_training_set(covs, labels)

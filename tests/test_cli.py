@@ -121,7 +121,7 @@ class TestFit:
         assert [line.endswith("<- kept") for line in table] == [True] * 4 + [False]
 
     def test_identical_trials_exit_3(self, tmp_path, capsys):
-        # every covariance is exactly the identity, so every tangent weight is 0
+        # every covariance is exactly the identity, so every tangent vector is 0
         trial = np.tile(scipy.linalg.hadamard(8)[1:5], 32).astype(float)
         labels = np.tile([1, -1], 5)
         trialset = tssf.TrialSet(
@@ -135,7 +135,24 @@ class TestFit:
              "--reg", "1.0", "--out", str(tmp_path / "m")]
         )
         assert code == 3
-        assert "all-zero weight vector" in capsys.readouterr().err
+        assert "equal to rounding" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pipeline", tssf.pipelines.PIPELINE_NAMES)
+    def test_trials_equal_to_rounding_exit_3(self, tmp_path, pipeline, capsys):
+        # ten copies of one random trial: covariances equal to rounding only
+        one = tssf.synth_generate(tssf.SynthConfig(channels=4, seed=25))
+        labels = np.tile([1, -1], 5)
+        trialset = tssf.TrialSet(
+            np.repeat(one.data[:, :, :1], 10, axis=2), labels, np.zeros(10), one.channel_names
+        )
+        path = tmp_path / "same.eegt"
+        dataio.write_trials(trialset, path)
+        code = main(
+            ["fit", "--data", str(path), "--pipeline", pipeline,
+             "--k", "2", "--reg", "1.0", "--out", str(tmp_path / "m")]
+        )
+        assert code == 3
+        assert "equal to rounding" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pipeline,k", [("TS_AIRM", "-1"), ("CSP", "0")])
     def test_k_below_pipeline_minimum_exits_2(self, tmp_path, data_path, pipeline, k, capsys):

@@ -31,21 +31,22 @@ class TestFitCsp:
             mags = np.sort(np.abs(col))[::-1]
             assert mags[1] <= 1e-12 * mags[0]
 
-    def test_equal_means_eigenvalues_one(self, rng):
+    def test_equal_means_raise_degenerate_model(self, rng):
+        # every generalized eigenvalue is 1 to rounding: no filter tells the
+        # classes apart, so no filter bank is returned
         a = random_spd(rng, 3)
         covs = np.array([a] * 6)
         labels = np.array([1, -1] * 3)
-        model = csp.fit_csp(covs, labels, 2)
-        np.testing.assert_allclose(model.eigenvalues, np.ones(3), atol=1e-10)
-        assert len(set(model.selection)) == 2
+        with pytest.raises(DegenerateModel, match="equal to rounding"):
+            csp.fit_csp(covs, labels, 2)
 
     def test_exact_tie_rule_keeps_original_order(self):
-        # identity covariances give bitwise-equal eigenvalues, so the
-        # tie rule (descending eigenvalue, then original position) applies
-        covs = np.array([np.eye(3)] * 6)
+        # class means 2I and I give bitwise-equal eigenvalues, so the tie
+        # rule (descending eigenvalue, then original position) applies
+        covs = np.array([2.0 * np.eye(3), np.eye(3)] * 3)
         labels = np.array([1, -1] * 3)
         model = csp.fit_csp(covs, labels, 2)
-        np.testing.assert_array_equal(model.eigenvalues, np.ones(3))
+        np.testing.assert_array_equal(model.eigenvalues, np.full(3, 2.0))
         np.testing.assert_array_equal(model.selection, [0, 1])
 
     def test_odd_k_rejected(self, rng):

@@ -124,6 +124,19 @@ class TestSvm:
         assert abs(ours - oracle) < 1e-4
         assert ours <= oracle + 1e-6  # solver should not be worse
 
+    def test_weights_at_every_cap_equal_the_closed_form_bitwise(self):
+        # with a balanced set and reg <= 1e-2, w is so small that every
+        # margin is below 1, so every multiplier ends at its cap reg/T and
+        # w = x^T (y reg/T) exactly: a solver change that moves w shows here
+        rng = np.random.default_rng(2)
+        for _ in range(80):
+            t = 2 * int(rng.integers(10, 60))
+            x = rng.standard_normal((t, int(rng.integers(1, 30))))
+            y = rng.permutation(np.repeat([1.0, -1.0], t // 2))
+            reg = 10.0 ** rng.uniform(-4, -2)
+            model = linmodel.fit_linear_svm(x, y, reg)
+            assert model.weights.tobytes() == (x.T @ (y * reg / t)).tobytes()
+
     def test_kkt_gap_reported(self, rng):
         x, y = blobs(rng, n_per_class=10)
         _, _, info = linmodel._solve_svm_dual(x, y, 1.0, linmodel._gram(x, 1.0))

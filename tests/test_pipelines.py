@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -14,6 +15,8 @@ from tssf.errors import (
     InvalidInput,
     NotPositiveDefinite,
 )
+
+from test_work_counts import load_workloads
 
 
 def synth_set(seed=0, channels=4, trials=40, sigma=0.4, sessions=1):
@@ -65,6 +68,13 @@ class TestSpec:
             )
             assert all_filters == (name == "TS_AIRM")
             assert pipe.k == (0 if all_filters else 2)
+
+    def test_every_class_binds_the_one_fit_body(self):
+        # CSP differs from TSSF_Var_2_step only in its filter source
+        # (_extract), and TS_AIRM only in its name
+        assert pipelines.CspPipeline.fit is pipelines.TangentSpacePipeline.fit
+        assert pipelines.TangentSpacePipeline.fit is pipelines.TssfPipeline.fit
+        assert pipelines.CspPipeline._extract is not pipelines.TssfPipeline._extract
 
     def test_every_class_binds_the_one_scorer(self):
         # perfbench/tracer.py wraps fit and decision_scores in each class's
@@ -653,13 +663,41 @@ def test_ts_airm_refit_keeps_all_filters_of_the_new_data():
 @pytest.mark.parametrize("name", ["TS_AIRM", "TSSF_Cov_1_step"])
 def test_identical_training_trials_raise_degenerate_model(name):
     # orthogonal +-1 rows of zero mean: every trial's covariance is exactly
-    # the identity, so is their mean, and every tangent vector and fitted
-    # weight is 0; a model that would score one constant is refused
+    # the identity, so is their mean, and every tangent vector is 0; a model
+    # that would score one constant is refused
     trial = np.tile(scipy.linalg.hadamard(8)[1:5], 32).astype(float)
     trials = np.repeat(trial[:, :, None], 10, axis=2)
     pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name, k=4, classifier=FIXED))
-    with pytest.raises(DegenerateModel, match="all-zero weight vector"):
+    with pytest.raises(DegenerateModel, match="equal to rounding"):
         pipe.fit(trials, np.tile([1, -1], 5))
+
+
+@pytest.mark.parametrize("name", ["TS_AIRM", "TSSF_Var_2_step"])
+def test_all_zero_tangent_weights_raise_degenerate_model(name):
+    # two distinct trials, each once per class: the tangent vectors differ,
+    # but every SVM multiplier pair cancels, so the weights are exactly 0
+    two = synth_set(seed=27).data[:, :, :2]
+    trials = np.repeat(two, 2, axis=2)
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name, k=2, classifier=FIXED))
+    with pytest.raises(DegenerateModel, match="all-zero weight vector"):
+        pipe.fit(trials, np.tile([1, -1], 2))
+
+
+def one_trial_ten_times():
+    # ten copies of one random trial: the covariances are one matrix to
+    # rounding, not exactly, so whitening at their mean leaves logs of ~1e-15
+    trial = synth_set(seed=25).data[:, :, :1]
+    return np.repeat(trial, 10, axis=2), np.tile([1, -1], 5)
+
+
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_training_covariances_equal_to_rounding_raise_degenerate_model(name, monkeypatch):
+    monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
+    trials, labels = one_trial_ten_times()
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name, k=2, classifier=FIXED))
+    with pytest.raises(DegenerateModel, match="equal to rounding"):
+        pipe.fit(trials, labels)
+    assert tssf_module._last_fit == (None, None)  # a refused fit is not remembered
 
 
 class TestPipelineValidation:
@@ -745,3 +783,68 @@ class TestKfoldIntegration:
         pipe.fit(ts.data, ts.labels)
         scores = pipe.decision_scores(ts.data)
         assert evalstats.roc_auc(scores, ts.labels) > 0.9
+
+
+@functools.cache
+def workload_split(name):
+    """Seed-1 data of a benchmark workload's generator: 2/3 train, 1/3 test."""
+    synth = load_workloads().WORKLOADS[name].synth
+    ts = tssf.synth_generate(tssf.SynthConfig(seed=1, **synth))
+    n_train = 2 * ts.data.shape[2] // 3
+    return ts.data[:, :, :n_train], ts.labels[:n_train], ts.data[:, :, n_train:]
+
+
+def dropped(pipe, j):
+    """A copy of a fitted pipeline without component j: its column and weight."""
+    reduced = pipelines.make_pipeline(pipelines.PipelineSpec(pipe.name, k=pipe.k))
+    keep = np.arange(pipe.k) != j
+    reduced.filters = np.ascontiguousarray(pipe.filters[:, keep])
+    reduced._projection = np.ascontiguousarray(pipe._projection[:, keep])
+    reduced._coef = np.ascontiguousarray(pipe._coef[keep])
+    reduced._intercept, reduced._var_floor = pipe._intercept, pipe._var_floor
+    return reduced
+
+
+@pytest.mark.parametrize("workload", ["eval-c8-grid", "eval-c64-fixed"])
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_dropping_a_component_removes_its_source_from_the_scores(workload, name, tmp_path):
+    # the paper's artifact-removal claim: a source that enters the data along
+    # component j's pattern a_j moves no score once column j of P and weight
+    # j are dropped, because the remaining filters are orthogonal to a_j
+    train, labels, test = workload_split(workload)
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name, k=4, classifier=FIXED))
+    pipe.fit(train, labels)
+    reduced = dropped(pipe, 0)
+    mean_cov = dataio._covariance_stack(train).mean(axis=0)
+    a0 = tssf.compute_patterns(pipe._projection, mean_cov)[:, 0]
+    rng = np.random.default_rng(0)
+    source = rng.standard_normal(test.shape[1:])
+    scale = 1e3 * np.sqrt(np.mean(train**2)) / np.sqrt(np.mean(np.outer(a0, source) ** 2))
+    noisy = test + scale * a0[:, None, None] * source[None]
+
+    def moved(p):
+        before = p.decision_scores(test)
+        return np.abs(p.decision_scores(noisy) - before).max() / np.abs(before).max()
+
+    assert moved(reduced) <= 1e-12
+    assert moved(pipe) > 0.1
+    if pipe.feature_kind == tssf.LOGVAR:
+        # the reduced scores are the full ones minus component 0's contribution
+        var0 = pipelines._filtered_variances(pipe._projection[:, :1], test)[:, 0]
+        full = pipe.decision_scores(test)
+        np.testing.assert_allclose(
+            reduced.decision_scores(test),
+            full - pipe._coef[0] * np.log(var0),
+            rtol=0,
+            atol=1e-12 * np.abs(full).max(),
+        )
+    if name != "TS_AIRM":  # a TS_AIRM model file keeps all C filters
+        tssf.save_pipeline(reduced, tmp_path / "reduced.json")
+        loaded = tssf.load_pipeline(tmp_path / "reduced.json")
+        for a, b in [
+            (loaded._projection, reduced._projection),
+            (loaded._coef, reduced._coef),
+            (loaded.filters, reduced.filters),
+            (loaded.decision_scores(noisy), reduced.decision_scores(noisy)),
+        ]:
+            assert a.tobytes() == b.tobytes()

@@ -8,7 +8,10 @@ functions with ``monkeypatch``:
   over them of T * C**3, for a stack of T matrices of size C x C;
 * ``svm_solves`` and ``svm_updates``: calls of ``linmodel._solve_svm_dual``
   and the pair updates its ``SvmFitInfo`` reports;
-* ``covariances_built``: trials through ``_covariance_stack``.
+* ``covariances_built``: trials through ``_covariance_stack``;
+* ``frechet_means`` and ``frechet_sweeps``: calls of
+  ``manifold._frechet_mean_and_logs`` and of the public ``manifold.logm``,
+  which only its sweeps call.
 
 Unlike wall times, these counts do not depend on the host. A change that
 moves one on purpose rewrites ``work_counts.json``
@@ -44,7 +47,7 @@ def load_workloads():
 
 def count_eval(workload, path):
     """Counts of one ``tssf eval`` of ``workload``, its data written to ``path``."""
-    from tssf import dataio, linmodel, pipelines
+    from tssf import dataio, linmodel, manifold, pipelines
     from tssf import tssf as tssf_module
     from tssf.cli import main
     from tssf.dataio import SynthConfig, synth_generate, write_trials
@@ -52,9 +55,19 @@ def count_eval(workload, path):
     trials = synth_generate(SynthConfig(seed=SEED, **workload.synth))
     write_trials(trials.subset(range(workload.eval_trials)), path)
     counts = dict.fromkeys(
-        ("eigh_calls", "eigh_c3t", "svm_solves", "svm_updates", "covariances_built"), 0
+        (
+            "eigh_calls",
+            "eigh_c3t",
+            "svm_solves",
+            "svm_updates",
+            "covariances_built",
+            "frechet_means",
+            "frechet_sweeps",
+        ),
+        0,
     )
     eigh, solve, stack = np.linalg.eigh, linmodel._solve_svm_dual, dataio._covariance_stack
+    mean_and_logs, logm = manifold._frechet_mean_and_logs, manifold.logm
 
     def counted_eigh(a, *args, **kwargs):
         counts["eigh_calls"] += 1
@@ -71,6 +84,14 @@ def count_eval(workload, path):
         counts["covariances_built"] += data.shape[2]
         return stack(data)
 
+    def counted_mean(points):
+        counts["frechet_means"] += 1
+        return mean_and_logs(points)
+
+    def counted_logm(a):
+        counts["frechet_sweeps"] += 1
+        return logm(a)
+
     argv = ["eval", "--data", path, "--out", path + ".csv"]
     for pipeline in workload.eval_pipelines:
         argv += ["--pipeline", pipeline]
@@ -79,6 +100,9 @@ def count_eval(workload, path):
         mp.setattr(linmodel, "_solve_svm_dual", counted_solve)
         for module in (dataio, pipelines):
             mp.setattr(module, "_covariance_stack", counted_stack)
+        for module in (manifold, tssf_module):
+            mp.setattr(module, "_frechet_mean_and_logs", counted_mean)
+        mp.setattr(manifold, "logm", counted_logm)
         mp.setattr(tssf_module, "_last_fit", (None, None))  # a cold eval
         code = main(argv + list(workload.eval_args))
     assert code == 0, f"tssf eval of {workload.name} exited {code}"
