@@ -139,8 +139,11 @@ def _classifier_config(args):
     return ClassifierConfig(reg=args.reg, grid=grid, folds=folds, seed=args.seed)
 
 
-def _pipeline_spec(name, args):
-    return PipelineSpec(name=name, k=args.k, classifier=_classifier_config(args)).validate()
+def _pipeline_specs(names, args):
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise InvalidInput(f"pipeline given more than once: {', '.join(repeated)}")
+    return [PipelineSpec(name, args.k, _classifier_config(args)).validate() for name in names]
 
 
 def _check_writable(path):
@@ -166,28 +169,22 @@ def cmd_synth(args):
 
 
 def cmd_fit(args):
-    spec = _pipeline_spec(args.pipeline, args)
+    [spec] = _pipeline_specs([args.pipeline], args)
     trialset = _load_trials(args)
     _check_writable(args.out)
     pipe = make_pipeline(spec).fit(trialset.data, trialset.labels)
     save_pipeline(pipe, args.out)
-    if spec.name == "CSP":
-        print("component  eigenvalue  |log eigenvalue|")
-        for rank, idx in enumerate(pipe.model.selection):
-            lam = pipe.model.eigenvalues[idx]
-            print(f"{rank:9d}  {lam:10.4f}  {abs(np.log(lam)):16.4f}")
-    else:
-        print("sorted coefficients (use this table to choose k):")
-        print("rank  beta      |beta|")
-        for rank, beta in enumerate(pipe.model.full_beta):
-            kept = "  <- kept" if rank < pipe.k else ""
-            print(f"{rank:4d}  {beta:+.4f}  {abs(beta):.4f}{kept}")
+    print("sorted coefficients (use this table to choose k):")
+    print("rank  beta      |beta|")
+    for rank, beta in enumerate(pipe.model.full_beta):
+        kept = "  <- kept" if rank < pipe.k else ""
+        print(f"{rank:4d}  {beta:+.4f}  {abs(beta):.4f}{kept}")
     print(f"{pipe.name} pipeline (k={pipe.k}, {pipe.feature_kind}) written to {args.out}")
     return 0
 
 
 def cmd_eval(args):
-    specs = [_pipeline_spec(name, args) for name in args.pipeline]
+    specs = _pipeline_specs(args.pipeline, args)
     trialset = _load_trials(args)
     _check_writable(args.out)
     if len(specs) > 1:
@@ -242,7 +239,7 @@ def cmd_patterns(args):
 
 def cmd_bench(args):
     names = args.pipeline or ["CSP", "TSSF_Var_1_step", "TS_AIRM"]
-    specs = [_pipeline_spec(name, args) for name in names]
+    specs = _pipeline_specs(names, args)
     trialset = _load_trials(args)
     if args.out:
         _check_writable(args.out)

@@ -20,17 +20,17 @@ from .manifold import frechet_mean  # noqa: F401  (re-exported)
 
 @dataclass(frozen=True)
 class CspModel:
-    """CSP filter bank.
+    """CSP filter bank, ranked like a :class:`~tssf.tssf.TssfModel`.
 
-    ``eigenvalues`` holds all C generalized eigenvalues of
-    (class mean +, class mean -) in descending order; ``selection`` the
-    indices (into that order) of the kept components; ``filters`` the
-    corresponding columns.
+    ``full_filters`` are all C generalized eigenvectors of (class mean +,
+    class mean -) in ranked order, ``filters`` their K-column prefix, and
+    ``full_beta`` the log-eigenvalues: the coefficients of the filters of
+    mean +'s tangent vector at mean -.
     """
 
     filters: np.ndarray
-    eigenvalues: np.ndarray
-    selection: np.ndarray
+    full_filters: np.ndarray
+    full_beta: np.ndarray
 
 
 def fit_csp(covs, labels, k):
@@ -45,10 +45,10 @@ def fit_csp(covs, labels, k):
 
     Notes
     -----
-    Components are selected by descending ``|log eigenvalue|`` (ties by
-    descending eigenvalue, then position), which picks K/2 from each end
-    of the spectrum when the spectrum is balanced -- the classic
-    "both ends" rule expressed as one ordering.
+    Components are ranked by descending ``|log eigenvalue|`` (ties by
+    descending eigenvalue, then position) and the first ``k`` kept, which
+    picks K/2 from each end of the spectrum when the spectrum is balanced
+    -- the classic "both ends" rule expressed as one ordering.
 
     Raises
     ------
@@ -72,9 +72,6 @@ def fit_csp(covs, labels, k):
             f"no |log generalized eigenvalue| exceeds {SPD_TOL:g}: the class-mean "
             "covariances are equal to rounding, so no filter tells the classes apart"
         )
-    selection = _component_order(log_eig)[:k]
-    return CspModel(
-        filters=solution.eigenvectors[:, selection],
-        eigenvalues=solution.eigenvalues,
-        selection=selection,
-    )
+    order = _component_order(log_eig)
+    bank = solution.eigenvectors[:, order]
+    return CspModel(filters=bank[:, :k], full_filters=bank, full_beta=log_eig[order])

@@ -366,6 +366,8 @@ class SynthConfig:
             raise InvalidInput("mixing must be 'random' or 'identity'")
         if self.sessions < 1:
             raise InvalidInput("sessions must be >= 1")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         return self
 
     @classmethod

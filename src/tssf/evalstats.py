@@ -25,6 +25,8 @@ def stratified_folds(labels, folds, seed):
     and the same seed always yields the same partition.
     """
     labels = np.asarray(labels)
+    if np.min(seed) < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     if folds < 2:
         raise InvalidInput("folds must be >= 2")
     if folds > labels.size:

@@ -223,6 +223,8 @@ class ClassifierConfig:
             raise InvalidInput("grid values must be positive and finite")
         if self.folds < 2:
             raise InvalidInput("folds must be >= 2")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         return self
 
 

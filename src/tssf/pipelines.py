@@ -2,8 +2,7 @@
 
 Seven named pipelines cover the baseline and the tangent-space family.
 :data:`PIPELINES` is the one table that maps each name to its class, its
-feature kind, whether it scores in one step and whether it keeps all C
-filters:
+feature kind and whether it scores in one step:
 
 =================== ====================================================
 CSP                 TSSF_Var_2_step's fit with fit_csp's filters
@@ -12,14 +11,14 @@ TSSF_Var_2_step     same features, second SVM
 TSSF_Cov_1_step     diagonal of the log filtered covariance, one-step
 TSSF_Cov_2_step     same features, second SVM
 TSSF_LogCov_2_step  full tangent vector of the filtered covariance, SVM
-TS_AIRM             TSSF_Cov_1_step with all C filters (k = C at fit)
+TS_AIRM             TSSF_Cov_1_step with all C filters, whatever the k
 =================== ====================================================
 
-TS_AIRM is the tangent-space SVM at the Frechet mean: with all C filters
-the one-step scores are its decision values, so it needs no code path of
-its own. Nor does CSP: its filters come from :func:`~tssf.csp.fit_csp`
-instead of a tangent-space model, and the rest of its fit is
-TSSF_Var_2_step's.
+Every filter source, ``_extract``, hands back one ranked bank: all C
+filters, their coefficients ``full_beta`` and the K-prefix ``filters``.
+TS_AIRM, the tangent-space SVM at the Frechet mean, keeps all C, whose
+one-step scores are the SVM's decision values; CSP's source is
+:func:`~tssf.csp.fit_csp`. The classes differ in nothing else.
 
 Every pipeline object exposes ``fit(trials, labels)`` and
 ``decision_scores(trials)`` on C x N x T tensors. Test-trial covariances
@@ -119,10 +118,9 @@ class TssfPipeline:
     """One pipeline: a filter source, training features and a classifier.
 
     ``fit`` takes its filters from ``_extract`` (a tangent-space model
-    here, CSP in :class:`CspPipeline`) and compiles them with their
-    weights. ``filters`` holds the fitted spatial filters (for spatial
-    patterns). A spec k of 0 keeps all C filters, C taken from the data
-    at fit.
+    here; CSP in :class:`CspPipeline`, all C filters in
+    :class:`TangentSpacePipeline`) and compiles them with their weights.
+    ``filters`` holds the fitted spatial filters (for spatial patterns).
     """
 
     def __init__(self, name, k, feature_kind, one_step, classifier=None):
@@ -149,8 +147,7 @@ class TssfPipeline:
     def fit(self, trials, labels):
         trials, labels = _check_training_set(trials, labels, trial_axis=2)
         covs = _spd_covariances(trials)
-        k = self._k or covs.shape[1]  # 0 keeps all C filters
-        self.model = self._extract(covs, labels, k)
+        self.model = self._extract(covs, labels, self._k)
         self.filters = projection = self.model.filters
         if self.one_step:
             weights, intercept = self.model.beta, self.model.intercept
@@ -191,22 +188,24 @@ class CspPipeline(TssfPipeline):
 
 
 class TangentSpacePipeline(TssfPipeline):
-    # TS_AIRM: one-step TSSF with all C filters; its own bindings keep its
-    # name on the methods that tracing tools patch per class
+    # TS_AIRM: one-step TSSF that keeps all C filters at every fit; its own
+    # bindings keep its name on the methods that tracing tools patch per class
+    def _extract(self, covs, labels, k):
+        return super()._extract(covs, labels, covs.shape[1])
+
     fit = TssfPipeline.fit
     decision_scores = _compiled_scores
 
 
-# name -> (class, feature kind, one-step, all C filters); a pipeline with
-# all filters ignores the spec's k and keeps k = C, taken from the data at fit
+# name -> (class, whose _extract is the filter source; feature kind; one-step)
 PIPELINES = {
-    "CSP": (CspPipeline, LOGVAR, False, False),
-    "TSSF_Var_1_step": (TssfPipeline, LOGVAR, True, False),
-    "TSSF_Var_2_step": (TssfPipeline, LOGVAR, False, False),
-    "TSSF_Cov_1_step": (TssfPipeline, DIAGLOGCOV, True, False),
-    "TSSF_Cov_2_step": (TssfPipeline, DIAGLOGCOV, False, False),
-    "TSSF_LogCov_2_step": (TssfPipeline, LOGCOV, False, False),
-    "TS_AIRM": (TangentSpacePipeline, DIAGLOGCOV, True, True),
+    "CSP": (CspPipeline, LOGVAR, False),
+    "TSSF_Var_1_step": (TssfPipeline, LOGVAR, True),
+    "TSSF_Var_2_step": (TssfPipeline, LOGVAR, False),
+    "TSSF_Cov_1_step": (TssfPipeline, DIAGLOGCOV, True),
+    "TSSF_Cov_2_step": (TssfPipeline, DIAGLOGCOV, False),
+    "TSSF_LogCov_2_step": (TssfPipeline, LOGCOV, False),
+    "TS_AIRM": (TangentSpacePipeline, DIAGLOGCOV, True),
 }
 PIPELINE_NAMES = tuple(PIPELINES)
 
@@ -224,10 +223,10 @@ class PipelineSpec:
             raise InvalidInput(
                 f"unknown pipeline {self.name!r}; choose from {', '.join(PIPELINE_NAMES)}"
             )
-        cls, _, _, all_filters = PIPELINES[self.name]
-        # a pipeline with all C filters ignores k; one --k serves every
+        cls = PIPELINES[self.name][0]
+        # TS_AIRM keeps all C filters and ignores k; one --k serves every
         # pipeline of an eval, so it takes any k >= 0
-        min_k = 0 if all_filters else 1
+        min_k = 0 if cls is TangentSpacePipeline else 1
         if self.k < min_k:
             raise InvalidInput(f"k must be >= {min_k}")
         if cls is CspPipeline and self.k % 2:
@@ -239,8 +238,8 @@ class PipelineSpec:
 def make_pipeline(spec):
     """Build a fresh, unfitted pipeline object from a spec."""
     spec.validate()
-    cls, kind, one_step, all_filters = PIPELINES[spec.name]
-    return cls(spec.name, 0 if all_filters else spec.k, kind, one_step, spec.classifier)
+    cls, kind, one_step = PIPELINES[spec.name]
+    return cls(spec.name, spec.k, kind, one_step, spec.classifier)
 
 
 def save_pipeline(pipe, path):
@@ -309,7 +308,7 @@ def load_pipeline(path):
     name = _field(doc, "name")
     if name not in PIPELINE_NAMES:
         raise FormatError(f"unknown pipeline {name!r}")
-    cls, kind, one_step, all_filters = PIPELINES[name]
+    cls, kind, one_step = PIPELINES[name]
     if _field(doc, "feature_kind") != kind:
         raise FormatError(f"{name} must have feature kind {kind!r}")
     k = _field(doc, "k")
@@ -322,7 +321,7 @@ def load_pipeline(path):
     channels = pipe._projection.shape[0]
     if pipe._projection.shape[1] != k or pipe._coef.shape != (k,):
         raise FormatError(f"projection and coef do not match k={k}")
-    if all_filters and k != channels:
+    if cls is TangentSpacePipeline and k != channels:
         raise FormatError(f"{name} keeps all {channels} filters, but k={k}")
     pipe.filters = _floats(doc, "filters", 2)
     if pipe.filters.shape != (channels, k):

@@ -163,6 +163,26 @@ class TestFit:
         assert code == 2
         assert "k must be >=" in capsys.readouterr().err
 
+    def test_csp_fit_table_lists_every_log_eigenvalue(self, tmp_path, data_path, capsys):
+        # CSP ranks all C = 4 filters by one coefficient, as TSSF does: the
+        # log generalized eigenvalues of the class-mean covariances
+        code = main(
+            ["fit", "--data", str(data_path), "--pipeline", "CSP",
+             "--k", "2", "--reg", "1.0", "--out", str(tmp_path / "m.json")]
+        )
+        assert code == 0
+        ts = dataio.read_trials(data_path)
+        covs = dataio.covariances(ts)
+        solution = tssf.manifold.ged(
+            covs[ts.labels == 1].mean(axis=0), covs[ts.labels == -1].mean(axis=0)
+        )
+        log_eig = np.log(solution.eigenvalues)
+        expected = log_eig[tssf.manifold._component_order(log_eig)]
+        table = capsys.readouterr().out.split("sorted coefficients")[1].splitlines()[2:6]
+        assert [int(line.split()[0]) for line in table] == [0, 1, 2, 3]
+        assert [line.split()[1] for line in table] == [f"{b:+.4f}" for b in expected]
+        assert [line.endswith("<- kept") for line in table] == [True, True, False, False]
+
     def test_csp_fit_writes_model(self, tmp_path, data_path):
         out = tmp_path / "model.json"
         code = main(
@@ -511,6 +531,43 @@ class TestBench:
 
 
 FIT_ARGS = ["--k", "2", "--reg", "1.0", "--folds", "3"]
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+def test_repeated_pipeline_exits_2_before_reading_data(command, tmp_path, capsys, monkeypatch):
+    # eval would write every fold row twice, bench would time the pipeline once
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{command} read its data before checking the names")
+
+    monkeypatch.setattr(cli, "_load_trials", fail)
+    out = tmp_path / "out.csv"
+    code = main(
+        [command, "--data", "x.eegt", "--pipeline", "CSP", "--pipeline", "TS_AIRM",
+         "--pipeline", "CSP", "--k", "2", "--reg", "1", "--out", str(out)]
+    )
+    assert code == 2
+    assert "pipeline given more than once: CSP" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth --seed", "synth config", "fit", "eval", "bench"])
+def test_negative_seed_exits_2_and_writes_nothing(
+    command, tmp_path, config_path, data_path, capsys
+):
+    # numpy's generator would raise a ValueError (exit 1) after eval opened --out
+    out = tmp_path / "out.csv"
+    if command == "synth --seed":
+        argv = ["synth", "--config", str(config_path), "--out", str(out), "--seed", "-1"]
+    elif command == "synth config":
+        config_path.write_text(CONFIG.replace("seed: 11", "seed: -5"))
+        argv = ["synth", "--config", str(config_path), "--out", str(out)]
+    else:
+        argv = [command, "--data", str(data_path), "--pipeline", "CSP", "--k", "2",
+                "--reg", "1.0", "--seed", "-3", "--out", str(out)]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize(

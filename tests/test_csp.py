@@ -26,7 +26,7 @@ class TestFitCsp:
                          np.diag([1.0, 4.0]), np.diag([1.0, 4.0])])
         labels = np.array([1, 1, -1, -1])
         model = csp.fit_csp(covs, labels, 2)
-        np.testing.assert_allclose(model.eigenvalues, [4.0, 0.25], atol=1e-12)
+        np.testing.assert_allclose(model.full_beta, np.log([4.0, 0.25]), atol=1e-12)
         for col in model.filters.T:
             mags = np.sort(np.abs(col))[::-1]
             assert mags[1] <= 1e-12 * mags[0]
@@ -46,8 +46,9 @@ class TestFitCsp:
         covs = np.array([2.0 * np.eye(3), np.eye(3)] * 3)
         labels = np.array([1, -1] * 3)
         model = csp.fit_csp(covs, labels, 2)
-        np.testing.assert_array_equal(model.eigenvalues, np.full(3, 2.0))
-        np.testing.assert_array_equal(model.selection, [0, 1])
+        np.testing.assert_array_equal(model.full_beta, np.log(np.full(3, 2.0)))
+        eigenvectors = manifold.ged(2.0 * np.eye(3), np.eye(3)).eigenvectors
+        np.testing.assert_array_equal(model.filters, eigenvectors[:, :2])
 
     def test_odd_k_rejected(self, rng):
         covs, labels = two_class_covs(rng)
@@ -65,8 +66,26 @@ class TestFitCsp:
     def test_selection_takes_both_spectrum_ends(self, rng):
         covs, labels = two_class_covs(rng)
         model = csp.fit_csp(covs, labels, 2)
-        assert 0 in model.selection  # largest eigenvalue
-        assert len(covs[0]) - 1 in model.selection  # smallest eigenvalue
+        mean_pos = covs[labels == 1].mean(axis=0)
+        mean_neg = covs[labels == -1].mean(axis=0)
+        log_eig = np.log(manifold.ged(mean_pos, mean_neg).eigenvalues)
+        assert set(model.full_beta[:2]) == {log_eig.max(), log_eig.min()}
+
+    def test_filters_are_the_prefix_of_one_ranked_bank(self, rng):
+        # all C filters ranked by |log eigenvalue|, as extract_tssf ranks its
+        # own; k only cuts the prefix
+        covs, labels = two_class_covs(rng)
+        mean_pos = covs[labels == 1].mean(axis=0)
+        mean_neg = covs[labels == -1].mean(axis=0)
+        solution = manifold.ged(mean_pos, mean_neg)
+        log_eig = np.log(solution.eigenvalues)
+        order = manifold._component_order(log_eig)
+        model = csp.fit_csp(covs, labels, 2)
+        np.testing.assert_array_equal(model.full_beta, log_eig[order])
+        np.testing.assert_array_equal(model.full_filters, solution.eigenvectors[:, order])
+        np.testing.assert_array_equal(model.filters, model.full_filters[:, :2])
+        wider = csp.fit_csp(covs, labels, 4)
+        np.testing.assert_array_equal(wider.full_filters, model.full_filters)
 
     def test_discriminative_identity_oracle(self, rng):
         # eigenvector set equals ged(mean+ - mean-, mean+ + mean-) with

@@ -437,6 +437,7 @@ class TestSynth:
             (dict(nonstationarity=-0.1), "nonstationarity must be >= 0"),
             (dict(mixing="orthogonal"), "mixing must be"),
             (dict(sessions=0), "sessions must be >= 1"),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
         ]:
             with pytest.raises(InvalidInput, match=match):
                 dataio.SynthConfig(**bad).validate()

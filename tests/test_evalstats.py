@@ -63,6 +63,11 @@ class TestStratifiedFolds:
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
 
+    @pytest.mark.parametrize("seed", [-1, (0, -1), (-3, 2)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(InvalidInput, match="seed must be >= 0"):
+            evalstats.stratified_folds(np.array([1, -1] * 5), 2, seed=seed)
+
     def test_too_few_folds(self):
         with pytest.raises(InvalidInput):
             evalstats.stratified_folds(np.array([1, -1]), 1, seed=0)

@@ -286,6 +286,14 @@ class TestGridSearch:
         with pytest.raises(InvalidInput):
             linmodel.grid_search_cv(x, y, grid=[])
 
+    def test_negative_seed_rejected(self, rng):
+        # numpy's generator refuses it with a ValueError; the library names it
+        x, y = blobs(rng)
+        with pytest.raises(InvalidInput, match="^seed must be >= 0, got -2$"):
+            linmodel.grid_search_cv(x, y, seed=-2)
+        with pytest.raises(InvalidInput, match="^seed must be >= 0, got -2$"):
+            linmodel.ClassifierConfig(seed=-2).validate()
+
     def test_bad_grid_and_folds(self, rng):
         # the config rejects them before any fit, with the search's messages
         x, y = blobs(rng)

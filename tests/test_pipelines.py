@@ -62,19 +62,19 @@ class TestSpec:
     def test_all_names_buildable(self):
         for name in pipelines.PIPELINE_NAMES:
             pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=2))
-            cls, kind, one_step, all_filters = pipelines.PIPELINES[name]
-            assert (type(pipe), pipe.name, pipe.feature_kind, pipe.one_step) == (
-                cls, name, kind, one_step
+            cls, kind, one_step = pipelines.PIPELINES[name]
+            # unfitted, every pipeline reports the spec's k, TS_AIRM's too
+            assert (type(pipe), pipe.name, pipe.feature_kind, pipe.one_step, pipe.k) == (
+                cls, name, kind, one_step, 2
             )
-            assert all_filters == (name == "TS_AIRM")
-            assert pipe.k == (0 if all_filters else 2)
 
     def test_every_class_binds_the_one_fit_body(self):
-        # CSP differs from TSSF_Var_2_step only in its filter source
-        # (_extract), and TS_AIRM only in its name
+        # CSP differs from TSSF_Var_2_step, and TS_AIRM from TSSF_Cov_1_step,
+        # only in its filter source (_extract)
         assert pipelines.CspPipeline.fit is pipelines.TangentSpacePipeline.fit
         assert pipelines.TangentSpacePipeline.fit is pipelines.TssfPipeline.fit
-        assert pipelines.CspPipeline._extract is not pipelines.TssfPipeline._extract
+        for cls in (pipelines.CspPipeline, pipelines.TangentSpacePipeline):
+            assert cls._extract is not pipelines.TssfPipeline._extract
 
     def test_every_class_binds_the_one_scorer(self):
         # perfbench/tracer.py wraps fit and decision_scores in each class's
@@ -649,6 +649,21 @@ def test_ts_airm_scores_as_full_rank_one_step_tssf(c):
     np.testing.assert_array_equal(airm.filters, full.filters)
     np.testing.assert_array_equal(airm._coef, full.model.full_beta)
     assert airm.k == c
+
+
+def test_ts_airm_model_file_does_not_depend_on_the_spec_k(tmp_path):
+    # the spec's k reaches TS_AIRM's filter source, which keeps all C = 4
+    # filters: unfitted, the pipeline reports the spec's k; fitted, C
+    ts = synth_set(seed=28, channels=4, trials=20)
+    files = []
+    for k in (0, 1, 6):
+        pipe = pipelines.make_pipeline(pipelines.PipelineSpec("TS_AIRM", k=k, classifier=FIXED))
+        assert pipe.k == k
+        assert pipe.fit(ts.data, ts.labels).k == 4
+        pipelines.save_pipeline(pipe, tmp_path / f"airm{k}.json")
+        files.append((tmp_path / f"airm{k}.json").read_bytes())
+    assert files[1] == files[0] and files[2] == files[0]
+    assert json.loads(files[0])["k"] == 4
 
 
 def test_ts_airm_refit_keeps_all_filters_of_the_new_data():
