@@ -5,15 +5,15 @@ Subcommands
 synth      generate a synthetic trial file from a config
 fit        fit one pipeline and save it as a JSON model file
 eval       cross-validate pipelines and write score/comparison CSVs
-patterns   export the spatial patterns of a saved model as CSV
+patterns   export the spatial patterns of a saved model's filters as CSV
 bench      measure per-trial prediction latency of fitted pipelines
 
 Exit codes: 0 success; 2 usage/config errors, including a file that
 cannot be read or written or is not UTF-8 where text is expected; 3
-numerical or degenerate failures. ``fit``, ``eval`` and ``bench`` open
+numerical or degenerate failures. ``fit``, ``eval`` and ``bench`` check
 their output files before any fit, so an output that cannot be written
-exits 2 at once. Every command but ``patterns`` takes ``--seed`` and is
-reproducible under it.
+exits 2 at once, and a failed command leaves no output file it created.
+Every command but ``patterns`` takes ``--seed`` and is reproducible.
 The ``TSSF_THREADS`` environment variable caps BLAS parallelism (see the
 ``tssf`` package; ``TSSF_THREADS=1`` gives single-threaded runs for
 benchmarking).
@@ -147,10 +147,13 @@ def _pipeline_specs(names, args):
 
 
 def _check_writable(path):
-    # append mode creates a missing file but leaves an existing one as it
-    # is until the command writes it
-    with open(path, "a", encoding="utf-8"):
-        pass
+    # a file the check creates is removed again, so a failed command leaves
+    # none; an existing one keeps its bytes until the command writes it
+    try:
+        open(path, "x").close()
+        os.remove(path)
+    except FileExistsError:
+        open(path, "a").close()
 
 
 def cmd_synth(args):
@@ -219,7 +222,7 @@ def _comparisons_path(out):
 
 
 def cmd_patterns(args):
-    # the whole file, so its filters must match its k
+    # the filters that score: pattern j is the source column j and coef[j] see
     filters = load_pipeline(args.model).filters
     trialset = _load_trials(args)
     if trialset.n_channels != filters.shape[0]:
@@ -228,9 +231,9 @@ def cmd_patterns(args):
         )
     data_cov = covariances(trialset).mean(axis=0)
     patterns = compute_patterns(filters, data_cov)
-    if filters.shape[0] == filters.shape[1]:
-        residual = np.abs(filters.T @ patterns - np.eye(filters.shape[1])).max()
-        print(f"square filters: max |F^T A - I| = {residual:.2e}")
+    # F^T A = I, so dropping filter j removes source j from the scores
+    residual = np.abs(filters.T @ patterns - np.eye(filters.shape[1])).max()
+    print(f"max |F^T A - I| = {residual:.2e}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(patterns_to_csv(patterns, trialset.channel_names))
     print(f"wrote {args.out}: {filters.shape[0]} channels x {filters.shape[1]} components")
@@ -240,6 +243,8 @@ def cmd_patterns(args):
 def cmd_bench(args):
     names = args.pipeline or ["CSP", "TSSF_Var_1_step", "TS_AIRM"]
     specs = _pipeline_specs(names, args)
+    if args.reps < 1:
+        raise InvalidInput("repetitions must be >= 1")
     trialset = _load_trials(args)
     if args.out:
         _check_writable(args.out)

@@ -25,7 +25,7 @@ Every pipeline object exposes ``fit(trials, labels)`` and
 are always recomputed from the trial data, never taken from a stored
 covariance, mirroring online use.
 
-Every ``fit`` ends in the same compiled form: a projection P, one weight
+Every ``fit`` ends in the same compiled form: the filters P, one weight
 per column of P, an intercept and a floor. One scoring function serves
 all pipelines: for a trial x with covariance S and W = P^T S P it returns
 ``w . log diag W`` (CSP, TSSF_Var_*) or ``w . diag logm W`` (the others),
@@ -42,10 +42,10 @@ N > 2C. A ``fit`` reads the trials only for their covariances C: a
 filtered trial F^T x has covariance F^T C F, the stack that training
 features and the floor are taken from.
 
-:func:`save_pipeline` writes the compiled form, plus the spatial filters
-for ``patterns``, as one :data:`MODEL_FORMAT` JSON file,
-and :func:`load_pipeline` reads it back into a pipeline that scores
-bitwise like the fitted one.
+:func:`save_pipeline` writes the compiled form, and nothing else, as one
+:data:`MODEL_FORMAT` JSON file; :func:`load_pipeline` reads it back into a
+pipeline that scores bitwise like the fitted one. ``tssf patterns`` exports
+the patterns of P, so pattern j belongs to column j and weight j.
 """
 
 import json
@@ -68,7 +68,7 @@ from .tssf import (
     extract_tssf,
 )
 
-MODEL_FORMAT = "pipeline/3"  # the one model file layout save_pipeline writes
+MODEL_FORMAT = "pipeline/4"  # the one model file layout save_pipeline writes
 
 
 def _filtered_covariances(projection, trials):
@@ -96,10 +96,10 @@ def _filtered_variances(projection, trials):
 def _compiled_scores(self, trials):
     """Decision scores of a C x N x T tensor, one per trial."""
     trials = np.ascontiguousarray(trials, dtype=float)
-    p = self._projection
+    p = self.filters
     if trials.ndim != 3 or trials.shape[0] != p.shape[0] or trials.shape[1] == 0:
         raise DimMismatch(
-            f"trials of shape {trials.shape} do not fit a projection of shape "
+            f"trials of shape {trials.shape} do not fit filters of shape "
             f"{p.shape}: expected ({p.shape[0]}, N, T) with N >= 1"
         )
     if self.feature_kind == LOGVAR:
@@ -120,7 +120,7 @@ class TssfPipeline:
     ``fit`` takes its filters from ``_extract`` (a tangent-space model
     here; CSP in :class:`CspPipeline`, all C filters in
     :class:`TangentSpacePipeline`) and compiles them with their weights.
-    ``filters`` holds the fitted spatial filters (for spatial patterns).
+    ``filters`` holds the compiled filters that score, one ``_coef`` each.
     """
 
     def __init__(self, name, k, feature_kind, one_step, classifier=None):
@@ -132,7 +132,6 @@ class TssfPipeline:
         self.filters = None
         self.model = None
         self.clf = None
-        self._projection = None
 
     @property
     def k(self):
@@ -148,7 +147,7 @@ class TssfPipeline:
         trials, labels = _check_training_set(trials, labels, trial_axis=2)
         covs = _spd_covariances(trials)
         self.model = self._extract(covs, labels, self._k)
-        self.filters = projection = self.model.filters
+        projection = self.model.filters
         if self.one_step:
             weights, intercept = self.model.beta, self.model.intercept
         else:
@@ -164,7 +163,7 @@ class TssfPipeline:
             projection = projection @ inv_half @ u
         # C-contiguous arrays, as load_pipeline reads them, so BLAS sees one
         # layout and a loaded pipeline scores the same bits
-        self._projection = np.ascontiguousarray(projection, dtype=float)
+        self.filters = np.ascontiguousarray(projection, dtype=float)
         self._coef = np.ascontiguousarray(weights, dtype=float)
         self._intercept = float(intercept)
         # a constant trial, or one far below the training data's scale, has
@@ -245,25 +244,21 @@ def make_pipeline(spec):
 def save_pipeline(pipe, path):
     """Write a fitted pipeline as one :data:`MODEL_FORMAT` JSON object.
 
-    Fields: format, name, k, feature_kind, intercept, var_floor,
-    projection (a matrix), coef (a vector, one weight per column of the
-    projection) and filters. ``json``
-    writes floats with ``repr`` and reads them with ``float``, so every
-    value round-trips bit-exactly; ``indent=1`` puts each value on its own
-    line, so model files diff cleanly.
+    Fields: format, name, intercept, var_floor, filters (the C x K matrix
+    that scores) and coef (one weight per filter): what scoring reads,
+    nothing more. ``json`` writes floats with ``repr`` and reads them with
+    ``float``, so every value round-trips bit-exactly; ``indent=1`` puts
+    each value on its own line, so model files diff cleanly.
     """
-    if pipe._projection is None:
+    if pipe.filters is None:
         raise InvalidInput(f"{pipe.name} pipeline is not fitted")
     doc = {
         "format": MODEL_FORMAT,
         "name": pipe.name,
-        "k": pipe.k,
-        "feature_kind": pipe.feature_kind,
         "intercept": pipe._intercept,
         "var_floor": pipe._var_floor,
-        "projection": pipe._projection.tolist(),
-        "coef": pipe._coef.tolist(),
         "filters": pipe.filters.tolist(),
+        "coef": pipe._coef.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -294,8 +289,9 @@ def _floats(doc, key, ndim):
 def load_pipeline(path):
     """Read a :data:`MODEL_FORMAT` file into a pipeline ready to score.
 
-    The pipeline holds the compiled form and the filters only; its
-    ``decision_scores`` are bitwise those of the pipeline that was saved.
+    The pipeline holds the compiled form only; its ``decision_scores`` are
+    bitwise those of the pipeline that was saved. Its k is the number of
+    filters, and its feature kind is the :data:`PIPELINES` row of its name.
     Any other content raises :class:`~tssf.errors.FormatError`.
     """
     try:
@@ -309,23 +305,16 @@ def load_pipeline(path):
     if name not in PIPELINE_NAMES:
         raise FormatError(f"unknown pipeline {name!r}")
     cls, kind, one_step = PIPELINES[name]
-    if _field(doc, "feature_kind") != kind:
-        raise FormatError(f"{name} must have feature kind {kind!r}")
-    k = _field(doc, "k")
-    if type(k) is not int or k < 1:
-        raise FormatError(f"{name} needs k >= 1, got {k!r}")
+    filters, coef = _floats(doc, "filters", 2), _floats(doc, "coef", 1)
+    channels, k = filters.shape
+    if k < 1 or coef.shape != (k,):
+        raise FormatError(f"coef of length {coef.size} does not weigh {k} filters (k >= 1)")
+    if cls is TangentSpacePipeline and k != channels:
+        raise FormatError(f"{name} keeps all C filters: square, not {channels} x {k}")
     pipe = cls(name, k, kind, one_step)
-    pipe._projection, pipe._coef = _floats(doc, "projection", 2), _floats(doc, "coef", 1)
+    pipe.filters, pipe._coef = filters, coef
     pipe._intercept = float(_floats(doc, "intercept", 0))
     pipe._var_floor = float(_floats(doc, "var_floor", 0))
-    channels = pipe._projection.shape[0]
-    if pipe._projection.shape[1] != k or pipe._coef.shape != (k,):
-        raise FormatError(f"projection and coef do not match k={k}")
-    if cls is TangentSpacePipeline and k != channels:
-        raise FormatError(f"{name} keeps all {channels} filters, but k={k}")
-    pipe.filters = _floats(doc, "filters", 2)
-    if pipe.filters.shape != (channels, k):
-        raise FormatError(f"filters of shape {pipe.filters.shape} are not (channels, k={k})")
     if pipe._var_floor <= 0.0:  # a floor of 0 would pass a constant trial
         raise FormatError(f"var_floor must be > 0, got {pipe._var_floor!r}")
     return pipe

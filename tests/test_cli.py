@@ -421,6 +421,23 @@ class TestPatterns:
         )
         assert "max |F^T A - I|" in capsys.readouterr().out
 
+    def test_logcov_patterns_are_those_of_the_scoring_filters(self, tmp_path, data_path, capsys):
+        # K < C: the exported patterns A satisfy P^T A = I for the filters P
+        # that score, so dropping filter j and its weight removes pattern j
+        model_path = self.fit_model(tmp_path, data_path, pipeline="TSSF_LogCov_2_step")
+        out = tmp_path / "p.csv"
+        code = main(
+            ["patterns", "--model", str(model_path), "--data", str(data_path),
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert "max |F^T A - I| = " in capsys.readouterr().out
+        lines = out.read_text().strip().split("\n")
+        patterns = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+        filters = tssf.load_pipeline(model_path).filters
+        assert patterns.shape == filters.shape == (4, 2)
+        assert np.abs(filters.T @ patterns - np.eye(2)).max() <= 1e-10
+
     def test_ts_airm_model_exports_c_patterns(self, tmp_path, data_path, capsys):
         # TS_AIRM's C filters are square, so its patterns are their inverse
         model_path = self.fit_model(tmp_path, data_path, pipeline="TS_AIRM")
@@ -443,9 +460,9 @@ class TestPatterns:
             (lambda doc: doc.update(intercept=float("nan")),
              "field 'intercept' holds a non-finite number"),
             (lambda doc: doc.pop("filters"), "missing field 'filters'"),
-            (lambda doc: doc.update(k=0), "TSSF_Var_1_step needs k >= 1, got 0"),
+            (lambda doc: doc.update(coef=doc["coef"][:1]), "coef of length 1 does not weigh"),
             (lambda doc: doc.update(var_floor=-1.0), "var_floor must be > 0"),
-            (lambda doc: doc.update(format="pipeline/1"), "not a pipeline/3 model file"),
+            (lambda doc: doc.update(format="pipeline/3"), "not a pipeline/4 model file"),
         ],
     )
     def test_malformed_model_exits_2(self, tmp_path, data_path, capsys, edit, message):
@@ -494,7 +511,7 @@ class TestPatterns:
              "--out", str(out)]
         )
         assert code == 2
-        assert "filters of shape (6, 5)" in capsys.readouterr().err
+        assert "coef of length 2 does not weigh 5 filters" in capsys.readouterr().err
         assert not out.exists()
 
     def test_channel_mismatch_exits_2(self, tmp_path, data_path, config_path):
@@ -522,12 +539,20 @@ class TestBench:
         assert lines[0].startswith("pipeline,")
         assert len(lines) == 4  # CSP, TSSF_Var_1_step, TS_AIRM
 
-    def test_zero_reps_exits_2(self, tmp_path, data_path):
+    def test_zero_reps_exits_2(self, tmp_path, data_path, capsys, monkeypatch):
+        # rejected before the data is read, so no pipeline is fitted
+        def fail(*args, **kwargs):
+            raise AssertionError("bench read its data before checking --reps")
+
+        monkeypatch.setattr(cli, "_load_trials", fail)
+        out = tmp_path / "bench.csv"
         code = main(
             ["bench", "--data", str(data_path), "--k", "2", "--reg", "1.0",
-             "--reps", "0"]
+             "--reps", "0", "--out", str(out)]
         )
         assert code == 2
+        assert "repetitions must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 FIT_ARGS = ["--k", "2", "--reg", "1.0", "--folds", "3"]
@@ -568,6 +593,26 @@ def test_negative_seed_exits_2_and_writes_nothing(
     assert main(argv) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["eval", "fit"])
+def test_failed_command_leaves_no_output_file(command, tmp_path, data_path, capsys):
+    # the outputs are checked before any fit, but a file the check created
+    # is removed again; one that was there keeps its bytes
+    out = tmp_path / "out" / "r.csv"
+    out.parent.mkdir()
+    argv = {
+        "eval": ["eval", "--pipeline", "CSP", "--pipeline", "TS_AIRM", "--k", "2",
+                 "--folds", "50"],
+        "fit": ["fit", "--pipeline", "TSSF_Var_1_step", "--k", "9"],
+    }[command] + ["--data", str(data_path), "--reg", "1.0", "--out", str(out)]
+    message = {"eval": "more folds than", "fit": "k must be in [1, 4], got 9"}[command]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
+    out.write_bytes(b"kept\n")
+    assert main(argv) == 2
+    assert list(out.parent.iterdir()) == [out] and out.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize(

@@ -216,14 +216,16 @@ def test_saved_pipeline_scores_bitwise_like_fitted_one(name, tmp_path):
     for t in range(test.shape[2]):
         single = test[:, :, t : t + 1]
         np.testing.assert_array_equal(loaded.decision_scores(single), pipe.decision_scores(single))
-    np.testing.assert_array_equal(loaded.filters, pipe.model.filters)
+    np.testing.assert_array_equal(loaded.filters, pipe.filters)
     assert loaded.k == (5 if name == "TS_AIRM" else 2)
     text = path.read_text()
-    keys = ["format", "name", "k", "feature_kind", "intercept", "var_floor", "projection", "coef"]
-    assert list(json.loads(text)) == keys + ["filters"]
-    assert text.startswith('{\n "format": "pipeline/3",\n "name": "' + name + '",\n')
+    # what scoring reads and nothing else: k is the filters' width, and the
+    # feature kind is the PIPELINES row of the name
+    keys = ["format", "name", "intercept", "var_floor", "filters", "coef"]
+    assert list(json.loads(text)) == keys
+    assert text.startswith('{\n "format": "pipeline/4",\n "name": "' + name + '",\n')
     # every pipeline compiles to filters with one weight per filter
-    assert pipe._coef.ndim == 1 and pipe._coef.shape == pipe._projection.shape[1:]
+    assert pipe._coef.ndim == 1 and pipe._coef.shape == pipe.filters.shape[1:]
     # one value per line: each row of a matrix spans one line per entry
     assert ' [\n  [\n   ' in text and "," not in text.replace(",\n", "")
 
@@ -268,25 +270,19 @@ class TestLoadPipeline:
     @pytest.mark.parametrize(
         "field, value, match",
         [
-            ("format", "pipeline/2", "not a pipeline/3 model file"),
+            ("format", "pipeline/3", "not a pipeline/4 model file"),
             ("name", "TSSF_Var_3_step", "unknown pipeline"),
             ("name", ["CSP"], "unknown pipeline"),
-            ("feature_kind", "logcov", "feature kind 'logvar'"),
-            ("k", 3, "projection and coef do not match k=3"),
-            ("k", 0, "needs k >= 1"),
-            ("k", 2.0, "needs k >= 1"),
-            ("k", True, "needs k >= 1"),
             ("intercept", "0.5", "'intercept' is not a float"),
             ("intercept", True, "'intercept' is not a float"),
             ("var_floor", None, "'var_floor' is not a float"),
             ("coef", [0.5, None], "'coef' is not a vector of floats"),
-            ("projection", [[0.5, 0.5], [0.5]], "'projection' is not a matrix of floats"),
+            ("coef", [[0.5, 0.5]] * 2, "'coef' is not a vector of floats"),
             ("filters", [[0.5, 0.5]] * 3 + [[0.5]], "'filters' is not a matrix of floats"),
             ("filters", [0.5] * 8, "'filters' is not a matrix of floats"),
         ],
-        ids=["format", "name", "name-list", "feature_kind", "k-3", "k-0", "k-float", "k-bool",
-             "intercept-str", "intercept-bool", "var_floor-null", "coef-null",
-             "projection-ragged", "filters-ragged", "filters-vector"],
+        ids=["format", "name", "name-list", "intercept-str", "intercept-bool", "var_floor-null",
+             "coef-null", "coef-matrix", "filters-ragged", "filters-vector"],
     )
     def test_malformed_field_rejected(self, tmp_path, field, value, match):
         path = self.saved(tmp_path)
@@ -304,8 +300,7 @@ class TestLoadPipeline:
             tssf.load_pipeline(path)
 
     @pytest.mark.parametrize(
-        "field", ["name", "k", "feature_kind", "intercept", "var_floor", "projection", "coef",
-                  "filters"]
+        "field", ["name", "intercept", "var_floor", "filters", "coef"]
     )
     def test_missing_field_rejected(self, tmp_path, field):
         path = self.saved(tmp_path)
@@ -327,7 +322,7 @@ class TestLoadPipeline:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("projection", "nan"),
+            ("filters", "nan"),
             ("coef", "inf"),
             ("intercept", "nan"),
             ("filters", "-inf"),
@@ -353,27 +348,20 @@ class TestLoadPipeline:
             tssf.load_pipeline(path)
 
     @pytest.mark.parametrize("name", ["CSP", "TSSF_Var_1_step", "TSSF_LogCov_2_step", "TS_AIRM"])
-    @pytest.mark.parametrize("shape", [(6, 5), (4, 3), (3, 2)])
+    @pytest.mark.parametrize("shape", [(6, 5), (4, 3), (4, 1)])
     def test_filters_not_channels_by_k_rejected(self, tmp_path, name, shape):
-        # the saved pipelines have 4 channels and k=2, TS_AIRM k=4
+        # k is the number of filters, and coef holds one weight per filter:
+        # the saved pipelines have k=2 (TS_AIRM k=4), so no shape here fits
         path = self.saved(tmp_path, name)
         edit_model(path, lambda doc: doc.update(filters=np.ones(shape).tolist()))
-        with pytest.raises(FormatError, match=rf"filters of shape \({shape[0]}, {shape[1]}\)"):
+        k = 4 if name == "TS_AIRM" else 2
+        with pytest.raises(FormatError, match=f"coef of length {k} does not weigh {shape[1]} "):
             tssf.load_pipeline(path)
 
-    @pytest.mark.parametrize("name", ["CSP", "TSSF_Var_1_step", "TSSF_LogCov_2_step"])
-    def test_filtering_pipeline_without_filters_rejected(self, tmp_path, name):
-        path = self.saved(tmp_path, name)
-        edit_model(path, lambda doc: doc.pop("filters"))
-        with pytest.raises(FormatError, match="missing field 'filters'"):
-            tssf.load_pipeline(path)
-
-    def test_full_rank_tssf_file_with_k_0_rejected(self, tmp_path):
-        # k = C gives a square projection; no pipeline reads a file with k 0
-        # and no filters
-        path = self.saved(tmp_path, k=4)
-        edit_model(path, lambda doc: (doc.update(k=0), doc.pop("filters")))
-        with pytest.raises(FormatError, match="TSSF_Var_1_step needs k >= 1, got 0"):
+    def test_file_with_zero_filters_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        edit_model(path, lambda doc: doc.update(filters=[[]] * 4, coef=[]))
+        with pytest.raises(FormatError, match=r"does not weigh 0 filters \(k >= 1\)"):
             tssf.load_pipeline(path)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -381,22 +369,24 @@ class TestLoadPipeline:
         # a consistent file of k < C filters scores like TSSF_Cov_1_step,
         # not like the tangent-space classifier
         def keep_k(doc):
-            doc.update(k=k, coef=doc["coef"][:k])
-            for key in ("projection", "filters"):
-                doc[key] = [row[:k] for row in doc[key]]
+            doc.update(coef=doc["coef"][:k], filters=[row[:k] for row in doc["filters"]])
 
         path = self.saved(tmp_path, "TS_AIRM")
         edit_model(path, keep_k)
-        with pytest.raises(FormatError, match=f"TS_AIRM keeps all 4 filters, but k={k}$"):
+        with pytest.raises(FormatError, match=f"TS_AIRM keeps all C filters: square, not 4 x {k}$"):
             tssf.load_pipeline(path)
 
     def test_ts_airm_file_without_filters_rejected(self, tmp_path):
         # the layout TS_AIRM files had before TS_AIRM kept its filters:
-        # feature kind "tangent", k 0 and no 'filters' field; such a file
-        # is refitted, not read
+        # pipeline/3, feature kind "tangent", k 0 and no 'filters' field;
+        # such a file is refitted, not read
+        def old_layout(doc):
+            doc.update(format="pipeline/3", feature_kind="tangent", k=0, projection=doc["filters"])
+            doc.pop("filters")
+
         path = self.saved(tmp_path, "TS_AIRM")
-        edit_model(path, lambda doc: (doc.update(feature_kind="tangent", k=0), doc.pop("filters")))
-        with pytest.raises(FormatError, match="TS_AIRM must have feature kind 'diaglogcov'"):
+        edit_model(path, old_layout)
+        with pytest.raises(FormatError, match="not a pipeline/4 model file"):
             tssf.load_pipeline(path)
 
     def test_unfitted_pipeline_not_saved(self, tmp_path):
@@ -417,11 +407,11 @@ def test_trials_of_the_wrong_shape_raise_dim_mismatch(name, loaded, tmp_path):
     if loaded:
         tssf.save_pipeline(pipe, tmp_path / "model.json")
         pipe = tssf.load_pipeline(tmp_path / "model.json")
-    projection = str(pipe._projection.shape)
+    filters = str(pipe.filters.shape)
     for trials in (np.ones((7, 256, 3)), ts.data[:, :, 0], ts.data[None]):
         with pytest.raises(DimMismatch) as exc:
             pipe.decision_scores(trials)
-        assert str(trials.shape) in str(exc.value) and projection in str(exc.value)
+        assert str(trials.shape) in str(exc.value) and filters in str(exc.value)
 
 
 def test_flat_channel_in_test_trial_raises():
@@ -594,7 +584,7 @@ def test_training_features_by_congruence_equal_filtered_trials(name, monkeypatch
     monkeypatch.setattr(pipelines, "fit_from_config", recording)
     spec = pipelines.PipelineSpec(name=name, k=4, classifier=FIXED)
     pipe = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
-    filtered = covariances_of(np.tensordot(pipe.filters, ts.data, axes=(0, 0)))
+    filtered = covariances_of(np.tensordot(pipe.model.filters, ts.data, axes=(0, 0)))
     if not pipe.one_step:
         expected = np.array(
             [tssf.compute_features(pipe.model, cov, pipe.feature_kind) for cov in filtered]
@@ -610,7 +600,7 @@ def test_floor_is_spd_tol_times_smallest_projected_training_variance(name):
     ts = synth_set(seed=20, channels=6, trials=30)
     spec = pipelines.PipelineSpec(name=name, k=4, classifier=FIXED)
     pipe = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
-    projected = covariances_of(np.tensordot(pipe._projection, ts.data, axes=(0, 0)))
+    projected = covariances_of(np.tensordot(pipe.filters, ts.data, axes=(0, 0)))
     floor = manifold.SPD_TOL * projected.diagonal(0, -2, -1).min()
     assert pipe._var_floor == pytest.approx(floor, rel=1e-12)
 
@@ -663,7 +653,7 @@ def test_ts_airm_model_file_does_not_depend_on_the_spec_k(tmp_path):
         pipelines.save_pipeline(pipe, tmp_path / f"airm{k}.json")
         files.append((tmp_path / f"airm{k}.json").read_bytes())
     assert files[1] == files[0] and files[2] == files[0]
-    assert json.loads(files[0])["k"] == 4
+    assert np.shape(json.loads(files[0])["filters"]) == (4, 4)
 
 
 def test_ts_airm_refit_keeps_all_filters_of_the_new_data():
@@ -672,7 +662,7 @@ def test_ts_airm_refit_keeps_all_filters_of_the_new_data():
     for c in (4, 6, 5):
         ts = synth_set(seed=26, channels=c, trials=20)
         assert pipe.fit(ts.data, ts.labels).k == c
-        assert pipe.filters.shape == pipe._projection.shape == (c, c)
+        assert pipe.filters.shape == (c, c)
 
 
 @pytest.mark.parametrize("name", ["TS_AIRM", "TSSF_Cov_1_step"])
@@ -814,7 +804,6 @@ def dropped(pipe, j):
     reduced = pipelines.make_pipeline(pipelines.PipelineSpec(pipe.name, k=pipe.k))
     keep = np.arange(pipe.k) != j
     reduced.filters = np.ascontiguousarray(pipe.filters[:, keep])
-    reduced._projection = np.ascontiguousarray(pipe._projection[:, keep])
     reduced._coef = np.ascontiguousarray(pipe._coef[keep])
     reduced._intercept, reduced._var_floor = pipe._intercept, pipe._var_floor
     return reduced
@@ -824,14 +813,15 @@ def dropped(pipe, j):
 @pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
 def test_dropping_a_component_removes_its_source_from_the_scores(workload, name, tmp_path):
     # the paper's artifact-removal claim: a source that enters the data along
-    # component j's pattern a_j moves no score once column j of P and weight
-    # j are dropped, because the remaining filters are orthogonal to a_j
+    # component j's pattern a_j, from the filters `tssf patterns` exports,
+    # moves no score once filter j and weight j are dropped, because the
+    # remaining filters are orthogonal to a_j
     train, labels, test = workload_split(workload)
     pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name, k=4, classifier=FIXED))
     pipe.fit(train, labels)
     reduced = dropped(pipe, 0)
     mean_cov = dataio._covariance_stack(train).mean(axis=0)
-    a0 = tssf.compute_patterns(pipe._projection, mean_cov)[:, 0]
+    a0 = tssf.compute_patterns(pipe.filters, mean_cov)[:, 0]
     rng = np.random.default_rng(0)
     source = rng.standard_normal(test.shape[1:])
     scale = 1e3 * np.sqrt(np.mean(train**2)) / np.sqrt(np.mean(np.outer(a0, source) ** 2))
@@ -845,7 +835,7 @@ def test_dropping_a_component_removes_its_source_from_the_scores(workload, name,
     assert moved(pipe) > 0.1
     if pipe.feature_kind == tssf.LOGVAR:
         # the reduced scores are the full ones minus component 0's contribution
-        var0 = pipelines._filtered_variances(pipe._projection[:, :1], test)[:, 0]
+        var0 = pipelines._filtered_variances(pipe.filters[:, :1], test)[:, 0]
         full = pipe.decision_scores(test)
         np.testing.assert_allclose(
             reduced.decision_scores(test),
@@ -857,9 +847,8 @@ def test_dropping_a_component_removes_its_source_from_the_scores(workload, name,
         tssf.save_pipeline(reduced, tmp_path / "reduced.json")
         loaded = tssf.load_pipeline(tmp_path / "reduced.json")
         for a, b in [
-            (loaded._projection, reduced._projection),
-            (loaded._coef, reduced._coef),
             (loaded.filters, reduced.filters),
+            (loaded._coef, reduced._coef),
             (loaded.decision_scores(noisy), reduced.decision_scores(noisy)),
         ]:
             assert a.tobytes() == b.tobytes()

@@ -1,9 +1,12 @@
 """The README's two quick starts run as written."""
 
+import json
 import os
 import re
 import subprocess
 import sys
+
+import tssf
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -25,7 +28,20 @@ def run(argv, cwd):
 
 def test_library_quick_start_runs(tmp_path):
     run([sys.executable, "-c", quick_start("Quick start (library)", "python")], tmp_path)
-    assert (tmp_path / "model.json").read_text().startswith('{\n "format": "pipeline/3",\n')
+    assert (tmp_path / "model.json").read_text().startswith('{\n "format": "pipeline/4",\n')
+
+
+def test_model_file_table_lists_the_saved_keys(tmp_path):
+    # the key table under "Model files" names exactly the keys
+    # save_pipeline writes, in their order
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("**Model files**", 1)[1].split("\n\n**", 1)[0]
+    rows = re.findall(r"^\| (\w+) +\|", section, re.MULTILINE)
+    ts = tssf.synth_generate(tssf.SynthConfig(channels=4, trials_per_class=10, seed=1))
+    spec = tssf.PipelineSpec("TSSF_Var_1_step", k=2, classifier=tssf.ClassifierConfig(reg=1.0))
+    tssf.save_pipeline(tssf.make_pipeline(spec).fit(ts.data, ts.labels), tmp_path / "m.json")
+    with open(tmp_path / "m.json", encoding="utf-8") as fh:
+        assert rows[1:] == list(json.load(fh))  # rows[0] is the header
 
 
 def test_cli_quick_start_runs(tmp_path, monkeypatch):
