@@ -21,9 +21,10 @@ bit-exact.
 
 A trial's covariance is ``X X^T / N`` of the trial with its channel means
 removed, checked SPD at ``manifold.SPD_TOL``. Every fit first checks its
-training set with ``_check_training_set``.
+training set with ``_check_training_set`` and its k with ``_check_k``.
 """
 
+import numbers
 import os
 import stat
 import struct
@@ -115,6 +116,16 @@ def _check_training_set(data, labels, trial_axis=0):
         raise InvalidInput(f"need one label per trial, got {labels.shape} for {data.shape}")
     _check_labels(labels)
     return data, labels
+
+
+def _check_k(k, c=None):
+    # the one k rule of every pipeline and filter source: an integer >= 1,
+    # and at most the channel count c once a fit knows it
+    if not isinstance(k, numbers.Integral):
+        raise InvalidInput(f"k must be an integer, got {k!r}")
+    if k < 1 or (c is not None and k > c):
+        bound = ">= 1" if c is None else f"in [1, {c}]"
+        raise InvalidInput(f"k must be {bound}, got {k}")
 
 
 def _check_labels(labels):

@@ -18,7 +18,9 @@ Every filter source, ``_extract``, hands back one ranked bank: all C
 filters, their coefficients ``full_beta`` and the K-prefix ``filters``.
 TS_AIRM, the tangent-space SVM at the Frechet mean, keeps all C, whose
 one-step scores are the SVM's decision values; CSP's source is
-:func:`~tssf.csp.fit_csp`. The classes differ in nothing else.
+:func:`~tssf.csp.fit_csp`. The classes differ in nothing else: a pipeline
+reads its feature kind and one-step flag from its row, and every k passes
+one rule, ``dataio._check_k`` (an integer >= 1; TS_AIRM then ignores it).
 
 Every pipeline object exposes ``fit(trials, labels)`` and
 ``decision_scores(trials)`` on C x N x T tensors. Test-trial covariances
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import fit_csp
-from .dataio import _check_training_set, _covariance_stack, _spd_covariances
+from .dataio import _check_k, _check_training_set, _covariance_stack, _spd_covariances
 from .errors import DimMismatch, FormatError, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import SPD_TOL, _congruence, _diag_logm, _half_powers, unvec
@@ -69,6 +71,7 @@ from .tssf import (
 )
 
 MODEL_FORMAT = "pipeline/4"  # the one model file layout save_pipeline writes
+_MODEL_FIELDS = ("format", "name", "intercept", "var_floor", "filters", "coef")
 
 
 def _filtered_covariances(projection, trials):
@@ -117,17 +120,16 @@ def _compiled_scores(self, trials):
 class TssfPipeline:
     """One pipeline: a filter source, training features and a classifier.
 
+    Its :data:`PIPELINES` row gives the feature kind and one-step flag.
     ``fit`` takes its filters from ``_extract`` (a tangent-space model
-    here; CSP in :class:`CspPipeline`, all C filters in
-    :class:`TangentSpacePipeline`) and compiles them with their weights.
-    ``filters`` holds the compiled filters that score, one ``_coef`` each.
+    here; CSP in :class:`CspPipeline`, all C in :class:`TangentSpacePipeline`)
+    and compiles them into ``filters``, the filters that score, one ``_coef`` each.
     """
 
-    def __init__(self, name, k, feature_kind, one_step, classifier=None):
+    def __init__(self, name, k, classifier=None):
         self.name = name
         self._k = k
-        self.feature_kind = feature_kind
-        self.one_step = one_step
+        _, self.feature_kind, self.one_step = PIPELINES[name]
         self.classifier_cfg = classifier or ClassifierConfig()
         self.filters = None
         self.model = None
@@ -222,14 +224,7 @@ class PipelineSpec:
             raise InvalidInput(
                 f"unknown pipeline {self.name!r}; choose from {', '.join(PIPELINE_NAMES)}"
             )
-        cls = PIPELINES[self.name][0]
-        # TS_AIRM keeps all C filters and ignores k; one --k serves every
-        # pipeline of an eval, so it takes any k >= 0
-        min_k = 0 if cls is TangentSpacePipeline else 1
-        if self.k < min_k:
-            raise InvalidInput(f"k must be >= {min_k}")
-        if cls is CspPipeline and self.k % 2:
-            raise InvalidInput(f"CSP needs an even k (filters come in pairs), got {self.k}")
+        _check_k(self.k)
         self.classifier.validate()
         return self
 
@@ -237,8 +232,7 @@ class PipelineSpec:
 def make_pipeline(spec):
     """Build a fresh, unfitted pipeline object from a spec."""
     spec.validate()
-    cls, kind, one_step = PIPELINES[spec.name]
-    return cls(spec.name, spec.k, kind, one_step, spec.classifier)
+    return PIPELINES[spec.name][0](spec.name, spec.k, spec.classifier)
 
 
 def save_pipeline(pipe, path):
@@ -264,19 +258,12 @@ def save_pipeline(pipe, path):
         json.dump(doc, fh, indent=1)
 
 
-def _field(doc, key):
-    try:
-        return doc[key]
-    except KeyError:
-        raise FormatError(f"missing field {key!r}") from None
-
-
 def _floats(doc, key, ndim):
     """Field ``key`` as a finite float array with ``ndim`` dimensions."""
     # an object array keeps each leaf as json parsed it: numpy alone would
     # read "1.5" as 1.5, true as 1.0 and null as nan, and a ragged matrix
     # comes out with fewer dimensions
-    value = np.array(_field(doc, key), dtype=object)
+    value = np.array(doc[key], dtype=object)
     if value.ndim != ndim or any(type(v) is not float for v in value.flat):
         what = ("a float", "a vector of floats", "a matrix of floats with rows of one length")
         raise FormatError(f"field {key!r} is not {what[ndim]}")
@@ -292,7 +279,7 @@ def load_pipeline(path):
     The pipeline holds the compiled form only; its ``decision_scores`` are
     bitwise those of the pipeline that was saved. Its k is the number of
     filters, and its feature kind is the :data:`PIPELINES` row of its name.
-    Any other content raises :class:`~tssf.errors.FormatError`.
+    Any other content (an unknown field too) raises :class:`~tssf.errors.FormatError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -301,17 +288,22 @@ def load_pipeline(path):
         raise FormatError(f"model file is not JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise FormatError(f"not a {MODEL_FORMAT} model file")
-    name = _field(doc, "name")
+    missing = [key for key in _MODEL_FIELDS if key not in doc]
+    unknown = sorted(doc.keys() - set(_MODEL_FIELDS))
+    if missing or unknown:
+        what = f"missing field {missing[0]!r}" if missing else f"unknown field {unknown[0]!r}"
+        raise FormatError(what)
+    name = doc["name"]
     if name not in PIPELINE_NAMES:
         raise FormatError(f"unknown pipeline {name!r}")
-    cls, kind, one_step = PIPELINES[name]
+    cls = PIPELINES[name][0]
     filters, coef = _floats(doc, "filters", 2), _floats(doc, "coef", 1)
     channels, k = filters.shape
     if k < 1 or coef.shape != (k,):
         raise FormatError(f"coef of length {coef.size} does not weigh {k} filters (k >= 1)")
     if cls is TangentSpacePipeline and k != channels:
         raise FormatError(f"{name} keeps all C filters: square, not {channels} x {k}")
-    pipe = cls(name, k, kind, one_step)
+    pipe = cls(name, k)
     pipe.filters, pipe._coef = filters, coef
     pipe._intercept = float(_floats(doc, "intercept", 0))
     pipe._var_floor = float(_floats(doc, "var_floor", 0))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _check_training_set
+from .dataio import _check_k, _check_training_set
 from .errors import (
     DegenerateModel,
     DimMismatch,
@@ -218,9 +218,7 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
         all-zero fitted weight vector.
     """
     covs, labels = _check_training_set(covs, labels)
-    c = covs.shape[1]
-    if not 1 <= k <= c:
-        raise InvalidInput(f"k must be in [1, {c}], got {k}")
+    _check_k(k, covs.shape[1])
     _check_kind(feature_kind)
 
     mean, model = fit_tangent_model(covs, labels, model_cfg)

@@ -106,13 +106,29 @@ class TestFit:
         assert code == 0
         assert tssf.load_pipeline(out).name == "TS_AIRM"
 
-    def test_ts_airm_fit_with_k_0(self, tmp_path, data_path, capsys):
+    def test_ts_airm_fit_with_k_0(self, tmp_path, data_path, capsys, monkeypatch):
+        # TS_AIRM ignores --k but checks it by the one k rule, before
+        # reading data, like every other pipeline
+        def fail(*args, **kwargs):
+            raise AssertionError("fit read its data before checking k")
+
+        monkeypatch.setattr(cli, "_load_trials", fail)
+        out = tmp_path / "model.json"
+        code = main(
+            ["fit", "--data", str(data_path), "--pipeline", "TS_AIRM",
+             "--k", "0", "--reg", "1.0", "--out", str(out)]
+        )
+        assert code == 2
+        assert "k must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ts_airm_fit_keeps_all_filters(self, tmp_path, data_path, capsys):
         # TS_AIRM ignores --k: its file holds all C = 4 filters, and the
         # table marks all 4 sorted coefficients kept
         out = tmp_path / "model.json"
         code = main(
             ["fit", "--data", str(data_path), "--pipeline", "TS_AIRM",
-             "--k", "0", "--reg", "1.0", "--out", str(out)]
+             "--k", "1", "--reg", "1.0", "--out", str(out)]
         )
         assert code == 0
         pipe = tssf.load_pipeline(out)
@@ -270,19 +286,17 @@ class TestEval:
             counts.append(sizes[before:].count(4))
         assert counts == [3, 3]  # one 4 x 4 mean per fold, in every eval
 
-    def test_odd_csp_k_exits_2_before_reading_data(self, tmp_path, data_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("eval read its data before checking k")
-
-        monkeypatch.setattr(cli, "_load_trials", fail)
+    def test_odd_csp_k_evaluates(self, tmp_path, data_path):
+        # CSP takes an odd k like every other pipeline
         out = tmp_path / "r.csv"
         code = main(
             ["eval", "--data", str(data_path), "--pipeline", "TSSF_Var_1_step",
-             "--pipeline", "CSP", "--k", "3", "--reg", "1", "--out", str(out)]
+             "--pipeline", "CSP", "--k", "3", "--reg", "1", "--folds", "3", "--out", str(out)]
         )
-        assert code == 2
-        assert "CSP needs an even k" in capsys.readouterr().err
-        assert not out.exists()
+        assert code == 0
+        header, *body = out.read_text().strip().split("\n")
+        column = header.split(",").index("pipeline")
+        assert {line.split(",")[column] for line in body} == {"TSSF_Var_1_step", "CSP"}
 
     def test_folds_1_exits_2(self, tmp_path, data_path):
         code = main(
@@ -463,6 +477,7 @@ class TestPatterns:
             (lambda doc: doc.update(coef=doc["coef"][:1]), "coef of length 1 does not weigh"),
             (lambda doc: doc.update(var_floor=-1.0), "var_floor must be > 0"),
             (lambda doc: doc.update(format="pipeline/3"), "not a pipeline/4 model file"),
+            (lambda doc: doc.update(k=3), "unknown field 'k'"),
         ],
     )
     def test_malformed_model_exits_2(self, tmp_path, data_path, capsys, edit, message):

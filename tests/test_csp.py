@@ -50,13 +50,27 @@ class TestFitCsp:
         eigenvectors = manifold.ged(2.0 * np.eye(3), np.eye(3)).eigenvectors
         np.testing.assert_array_equal(model.filters, eigenvectors[:, :2])
 
-    def test_odd_k_rejected(self, rng):
+    def test_any_k_from_1_to_c(self, rng):
+        # 1 <= k <= C, odd k included: the k-prefix of the one ranked bank
         covs, labels = two_class_covs(rng)
-        with pytest.raises(InvalidInput):
-            csp.fit_csp(covs, labels, 3)
         c = covs.shape[1]
-        with pytest.raises(InvalidInput, match=rf"k must be in \[2, {c}\]"):
-            csp.fit_csp(covs, labels, c + 2)
+        bank = csp.fit_csp(covs, labels, c).full_filters
+        for k in range(1, c + 1):
+            np.testing.assert_array_equal(csp.fit_csp(covs, labels, k).filters, bank[:, :k])
+        for k in (0, c + 1):
+            with pytest.raises(InvalidInput, match=rf"^k must be in \[1, {c}\], got {k}$"):
+                csp.fit_csp(covs, labels, k)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, np.float64(3)])
+    def test_non_integer_k_rejected_before_the_ged(self, rng, k, monkeypatch):
+        covs, labels = two_class_covs(rng)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("fit_csp solved the GED before checking k")
+
+        monkeypatch.setattr(csp, "ged", fail)
+        with pytest.raises(InvalidInput, match="^k must be an integer, got "):
+            csp.fit_csp(covs, labels, k)
 
     def test_single_class_rejected(self, rng):
         covs, _ = two_class_covs(rng)

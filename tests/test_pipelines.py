@@ -43,21 +43,18 @@ class TestSpec:
             pipelines.PipelineSpec(name="TSSF_LogCov_1_step").validate()
 
     def test_bad_k(self):
-        with pytest.raises(InvalidInput, match="k must be >= 1"):
-            pipelines.PipelineSpec(name="CSP", k=0).validate()
-        with pytest.raises(InvalidInput, match="k must be >= 0"):
-            pipelines.make_pipeline(pipelines.PipelineSpec(name="TS_AIRM", k=-1))
+        # one k rule: every name gets the same message, TS_AIRM and CSP too
+        for name in pipelines.PIPELINE_NAMES:
+            for k, message in [(0, "k must be >= 1, got 0"), (-1, "k must be >= 1, got -1"),
+                               (2.5, "k must be an integer, got 2.5")]:
+                with pytest.raises(InvalidInput, match=f"^{message}$"):
+                    pipelines.PipelineSpec(name=name, k=k).validate()
 
     def test_classifier_config_checked_before_fit(self):
         with pytest.raises(InvalidInput, match="grid must be non-empty"):
             pipelines.make_pipeline(
                 pipelines.PipelineSpec("TS_AIRM", classifier=tssf.ClassifierConfig(grid=()))
             )
-
-    def test_ts_airm_takes_k_0(self):
-        # TS_AIRM ignores k and keeps all C filters; before a fit, its k is 0
-        pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name="TS_AIRM", k=0))
-        assert pipe.k == 0
 
     def test_all_names_buildable(self):
         for name in pipelines.PIPELINE_NAMES:
@@ -306,6 +303,17 @@ class TestLoadPipeline:
         path = self.saved(tmp_path)
         edit_model(path, lambda doc: doc.pop(field))
         with pytest.raises(FormatError, match=f"missing field '{field}'"):
+            tssf.load_pipeline(path)
+
+    def test_unknown_fields_rejected(self, tmp_path):
+        # a half-converted file: pipeline/4 plus fields of older layouts,
+        # which a reader that ignored them would load as a k = 2 logvar model
+        def add_old_fields(doc):
+            doc.update(k=3, feature_kind="logcov", projection=[[1.0]])
+
+        path = self.saved(tmp_path)
+        edit_model(path, add_old_fields)
+        with pytest.raises(FormatError, match="^unknown field 'feature_kind'$"):
             tssf.load_pipeline(path)
 
     @pytest.mark.parametrize(
@@ -646,7 +654,7 @@ def test_ts_airm_model_file_does_not_depend_on_the_spec_k(tmp_path):
     # filters: unfitted, the pipeline reports the spec's k; fitted, C
     ts = synth_set(seed=28, channels=4, trials=20)
     files = []
-    for k in (0, 1, 6):
+    for k in (1, 2, 6):
         pipe = pipelines.make_pipeline(pipelines.PipelineSpec("TS_AIRM", k=k, classifier=FIXED))
         assert pipe.k == k
         assert pipe.fit(ts.data, ts.labels).k == 4
@@ -707,9 +715,31 @@ def test_training_covariances_equal_to_rounding_raise_degenerate_model(name, mon
 
 class TestPipelineValidation:
     def test_csp_odd_k(self):
-        # rejected with the spec, before any data is read
-        with pytest.raises(InvalidInput, match="CSP needs an even k"):
-            pipelines.make_pipeline(pipelines.PipelineSpec(name="CSP", k=3, classifier=FIXED))
+        # CSP takes any k the rule allows: its filters are the k-prefix of
+        # the one ranked bank, so k = 3 keeps 3 of the k = 4 bank's columns
+        ts = synth_set(seed=7, trials=20)
+        fitted = {}
+        for k in (3, 4):
+            spec = pipelines.PipelineSpec(name="CSP", k=k, classifier=FIXED)
+            fitted[k] = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
+        np.testing.assert_array_equal(fitted[3].filters, fitted[4].model.full_filters[:, :3])
+        assert fitted[3].k == 3 and fitted[3]._coef.shape == (3,)
+
+    @pytest.mark.parametrize(
+        "name, k",
+        [("TSSF_Var_1_step", 2.0), ("TSSF_Var_1_step", 2.5), ("TSSF_Var_1_step", np.float64(3)),
+         ("CSP", 2.0), ("TS_AIRM", 1.5)],
+    )
+    def test_non_integer_k_rejected_before_any_covariance(self, name, k, monkeypatch):
+        ts = synth_set(seed=7, trials=20)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("fit computed covariances before checking k")
+
+        monkeypatch.setattr(pipelines, "_spd_covariances", fail)
+        spec = pipelines.PipelineSpec(name=name, k=k, classifier=FIXED)
+        with pytest.raises(InvalidInput, match="^k must be an integer, got "):
+            pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
 
     def test_k_exceeds_channels(self):
         ts = synth_set(seed=7, trials=16)

@@ -87,6 +87,17 @@ class TestExtract:
         with pytest.raises(InvalidInput):
             tssf.extract_tssf(covs, labels, 5)
 
+    @pytest.mark.parametrize("k", [2.0, 2.5, np.float64(3)])
+    def test_non_integer_k_rejected_before_the_tangent_fit(self, rng, k, monkeypatch):
+        covs, labels = synth_covs(rng)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("extract_tssf fitted before checking k")
+
+        monkeypatch.setattr(tssf_module, "fit_tangent_model", fail)
+        with pytest.raises(InvalidInput, match="^k must be an integer, got "):
+            tssf.extract_tssf(covs, labels, k)
+
     def test_sorted_by_abs_beta(self, rng):
         model, _, _ = fitted_model(rng, c=4, k=4)
         assert np.all(np.diff(np.abs(model.beta)) <= 1e-12)
