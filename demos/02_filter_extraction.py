@@ -6,7 +6,8 @@ Fits a linear model on tangent vectors of trial covariances, turns it
 into a bank of spatial filters, and shows that scoring filtered
 log-power features with the sorted log-eigenvalues ("one-step"
 classification) reproduces the model's decision values exactly when all
-components are kept. Run from the repository root:
+components are kept, for the SVM and for a ridge model alike. Run from the
+repository root:
 
     python3 demos/02_filter_extraction.py
 """
@@ -110,3 +111,30 @@ print("\npattern matrix (channels x components):")
 print(np.round(patterns, 3))
 print("\nCSV export:")
 print(tssf.patterns_to_csv(patterns, trialset.channel_names))
+
+######################################################################
+# Filters from any tangent-space linear model
+# -------------------------------------------
+# Nothing above needs the SVM: any linear function on the tangent vectors
+# is a filter bank. Ridge regression on the same vectors, solved with
+# numpy, gets its own bank from ``tangent_filters``; with all C filters
+# kept, its one-step scores are its own decision values.
+
+centred = vectors - vectors.mean(axis=0)
+target = trialset.labels - trialset.labels.mean()
+ridge_w = np.linalg.solve(centred.T @ centred + np.eye(centred.shape[1]), centred.T @ target)
+ridge_b = trialset.labels.mean() - vectors.mean(axis=0) @ ridge_w
+decision = vectors @ ridge_w + ridge_b
+ridge = tssf.tangent_filters(
+    model.reference_mean, tssf.unvec(ridge_w), trialset.n_channels, intercept=ridge_b
+)
+f = ridge.filters
+scores = np.array([
+    tssf.predict_one_step(ridge, tssf.compute_features(ridge, f.T @ cov @ f, tssf.DIAGLOGCOV))[0]
+    for cov in covs
+])
+worst = np.abs(scores - decision).max() / np.abs(decision).max()
+assert worst < 1e-12, worst
+print(f"ridge: full-rank one-step vs decision values: worst relative |diff| = {worst:.2e}")
+top_pattern = tssf.compute_patterns(ridge.filters[:, :1], data_cov)[:, 0]
+print("ridge's top pattern:", np.round(top_pattern, 3))

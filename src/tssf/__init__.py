@@ -81,9 +81,10 @@ from .tssf import (
     extract_tssf,
     fit_tangent_model,
     predict_one_step,
+    tangent_filters,
     tangent_vectors,
 )
-from .csp import CspModel, fit_csp
+from .csp import fit_csp
 from .patterns import compute_patterns, patterns_to_csv
 from .dataio import (
     SynthConfig,

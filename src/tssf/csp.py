@@ -1,36 +1,21 @@
-"""Common Spatial Patterns baseline.
+"""Common Spatial Patterns baseline, one tangent-space linear function.
 
-CSP filters maximize the between-class variance ratio and come from the
-generalized eigendecomposition of the two class-mean covariances. The
-same filters solve the "discriminative" form GED(mean+ - mean-,
+CSP filters maximize the between-class variance ratio: they are the
+generalized eigenvectors of the two class-mean covariances, so the tangent
+filters (:func:`~tssf.tssf.tangent_filters`) of mean+'s tangent vector at
+mean-. The same filters solve the "discriminative" form GED(mean+ - mean-,
 mean+ + mean-) with eigenvalues mapped through (l - 1) / (l + 1); that
 identity, the chain that places CSP in the tangent-space framework, is
 checked by acceptance test 05 in ``tests/test_acceptance.py``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataio import _check_k, _check_training_set
 from .errors import DegenerateModel
-from .manifold import SPD_TOL, _component_order, ged
+from .manifold import SPD_TOL, _congruence, _from_eig, _half_powers, _spd_eigh
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
-
-
-@dataclass(frozen=True)
-class CspModel:
-    """CSP filter bank, ranked like a :class:`~tssf.tssf.TssfModel`.
-
-    ``full_filters`` are all C generalized eigenvectors of (class mean +,
-    class mean -) in ranked order, ``filters`` their K-column prefix, and
-    ``full_beta`` the log-eigenvalues: the coefficients of the filters of
-    mean +'s tangent vector at mean -.
-    """
-
-    filters: np.ndarray
-    full_filters: np.ndarray
-    full_beta: np.ndarray
+from .tssf import tangent_filters
 
 
 def fit_csp(covs, labels, k):
@@ -43,14 +28,18 @@ def fit_csp(covs, labels, k):
     k : int
         Number of components, ``1 <= k <= C``, as for every filter source.
 
+    Returns
+    -------
+    TssfModel
+        Kind "logvar", intercept 0, reference mean-; ``full_beta`` are the
+        log generalized eigenvalues.
+
     Notes
     -----
-    Components are ranked by descending ``|log eigenvalue|`` (ties by
-    descending eigenvalue, then position), as in ``extract_tssf``, and the
-    first ``k`` kept. That is not K/2 from each end of the spectrum: on all
-    eval trials of the perfbench workloads eval-c8-grid and eval-c64-fixed
-    (seeds 1-3), k = 4 kept 1 positive and 3 negative log-eigenvalues on
-    one set, and k = 6 split 2/4 or 4/2 on 5 of the 6.
+    Components are ranked by descending ``|log eigenvalue|``, as
+    ``tangent_filters`` ranks every bank, and the first ``k`` kept. That is
+    not K/2 from each end of the spectrum: on the eval trials of the
+    perfbench workloads (seeds 1-3), k = 6 split 2/4 or 4/2 on 5 of 6 sets.
 
     Raises
     ------
@@ -62,14 +51,14 @@ def fit_csp(covs, labels, k):
     covs, labels = _check_training_set(covs, labels)
     _check_k(k, covs.shape[1])
     mean_pos, mean_neg = covs[labels == 1].mean(axis=0), covs[labels == -1].mean(axis=0)
-    solution = ged(mean_pos, mean_neg)
-    log_eig = np.log(solution.eigenvalues)
+    _, inv_half = _half_powers(mean_neg)
+    # manifold._logm, keeping its eigenvalues: the generalized eigenvalues
+    w, v = _spd_eigh(_congruence(inv_half, mean_pos), "class-mean covariance")
+    log_eig = np.log(w)
     if not np.abs(log_eig).max() > SPD_TOL:
         # equal class means: every filter's variance ratio is 1 to rounding
         raise DegenerateModel(
             f"no |log generalized eigenvalue| exceeds {SPD_TOL:g}: the class-mean "
             "covariances are equal to rounding, so no filter tells the classes apart"
         )
-    order = _component_order(log_eig)
-    bank = solution.eigenvectors[:, order]
-    return CspModel(filters=bank[:, :k], full_filters=bank, full_beta=log_eig[order])
+    return tangent_filters(mean_neg, _from_eig(log_eig, v), k)

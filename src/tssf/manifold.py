@@ -475,12 +475,6 @@ def ged(a, b):
     return GedResult(eigenvectors=inv_half @ v, eigenvalues=w)
 
 
-def _component_order(log_d):
-    # the ranking of GED components (log eigenvalues log_d) shared by CSP and
-    # TSSF: descending |log_d|, ties by descending log_d, then by position
-    return np.lexsort((np.arange(log_d.size), -log_d, -np.abs(log_d)))
-
-
 def subspace_angle_by_cluster(f1, f2, eigenvalues):
     """Largest principal angle between matched eigenvector sets.
 

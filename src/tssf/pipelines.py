@@ -127,6 +127,7 @@ class TssfPipeline:
     """
 
     def __init__(self, name, k, classifier=None):
+        PipelineSpec(name, k).validate()  # name and k, also without make_pipeline
         self.name = name
         self._k = k
         _, self.feature_kind, self.one_step = PIPELINES[name]

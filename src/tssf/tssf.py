@@ -1,11 +1,11 @@
 """Spatial filter extraction from tangent-space linear models.
 
-A linear decision function fitted on tangent vectors is a bank of spatial
-filters. With its weight vector reshaped into ``W = V diag(lam) V^T``
-(whitened at the reference mean ``m``), the filters are ``m^{-1/2} V``,
-the generalized eigenvectors of ``(m^{1/2} expm(W) m^{1/2}, m)``, and
-``lam`` their log-eigenvalues. These coefficients score filtered log-power
-features directly ("one-step") without fitting a second classifier.
+Any linear decision function on tangent vectors is a bank of spatial
+filters (:func:`tangent_filters`). With its weight vector reshaped into
+``W = V diag(lam) V^T`` (whitened at the reference ``m``), the filters are
+``m^{-1/2} V``, the generalized eigenvectors of ``(m^{1/2} expm(W) m^{1/2},
+m)``, and ``lam`` their log-eigenvalues: coefficients that score filtered
+log-power features directly ("one-step") without a second classifier.
 
 Tangent vectors here are whitened: ``vec(logm(m^{-1/2} C m^{-1/2}))`` at
 reference mean ``m``. With that convention the dot product of two tangent
@@ -28,7 +28,7 @@ in :mod:`tssf.pipelines`; this module keeps no file format of its own.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,8 +43,8 @@ from .errors import (
 from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import (
     SPD_TOL,
+    _check_same_dim,
     _check_symmetric,
-    _component_order,
     _congruence,
     _diag_logm,
     _first_failure,
@@ -155,14 +155,14 @@ def fit_tangent_model(covs, labels, model_cfg=None):
 
 @dataclass(frozen=True)
 class TssfModel:
-    """Spatial filters plus the ingredients of one-step scoring.
+    """A ranked bank of spatial filters plus the ingredients of one-step scoring.
 
-    ``full_filters`` are all C filters in sorted order (``filters`` is their
-    K-column prefix), ``full_beta`` the matching sorted log-eigenvalues
-    (``beta`` is their K-prefix, the one-step coefficients), and
-    ``filtered_mean`` the Frechet mean of the K x K filtered training
-    covariances (the reference of "logcov" features; None for models of
-    any other kind).
+    ``full_filters`` are all C filters in ranked order (``filters`` is their
+    K-column prefix), ``full_beta`` the matching log-eigenvalues (``beta``
+    is their K-prefix, the one-step coefficients), ``reference_mean`` the
+    point whose tangent space the weights live in, and ``filtered_mean``
+    the Frechet mean of the K x K filtered training covariances (the
+    reference of "logcov" features; None for models of any other kind).
     """
 
     filters: np.ndarray
@@ -171,12 +171,48 @@ class TssfModel:
     reference_mean: np.ndarray
     full_filters: np.ndarray
     full_beta: np.ndarray
-    filtered_mean: np.ndarray | None
+    filtered_mean: np.ndarray | None = None
     feature_kind: str = LOGVAR
 
     @property
     def k(self):
         return self.filters.shape[1]
+
+
+def tangent_filters(ref, weights, k, intercept=0.0):
+    """The ranked filter bank of a linear function on the tangent space at ``ref``.
+
+    ``weights`` is the symmetric whitened weight matrix ``W = unvec(w)`` of a
+    model ``w . tangent_vectors(ref, covs) + intercept``. With
+    ``W = V diag(lam) V^T`` the filters are ``ref^{-1/2} V`` and ``lam``
+    their coefficients, ranked by descending ``|lam|`` (ties by descending
+    ``lam``, then position); ``filters`` keeps the first ``k``,
+    ``1 <= k <= C``. At ``k = C`` the one-step "diaglogcov" score of a
+    covariance is the model's decision value on its tangent vector.
+
+    Returns a "logvar" :class:`TssfModel`. Raises InvalidInput on a bad
+    shape or ``k``, NotPositiveDefinite on a ``ref`` that is not SPD and
+    DegenerateModel on an all-zero ``weights``.
+    """
+    ref = _check_symmetric(ref, "ref", stack=False)
+    weights = _check_symmetric(weights, "weights", stack=False)
+    _check_same_dim(ref, weights)
+    _check_k(k, ref.shape[0])
+    if not np.any(weights):
+        raise DegenerateModel("tangent-space model has an all-zero weight vector")
+    lam, v = sym_eig(weights)
+    _, inv_half = _half_powers(ref)
+    order = np.lexsort((np.arange(lam.size), -lam, -np.abs(lam)))
+    full_filters = (inv_half @ v)[:, order]
+    full_beta = lam[order]
+    return TssfModel(
+        filters=full_filters[:, :k],
+        beta=full_beta[:k],
+        intercept=float(intercept),
+        reference_mean=ref,
+        full_filters=full_filters,
+        full_beta=full_beta,
+    )
 
 
 def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
@@ -202,13 +238,9 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
 
     Notes
     -----
-    Steps: Frechet mean of the covariances, whitened tangent vectors and
-    linear model fit (:func:`fit_tangent_model`, so the previous fit is
-    reused when its inputs were the same); weight vector reshaped to a
-    symmetric matrix ``W = V diag(lam) V^T``, giving filters ``mean^{-1/2} V``
-    and log-eigenvalues ``lam`` with no matrix exponential to overflow;
-    components sorted by ``|lam|``, descending (ties by descending ``lam``,
-    then original position); truncation to ``k`` columns.
+    :func:`fit_tangent_model` (so the previous fit is reused when its
+    inputs were the same), then :func:`tangent_filters` of its weights at
+    its Frechet mean.
 
     Raises
     ------
@@ -222,30 +254,14 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
     _check_kind(feature_kind)
 
     mean, model = fit_tangent_model(covs, labels, model_cfg)
-    if not np.any(model.weights):
-        raise DegenerateModel("tangent-space model has an all-zero weight vector")
-
-    lam, v = sym_eig(unvec(model.weights))
-    _, inv_half = _half_powers(mean)
-    order = _component_order(lam)
-    full_filters = (inv_half @ v)[:, order]
-    full_beta = lam[order]
-    filters = full_filters[:, :k]
-    logcov = feature_kind == LOGCOV
-    return TssfModel(
-        filters=filters,
-        beta=full_beta[:k],
-        intercept=float(model.intercept),
-        reference_mean=mean,
-        full_filters=full_filters,
-        full_beta=full_beta,
-        filtered_mean=frechet_mean(_congruence(filters, covs)) if logcov else None,
-        feature_kind=feature_kind,
-    )
+    bank = tangent_filters(mean, unvec(model.weights), k, model.intercept)
+    if feature_kind == LOGCOV:
+        bank = replace(bank, filtered_mean=frechet_mean(_congruence(bank.filters, covs)))
+    return replace(bank, feature_kind=feature_kind)
 
 
 def apply_filters(model, trial):
-    """Filter one C x N trial with a TSSF or CSP model: ``filters.T @ trial`` (K x N)."""
+    """Filter one C x N trial with a filter bank: ``filters.T @ trial`` (K x N)."""
     trial = np.asarray(trial, dtype=float)
     c = model.filters.shape[0]
     if trial.ndim != 2 or trial.shape[0] != c:
@@ -262,11 +278,9 @@ def compute_features(model, filtered_cov, kind=None):
     ``logvar``: log of the diagonal (length K). ``diaglogcov``: diagonal
     of the matrix logarithm (length K). ``logcov``: tangent vector of the
     covariance at the filtered-space Frechet mean (length K(K+1)/2). A
-    ``(..., K, K)`` stack gives one feature row per matrix. A CSP model
-    has no feature kind of its own, so it needs ``kind``.
+    ``(..., K, K)`` stack gives one feature row per matrix. ``kind``
+    defaults to the model's own.
     """
-    if kind is None and not isinstance(model, TssfModel):
-        raise InvalidInput(f"a {type(model).__name__} has no feature kind: pass kind")
     kind = _check_kind(kind or model.feature_kind)
     cov = ensure_spd(filtered_cov, name="filtered covariance")
     k = model.filters.shape[1]
@@ -319,14 +333,12 @@ def predict_one_step(model, features, kind=None):
 
     ``score = beta . features + intercept``; the label is the sign of the
     score with sign(0) = +1. Only "logvar" and "diaglogcov" features are
-    one-step scorable, and only by a TssfModel.
+    one-step scorable.
 
     Returns
     -------
     (score, label)
     """
-    if not isinstance(model, TssfModel):
-        raise InvalidInput(f"one-step scoring needs a TssfModel, not a {type(model).__name__}")
     kind = kind or model.feature_kind
     if kind not in ONE_STEP_KINDS:
         raise UnsupportedFeatureKind(

@@ -192,8 +192,8 @@ class TestFit:
         solution = tssf.manifold.ged(
             covs[ts.labels == 1].mean(axis=0), covs[ts.labels == -1].mean(axis=0)
         )
-        log_eig = np.log(solution.eigenvalues)
-        expected = log_eig[tssf.manifold._component_order(log_eig)]
+        # descending |log eigenvalue|, ties by descending value (a stable sort)
+        expected = sorted(np.log(solution.eigenvalues), key=lambda b: (-abs(b), -b))
         table = capsys.readouterr().out.split("sorted coefficients")[1].splitlines()[2:6]
         assert [int(line.split()[0]) for line in table] == [0, 1, 2, 3]
         assert [line.split()[1] for line in table] == [f"{b:+.4f}" for b in expected]

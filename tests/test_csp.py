@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tssf
 from tssf import csp, manifold
 from tssf.errors import DegenerateModel, InvalidInput
 
@@ -18,6 +19,18 @@ def two_class_covs(rng, c=4, t=40, n=500):
         covs.append((x @ x.T) / n)
         labels.append(label)
     return np.array(covs), np.array(labels)
+
+
+def class_means(covs, labels):
+    return covs[labels == 1].mean(axis=0), covs[labels == -1].mean(axis=0)
+
+
+def tangent_route(covs, labels, k):
+    # CSP as the tangent filters of mean+'s tangent vector at mean-
+    mean_pos, mean_neg = class_means(covs, labels)
+    _, inv_half = manifold._half_powers(mean_neg)
+    weights = manifold._logm(manifold._congruence(inv_half, mean_pos))
+    return tssf.tangent_filters(mean_neg, weights, k)
 
 
 class TestFitCsp:
@@ -66,9 +79,9 @@ class TestFitCsp:
         covs, labels = two_class_covs(rng)
 
         def fail(*args, **kwargs):
-            raise AssertionError("fit_csp solved the GED before checking k")
+            raise AssertionError("fit_csp whitened a class mean before checking k")
 
-        monkeypatch.setattr(csp, "ged", fail)
+        monkeypatch.setattr(csp, "_half_powers", fail)
         with pytest.raises(InvalidInput, match="^k must be an integer, got "):
             csp.fit_csp(covs, labels, k)
 
@@ -80,26 +93,35 @@ class TestFitCsp:
     def test_selection_takes_both_spectrum_ends(self, rng):
         covs, labels = two_class_covs(rng)
         model = csp.fit_csp(covs, labels, 2)
-        mean_pos = covs[labels == 1].mean(axis=0)
-        mean_neg = covs[labels == -1].mean(axis=0)
-        log_eig = np.log(manifold.ged(mean_pos, mean_neg).eigenvalues)
-        assert set(model.full_beta[:2]) == {log_eig.max(), log_eig.min()}
+        route = tangent_route(covs, labels, 2)
+        np.testing.assert_array_equal(model.beta, route.beta)
+        np.testing.assert_array_equal(model.filters, route.filters)
+        log_eig = np.log(manifold.ged(*class_means(covs, labels)).eigenvalues)
+        np.testing.assert_allclose(
+            np.sort(model.beta), [log_eig.min(), log_eig.max()], rtol=1e-12, atol=0
+        )
 
     def test_filters_are_the_prefix_of_one_ranked_bank(self, rng):
         # all C filters ranked by |log eigenvalue|, as extract_tssf ranks its
         # own; k only cuts the prefix
         covs, labels = two_class_covs(rng)
-        mean_pos = covs[labels == 1].mean(axis=0)
-        mean_neg = covs[labels == -1].mean(axis=0)
-        solution = manifold.ged(mean_pos, mean_neg)
-        log_eig = np.log(solution.eigenvalues)
-        order = manifold._component_order(log_eig)
         model = csp.fit_csp(covs, labels, 2)
-        np.testing.assert_array_equal(model.full_beta, log_eig[order])
-        np.testing.assert_array_equal(model.full_filters, solution.eigenvectors[:, order])
+        route = tangent_route(covs, labels, 2)
+        for name in ("filters", "beta", "full_filters", "full_beta", "reference_mean"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(route, name))
+        assert model.intercept == 0.0 and model.feature_kind == tssf.LOGVAR
         np.testing.assert_array_equal(model.filters, model.full_filters[:, :2])
         wider = csp.fit_csp(covs, labels, 4)
         np.testing.assert_array_equal(wider.full_filters, model.full_filters)
+        # the generalized eigendecomposition gives the same bank to rounding
+        solution = manifold.ged(*class_means(covs, labels))
+        log_eig = np.log(solution.eigenvalues)
+        order = sorted(range(log_eig.size), key=lambda i: (-abs(log_eig[i]), -log_eig[i]))
+        scale = np.abs(log_eig).max()
+        np.testing.assert_allclose(model.full_beta, log_eig[order], rtol=0, atol=1e-12 * scale)
+        filters = solution.eigenvectors[:, order]
+        scale = np.abs(filters).max()
+        np.testing.assert_allclose(model.full_filters, filters, rtol=0, atol=1e-12 * scale)
 
     def test_discriminative_identity_oracle(self, rng):
         # eigenvector set equals ged(mean+ - mean-, mean+ + mean-) with
@@ -138,3 +160,23 @@ class TestFitCsp:
         off_diag = common_filtered - np.diag(np.diag(common_filtered))
         assert np.abs(off_diag).max() < 1e-8
 
+
+class TestCspInTheTangentFramework:
+    def test_full_rank_one_step_scores_are_tangent_inner_products(self, rng):
+        # k = C: CSP's one-step "diaglogcov" score of S is the Frobenius
+        # product <logm(m-^{-1/2} m+ m-^{-1/2}), logm(m-^{-1/2} S m-^{-1/2})>,
+        # to 1e-12 of the largest score: rounding scales with the scores, not
+        # with a score near 0
+        covs, labels = two_class_covs(rng)
+        model = csp.fit_csp(covs, labels, covs.shape[1])
+        mean_pos, mean_neg = class_means(covs, labels)
+        inv_half = manifold.powm(mean_neg, -0.5)
+        weights = manifold.logm(inv_half @ mean_pos @ inv_half)
+        f = model.filters
+        scores, expected = [], []
+        for s in covs:
+            feats = tssf.compute_features(model, f.T @ s @ f, tssf.DIAGLOGCOV)
+            scores.append(tssf.predict_one_step(model, feats, tssf.DIAGLOGCOV)[0])
+            expected.append(np.sum(weights * manifold.logm(inv_half @ s @ inv_half)))
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12 * scale)

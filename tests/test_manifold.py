@@ -454,12 +454,6 @@ class TestGed:
         with pytest.raises(DimMismatch):
             manifold.ged(random_spd(rng, 3), random_spd(rng, 4))
 
-    def test_component_order(self):
-        # descending |log d|; 4 and 1/4 tie there and go by descending d;
-        # the equal 2s keep their positions
-        log_d = np.log([2.0, 0.25, 1.0, 4.0, 2.0, 0.9])
-        np.testing.assert_array_equal(manifold._component_order(log_d), [3, 1, 0, 4, 5, 2])
-
 
 class TestOrthogonalLogCommutation:
     def test_congruence_by_orthogonal(self, rng):

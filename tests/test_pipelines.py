@@ -50,6 +50,19 @@ class TestSpec:
                 with pytest.raises(InvalidInput, match=f"^{message}$"):
                     pipelines.PipelineSpec(name=name, k=k).validate()
 
+    @pytest.mark.parametrize(
+        "cls", [pipelines.TssfPipeline, pipelines.CspPipeline, pipelines.TangentSpacePipeline]
+    )
+    def test_direct_construction_checks_name_and_k(self, cls):
+        # a pipeline built without a spec takes k by the same rule, before any data
+        for k, message in [(0, "k must be >= 1, got 0"), (2.0, "k must be an integer, got 2.0"),
+                           (1.5, "k must be an integer, got 1.5")]:
+            for name in pipelines.PIPELINE_NAMES:
+                with pytest.raises(InvalidInput, match=f"^{message}$"):
+                    cls(name, k)
+        with pytest.raises(InvalidInput, match="^unknown pipeline 'TSSF_LogCov_1_step'; choose "):
+            cls("TSSF_LogCov_1_step", 2)
+
     def test_classifier_config_checked_before_fit(self):
         with pytest.raises(InvalidInput, match="grid must be non-empty"):
             pipelines.make_pipeline(

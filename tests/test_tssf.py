@@ -143,7 +143,8 @@ def paper_route(mean, w):
     half = manifold.powm(mean, 0.5)
     solution = manifold.ged(half @ manifold.expm(w) @ half, mean)
     log_d = np.log(solution.eigenvalues)
-    order = manifold._component_order(log_d)
+    # descending |log d|, ties by descending log d, then position (a stable sort)
+    order = sorted(range(log_d.size), key=lambda i: (-abs(log_d[i]), -log_d[i]))
     return solution.eigenvectors[:, order], log_d[order]
 
 
@@ -200,6 +201,79 @@ class TestDirectRoute:
         monkeypatch.setattr(manifold, "ged", forbidden)
         tssf.extract_tssf(covs, labels, 3, model_cfg=cfg)
         assert shapes == [(5, 5), (5, 5)]
+
+
+def ridge(x, y, alpha=1.0):
+    # ridge regression with an unpenalized intercept, solved with numpy
+    x_mean, y_mean = x.mean(axis=0), y.mean()
+    xc = x - x_mean
+    w = np.linalg.solve(xc.T @ xc + alpha * np.eye(x.shape[1]), xc.T @ (y - y_mean))
+    return w, y_mean - x_mean @ w
+
+
+class TestTangentFilters:
+    def test_ranking_rule(self):
+        # descending |lam|; log 4 and log 1/4 tie there and go by descending
+        # lam; the equal log 2s keep their sym_eig positions
+        w = np.diag(np.log([2.0, 0.25, 1.0, 4.0, 2.0, 0.9]))
+        lam, v = manifold.sym_eig(w)
+        bank = tssf.tangent_filters(np.eye(6), w, 6)
+        order = [0, 5, 1, 2, 4, 3]
+        np.testing.assert_array_equal(bank.full_beta, lam[order])
+        np.testing.assert_array_equal(bank.full_filters, v[:, order])
+
+    def test_k_prefix_and_defaults(self, rng):
+        ref, w = random_spd(rng, 4), weights_with_spread(rng, 4, 1.0)
+        bank = tssf.tangent_filters(ref, w, 2)
+        np.testing.assert_array_equal(bank.filters, bank.full_filters[:, :2])
+        np.testing.assert_array_equal(bank.beta, bank.full_beta[:2])
+        assert bank.intercept == 0.0 and bank.feature_kind == tssf.LOGVAR
+        assert bank.filtered_mean is None
+        np.testing.assert_array_equal(bank.reference_mean, ref)
+        assert tssf.tangent_filters(ref, w, 2, intercept=-1.5).intercept == -1.5
+
+    def test_bad_inputs_rejected(self, rng):
+        ref, w = random_spd(rng, 3), weights_with_spread(rng, 3, 1.0)
+        with pytest.raises(DegenerateModel, match="all-zero weight vector"):
+            tssf.tangent_filters(ref, np.zeros((3, 3)), 2)
+        for k, message in [(0, r"k must be in \[1, 3\], got 0"),
+                           (4, r"k must be in \[1, 3\], got 4"),
+                           (2.0, "k must be an integer, got 2.0")]:
+            with pytest.raises(InvalidInput, match=f"^{message}$"):
+                tssf.tangent_filters(ref, w, k)
+        with pytest.raises(DimMismatch):
+            tssf.tangent_filters(random_spd(rng, 4), w, 2)
+        with pytest.raises(InvalidInput, match="weights is not symmetric"):
+            tssf.tangent_filters(ref, w + np.triu(np.ones((3, 3)), 1), 2)
+        with pytest.raises(NotPositiveDefinite):
+            tssf.tangent_filters(-ref, w, 2)
+
+    @pytest.mark.parametrize("kind", tssf.FEATURE_KINDS)
+    def test_extract_tssf_is_tangent_filters_of_its_fit(self, rng, kind):
+        covs, labels = synth_covs(rng)
+        cfg = tssf.ClassifierConfig(reg=2.0)
+        model = tssf.extract_tssf(covs, labels, 2, model_cfg=cfg, feature_kind=kind)
+        mean, lin = tssf.fit_tangent_model(covs, labels, cfg)
+        bank = tssf.tangent_filters(mean, manifold.unvec(lin.weights), 2, lin.intercept)
+        for name in ("filters", "beta", "full_filters", "full_beta", "reference_mean"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(bank, name))
+        assert model.intercept == bank.intercept and model.feature_kind == kind
+        assert (model.filtered_mean is None) == (kind != tssf.LOGCOV)
+
+    def test_ridge_full_rank_one_step_equals_its_decision_values(self, rng):
+        # any linear model on tangent_vectors is a filter bank: ridge, not the SVM
+        covs, labels = synth_covs(rng)
+        c = covs.shape[1]
+        mean = tssf.frechet_mean(covs)
+        x = tssf.tangent_vectors(mean, covs)
+        w, b = ridge(x, labels.astype(float))
+        decision = x @ w + b
+        bank = tssf.tangent_filters(mean, manifold.unvec(w), c, b)
+        f = bank.filters
+        feats = [tssf.compute_features(bank, f.T @ s @ f, tssf.DIAGLOGCOV) for s in covs]
+        scores = [tssf.predict_one_step(bank, row)[0] for row in feats]
+        scale = np.abs(decision).max()
+        np.testing.assert_allclose(scores, decision, rtol=0, atol=1e-12 * scale)
 
 
 class TestApplyFilters:
@@ -293,16 +367,6 @@ class TestComputeFeatures:
         ):
             tssf_module._log_variances(stack.reshape(8, 3, 3).diagonal(0, -2, -1))
 
-    def test_csp_model_needs_an_explicit_kind(self, rng):
-        covs, labels = synth_covs(rng)
-        model = tssf.fit_csp(covs, labels, 2)
-        cov = model.filters.T @ covs[0] @ model.filters
-        np.testing.assert_array_equal(
-            tssf.compute_features(model, cov, tssf.LOGVAR), np.log(np.diag(cov))
-        )
-        with pytest.raises(InvalidInput, match="CspModel has no feature kind"):
-            tssf.compute_features(model, cov)
-
     @pytest.mark.parametrize("kind", [tssf.LOGVAR, tssf.DIAGLOGCOV])
     def test_logcov_needs_a_logcov_model(self, rng, kind):
         # only a "logcov" model holds the filtered-space mean its features need
@@ -336,12 +400,6 @@ class TestPredict:
         model, _, _ = fitted_model(rng, k=2)
         with pytest.raises(InvalidInput):
             tssf.predict_one_step(model, np.zeros(3), tssf.LOGVAR)
-
-    def test_one_step_needs_a_tssf_model(self, rng):
-        covs, labels = synth_covs(rng)
-        model = tssf.fit_csp(covs, labels, 2)
-        with pytest.raises(InvalidInput, match="needs a TssfModel, not a CspModel"):
-            tssf.predict_one_step(model, np.zeros(2), tssf.LOGVAR)
 
     def test_two_step_passthrough_matches_one_step(self, rng):
         model, _, _ = fitted_model(rng, k=2)
