@@ -375,6 +375,20 @@ class TestComputeFeatures:
         with pytest.raises(UnsupportedFeatureKind, match=f"'logcov' features of a model extracted for '{kind}'"):
             tssf.compute_features(model, np.eye(2), tssf.LOGCOV)
 
+    def test_csp_model_needs_an_explicit_kind(self, rng):
+        # a CSP bank carries its kind: "logvar", the default when none is
+        # passed; "logcov" has no filtered-space mean to map at
+        covs, labels = synth_covs(rng)
+        model = tssf.fit_csp(covs, labels, 2)
+        assert model.feature_kind == tssf.LOGVAR
+        cov = model.filters.T @ covs[0] @ model.filters
+        np.testing.assert_array_equal(
+            tssf.compute_features(model, cov, tssf.LOGVAR), np.log(np.diag(cov))
+        )
+        np.testing.assert_array_equal(tssf.compute_features(model, cov), np.log(np.diag(cov)))
+        with pytest.raises(UnsupportedFeatureKind, match="'logcov' features of a model extracted for 'logvar'"):
+            tssf.compute_features(model, cov, tssf.LOGCOV)
+
 
 class TestPredict:
     def test_one_step_arithmetic(self, rng):
@@ -399,6 +413,20 @@ class TestPredict:
     def test_one_step_feature_length(self, rng):
         model, _, _ = fitted_model(rng, k=2)
         with pytest.raises(InvalidInput):
+            tssf.predict_one_step(model, np.zeros(3), tssf.LOGVAR)
+
+    def test_one_step_needs_a_tssf_model(self, rng):
+        # a CSP bank is a TssfModel with intercept 0, so it is one-step
+        # scorable like any other bank
+        covs, labels = synth_covs(rng)
+        model = tssf.fit_csp(covs, labels, 2)
+        assert isinstance(model, tssf.TssfModel)
+        assert model.intercept == 0.0
+        feats = rng.standard_normal(2)
+        score, label = tssf.predict_one_step(model, feats)
+        assert score == pytest.approx(float(model.beta @ feats), abs=1e-12)
+        assert label == (1 if score >= 0 else -1)
+        with pytest.raises(InvalidInput, match="expected 2 features"):
             tssf.predict_one_step(model, np.zeros(3), tssf.LOGVAR)
 
     def test_two_step_passthrough_matches_one_step(self, rng):
