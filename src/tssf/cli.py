@@ -248,9 +248,8 @@ def cmd_bench(args):
     trialset = _load_trials(args)
     if args.out:
         _check_writable(args.out)
-    fitted = {}
-    for spec in specs:
-        fitted[spec.name] = make_pipeline(spec).fit(trialset.data, trialset.labels)
+    covs = covariances(trialset)
+    fitted = {spec.name: make_pipeline(spec).fit_covs(covs, trialset.labels) for spec in specs}
     rows = bench_predict(fitted, trialset.data, repetitions=args.reps)
     print("pipeline            median_per_trial_s  iqr_per_trial_s")
     for row in rows:

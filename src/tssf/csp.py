@@ -15,7 +15,7 @@ from .dataio import _check_k, _check_training_set
 from .errors import DegenerateModel
 from .manifold import SPD_TOL, _congruence, _from_eig, _half_powers, _spd_eigh
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
-from .tssf import tangent_filters
+from .tssf import _ranked_bank
 
 
 def fit_csp(covs, labels, k):
@@ -61,4 +61,4 @@ def fit_csp(covs, labels, k):
             f"no |log generalized eigenvalue| exceeds {SPD_TOL:g}: the class-mean "
             "covariances are equal to rounding, so no filter tells the classes apart"
         )
-    return tangent_filters(mean_neg, _from_eig(log_eig, v), k)
+    return _ranked_bank(mean_neg, inv_half, _from_eig(log_eig, v), k)

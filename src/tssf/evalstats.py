@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import covariances
 from .errors import DegenerateStatistic, DimMismatch, InvalidInput, TssfError
 
 
@@ -215,17 +216,21 @@ class EvalReport:
 def cross_validate(trialset, factories, folds=5, seed=0):
     """Session-wise stratified k-fold cross-validation of several pipelines.
 
-    Each session's trials are split into ``folds`` stratified folds
-    (seeded per session, deterministic). Each fold fits a fresh pipeline
-    from every factory on its training trials only, back to back, so they
-    share one tangent-space fit (:func:`tssf.tssf.fit_tangent_model`,
-    timed as part of the first), then scores its held-out trials with
-    each by ROC-AUC. Returns one report per factory, pooling all sessions.
-    Each factory returns a fresh object with ``fit``, ``decision_scores``
-    and the ``name``, ``k`` and ``feature_kind`` that label its report.
+    The trials' covariances are estimated once, before any fold, and are
+    not part of any ``fit_seconds``. Each session's trials are split into
+    ``folds`` stratified folds (seeded per session, deterministic). Each
+    fold fits a fresh pipeline from every factory on one slice of that
+    stack, its training covariances only, back to back, so they share one
+    tangent-space fit (:func:`tssf.tssf.fit_tangent_model`, timed as part
+    of the first), then scores its held-out trials with each by ROC-AUC.
+    Returns one report per factory, pooling all sessions. Each factory
+    returns a fresh object with ``fit_covs(covs, labels)``,
+    ``decision_scores(trials)`` and the ``name``, ``k`` and
+    ``feature_kind`` that label its report.
     """
     if trialset.n_trials == 0:  # no fold, so no pipeline to label the reports
         raise InvalidInput("the trial set is empty")
+    covs = covariances(trialset)
     sess_col, fold_col = [], []
     auc_cols, fit_cols, pred_cols = ([[] for _ in factories] for _ in range(3))
     for session in np.unique(trialset.session_ids):
@@ -238,8 +243,7 @@ def cross_validate(trialset, factories, folds=5, seed=0):
             if np.unique(train_labels).size < 2 or np.unique(test_labels).size < 2:
                 raise InvalidInput(f"session {session} fold {f}: a class is absent from a split")
             pipes = [factory() for factory in factories]
-            # each fold slice lives for one call, so one is in memory at a time
-            _timed("fit", pipes, fit_cols, trialset.data[:, :, train_idx], train_labels)
+            _timed("fit_covs", pipes, fit_cols, covs[train_idx], train_labels)
             scores = _timed("decision_scores", pipes, pred_cols, trialset.data[:, :, test_idx])
             for auc_col, pipe_scores in zip(auc_cols, scores):
                 auc_col.append(roc_auc(pipe_scores, test_labels))

@@ -23,9 +23,16 @@ reads its feature kind and one-step flag from its row, and every k passes
 one rule, ``dataio._check_k`` (an integer >= 1; TS_AIRM then ignores it).
 
 Every pipeline object exposes ``fit(trials, labels)`` and
-``decision_scores(trials)`` on C x N x T tensors. Test-trial covariances
+``decision_scores(trials)`` on C x N x T tensors, and ``fit_covs(covs,
+labels)`` on the (T, C, C) covariance stack of the training trials:
+``fit`` is ``_spd_covariances`` then ``fit_covs``, bit for bit, so a
+caller that fits several pipelines on one training set (``tssf eval``,
+``tssf bench``) estimates its covariances once. Test-trial covariances
 are always recomputed from the trial data, never taken from a stored
-covariance, mirroring online use.
+covariance, mirroring online use. A tensor of more than
+``dataio._BLOCK_BYTES`` is scored in blocks of ``max(1, _BLOCK_BYTES //
+(8 C N))`` trials, the block rule of ``_spd_covariances``, so scoring
+holds a few MiB of temporaries however long the batch.
 
 Every ``fit`` ends in the same compiled form: the filters P, one weight
 per column of P, an intercept and a floor. One scoring function serves
@@ -40,7 +47,7 @@ variances of the rows of P^T x, and diag logm W from the eigenpairs of
 W, so no log matrix or tangent vector is built. For the log-matrix kinds,
 a square P (TS_AIRM, or TSSF with K = C) is applied to the C x C
 covariance by congruence, cheaper than filtering the C x N trial whenever
-N > 2C. A ``fit`` reads the trials only for their covariances C: a
+N > 2C. A fit reads the trials only for their covariances C: a
 filtered trial F^T x has covariance F^T C F, the stack that training
 features and the floor are taken from.
 
@@ -56,8 +63,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import fit_csp
-from .dataio import _check_k, _check_training_set, _covariance_stack, _spd_covariances
-from .errors import DimMismatch, FormatError, InvalidInput
+from .dataio import _BLOCK_BYTES, _check_k, _check_training_set, _covariance_stack
+from .dataio import _spd_covariances
+from .errors import DimMismatch, FormatError, InvalidInput, NotPositiveDefinite
 from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import SPD_TOL, _congruence, _diag_logm, _half_powers, unvec
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
@@ -97,7 +105,12 @@ def _filtered_variances(projection, trials):
 
 
 def _compiled_scores(self, trials):
-    """Decision scores of a C x N x T tensor, one per trial."""
+    """Decision scores of a C x N x T tensor, one per trial.
+
+    A tensor of more than ``dataio._BLOCK_BYTES`` is scored in blocks of
+    trials by the block rule of ``_spd_covariances``, so the working set
+    stays at a few MiB however many trials there are.
+    """
     trials = np.ascontiguousarray(trials, dtype=float)
     p = self.filters
     if trials.ndim != 3 or trials.shape[0] != p.shape[0] or trials.shape[1] == 0:
@@ -105,6 +118,26 @@ def _compiled_scores(self, trials):
             f"trials of shape {trials.shape} do not fit filters of shape "
             f"{p.shape}: expected ({p.shape[0]}, N, T) with N >= 1"
         )
+    if trials.nbytes <= _BLOCK_BYTES:
+        return _block_scores(self, trials)
+    c, n, t = trials.shape
+    block = max(1, _BLOCK_BYTES // (8 * c * n))
+    scores = np.empty(t)
+    try:
+        for lo in range(0, t, block):
+            scores[lo : lo + block] = _block_scores(self, trials[:, :, lo : lo + block])
+    except NotPositiveDefinite:
+        # a block names its trials from 0: the whole tensor, failing at the
+        # same first trial, names it by its index in the tensor
+        _block_scores(self, trials)
+        raise
+    return scores
+
+
+def _block_scores(self, trials):
+    # the scores of a checked C x N x T tensor; each route from the trials
+    # starts with a copy of its own, so a strided block costs no extra one
+    p = self.filters
     if self.feature_kind == LOGVAR:
         feats = _log_variances(_filtered_variances(p, trials), self._var_floor)
     elif p.shape[0] == p.shape[1]:
@@ -121,7 +154,7 @@ class TssfPipeline:
     """One pipeline: a filter source, training features and a classifier.
 
     Its :data:`PIPELINES` row gives the feature kind and one-step flag.
-    ``fit`` takes its filters from ``_extract`` (a tangent-space model
+    ``fit_covs`` takes its filters from ``_extract`` (a tangent-space model
     here; CSP in :class:`CspPipeline`, all C in :class:`TangentSpacePipeline`)
     and compiles them into ``filters``, the filters that score, one ``_coef`` each.
     """
@@ -148,7 +181,11 @@ class TssfPipeline:
 
     def fit(self, trials, labels):
         trials, labels = _check_training_set(trials, labels, trial_axis=2)
-        covs = _spd_covariances(trials)
+        return self.fit_covs(_spd_covariances(trials), labels)
+
+    def fit_covs(self, covs, labels):
+        """``fit`` on the training trials' (T, C, C) covariance stack."""
+        covs, labels = _check_training_set(covs, labels)
         self.model = self._extract(covs, labels, self._k)
         projection = self.model.filters
         if self.one_step:

@@ -200,8 +200,12 @@ def tangent_filters(ref, weights, k, intercept=0.0):
     _check_k(k, ref.shape[0])
     if not np.any(weights):
         raise DegenerateModel("tangent-space model has an all-zero weight vector")
+    return _ranked_bank(ref, _half_powers(ref)[1], weights, k, intercept)
+
+
+def _ranked_bank(ref, inv_half, weights, k, intercept=0.0):
+    # tangent_filters past its checks, for a caller that holds ref^{-1/2}
     lam, v = sym_eig(weights)
-    _, inv_half = _half_powers(ref)
     order = np.lexsort((np.arange(lam.size), -lam, -np.abs(lam)))
     full_filters = (inv_half @ v)[:, order]
     full_beta = lam[order]

@@ -249,6 +249,20 @@ class TestFit:
         assert "covariance 5 is not positive definite" in err
         assert "jitter" not in err
 
+    def test_eval_of_a_constant_channel_exits_3_naming_the_trial(self, tmp_path, data_path, capsys):
+        # the trial's index in the file, not in a fold's training slice
+        ts = dataio.read_trials(data_path)
+        ts.data[2, :, 5] = 1.5
+        flat_path = tmp_path / "flat.eegt"
+        dataio.write_trials(ts, flat_path)
+        code = main(
+            ["eval", "--data", str(flat_path), "--pipeline", "TSSF_Var_1_step",
+             "--k", "2", "--reg", "1.0", "--folds", "3", "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 3
+        assert "covariance 5 is not positive definite" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestEval:
     def test_two_pipelines_one_comparison(self, tmp_path, data_path, capsys):

@@ -15,7 +15,7 @@ PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 # the functions allowed to write the product by hand, and why:
 HAND_WRITTEN = {
-    "_compiled_scores",  # the scoring hot path; eigh reads one triangle
+    "_block_scores",  # the scoring hot path; eigh reads one triangle
     "_karcher_hessian",  # a stack of factors L_t about one x
     "exact_decision_value",  # the reference route checks unsymmetrized products
 }

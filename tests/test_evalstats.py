@@ -221,7 +221,7 @@ class _OraclePipeline:
     k = 0
     feature_kind = "none"
 
-    def fit(self, trials, labels):
+    def fit_covs(self, covs, labels):
         return self
 
     def decision_scores(self, trials):

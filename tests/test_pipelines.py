@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -587,6 +588,22 @@ def test_fit_reads_trials_only_for_their_covariances(name, monkeypatch):
     np.testing.assert_array_equal(pipe.decision_scores(ts.data), expected)
 
 
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_fit_covs_of_the_covariances_is_fit_bitwise(name, monkeypatch):
+    ts = synth_set(seed=24, channels=5, trials=30)
+    spec = pipelines.PipelineSpec(name, k=2, classifier=tssf.ClassifierConfig(grid=(0.1, 1.0)))
+    monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
+    fitted = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
+    covs = dataio._spd_covariances(ts.data)
+    # the pipelines of a cross-validation fold share one stack: no fit writes to it
+    covs.setflags(write=False)
+    monkeypatch.setattr(tssf_module, "_last_fit", (None, None))  # a fit of its own
+    from_covs = pipelines.make_pipeline(spec).fit_covs(covs, ts.labels)
+    for attr in ("filters", "_coef", "_intercept", "_var_floor"):
+        ours, theirs = np.asarray(getattr(from_covs, attr)), np.asarray(getattr(fitted, attr))
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), attr
+
+
 @pytest.mark.parametrize(
     "name", ["CSP", "TSSF_Var_1_step", "TSSF_Var_2_step", "TSSF_Cov_2_step", "TSSF_LogCov_2_step"]
 )
@@ -895,3 +912,62 @@ def test_dropping_a_component_removes_its_source_from_the_scores(workload, name,
             (loaded.decision_scores(noisy), reduced.decision_scores(noisy)),
         ]:
             assert a.tobytes() == b.tobytes()
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of the allocations made by fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_batch_scored_in_blocks_equals_single_trial_calls(name):
+    train, labels, test = workload_split("eval-c64-fixed")
+    c, n, _ = train.shape
+    block = dataio._BLOCK_BYTES // (8 * c * n)  # 32 trials of 64 x 256
+    # two whole blocks and a ragged last one of 5 trials
+    trials = np.concatenate([test, train], axis=2)[:, :, : 2 * block + 5]
+    assert block > 5 and trials.nbytes > 2 * dataio._BLOCK_BYTES
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name, k=4, classifier=FIXED))
+    pipe.fit(train, labels)
+    scores = pipe.decision_scores(trials)
+    single = [pipe.decision_scores(trials[:, :, t : t + 1])[0] for t in range(trials.shape[2])]
+    np.testing.assert_allclose(scores, single, rtol=1e-12, atol=1e-12 * np.abs(single).max())
+    # a bad trial of the second block is named by its index in the batch
+    trials[:, :, block + 3] = 0.0
+    with pytest.raises(NotPositiveDefinite, match=f"covariance {block + 3} is not positive"):
+        pipe.decision_scores(trials)
+
+
+def test_ts_airm_scores_a_long_batch_in_bounded_memory():
+    # 200 trials of 64 x 256 (26 MiB), the length of perfbench's online
+    # stream; scored in one piece they held 31 MiB of temporaries
+    train, labels, test = workload_split("eval-c64-fixed")
+    batch = np.concatenate([train, test, train], axis=2)[:, :, :200]
+    spec = pipelines.PipelineSpec("TS_AIRM", k=6, classifier=FIXED)
+    pipe = pipelines.make_pipeline(spec).fit(train, labels)
+    assert traced_peak(pipe.decision_scores, batch) <= 12 << 20
+
+
+def test_cold_cross_validate_holds_one_covariance_stack(monkeypatch):
+    # covariances once per eval, each fold fitting on a slice of them: one
+    # fold's copied C x N x T training trials alone were 12 MiB, and the
+    # whole call peaked at 27.4 MiB when each pipeline rebuilt them
+    workload = load_workloads().WORKLOADS["eval-c64-fixed"]
+    ts = tssf.synth_generate(tssf.SynthConfig(seed=1, **workload.synth))
+    ts = ts.subset(range(workload.eval_trials))
+    args = dict(zip(workload.eval_args[::2], workload.eval_args[1::2]))
+    classifier = tssf.ClassifierConfig(reg=float(args["--reg"]))
+    factories = [
+        lambda n=name: pipelines.make_pipeline(
+            pipelines.PipelineSpec(n, k=int(args["--k"]), classifier=classifier)
+        )
+        for name in workload.eval_pipelines
+    ]
+    monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
+    folds, seed = int(args["--folds"]), int(args["--seed"])
+    assert traced_peak(evalstats.cross_validate, ts, factories, folds, seed) <= 24 << 20
