@@ -27,8 +27,8 @@ import sys
 
 import numpy as np
 
-from .dataio import SynthConfig, covariances, fir_bandpass, load_manifest, read_trials
-from .dataio import synth_generate, write_trials
+from .dataio import SynthConfig, _check_count, covariances, fir_bandpass, load_manifest
+from .dataio import read_trials, synth_generate, write_trials
 from .errors import DegenerateStatistic, FormatError, InvalidInput, TssfError
 from .evalstats import PairedComparison, bench_predict, bench_to_csv, compare_paired
 from .evalstats import comparisons_to_csv, cross_validate, reports_to_csv
@@ -53,20 +53,19 @@ def _parser():
     common_data = argparse.ArgumentParser(add_help=False)
     common_data.add_argument("--data", help="EEGT trial file")
     common_data.add_argument("--manifest", help="manifest of session files")
-    common_data.add_argument(
-        "--band", help="low:high:fs band-pass applied before processing"
-    )
+    common_data.add_argument("--band", help="low:high:fs band-pass applied before processing")
 
     common_model = argparse.ArgumentParser(add_help=False)
     common_model.add_argument("--k", type=int, default=6, help="filter components (default 6)")
     common_model.add_argument("--reg", type=float, default=None, help="fixed SVM regularization")
     common_model.add_argument("--grid", default=None, help="comma list of regularizations")
     common_model.add_argument("--seed", type=int, default=0)
+    folds_help = "inner CV folds of a grid search; for eval also the outer folds (default 5)"
+    common_model.add_argument("--folds", type=int, default=5, help=folds_help)
     parents = [common_data, common_model]
 
     p_fit = sub.add_parser("fit", parents=parents, help="fit and save one pipeline")
     p_fit.add_argument("--pipeline", required=True, help="pipeline name")
-    p_fit.add_argument("--folds", type=int, default=5, help="inner CV folds")
     p_fit.add_argument("--out", required=True, help=f"{MODEL_FORMAT} model file to write")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -74,7 +73,6 @@ def _parser():
     p_eval.add_argument(
         "--pipeline", action="append", required=True, help="repeatable pipeline name"
     )
-    p_eval.add_argument("--folds", type=int, default=5)
     p_eval.add_argument("--out", required=True, help="fold-score CSV to write")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -134,9 +132,7 @@ def _classifier_config(args):
             grid = tuple(float(v) for v in args.grid.split(","))
         except ValueError:
             raise InvalidInput("--grid must be a comma list of numbers") from None
-    # bench has no --folds: its fits use the default inner-CV folds
-    folds = getattr(args, "folds", ClassifierConfig.folds)
-    return ClassifierConfig(reg=args.reg, grid=grid, folds=folds, seed=args.seed)
+    return ClassifierConfig(reg=args.reg, grid=grid, folds=args.folds, seed=args.seed)
 
 
 def _pipeline_specs(names, args):
@@ -243,8 +239,7 @@ def cmd_patterns(args):
 def cmd_bench(args):
     names = args.pipeline or ["CSP", "TSSF_Var_1_step", "TS_AIRM"]
     specs = _pipeline_specs(names, args)
-    if args.reps < 1:
-        raise InvalidInput("repetitions must be >= 1")
+    _check_count(args.reps, "repetitions")
     trialset = _load_trials(args)
     if args.out:
         _check_writable(args.out)

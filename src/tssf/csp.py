@@ -11,7 +11,7 @@ checked by acceptance test 05 in ``tests/test_acceptance.py``.
 
 import numpy as np
 
-from .dataio import _check_k, _check_training_set
+from .dataio import _check_count, _check_training_set
 from .errors import DegenerateModel
 from .manifold import SPD_TOL, _congruence, _from_eig, _half_powers, _spd_eigh
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
@@ -49,7 +49,7 @@ def fit_csp(covs, labels, k):
         equal to rounding).
     """
     covs, labels = _check_training_set(covs, labels)
-    _check_k(k, covs.shape[1])
+    _check_count(k, "k", high=covs.shape[1])
     mean_pos, mean_neg = covs[labels == 1].mean(axis=0), covs[labels == -1].mean(axis=0)
     _, inv_half = _half_powers(mean_neg)
     # manifold._logm, keeping its eigenvalues: the generalized eigenvalues

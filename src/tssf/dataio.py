@@ -21,7 +21,8 @@ bit-exact.
 
 A trial's covariance is ``X X^T / N`` of the trial with its channel means
 removed, checked SPD at ``manifold.SPD_TOL``. Every fit first checks its
-training set with ``_check_training_set`` and its k with ``_check_k``.
+training set with ``_check_training_set``; every count and magnitude a
+caller passes goes through ``_check_count`` or ``_check_magnitude`` first.
 """
 
 import numbers
@@ -91,6 +92,9 @@ class TrialSet:
             indices = np.arange(0)  # np.asarray([]) is float
         elif indices.dtype.kind not in "iu":
             raise InvalidInput(f"trial indices must be integers or a mask, got {indices.dtype}")
+        bad = indices[(indices < -self.n_trials) | (indices >= self.n_trials)]
+        if bad.size:  # before np.take raises a bare IndexError
+            raise InvalidInput(f"trial index {bad[0]} is out of range for {self.n_trials} trials")
         return TrialSet(
             data=np.take(self.data, indices, axis=2),  # one C-contiguous copy
             labels=self.labels[indices],
@@ -118,14 +122,22 @@ def _check_training_set(data, labels, trial_axis=0):
     return data, labels
 
 
-def _check_k(k, c=None):
-    # the one k rule of every pipeline and filter source: an integer >= 1,
-    # and at most the channel count c once a fit knows it
-    if not isinstance(k, numbers.Integral):
-        raise InvalidInput(f"k must be an integer, got {k!r}")
-    if k < 1 or (c is not None and k > c):
-        bound = ">= 1" if c is None else f"in [1, {c}]"
-        raise InvalidInput(f"k must be {bound}, got {k}")
+def _check_count(value, name, low=1, high=None):
+    # the one count rule (k, folds, seeds, sizes): an integer, not a bool, in [low, high]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidInput(f"{name} must be {bound}, got {value}")
+
+
+def _check_magnitude(value, name, bound="positive"):
+    # the one magnitude rule: a finite real, not a bool, "positive" or ">= 0" unless None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    above = {"positive": value > 0, ">= 0": value >= 0, None: True}[bound]
+    if not (above and abs(value) < np.inf):  # NaN fails too
+        raise InvalidInput(f"{name} must be {bound + ' and ' if bound else ''}finite")
 
 
 def _check_labels(labels):
@@ -266,9 +278,13 @@ def _covariance_stack(data):
     return covs
 
 
-# trials per block of _spd_covariances are chosen so that a block's
-# (T, C, N) copy stays near this size
+# the block rule of every loop over the trials of a C x N x T tensor
+# (covariances, pipeline scoring): a block's (T, C, N) copy stays near this
 _BLOCK_BYTES = 4 << 20
+
+
+def _trials_per_block(c, n):
+    return max(1, _BLOCK_BYTES // (8 * c * n))
 
 
 def _spd_covariances(data):
@@ -281,7 +297,7 @@ def _spd_covariances(data):
     c, n, t = data.shape
     if c == 0 or n == 0:
         raise InvalidInput(f"trials of shape {data.shape} have no channels or no samples")
-    block = max(1, _BLOCK_BYTES // (8 * c * n))
+    block = _trials_per_block(c, n)
     covs = np.empty((t, c, c))
     for lo in range(0, t, block):
         covs[lo : lo + block] = _covariance_stack(data[:, :, lo : lo + block])
@@ -361,24 +377,20 @@ class SynthConfig:
     sessions: int = 1
 
     def validate(self):
-        if self.channels < 1 or self.samples < 1 or self.trials_per_class < 1:
-            raise InvalidInput("channels, samples, trials_per_class must be >= 1")
-        if not 1 <= self.n_discriminative <= self.channels:
-            raise InvalidInput("n_discriminative must be in [1, channels]")
+        for name in ("channels", "samples", "trials_per_class", "sessions"):
+            _check_count(getattr(self, name), name)
+        _check_count(self.n_discriminative, "n_discriminative", high=self.channels)
+        _check_count(self.seed, "seed", low=0)
         if len(self.var_pos) != self.n_discriminative or len(self.var_neg) != self.n_discriminative:
             raise InvalidInput("var_pos/var_neg need one variance per discriminative source")
-        if min(self.var_pos) <= 0 or min(self.var_neg) <= 0 or self.background_variance <= 0:
-            raise InvalidInput("source variances must be positive")
-        if self.noise_sigma < 0:
-            raise InvalidInput("noise_sigma must be >= 0")
-        if self.nonstationarity < 0:
-            raise InvalidInput("nonstationarity must be >= 0")
+        for name in ("var_pos", "var_neg"):
+            for var in getattr(self, name):
+                _check_magnitude(var, name)
+        _check_magnitude(self.background_variance, "background_variance")
+        _check_magnitude(self.noise_sigma, "noise_sigma", ">= 0")
+        _check_magnitude(self.nonstationarity, "nonstationarity", ">= 0")
         if self.mixing not in ("random", "identity"):
             raise InvalidInput("mixing must be 'random' or 'identity'")
-        if self.sessions < 1:
-            raise InvalidInput("sessions must be >= 1")
-        if self.seed < 0:
-            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         return self
 
     @classmethod

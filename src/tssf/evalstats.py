@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import covariances
+from .dataio import _check_count, covariances
 from .errors import DegenerateStatistic, DimMismatch, InvalidInput, TssfError
 
 
@@ -22,14 +22,13 @@ def stratified_folds(labels, folds, seed):
     """Deterministic stratified partition into ``folds`` test-index arrays.
 
     Indices of each class are shuffled with a generator seeded by ``seed``
-    and dealt round-robin, so fold sizes differ by at most one per class
-    and the same seed always yields the same partition.
+    (an integer >= 0, or a tuple of them) and dealt round-robin, so fold
+    sizes differ by at most one per class and a seed fixes the partition.
     """
+    _check_count(folds, "folds", low=2)
+    for part in seed if isinstance(seed, tuple) else (seed,):
+        _check_count(part, "seed", low=0)
     labels = np.asarray(labels)
-    if np.min(seed) < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
-    if folds < 2:
-        raise InvalidInput("folds must be >= 2")
     if folds > labels.size:
         raise InvalidInput("more folds than samples")
     rng = np.random.default_rng(seed)
@@ -86,8 +85,7 @@ def smd(scores_a, scores_b):
     b = np.asarray(scores_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise InvalidInput("paired scores must be matching 1-D arrays")
-    if a.size < 2:
-        raise InvalidInput("need at least 2 pairs")
+    _check_count(a.size, "pairs", low=2)
     d = a - b
     sd = float(d.std(ddof=1))
     if sd == 0.0:
@@ -228,6 +226,8 @@ def cross_validate(trialset, factories, folds=5, seed=0):
     ``decision_scores(trials)`` and the ``name``, ``k`` and
     ``feature_kind`` that label its report.
     """
+    _check_count(folds, "folds", low=2)
+    _check_count(seed, "seed", low=0)
     if trialset.n_trials == 0:  # no fold, so no pipeline to label the reports
         raise InvalidInput("the trial set is empty")
     covs = covariances(trialset)
@@ -314,11 +314,10 @@ def bench_predict(fitted, trials, repetitions=10):
     excludes I/O and model fitting. Run single-threaded (e.g. with the
     ``TSSF_THREADS=1`` environment variable) for meaningful numbers.
     """
+    _check_count(repetitions, "repetitions")
     trials = np.asarray(trials, dtype=float)
     if trials.ndim != 3 or trials.shape[2] == 0:
         raise InvalidInput(f"trials must be a C x N x T tensor with T >= 1, got {trials.shape}")
-    if repetitions < 1:
-        raise InvalidInput("repetitions must be >= 1")
     if repetitions < 10:
         warnings.warn("fewer than 10 repetitions; timing medians may be noisy", stacklevel=2)
     n_trials = trials.shape[2]

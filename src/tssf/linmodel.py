@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _check_labels
+from .dataio import _check_count, _check_labels, _check_magnitude
 from .errors import InvalidInput
 from .evalstats import roc_auc, stratified_folds
 
@@ -88,11 +88,9 @@ def fit_linear_svm(x, y, reg):
         that are not finite or so large that the solver overflows; on
         single-class labels, as every fit of the library does.
     """
+    _check_magnitude(reg, "reg")
     x, y, npos, nneg = _check_dataset(x, y)
-    if min(npos, nneg) < 2:
-        raise InvalidInput("need at least 2 samples per class")
-    if not 0 < reg < np.inf:  # NaN fails too
-        raise InvalidInput("reg must be positive and finite")
+    _check_count(min(npos, nneg), "samples per class", low=2)
     weights, intercept, _ = _solve_svm_dual(x, y, reg, _gram(x, reg))
     return LinearModel(weights=weights, intercept=intercept, reg=float(reg))
 
@@ -177,13 +175,11 @@ def grid_search_cv(x, y, grid=None, folds=5, seed=0):
     -------
     LinearModel
     """
-    x, y, npos, nneg = _check_dataset(x, y)
     grid = DEFAULT_GRID if grid is None else tuple(grid)
-    ClassifierConfig(grid=grid, folds=folds).validate()
+    ClassifierConfig(grid=grid, folds=folds, seed=seed).validate()
+    x, y, npos, nneg = _check_dataset(x, y)
     if folds > min(npos, nneg):
-        raise InvalidInput(
-            f"{folds} folds exceed the smaller class size {min(npos, nneg)}"
-        )
+        raise InvalidInput(f"{folds} folds exceed the smaller class size {min(npos, nneg)}")
     splits = []
     for test_idx in stratified_folds(y, folds, seed):
         xt = np.delete(x, test_idx, axis=0)
@@ -204,9 +200,9 @@ def grid_search_cv(x, y, grid=None, folds=5, seed=0):
 class ClassifierConfig:
     """How to fit a linear model on a feature matrix.
 
-    The classifier is the linear SVM. A fixed ``reg`` wins over ``grid``;
-    with neither, the default grid {0.01, 0.1, 1, 10, 100} is searched by
-    stratified inner CV.
+    The classifier is the linear SVM, with a fixed ``reg`` or the ``grid``
+    value chosen by stratified inner CV, not both; with neither, the
+    default grid {0.01, 0.1, 1, 10, 100} is searched.
     """
 
     reg: float = None
@@ -215,16 +211,16 @@ class ClassifierConfig:
     seed: int = 0
 
     def validate(self):
-        if self.reg is not None and not 0 < self.reg < np.inf:
-            raise InvalidInput("reg must be positive and finite")
+        if self.reg is not None and self.grid is not None:
+            raise InvalidInput("give a fixed reg or a grid to search, not both")
+        if self.reg is not None:
+            _check_magnitude(self.reg, "reg")
         if self.grid is not None and not self.grid:
             raise InvalidInput("grid must be non-empty")
-        if self.grid is not None and not all(0 < g < np.inf for g in self.grid):
-            raise InvalidInput("grid values must be positive and finite")
-        if self.folds < 2:
-            raise InvalidInput("folds must be >= 2")
-        if self.seed < 0:
-            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
+        for value in self.grid or ():
+            _check_magnitude(value, "grid values")
+        _check_count(self.folds, "folds", low=2)
+        _check_count(self.seed, "seed", low=0)
         return self
 
 

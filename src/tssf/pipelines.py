@@ -20,7 +20,7 @@ TS_AIRM, the tangent-space SVM at the Frechet mean, keeps all C, whose
 one-step scores are the SVM's decision values; CSP's source is
 :func:`~tssf.csp.fit_csp`. The classes differ in nothing else: a pipeline
 reads its feature kind and one-step flag from its row, and every k passes
-one rule, ``dataio._check_k`` (an integer >= 1; TS_AIRM then ignores it).
+one rule, ``dataio._check_count`` (an integer >= 1; TS_AIRM then ignores it).
 
 Every pipeline object exposes ``fit(trials, labels)`` and
 ``decision_scores(trials)`` on C x N x T tensors, and ``fit_covs(covs,
@@ -29,10 +29,9 @@ labels)`` on the (T, C, C) covariance stack of the training trials:
 caller that fits several pipelines on one training set (``tssf eval``,
 ``tssf bench``) estimates its covariances once. Test-trial covariances
 are always recomputed from the trial data, never taken from a stored
-covariance, mirroring online use. A tensor of more than
-``dataio._BLOCK_BYTES`` is scored in blocks of ``max(1, _BLOCK_BYTES //
-(8 C N))`` trials, the block rule of ``_spd_covariances``, so scoring
-holds a few MiB of temporaries however long the batch.
+covariance, mirroring online use. A tensor is scored in blocks of
+``dataio._trials_per_block`` trials, so scoring holds a few MiB of
+temporaries however long the batch.
 
 Every ``fit`` ends in the same compiled form: the filters P, one weight
 per column of P, an intercept and a floor. One scoring function serves
@@ -63,8 +62,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import fit_csp
-from .dataio import _BLOCK_BYTES, _check_k, _check_training_set, _covariance_stack
-from .dataio import _spd_covariances
+from .dataio import _check_count, _check_training_set, _covariance_stack, _spd_covariances
+from .dataio import _BLOCK_BYTES, _trials_per_block
 from .errors import DimMismatch, FormatError, InvalidInput, NotPositiveDefinite
 from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import SPD_TOL, _congruence, _diag_logm, _half_powers, unvec
@@ -107,21 +106,20 @@ def _filtered_variances(projection, trials):
 def _compiled_scores(self, trials):
     """Decision scores of a C x N x T tensor, one per trial.
 
-    A tensor of more than ``dataio._BLOCK_BYTES`` is scored in blocks of
-    trials by the block rule of ``_spd_covariances``, so the working set
-    stays at a few MiB however many trials there are.
+    Scored in blocks of ``dataio._trials_per_block`` trials that each
+    scoring route copies, so a strided tensor is not copied whole.
     """
-    trials = np.ascontiguousarray(trials, dtype=float)
+    trials = np.asarray(trials, dtype=float)
     p = self.filters
     if trials.ndim != 3 or trials.shape[0] != p.shape[0] or trials.shape[1] == 0:
         raise DimMismatch(
             f"trials of shape {trials.shape} do not fit filters of shape "
             f"{p.shape}: expected ({p.shape[0]}, N, T) with N >= 1"
         )
-    if trials.nbytes <= _BLOCK_BYTES:
+    if trials.nbytes <= _BLOCK_BYTES:  # one block, as every online call is: no block loop
         return _block_scores(self, trials)
     c, n, t = trials.shape
-    block = max(1, _BLOCK_BYTES // (8 * c * n))
+    block = _trials_per_block(c, n)
     scores = np.empty(t)
     try:
         for lo in range(0, t, block):
@@ -160,11 +158,11 @@ class TssfPipeline:
     """
 
     def __init__(self, name, k, classifier=None):
-        PipelineSpec(name, k).validate()  # name and k, also without make_pipeline
+        self.classifier_cfg = classifier or ClassifierConfig()
+        PipelineSpec(name, k, self.classifier_cfg).validate()  # also without make_pipeline
         self.name = name
         self._k = k
         _, self.feature_kind, self.one_step = PIPELINES[name]
-        self.classifier_cfg = classifier or ClassifierConfig()
         self.filters = None
         self.model = None
         self.clf = None
@@ -262,15 +260,14 @@ class PipelineSpec:
             raise InvalidInput(
                 f"unknown pipeline {self.name!r}; choose from {', '.join(PIPELINE_NAMES)}"
             )
-        _check_k(self.k)
+        _check_count(self.k, "k")
         self.classifier.validate()
         return self
 
 
 def make_pipeline(spec):
     """Build a fresh, unfitted pipeline object from a spec."""
-    spec.validate()
-    return PIPELINES[spec.name][0](spec.name, spec.k, spec.classifier)
+    return PIPELINES[spec.validate().name][0](spec.name, spec.k, spec.classifier)
 
 
 def save_pipeline(pipe, path):

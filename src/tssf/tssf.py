@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import _check_k, _check_training_set
+from .dataio import _check_count, _check_magnitude, _check_training_set
 from .errors import (
     DegenerateModel,
     DimMismatch,
@@ -191,13 +191,14 @@ def tangent_filters(ref, weights, k, intercept=0.0):
     covariance is the model's decision value on its tangent vector.
 
     Returns a "logvar" :class:`TssfModel`. Raises InvalidInput on a bad
-    shape or ``k``, NotPositiveDefinite on a ``ref`` that is not SPD and
-    DegenerateModel on an all-zero ``weights``.
+    shape, ``k`` or ``intercept``, NotPositiveDefinite on a ``ref`` that is
+    not SPD and DegenerateModel on an all-zero ``weights``.
     """
     ref = _check_symmetric(ref, "ref", stack=False)
     weights = _check_symmetric(weights, "weights", stack=False)
     _check_same_dim(ref, weights)
-    _check_k(k, ref.shape[0])
+    _check_count(k, "k", high=ref.shape[0])
+    _check_magnitude(intercept, "intercept", None)
     if not np.any(weights):
         raise DegenerateModel("tangent-space model has an all-zero weight vector")
     return _ranked_bank(ref, _half_powers(ref)[1], weights, k, intercept)
@@ -254,7 +255,7 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
         all-zero fitted weight vector.
     """
     covs, labels = _check_training_set(covs, labels)
-    _check_k(k, covs.shape[1])
+    _check_count(k, "k", high=covs.shape[1])
     _check_kind(feature_kind)
 
     mean, model = fit_tangent_model(covs, labels, model_cfg)

@@ -50,6 +50,24 @@ class TestSynth:
         cfg.write_text("channels: 4\nnoise_sigma: -1\n")
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("noise_sigma: nan", "noise_sigma must be >= 0 and finite"),
+            ("var_pos: nan 1", "var_pos must be positive and finite"),
+            ("nonstationarity: inf", "nonstationarity must be >= 0 and finite"),
+        ],
+    )
+    def test_non_finite_config_value_exits_2_and_writes_nothing(
+        self, tmp_path, config_path, capsys, line, message
+    ):
+        # a NaN noise_sigma used to mean "no noise", and a NaN variance NaN trials
+        config_path.write_text(CONFIG + line + "\n")  # the later line wins
+        out = tmp_path / "x.eegt"
+        assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.cfg"), "--out", "x"]) == 2
 
@@ -398,6 +416,21 @@ class TestEval:
             assert code == 2
             assert "--band must be" in capsys.readouterr().err
 
+    def test_reg_and_grid_together_exit_2_before_reading_data(self, tmp_path, capsys, monkeypatch):
+        # a fixed reg used to drop the grid without a word
+        def fail(*args, **kwargs):
+            raise AssertionError("eval read its data before checking --reg and --grid")
+
+        monkeypatch.setattr(cli, "_load_trials", fail)
+        out = tmp_path / "r.csv"
+        code = main(
+            ["eval", "--data", "x.eegt", "--pipeline", "TS_AIRM", "--reg", "1", "--grid", "0.1,1",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "give a fixed reg or a grid to search, not both" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_flag(self, tmp_path, data_path, capsys):
         # a one-value grid picks that value, so the folds equal a fixed reg's
         argv = ["eval", "--data", str(data_path), "--pipeline", "TSSF_Var_2_step",
@@ -567,6 +600,16 @@ class TestBench:
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("pipeline,")
         assert len(lines) == 4  # CSP, TSSF_Var_1_step, TS_AIRM
+
+    def test_folds_flag(self, tmp_path, data_path, capsys):
+        # bench's grid searches take --folds as fit's and eval's do: 3 run,
+        # 13 exceed the 12 trials of a class
+        argv = ["bench", "--data", str(data_path), "--pipeline", "TS_AIRM", "--grid", "0.1,1",
+                "--reps", "10"]
+        assert main(argv + ["--folds", "3"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--folds", "13"]) == 2
+        assert "13 folds exceed the smaller class size 12" in capsys.readouterr().err
 
     def test_zero_reps_exits_2(self, tmp_path, data_path, capsys, monkeypatch):
         # rejected before the data is read, so no pipeline is fitted

@@ -61,6 +61,11 @@ class TestTrialSet:
             assert sub.labels.shape == sub.session_ids.shape == (0,)
         with pytest.raises(InvalidInput, match="integers or a mask, got float64"):
             ts.subset([0.0])
+        # the first index outside [-T, T) is named, not left to a bare IndexError
+        np.testing.assert_array_equal(ts.subset([-6, 5]).labels, ts.labels[[0, 5]])
+        for bad, first in [([999], 999), ([0, -7, 6], -7), (np.array([2, 6], dtype=np.uint32), 6)]:
+            with pytest.raises(InvalidInput, match=f"^trial index {first} is out of range for 6 "):
+                ts.subset(bad)
 
     def test_subset_is_one_contiguous_copy(self, rng):
         ts = small_set(rng, t=7)
@@ -432,8 +437,8 @@ class TestSynth:
             dataio.SynthConfig(var_pos=(1.0,)).validate()
         for bad, match in [
             (dict(channels=0), "must be >= 1"),
-            (dict(background_variance=0.0), "source variances must be positive"),
-            (dict(var_neg=(1.0, -4.0)), "source variances must be positive"),
+            (dict(background_variance=0.0), "^background_variance must be positive and finite$"),
+            (dict(var_neg=(1.0, -4.0)), "^var_neg must be positive and finite$"),
             (dict(nonstationarity=-0.1), "nonstationarity must be >= 0"),
             (dict(mixing="orthogonal"), "mixing must be"),
             (dict(sessions=0), "sessions must be >= 1"),

@@ -294,12 +294,17 @@ class TestGridSearch:
         with pytest.raises(InvalidInput, match="^seed must be >= 0, got -2$"):
             linmodel.ClassifierConfig(seed=-2).validate()
 
+    def test_reg_and_grid_together_rejected(self):
+        # a fixed reg used to win over the grid, which was dropped silently
+        with pytest.raises(InvalidInput, match="^give a fixed reg or a grid to search, not both$"):
+            linmodel.ClassifierConfig(reg=1.0, grid=(0.1, 1.0)).validate()
+
     def test_bad_grid_and_folds(self, rng):
         # the config rejects them before any fit, with the search's messages
         x, y = blobs(rng)
         for bad, message in [(dict(grid=()), "^grid must be non-empty$"),
                              (dict(grid=(1.0, 0.0)), "^grid values must be positive"),
-                             (dict(folds=1), "^folds must be >= 2$")]:
+                             (dict(folds=1), "^folds must be >= 2, got 1$")]:
             with pytest.raises(InvalidInput, match=message):
                 linmodel.grid_search_cv(x, y, **bad)
             with pytest.raises(InvalidInput, match=message):

@@ -63,6 +63,9 @@ class TestSpec:
                     cls(name, k)
         with pytest.raises(InvalidInput, match="^unknown pipeline 'TSSF_LogCov_1_step'; choose "):
             cls("TSSF_LogCov_1_step", 2)
+        # and its classifier's numbers, which it used to take unchecked until a fit
+        with pytest.raises(InvalidInput, match="^reg must be positive and finite$"):
+            cls("TSSF_Var_1_step", 2, tssf.ClassifierConfig(reg=float("nan")))
 
     def test_classifier_config_checked_before_fit(self):
         with pytest.raises(InvalidInput, match="grid must be non-empty"):
@@ -928,7 +931,7 @@ def traced_peak(fn, *args):
 def test_batch_scored_in_blocks_equals_single_trial_calls(name):
     train, labels, test = workload_split("eval-c64-fixed")
     c, n, _ = train.shape
-    block = dataio._BLOCK_BYTES // (8 * c * n)  # 32 trials of 64 x 256
+    block = dataio._trials_per_block(c, n)  # 32 trials of 64 x 256
     # two whole blocks and a ragged last one of 5 trials
     trials = np.concatenate([test, train], axis=2)[:, :, : 2 * block + 5]
     assert block > 5 and trials.nbytes > 2 * dataio._BLOCK_BYTES
@@ -951,6 +954,22 @@ def test_ts_airm_scores_a_long_batch_in_bounded_memory():
     spec = pipelines.PipelineSpec("TS_AIRM", k=6, classifier=FIXED)
     pipe = pipelines.make_pipeline(spec).fit(train, labels)
     assert traced_peak(pipe.decision_scores, batch) <= 12 << 20
+
+
+def test_a_strided_batch_is_not_copied_whole():
+    # a basic slice along the trial axis is scored block by block like a
+    # contiguous batch: copying it whole first peaked at 30 MiB, against 5
+    train, labels, test = workload_split("eval-c64-fixed")
+    data = np.concatenate([train, test, train, test], axis=2)
+    strided = data[:, :, data.shape[2] - 200 :]
+    assert not strided.flags.c_contiguous
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec("TS_AIRM", classifier=FIXED))
+    pipe.fit(train, labels)
+    contiguous = np.ascontiguousarray(strided)
+    assert traced_peak(pipe.decision_scores, strided) <= 1.5 * traced_peak(
+        pipe.decision_scores, contiguous
+    )
+    assert pipe.decision_scores(strided).tobytes() == pipe.decision_scores(contiguous).tobytes()
 
 
 def test_cold_cross_validate_holds_one_covariance_stack(monkeypatch):
