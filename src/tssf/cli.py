@@ -53,19 +53,20 @@ def _parser():
     common_data = argparse.ArgumentParser(add_help=False)
     common_data.add_argument("--data", help="EEGT trial file")
     common_data.add_argument("--manifest", help="manifest of session files")
-    common_data.add_argument("--band", help="low:high:fs band-pass applied before processing")
+    common_data.add_argument(
+        "--band", help="low:high:fs band-pass applied before processing"
+    )
 
     common_model = argparse.ArgumentParser(add_help=False)
     common_model.add_argument("--k", type=int, default=6, help="filter components (default 6)")
     common_model.add_argument("--reg", type=float, default=None, help="fixed SVM regularization")
     common_model.add_argument("--grid", default=None, help="comma list of regularizations")
     common_model.add_argument("--seed", type=int, default=0)
-    folds_help = "inner CV folds of a grid search; for eval also the outer folds (default 5)"
-    common_model.add_argument("--folds", type=int, default=5, help=folds_help)
     parents = [common_data, common_model]
 
     p_fit = sub.add_parser("fit", parents=parents, help="fit and save one pipeline")
     p_fit.add_argument("--pipeline", required=True, help="pipeline name")
+    p_fit.add_argument("--folds", type=int, default=5, help="inner CV folds")
     p_fit.add_argument("--out", required=True, help=f"{MODEL_FORMAT} model file to write")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -73,6 +74,7 @@ def _parser():
     p_eval.add_argument(
         "--pipeline", action="append", required=True, help="repeatable pipeline name"
     )
+    p_eval.add_argument("--folds", type=int, default=5, help="outer and inner CV folds")
     p_eval.add_argument("--out", required=True, help="fold-score CSV to write")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -90,7 +92,7 @@ def _parser():
     )
     p_bench.add_argument("--reps", type=int, default=10, help="timed sweeps (>= 10 recommended)")
     p_bench.add_argument("--out", default=None, help="optional CSV to write")
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=cmd_bench, folds=ClassifierConfig.folds)
     return parser
 
 

@@ -175,11 +175,13 @@ def grid_search_cv(x, y, grid=None, folds=5, seed=0):
     -------
     LinearModel
     """
-    grid = DEFAULT_GRID if grid is None else tuple(grid)
-    ClassifierConfig(grid=grid, folds=folds, seed=seed).validate()
     x, y, npos, nneg = _check_dataset(x, y)
+    grid = DEFAULT_GRID if grid is None else tuple(grid)
+    ClassifierConfig(grid=grid, folds=folds).validate()  # stratified_folds checks the seed
     if folds > min(npos, nneg):
-        raise InvalidInput(f"{folds} folds exceed the smaller class size {min(npos, nneg)}")
+        raise InvalidInput(
+            f"{folds} folds exceed the smaller class size {min(npos, nneg)}"
+        )
     splits = []
     for test_idx in stratified_folds(y, folds, seed):
         xt = np.delete(x, test_idx, axis=0)

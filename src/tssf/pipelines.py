@@ -83,8 +83,8 @@ _MODEL_FIELDS = ("format", "name", "intercept", "var_floor", "filters", "coef")
 
 def _filtered_covariances(projection, trials):
     # covariance of each trial after projection onto the columns of
-    # `projection`; (C, N, T) is C-contiguous, so channel-space filtering
-    # maps onto one large matmul over the flattened (N, T) axes
+    # `projection`; channel-space filtering is one large matmul over the
+    # flattened (N, T) axes, and the reshape copies a strided block once
     c, n, t = trials.shape
     flat = projection.T @ trials.reshape(c, n * t)
     return _covariance_stack(flat.reshape(projection.shape[1], n, t))
@@ -267,7 +267,8 @@ class PipelineSpec:
 
 def make_pipeline(spec):
     """Build a fresh, unfitted pipeline object from a spec."""
-    return PIPELINES[spec.validate().name][0](spec.name, spec.k, spec.classifier)
+    spec.validate()
+    return PIPELINES[spec.name][0](spec.name, spec.k, spec.classifier)
 
 
 def save_pipeline(pipe, path):

@@ -601,16 +601,6 @@ class TestBench:
         assert lines[0].startswith("pipeline,")
         assert len(lines) == 4  # CSP, TSSF_Var_1_step, TS_AIRM
 
-    def test_folds_flag(self, tmp_path, data_path, capsys):
-        # bench's grid searches take --folds as fit's and eval's do: 3 run,
-        # 13 exceed the 12 trials of a class
-        argv = ["bench", "--data", str(data_path), "--pipeline", "TS_AIRM", "--grid", "0.1,1",
-                "--reps", "10"]
-        assert main(argv + ["--folds", "3"]) == 0
-        capsys.readouterr()
-        assert main(argv + ["--folds", "13"]) == 2
-        assert "13 folds exceed the smaller class size 12" in capsys.readouterr().err
-
     def test_zero_reps_exits_2(self, tmp_path, data_path, capsys, monkeypatch):
         # rejected before the data is read, so no pipeline is fitted
         def fail(*args, **kwargs):
