@@ -12,10 +12,9 @@ checked by acceptance test 05 in ``tests/test_acceptance.py``.
 import numpy as np
 
 from .dataio import _check_count, _check_training_set
-from .errors import DegenerateModel
-from .manifold import SPD_TOL, _congruence, _from_eig, _half_powers, _spd_eigh
+from .manifold import _congruence, _from_eig, _half_powers, _spd_eigh
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
-from .tssf import _ranked_bank
+from .tssf import _check_above_rounding, _ranked_bank
 
 
 def fit_csp(covs, labels, k):
@@ -55,10 +54,6 @@ def fit_csp(covs, labels, k):
     # manifold._logm, keeping its eigenvalues: the generalized eigenvalues
     w, v = _spd_eigh(_congruence(inv_half, mean_pos), "class-mean covariance")
     log_eig = np.log(w)
-    if not np.abs(log_eig).max() > SPD_TOL:
-        # equal class means: every filter's variance ratio is 1 to rounding
-        raise DegenerateModel(
-            f"no |log generalized eigenvalue| exceeds {SPD_TOL:g}: the class-mean "
-            "covariances are equal to rounding, so no filter tells the classes apart"
-        )
+    # equal class means: every filter's variance ratio is 1 to rounding
+    _check_above_rounding(log_eig, "log generalized eigenvalue", "class-mean")
     return _ranked_bank(mean_neg, inv_half, _from_eig(log_eig, v), k)

@@ -23,8 +23,11 @@ A trial's covariance is ``X X^T / N`` of the trial with its channel means
 removed, checked SPD at ``manifold.SPD_TOL``. Every fit first checks its
 training set with ``_check_training_set``; every count and magnitude a
 caller passes goes through ``_check_count`` or ``_check_magnitude`` first.
+Every pass over the trials of a tensor goes through ``_blockwise``, and
+every CSV the library writes through ``_csv_text``.
 """
 
+import math
 import numbers
 import os
 import stat
@@ -79,6 +82,7 @@ class TrialSet:
 
     def trial(self, t):
         """The C x N data of trial ``t``."""
+        _check_count(t, "trial index", low=-self.n_trials, high=self.n_trials - 1)
         return self.data[:, :, t]
 
     def subset(self, indices):
@@ -135,8 +139,12 @@ def _check_magnitude(value, name, bound="positive"):
     # the one magnitude rule: a finite real, not a bool, "positive" or ">= 0" unless None
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidInput(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
     above = {"positive": value > 0, ">= 0": value >= 0, None: True}[bound]
-    if not (above and abs(value) < np.inf):  # NaN fails too
+    if not (above and math.isfinite(value)):
         raise InvalidInput(f"{name} must be {bound + ' and ' if bound else ''}finite")
 
 
@@ -212,10 +220,13 @@ def read_manifest(path):
     """Parse a manifest: one ``<session id> <file path>`` pair per line.
 
     Relative paths are resolved against the manifest's directory.
-    ``#`` starts a comment line.
+    ``#`` starts a comment line. A file listed twice (``b.eegt`` and
+    ``./b.eegt`` alike) raises ``FormatError``: its trials would be loaded
+    twice, and cross-validation would train on copies of held-out trials.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
+    first_line = {}  # resolved file -> the line that lists it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -233,6 +244,9 @@ def read_manifest(path):
             file_path = parts[1]
             if not os.path.isabs(file_path):
                 file_path = os.path.join(base, file_path)
+            first = first_line.setdefault(os.path.realpath(file_path), lineno)
+            if first != lineno:
+                raise FormatError(f"manifest line {lineno}: repeats the file of line {first}")
             entries.append((session, file_path))
     if not entries:
         raise FormatError("manifest lists no files")
@@ -260,6 +274,20 @@ def load_manifest(path):
     )
 
 
+def _csv_text(header, rows):
+    """CSV text: the header's names, then one line per row of cells.
+
+    The cell rule of every CSV the library writes: a floating cell, numpy
+    scalars of any width included, is ``repr(float(v))``, which ``float``
+    reads back bit-exactly; any other cell is ``str(v)``.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        cells = (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def _covariance_stack(data):
     """Per-trial sample covariances of a C x N x T tensor, shape (T, C, C).
 
@@ -278,13 +306,38 @@ def _covariance_stack(data):
     return covs
 
 
-# the block rule of every loop over the trials of a C x N x T tensor
+# the block rule of every pass over the trials of a C x N x T tensor
 # (covariances, pipeline scoring): a block's (T, C, N) copy stays near this
 _BLOCK_BYTES = 4 << 20
 
 
 def _trials_per_block(c, n):
     return max(1, _BLOCK_BYTES // (8 * c * n))
+
+
+def _blockwise(fn, data):
+    """``fn(data)`` of a C x N x T tensor, taken ``_trials_per_block`` trials at a time.
+
+    ``fn`` maps a C x N x t tensor to an array with one leading row per
+    trial. A tensor of one block (every single trial) is passed whole.
+    A ``NotPositiveDefinite`` that a block raises names its trial from 0:
+    ``fn`` of the whole tensor, failing at the same first trial, names it
+    by its index in the tensor.
+    """
+    if data.nbytes <= _BLOCK_BYTES:  # one block, as every online call is
+        return fn(data)
+    c, n, t = data.shape
+    block = _trials_per_block(c, n)
+    try:
+        first = fn(data[:, :, :block])
+        out = np.empty((t,) + first.shape[1:], dtype=first.dtype)
+        out[:block] = first
+        for lo in range(block, t, block):
+            out[lo : lo + block] = fn(data[:, :, lo : lo + block])
+    except NotPositiveDefinite:
+        fn(data)
+        raise
+    return out
 
 
 def _spd_covariances(data):
@@ -294,13 +347,10 @@ def _spd_covariances(data):
     the data stays at a few MiB however many trials there are; each
     covariance is the same bits as in one :func:`_covariance_stack` call.
     """
-    c, n, t = data.shape
+    c, n, _ = data.shape
     if c == 0 or n == 0:
         raise InvalidInput(f"trials of shape {data.shape} have no channels or no samples")
-    block = _trials_per_block(c, n)
-    covs = np.empty((t, c, c))
-    for lo in range(0, t, block):
-        covs[lo : lo + block] = _covariance_stack(data[:, :, lo : lo + block])
+    covs = _blockwise(_covariance_stack, data)
     try:
         return ensure_spd(covs, name="covariance")
     except NotPositiveDefinite as exc:
@@ -414,6 +464,8 @@ class SynthConfig:
                 key, value = key.strip(), value.strip()
                 if key not in fields:
                     raise InvalidInput(f"config line {lineno}: unknown key {key!r}")
+                if key in kwargs:  # a second value would silently win
+                    raise InvalidInput(f"config line {lineno}: key {key!r} given more than once")
                 kind = type(fields[key].default)
                 try:
                     if kind is tuple:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _check_count, covariances
+from .dataio import _check_count, _csv_text, covariances
 from .errors import DegenerateStatistic, DimMismatch, InvalidInput, TssfError
 
 
@@ -355,26 +355,20 @@ def bench_predict(fitted, trials, repetitions=10):
 
 
 def reports_to_csv(reports):
-    lines = ["pipeline,k,feature_kind,session,fold,auc"]
-    for rep in reports:
-        for s, f, auc in zip(rep.sessions, rep.folds, rep.aucs):
-            lines.append(f"{rep.pipeline},{rep.k},{rep.feature_kind},{s},{f},{float(auc)!r}")
-    return "\n".join(lines) + "\n"
+    header = ("pipeline", "k", "feature_kind", "session", "fold", "auc")
+    rows = (
+        (rep.pipeline, rep.k, rep.feature_kind, *cells)
+        for rep in reports
+        for cells in zip(rep.sessions, rep.folds, rep.aucs)
+    )
+    return _csv_text(header, rows)
 
 
 def comparisons_to_csv(comparisons):
-    lines = ["pipeline_a,pipeline_b,n,smd,p_value"]
-    for cmp in comparisons:
-        smd_txt = repr(cmp.smd) if np.isfinite(cmp.smd) else "nan"
-        lines.append(f"{cmp.name_a},{cmp.name_b},{cmp.n},{smd_txt},{float(cmp.p_value)!r}")
-    return "\n".join(lines) + "\n"
+    rows = ((c.name_a, c.name_b, c.n, c.smd, c.p_value) for c in comparisons)
+    return _csv_text(("pipeline_a", "pipeline_b", "n", "smd", "p_value"), rows)
 
 
 def bench_to_csv(rows):
-    lines = ["pipeline,n_trials,repetitions,median_per_trial_s,iqr_per_trial_s"]
-    for row in rows:
-        lines.append(
-            f"{row.pipeline},{row.n_trials},{row.repetitions},"
-            f"{row.median_per_trial_s!r},{row.iqr_per_trial_s!r}"
-        )
-    return "\n".join(lines) + "\n"
+    header = ("pipeline", "n_trials", "repetitions", "median_per_trial_s", "iqr_per_trial_s")
+    return _csv_text(header, ([getattr(row, name) for name in header] for row in rows))

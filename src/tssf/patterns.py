@@ -11,6 +11,7 @@ reduces to the inverse transpose of F.
 import numpy as np
 import scipy.linalg
 
+from .dataio import _csv_text
 from .errors import DimMismatch, InvalidInput
 from .manifold import ensure_spd
 
@@ -50,8 +51,5 @@ def patterns_to_csv(patterns, channel_names):
     """Render a (C, K) pattern array as CSV: one row per channel, one column per component."""
     if len(channel_names) != patterns.shape[0]:
         raise DimMismatch("need one channel name per pattern row")
-    header = "channel," + ",".join(f"comp{i}" for i in range(patterns.shape[1]))
-    lines = [header]
-    for name, row in zip(channel_names, patterns):
-        lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    header = ["channel"] + [f"comp{i}" for i in range(patterns.shape[1])]
+    return _csv_text(header, ([name, *row] for name, row in zip(channel_names, patterns)))

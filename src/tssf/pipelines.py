@@ -29,9 +29,9 @@ labels)`` on the (T, C, C) covariance stack of the training trials:
 caller that fits several pipelines on one training set (``tssf eval``,
 ``tssf bench``) estimates its covariances once. Test-trial covariances
 are always recomputed from the trial data, never taken from a stored
-covariance, mirroring online use. A tensor is scored in blocks of
-``dataio._trials_per_block`` trials, so scoring holds a few MiB of
-temporaries however long the batch.
+covariance, mirroring online use. A tensor is scored block by block through
+``dataio._blockwise``, so scoring holds a few MiB of temporaries however
+long the batch.
 
 Every ``fit`` ends in the same compiled form: the filters P, one weight
 per column of P, an intercept and a floor. One scoring function serves
@@ -58,13 +58,14 @@ the patterns of P, so pattern j belongs to column j and weight j.
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .csp import fit_csp
 from .dataio import _check_count, _check_training_set, _covariance_stack, _spd_covariances
-from .dataio import _BLOCK_BYTES, _trials_per_block
-from .errors import DimMismatch, FormatError, InvalidInput, NotPositiveDefinite
+from .dataio import _blockwise
+from .errors import DimMismatch, FormatError, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import SPD_TOL, _congruence, _diag_logm, _half_powers, unvec
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
@@ -106,8 +107,8 @@ def _filtered_variances(projection, trials):
 def _compiled_scores(self, trials):
     """Decision scores of a C x N x T tensor, one per trial.
 
-    Scored in blocks of ``dataio._trials_per_block`` trials that each
-    scoring route copies, so a strided tensor is not copied whole.
+    Scored by ``dataio._blockwise`` in blocks that each scoring route
+    copies, so a strided tensor is not copied whole.
     """
     trials = np.asarray(trials, dtype=float)
     p = self.filters
@@ -116,20 +117,7 @@ def _compiled_scores(self, trials):
             f"trials of shape {trials.shape} do not fit filters of shape "
             f"{p.shape}: expected ({p.shape[0]}, N, T) with N >= 1"
         )
-    if trials.nbytes <= _BLOCK_BYTES:  # one block, as every online call is: no block loop
-        return _block_scores(self, trials)
-    c, n, t = trials.shape
-    block = _trials_per_block(c, n)
-    scores = np.empty(t)
-    try:
-        for lo in range(0, t, block):
-            scores[lo : lo + block] = _block_scores(self, trials[:, :, lo : lo + block])
-    except NotPositiveDefinite:
-        # a block names its trials from 0: the whole tensor, failing at the
-        # same first trial, names it by its index in the tensor
-        _block_scores(self, trials)
-        raise
-    return scores
+    return _blockwise(partial(_block_scores, self), trials)
 
 
 def _block_scores(self, trials):

@@ -99,6 +99,17 @@ def _fit_key(covs, labels, model_cfg):
     return digest.digest()
 
 
+def _check_above_rounding(logs, what, whose):
+    # the degeneracy rule of every filter source: covariances that are one
+    # matrix to rounding leave whitened logs of rounding size, which would
+    # fit weights of rounding size, and every trial would score the same
+    if not np.abs(logs).max() > SPD_TOL:
+        raise DegenerateModel(
+            f"no {what} exceeds {SPD_TOL:g} in magnitude: "
+            f"the {whose} covariances are equal to rounding"
+        )
+
+
 def fit_tangent_model(covs, labels, model_cfg=None):
     """Frechet mean of SPD matrices and a linear model on their tangent vectors.
 
@@ -138,13 +149,7 @@ def fit_tangent_model(covs, labels, model_cfg=None):
     if key == last_key:
         return last_result
     mean, logs = _frechet_mean_and_logs(covs)
-    if not np.abs(logs).max() > SPD_TOL:
-        # trials that are one matrix to rounding would fit weights of
-        # rounding size, and every trial would score the same constant
-        raise DegenerateModel(
-            f"no whitened training log exceeds {SPD_TOL:g} in magnitude: "
-            "the training covariances are equal to rounding"
-        )
+    _check_above_rounding(logs, "whitened training log", "training")
     model = fit_from_config(_vec(logs), labels, model_cfg)
     mean.setflags(write=False)
     model.weights.setflags(write=False)

@@ -62,7 +62,9 @@ class TestSynth:
         self, tmp_path, config_path, capsys, line, message
     ):
         # a NaN noise_sigma used to mean "no noise", and a NaN variance NaN trials
-        config_path.write_text(CONFIG + line + "\n")  # the later line wins
+        key = line.split(":")[0]
+        kept = [row for row in CONFIG.splitlines() if not row.startswith(key + ":")]
+        config_path.write_text("\n".join(kept + [line]) + "\n")  # a key is given once
         out = tmp_path / "x.eegt"
         assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -349,9 +351,11 @@ class TestEval:
             auc = line.split(",")[5]
             assert repr(float(auc)) == auc, line
 
-    def test_manifest_input(self, tmp_path, data_path):
+    def test_manifest_input(self, tmp_path, config_path, data_path):
+        other = tmp_path / "other.eegt"
+        assert main(["synth", "--config", str(config_path), "--out", str(other), "--seed", "12"]) == 0
         manifest = tmp_path / "manifest.txt"
-        manifest.write_text(f"0 {data_path}\n1 {data_path}\n")
+        manifest.write_text(f"0 {data_path}\n1 {other}\n")
         out = tmp_path / "r.csv"
         code = main(
             ["eval", "--manifest", str(manifest), "--pipeline", "CSP",

@@ -67,6 +67,20 @@ class TestTrialSet:
             with pytest.raises(InvalidInput, match=f"^trial index {first} is out of range for 6 "):
                 ts.subset(bad)
 
+    def test_trial_index_checked_by_the_count_rule(self, rng):
+        ts = small_set(rng, t=20)
+        np.testing.assert_array_equal(ts.trial(-20), ts.data[:, :, 0])
+        np.testing.assert_array_equal(ts.trial(np.int64(19)), ts.data[:, :, 19])
+        # not a bare IndexError from numpy, and True is not trial 1
+        for bad, match in [
+            (999, r"^trial index must be in \[-20, 19\], got 999$"),
+            (-21, r"^trial index must be in \[-20, 19\], got -21$"),
+            (2.5, "^trial index must be an integer, got 2.5$"),
+            (True, "^trial index must be an integer, got True$"),
+        ]:
+            with pytest.raises(InvalidInput, match=match):
+                ts.trial(bad)
+
     def test_subset_is_one_contiguous_copy(self, rng):
         ts = small_set(rng, t=7)
         idx = np.array([5, 0, 3, 3])
@@ -239,6 +253,17 @@ class TestManifest:
         manifest.write_text("0 a.eegt\n1 b.eegt\n2 c.eegt\n3 d.eegt\n")
         with pytest.raises(InvalidInput, match=r"manifest file \S*c\.eegt disagrees"):
             dataio.load_manifest(manifest)
+
+    def test_file_listed_twice_rejected(self, tmp_path, rng):
+        # one file's trials loaded twice would put copies of held-out trials
+        # in their own training split; the line of the repeat is named
+        dataio.write_trials(small_set(rng), tmp_path / "b.eegt")
+        manifest = tmp_path / "m.txt"
+        for text in ("0 b.eegt\n0 ./b.eegt\n", f"0 b.eegt\n# again\n1 {tmp_path / 'b.eegt'}\n"):
+            manifest.write_text(text)
+            line = text.count("\n")
+            with pytest.raises(FormatError, match=f"^manifest line {line}: repeats the file of line 1$"):
+                dataio.load_manifest(manifest)
 
     def test_bad_lines(self, tmp_path):
         manifest = tmp_path / "m.txt"
@@ -470,6 +495,13 @@ class TestSynth:
             dataio.SynthConfig.from_text(path)
         path.write_text("# no colon below\nchannels 4\n")
         with pytest.raises(InvalidInput, match="config line 2: expected 'key: value'"):
+            dataio.SynthConfig.from_text(path)
+
+    def test_config_key_given_twice_rejected(self, tmp_path):
+        # the second value used to win without a word
+        path = tmp_path / "synth.cfg"
+        path.write_text("seed: 1\nchannels: 4\nseed: 2\n")
+        with pytest.raises(InvalidInput, match="^config line 3: key 'seed' given more than once$"):
             dataio.SynthConfig.from_text(path)
 
     def test_config_values_read_by_field_type(self, tmp_path):

@@ -344,3 +344,25 @@ class TestCsvWriters:
         rows = evalstats.bench_predict({"o": _OraclePipeline()}, ts.data, repetitions=10)
         csv3 = evalstats.bench_to_csv(rows)
         assert csv3.startswith("pipeline,n_trials,repetitions,median_per_trial_s,iqr_per_trial_s\n")
+
+    def test_numpy_fields_written_as_plain_floats(self):
+        # every floating cell is repr(float(v)), whatever its numpy width:
+        # an f-string's !r wrote "np.float64(0.00045)" into bench and
+        # comparison CSVs
+        f64, f32 = np.float64(0.00045), np.float32(0.1)
+        row = evalstats.BenchRow("CSP", np.int64(10), 3, f64, f32)
+        cmp = evalstats.PairedComparison("A", "B", np.zeros(3), np.zeros(3), np.float64(-1.5), f32)
+        report = evalstats.EvalReport(
+            "CSP", 4, "logvar", np.array([0], np.uint32), np.array([1]),
+            np.array([2 / 3], np.float32), np.zeros(1), np.zeros(1),
+        )
+        for text, floats in [
+            (evalstats.bench_to_csv([row]), [f64, f32]),
+            (evalstats.comparisons_to_csv([cmp]), [np.float64(-1.5), f32]),
+            (evalstats.reports_to_csv([report]), [report.aucs[0]]),
+        ]:
+            cells = text.split("\n")[1].split(",")
+            assert all(is_plain_float(cell) for cell in cells[-len(floats) :]), text
+            read = [type(v)(float(cell)) for v, cell in zip(floats, cells[-len(floats) :])]
+            assert [v.tobytes() for v in read] == [v.tobytes() for v in floats]
+        assert evalstats.bench_to_csv([row]).split("\n")[1].startswith("CSP,10,3,")

@@ -4,7 +4,9 @@ A name bound by an import and never read is left-over surface. An import
 kept on purpose (a re-export) says so with ``# noqa: F401`` on its line.
 The package's ``__init__.py`` re-exports by design and is not checked for
 imports. Likewise, a private (``_``-prefixed) module-level function, class
-or constant that no module of the package reads is dead code.
+or constant that no module of the package reads is dead code. No module
+imports another module's private ``_UPPER_CASE`` constant by name: such a
+binding is a copy that neither a patch nor an edit of the original reaches.
 
 Imports sit at module level: ``import tssf`` loads every module of the
 package, so an import inside a function only binds a name already loaded.
@@ -13,6 +15,7 @@ The one exception defers a module that ``import tssf`` must not load.
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -87,6 +90,31 @@ def test_no_unused_import(module):
 def test_the_check_sees_an_unused_import():
     source = "import os\nfrom numpy import linalg, fft\nfrom a import b  # noqa: F401\nfft.x\n"
     assert unused_imports(source) == [(1, "os"), (2, "linalg")]
+
+
+def copied_private_constants(source):
+    """(line, name) of each private ``_UPPER_CASE`` name imported by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.extend(
+                (node.lineno, alias.name)
+                for alias in node.names
+                if re.fullmatch(r"_[A-Z][A-Z0-9_]*", alias.name)
+            )
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(MODULES + ["__init__.py"]))
+def test_no_private_constant_is_copied(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert copied_private_constants(fh.read()) == []
+
+
+def test_the_check_sees_a_copied_private_constant():
+    source = "from .dataio import _BLOCK_BYTES, _blockwise, X\nfrom . import _T2\nimport _Z\n"
+    source += "def f():\n    from a import _B as b, __ALL__\n"
+    assert copied_private_constants(source) == [(1, "_BLOCK_BYTES"), (2, "_T2"), (5, "_B")]
 
 
 # (module file, function, imported module) of each import kept in a function

@@ -99,15 +99,21 @@ ENTRIES = [
 ]
 
 
+HUGE = 10**400  # an int beyond the float range: float() of it overflows
+
+
 def _cases():
     for entry, name, rule, out_of_range, call in ENTRIES:
         values = [True, math.nan, math.inf, -math.inf]
         if rule == "count":
             values = [2.5, 2.0] + values
+        else:
+            values.append(HUGE)
         if out_of_range is not None:
             values.append(out_of_range)
         for value in values:
-            yield pytest.param(name, call, value, id=f"{entry}-{name}-{value!r}")
+            label = "10**400" if value is HUGE else repr(value)
+            yield pytest.param(name, call, value, id=f"{entry}-{name}-{label}")
 
 
 @pytest.mark.parametrize("name, call, value", list(_cases()))
@@ -124,6 +130,7 @@ def test_numpy_scalars_pass_both_rules():
     dataio._check_count(np.int64(3), "k", high=3)
     dataio._check_count(np.uint32(0), "seed", low=0)
     dataio._check_magnitude(np.float32(0.5), "reg")
+    dataio._check_magnitude(np.finfo(np.float32).max, "reg")  # no overflow warning
     dataio._check_magnitude(0, "noise_sigma", ">= 0")
     dataio._check_magnitude(-2.5, "intercept", None)
     with pytest.raises(InvalidInput, match="^k must be an integer, got "):

@@ -61,6 +61,14 @@ class TestCsv:
         assert len(lines) == 4
         assert lines[1].startswith("C3,")
 
+    def test_float32_patterns_read_back_bit_exactly(self, rng):
+        out = patterns.compute_patterns(random_invertible(rng, 3)[:, :2], random_spd(rng, 3))
+        out32 = out.astype(np.float32)
+        rows = [line.split(",") for line in patterns.patterns_to_csv(out32, ["a", "b", "c"]).split()]
+        read = np.array([[float(cell) for cell in row[1:]] for row in rows[1:]], np.float32)
+        assert read.tobytes() == out32.tobytes()
+        assert all(repr(float(cell)) == cell for row in rows[1:] for cell in row[1:])
+
     def test_name_count_mismatch(self, rng):
         f = random_invertible(rng, 3)[:, :2]
         out = patterns.compute_patterns(f, random_spd(rng, 3))

@@ -946,6 +946,34 @@ def test_batch_scored_in_blocks_equals_single_trial_calls(name):
         pipe.decision_scores(trials)
 
 
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_scoring_takes_its_blocks_from_dataio(name, monkeypatch):
+    # a patched block bound reaches scoring: the whole-or-blocked choice and
+    # the walk over blocks are dataio's, not a copy of its bound
+    train, labels, test = workload_split("eval-c8-grid")
+    c, n, t = test.shape  # 100 trials of 8 x 256
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name, k=4, classifier=FIXED))
+    pipe.fit(train, labels)
+    whole = pipe.decision_scores(test)
+    seen = []
+
+    def spy(self, trials):
+        seen.append(trials.shape[2])
+        return block_scores(self, trials)
+
+    block_scores = pipelines._block_scores
+    monkeypatch.setattr(pipelines, "_block_scores", spy)
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 3 * 8 * c * n)  # blocks of 3 trials
+    scores = pipe.decision_scores(test)
+    assert seen == [3] * (t // 3) + [t % 3]
+    np.testing.assert_allclose(scores, whole, rtol=1e-12, atol=1e-12 * np.abs(whole).max())
+    # a bad trial of a later block is named by its index in the batch
+    test = test.copy()
+    test[:, :, 3 * 5 + 1] = 0.0
+    with pytest.raises(NotPositiveDefinite, match="covariance 16 is not positive"):
+        pipe.decision_scores(test)
+
+
 def test_ts_airm_scores_a_long_batch_in_bounded_memory():
     # 200 trials of 64 x 256 (26 MiB), the length of perfbench's online
     # stream; scored in one piece they held 31 MiB of temporaries
