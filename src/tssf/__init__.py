@@ -72,7 +72,6 @@ from .linmodel import (
 from .tssf import (
     DIAGLOGCOV,
     FEATURE_KINDS,
-    LOGCOV,
     LOGVAR,
     TssfModel,
     apply_filters,
@@ -112,6 +111,7 @@ from .evalstats import (
     wilcoxon_one_sided,
 )
 from .pipelines import (
+    LOGCOV,
     PIPELINE_NAMES,
     PipelineSpec,
     load_pipeline,

@@ -307,7 +307,7 @@ def _covariance_stack(data):
 
 
 # the block rule of every pass over the trials of a C x N x T tensor
-# (covariances, pipeline scoring): a block's (T, C, N) copy stays near this
+# (covariances, pipeline scoring): what it copies or allocates stays near this
 _BLOCK_BYTES = 4 << 20
 
 
@@ -315,28 +315,33 @@ def _trials_per_block(c, n):
     return max(1, _BLOCK_BYTES // (8 * c * n))
 
 
-def _blockwise(fn, data):
+def _blockwise(fn, data, rows=None):
     """``fn(data)`` of a C x N x T tensor, taken ``_trials_per_block`` trials at a time.
 
     ``fn`` maps a C x N x t tensor to an array with one leading row per
-    trial. A tensor of one block (every single trial) is passed whole.
-    A ``NotPositiveDefinite`` that a block raises names its trial from 0:
-    ``fn`` of the whole tensor, failing at the same first trial, names it
-    by its index in the tensor.
+    trial. A tensor of one block (every single trial) is passed whole, and
+    so is a C-contiguous one while the ``rows`` x N x T floats that ``fn``
+    allocates from a view of it fit the block. A ``NotPositiveDefinite``
+    from a later block names its trial from 0: ``fn`` of the trials through
+    that block (all of them, for a view) names it by its index in the tensor.
     """
     if data.nbytes <= _BLOCK_BYTES:  # one block, as every online call is
         return fn(data)
     c, n, t = data.shape
+    view = rows is not None and data.flags.c_contiguous
+    if view and 8 * rows * n * t <= _BLOCK_BYTES:
+        return fn(data)
     block = _trials_per_block(c, n)
-    try:
-        first = fn(data[:, :, :block])
-        out = np.empty((t,) + first.shape[1:], dtype=first.dtype)
-        out[:block] = first
-        for lo in range(block, t, block):
-            out[lo : lo + block] = fn(data[:, :, lo : lo + block])
-    except NotPositiveDefinite:
-        fn(data)
-        raise
+    for lo in range(0, t, block):
+        try:
+            part = fn(data[:, :, lo : lo + block])
+        except NotPositiveDefinite:
+            if lo:
+                fn(data if view else data[:, :, : lo + block])
+            raise
+        if not lo:
+            out = np.empty((t,) + part.shape[1:], dtype=part.dtype)
+        out[lo : lo + block] = part
     return out
 
 

@@ -358,7 +358,11 @@ def log_map_at(ref, x):
     ref = _check_symmetric(ref, "ref", stack=False)
     x = _check_symmetric(x, "x")
     _check_same_dim(ref, x)
-    half, inv_half = _half_powers(ref)
+    return _log_map(*_half_powers(ref), x)
+
+
+def _log_map(half, inv_half, x):
+    # log_map_at past its checks, for a caller that holds ref's half powers
     return _congruence(half, _logm(_congruence(inv_half, x)))
 
 

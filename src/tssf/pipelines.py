@@ -29,7 +29,7 @@ labels)`` on the (T, C, C) covariance stack of the training trials:
 caller that fits several pipelines on one training set (``tssf eval``,
 ``tssf bench``) estimates its covariances once. Test-trial covariances
 are always recomputed from the trial data, never taken from a stored
-covariance, mirroring online use. A tensor is scored block by block through
+covariance, mirroring online use. A tensor is scored through
 ``dataio._blockwise``, so scoring holds a few MiB of temporaries however
 long the batch.
 
@@ -37,11 +37,11 @@ Every ``fit`` ends in the same compiled form: the filters P, one weight
 per column of P, an intercept and a floor. One scoring function serves
 all pipelines: for a trial x with covariance S and W = P^T S P it returns
 ``w . log diag W`` (CSP, TSSF_Var_*) or ``w . diag logm W`` (the others),
-plus the intercept. A classifier that weighs a whole log matrix,
-``<B, logm W>``, is folded into that form at fit: with B = U diag(mu) U^T,
-``<B, logm W> = mu . diag logm(U^T W U)``, so P becomes P U and w = mu,
-the paper's filters with one weight per filter (TSSF_LogCov_2_step's
-second SVM is such a classifier). diag W is taken as the
+plus the intercept. TSSF_LogCov_2_step's second SVM, on the "logcov"
+features ``vec(log_map_at(m_f, F^T S F))`` that only this module knows,
+is a linear function on the tangent space at m_f, the Frechet mean of the
+filtered training covariances: :func:`~tssf.tssf.tangent_filters` makes it
+K filters G, so P = F G and w is G's ``full_beta``. diag W is taken as the
 variances of the rows of P^T x, and diag logm W from the eigenpairs of
 W, so no log matrix or tangent vector is built. For the log-matrix kinds,
 a square P (TS_AIRM, or TSSF with K = C) is applied to the C x C
@@ -67,17 +67,11 @@ from .dataio import _check_count, _check_training_set, _covariance_stack, _spd_c
 from .dataio import _blockwise
 from .errors import DimMismatch, FormatError, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
-from .manifold import SPD_TOL, _congruence, _diag_logm, _half_powers, unvec
-from .manifold import frechet_mean  # noqa: F401  (re-exported)
-from .tssf import (
-    DIAGLOGCOV,
-    LOGCOV,
-    LOGVAR,
-    _filtered_features,
-    _log_variances,
-    extract_tssf,
-)
+from .manifold import SPD_TOL, _congruence, _diag_logm, _half_powers, _log_map, _vec
+from .manifold import frechet_mean, unvec
+from .tssf import DIAGLOGCOV, LOGVAR, _filtered_features, _log_variances, _ranked_bank, extract_tssf
 
+LOGCOV = "logcov"  # a pipeline's kind only: no bank computes these features
 MODEL_FORMAT = "pipeline/4"  # the one model file layout save_pipeline writes
 _MODEL_FIELDS = ("format", "name", "intercept", "var_floor", "filters", "coef")
 
@@ -107,8 +101,7 @@ def _filtered_variances(projection, trials):
 def _compiled_scores(self, trials):
     """Decision scores of a C x N x T tensor, one per trial.
 
-    Scored by ``dataio._blockwise`` in blocks that each scoring route
-    copies, so a strided tensor is not copied whole.
+    Scored by ``dataio._blockwise``, so a strided tensor is not copied whole.
     """
     trials = np.asarray(trials, dtype=float)
     p = self.filters
@@ -117,7 +110,11 @@ def _compiled_scores(self, trials):
             f"trials of shape {trials.shape} do not fit filters of shape "
             f"{p.shape}: expected ({p.shape[0]}, N, T) with N >= 1"
         )
-    return _blockwise(partial(_block_scores, self), trials)
+    # the rows x N x T floats a route allocates from a view of the trials: K
+    # filtered rows, twice that for a covariance; a square P copies the trials
+    k = p.shape[1]
+    rows = k if self.feature_kind == LOGVAR else 2 * k if k < p.shape[0] else None
+    return _blockwise(partial(_block_scores, self), trials, rows)
 
 
 def _block_scores(self, trials):
@@ -161,9 +158,9 @@ class TssfPipeline:
         return self._k if self.filters is None else self.filters.shape[1]
 
     def _extract(self, covs, labels, k):
-        return extract_tssf(
-            covs, labels, k, model_cfg=self.classifier_cfg, feature_kind=self.feature_kind
-        )
+        # no bank has "logcov" features: that pipeline's second SVM weighs them
+        kind = LOGVAR if self.feature_kind == LOGCOV else self.feature_kind
+        return extract_tssf(covs, labels, k, model_cfg=self.classifier_cfg, feature_kind=kind)
 
     def fit(self, trials, labels):
         trials, labels = _check_training_set(trials, labels, trial_axis=2)
@@ -177,16 +174,20 @@ class TssfPipeline:
         if self.one_step:
             weights, intercept = self.model.beta, self.model.intercept
         else:
-            feats = _filtered_features(self.model, _congruence(projection, covs), self.feature_kind)
+            stack = _congruence(projection, covs)
+            if self.feature_kind == LOGCOV:
+                ref = frechet_mean(stack)
+                half, inv_half = _half_powers(ref)
+                feats = _vec(_log_map(half, inv_half, stack))
+            else:
+                feats = _filtered_features(stack, self.feature_kind)
             self.clf = fit_from_config(feats, labels, self.classifier_cfg)
             weights, intercept = self.clf.weights, self.clf.intercept
-        if self.feature_kind == LOGCOV:
-            # w . vec(h L h) = <B, L> for B = h unvec(w) h, h = filtered_mean^{1/2}
-            # and L = logm(h^-1 F^T S F h^-1), the log filtered by F h^-1; with
-            # B = U diag(mu) U^T that is mu . diag logm of S filtered by F h^-1 U
-            half, inv_half = _half_powers(self.model.filtered_mean)
-            weights, u = np.linalg.eigh(_congruence(half, unvec(weights)))
-            projection = projection @ inv_half @ u
+            if self.feature_kind == LOGCOV:
+                # w weighs the whitened log logm(m_f^-1/2 S m_f^-1/2) of a filtered
+                # S by B = m_f^1/2 unvec(w) m_f^1/2, so B's bank at m_f scores it
+                bank = _ranked_bank(ref, inv_half, _congruence(half, unvec(weights)), len(ref))
+                projection, weights = projection @ bank.full_filters, bank.full_beta
         # C-contiguous arrays, as load_pipeline reads them, so BLAS sees one
         # layout and a loaded pipeline scores the same bits
         self.filters = np.ascontiguousarray(projection, dtype=float)

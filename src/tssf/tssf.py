@@ -22,9 +22,10 @@ compute it once; the arrays it returns are read-only.
 
 The per-trial functions (:func:`apply_filters`, :func:`compute_features`,
 :func:`predict_one_step`) work on one filtered trial at a time and are the
-reference that the pipelines' scores are tested against. Whole pipelines,
-their one compiled scoring route and their model file live
-in :mod:`tssf.pipelines`; this module keeps no file format of its own.
+reference that the pipelines' scores are tested against; a bank has the two
+kinds of features its coefficients score, "logvar" and "diaglogcov". Whole
+pipelines (TSSF_LogCov_2_step's tangent vectors too), their one compiled
+scoring route and their model file live in :mod:`tssf.pipelines`.
 """
 
 import hashlib
@@ -53,21 +54,22 @@ from .manifold import (
     _logm,
     _vec,
     ensure_spd,
-    frechet_mean,
     sym_eig,
     unvec,
 )
+from .manifold import frechet_mean  # noqa: F401  (re-exported)
 
 LOGVAR = "logvar"
 DIAGLOGCOV = "diaglogcov"
-LOGCOV = "logcov"
-FEATURE_KINDS = (LOGVAR, DIAGLOGCOV, LOGCOV)
-ONE_STEP_KINDS = (LOGVAR, DIAGLOGCOV)
+FEATURE_KINDS = (LOGVAR, DIAGLOGCOV)
 
 
 def _check_kind(kind):
     if kind not in FEATURE_KINDS:
-        raise UnsupportedFeatureKind(f"unknown feature kind {kind!r}")
+        raise UnsupportedFeatureKind(
+            f"a filter bank has no {kind!r} features, only {LOGVAR!r} and {DIAGLOGCOV!r}; the "
+            "tangent vector of a filtered covariance at a point ref is vec(log_map_at(ref, cov))"
+        )
     return kind
 
 
@@ -165,9 +167,8 @@ class TssfModel:
     ``full_filters`` are all C filters in ranked order (``filters`` is their
     K-column prefix), ``full_beta`` the matching log-eigenvalues (``beta``
     is their K-prefix, the one-step coefficients), ``reference_mean`` the
-    point whose tangent space the weights live in, and ``filtered_mean``
-    the Frechet mean of the K x K filtered training covariances (the
-    reference of "logcov" features; None for models of any other kind).
+    point whose tangent space the weights live in, and ``feature_kind``
+    the features of the filtered covariances that ``beta`` scores.
     """
 
     filters: np.ndarray
@@ -176,7 +177,6 @@ class TssfModel:
     reference_mean: np.ndarray
     full_filters: np.ndarray
     full_beta: np.ndarray
-    filtered_mean: np.ndarray | None = None
     feature_kind: str = LOGVAR
 
     @property
@@ -239,8 +239,8 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
     model_cfg : ClassifierConfig, optional
         Tangent-space classifier (default: SVM with inner-CV grid search).
     feature_kind : str
-        Feature type this model is meant to produce. Only a "logcov" model
-        gets a ``filtered_mean``, the reference of its features.
+        Feature type this model is meant to produce, "logvar" or
+        "diaglogcov"; any other raises UnsupportedFeatureKind.
 
     Returns
     -------
@@ -265,8 +265,6 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
 
     mean, model = fit_tangent_model(covs, labels, model_cfg)
     bank = tangent_filters(mean, unvec(model.weights), k, model.intercept)
-    if feature_kind == LOGCOV:
-        bank = replace(bank, filtered_mean=frechet_mean(_congruence(bank.filters, covs)))
     return replace(bank, feature_kind=feature_kind)
 
 
@@ -286,8 +284,8 @@ def compute_features(model, filtered_cov, kind=None):
     """Features of a K x K filtered covariance matrix.
 
     ``logvar``: log of the diagonal (length K). ``diaglogcov``: diagonal
-    of the matrix logarithm (length K). ``logcov``: tangent vector of the
-    covariance at the filtered-space Frechet mean (length K(K+1)/2). A
+    of the matrix logarithm (length K). No other kind: its tangent vector at
+    a point ``ref`` is ``vec(log_map_at(ref, filtered_cov))``. A
     ``(..., K, K)`` stack gives one feature row per matrix. ``kind``
     defaults to the model's own.
     """
@@ -296,28 +294,21 @@ def compute_features(model, filtered_cov, kind=None):
     k = model.filters.shape[1]
     if cov.shape[-1] != k:
         raise DimMismatch(f"filtered covariance must be {k} x {k}")
-    return _filtered_features(model, cov, kind)
+    return _filtered_features(cov, kind)
 
 
-def _filtered_features(model, covs, kind):
+def _filtered_features(covs, kind):
     """Features of a stack of filtered covariances, without validation.
 
     The one feature map behind :func:`compute_features` and the pipelines'
-    training features (pipelines score without building log-matrix
-    features, see ``pipelines``). Non-SPD input raises
+    diagonal training features (pipelines score without building
+    log-matrix features, see ``pipelines``). Non-SPD input raises
     :class:`~tssf.errors.NotPositiveDefinite` naming the first failing
-    matrix; "logvar" checks only that every variance is positive and
-    finite.
+    matrix; "logvar" checks only that every variance is positive and finite.
     """
     if kind == LOGVAR:
         return _log_variances(covs.diagonal(0, -2, -1))
-    if kind == DIAGLOGCOV:
-        return _diag_logm(covs, "filtered covariance")
-    if model.filtered_mean is None:
-        kind = model.feature_kind
-        raise UnsupportedFeatureKind(f"'logcov' features of a model extracted for {kind!r}")
-    half, inv_half = _half_powers(model.filtered_mean)
-    return _vec(_congruence(half, _logm(_congruence(inv_half, covs), "filtered covariance")))
+    return _diag_logm(covs, "filtered covariance")
 
 
 def _log_variances(var, var_floor=0.0):
@@ -342,18 +333,13 @@ def predict_one_step(model, features, kind=None):
     """Score features directly with the sorted coefficients ``beta``.
 
     ``score = beta . features + intercept``; the label is the sign of the
-    score with sign(0) = +1. Only "logvar" and "diaglogcov" features are
-    one-step scorable.
+    score with sign(0) = +1.
 
     Returns
     -------
     (score, label)
     """
-    kind = kind or model.feature_kind
-    if kind not in ONE_STEP_KINDS:
-        raise UnsupportedFeatureKind(
-            f"one-step scoring needs diagonal features, not {kind!r}"
-        )
+    _check_kind(kind or model.feature_kind)
     features = np.asarray(features, dtype=float)
     if features.shape != (model.k,):
         raise InvalidInput(f"expected {model.k} features, got shape {features.shape}")

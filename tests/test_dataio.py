@@ -315,6 +315,51 @@ class TestEmpiricalCovariance:
         monkeypatch.setattr(dataio, "_BLOCK_BYTES", 3 * 8 * 3 * 20)  # blocks of 3, 3, 3, 1
         np.testing.assert_array_equal(dataio._spd_covariances(data), one)
 
+    def test_a_view_route_takes_a_contiguous_tensor_whole_while_its_rows_fit(self, monkeypatch):
+        # blocks of 15 trials of 4 x 5; an fn that filters a view of a
+        # C-contiguous tensor onto 2 rows allocates 2 x 5 x 30 floats whole
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 8 * 2 * 5 * 30)
+        seen = []
+
+        def fn(block):
+            seen.append(block.shape[2])
+            return np.zeros(block.shape[2])
+
+        contiguous = np.zeros((4, 5, 30))
+        strided = np.zeros((4, 5, 60))[:, :, :30]
+        for data, rows, blocks in [
+            (contiguous, 2, [30]),
+            (contiguous, 3, [15, 15]),
+            (contiguous, None, [15, 15]),
+            (strided, 2, [15, 15]),
+        ]:
+            seen.clear()
+            assert dataio._blockwise(fn, data, rows).shape == (30,)
+            assert seen == blocks, (data.flags.c_contiguous, rows)
+
+    def test_a_failing_block_is_rescored_through_its_end_only(self, monkeypatch):
+        # blocks of 3 trials of 2 x 4; trial 7, in the third block, fails:
+        # the rescore that names it by its index in the tensor takes trials
+        # 0-8, not all 20, and a failure in the first block is not rescored.
+        # An fn that filters a view takes all 20, which it does not copy
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 3 * 8 * 2 * 4)
+        seen = []
+
+        def fn(block):
+            seen.append(block.shape[2])
+            bad = np.flatnonzero(block[0, 0] < 0)
+            if bad.size:
+                raise NotPositiveDefinite(f"covariance {bad[0]} is not positive definite")
+            return np.zeros(block.shape[2])
+
+        for bad, rows, calls in [(7, None, [3, 3, 3, 9]), (1, None, [3]), (7, 2, [3, 3, 3, 20])]:
+            data = np.ones((2, 4, 20))
+            data[:, :, bad] = -1.0
+            seen.clear()
+            with pytest.raises(NotPositiveDefinite, match=f"^covariance {bad} "):
+                dataio._blockwise(fn, data, rows)
+            assert seen == calls
+
     def test_rank_deficient_trial_named(self, rng):
         ts = small_set(rng, c=3, n=50, t=5)
         ts.data[1, :, 3] = 2.5

@@ -149,13 +149,23 @@ def covariances_of(data):
     return tssf.covariances(trialset)
 
 
-def library_scores(pipe, trials):
-    """Scores of a fitted pipeline through the public library functions."""
-    filtered = np.stack(
-        [tssf.apply_filters(pipe.model, trials[:, :, t]) for t in range(trials.shape[2])], axis=2
-    )
-    covs = covariances_of(filtered)
-    feats = [tssf.compute_features(pipe.model, cov, pipe.feature_kind) for cov in covs]
+def library_scores(pipe, trials, train):
+    """Scores of a fitted pipeline through the public library functions.
+
+    ``train`` holds the training trials: the reference point of "logcov"
+    features is the Frechet mean of their filtered covariances.
+    """
+
+    def filtered_covariances(data):
+        filtered = [tssf.apply_filters(pipe.model, data[:, :, t]) for t in range(data.shape[2])]
+        return covariances_of(np.stack(filtered, axis=2))
+
+    covs = filtered_covariances(trials)
+    if pipe.feature_kind == tssf.LOGCOV:
+        ref = tssf.frechet_mean(filtered_covariances(train))
+        feats = [tssf.vec(tssf.log_map_at(ref, cov)) for cov in covs]
+    else:
+        feats = [tssf.compute_features(pipe.model, cov, pipe.feature_kind) for cov in covs]
     if pipe.one_step:
         return [tssf.predict_one_step(pipe.model, f)[0] for f in feats]
     return np.array(feats) @ pipe.clf.weights + pipe.clf.intercept
@@ -169,7 +179,7 @@ def test_scores_equal_library_route_and_single_trial_calls(name):
     pipe.fit(train, ts.labels[:30])
     for trials in (train, test):
         scores = pipe.decision_scores(trials)
-        expected = np.asarray(library_scores(pipe, trials))
+        expected = np.asarray(library_scores(pipe, trials, train))
         atol = 1e-12 * np.abs(expected).max()
         np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=atol)
         if name == "TS_AIRM":
@@ -262,7 +272,7 @@ def test_square_projection_scores_by_congruence():
     pipe = pipelines.make_pipeline(
         pipelines.PipelineSpec(name="TSSF_Cov_2_step", k=4, classifier=FIXED)
     ).fit(ts.data, ts.labels)
-    expected = np.asarray(library_scores(pipe, ts.data))
+    expected = np.asarray(library_scores(pipe, ts.data, ts.data))
     np.testing.assert_allclose(pipe.decision_scores(ts.data), expected, rtol=1e-12, atol=1e-12)
 
 
@@ -561,9 +571,10 @@ def test_tangent_model_fitted_once_for_shared_training_set(monkeypatch):
 
     monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
     # the tangent fit takes its mean (and logs) from _frechet_mean_and_logs,
-    # the "logcov" reference is a frechet_mean
-    for fn in ("frechet_mean", "_frechet_mean_and_logs"):
-        monkeypatch.setattr(tssf_module, fn, counting(getattr(tssf_module, fn)))
+    # the "logcov" pipeline its reference from frechet_mean
+    fn = "_frechet_mean_and_logs"
+    monkeypatch.setattr(tssf_module, fn, counting(getattr(tssf_module, fn)))
+    monkeypatch.setattr(pipelines, "frechet_mean", counting(pipelines.frechet_mean))
     for name in ("TSSF_Var_1_step", "TSSF_LogCov_2_step", "TS_AIRM"):
         spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
         pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
@@ -626,13 +637,46 @@ def test_training_features_by_congruence_equal_filtered_trials(name, monkeypatch
     spec = pipelines.PipelineSpec(name=name, k=4, classifier=FIXED)
     pipe = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
     filtered = covariances_of(np.tensordot(pipe.model.filters, ts.data, axes=(0, 0)))
-    if not pipe.one_step:
+    if pipe.feature_kind == tssf.LOGCOV:
+        expected = tssf.vec(tssf.log_map_at(tssf.frechet_mean(filtered), filtered))
+        (features,) = seen
+        np.testing.assert_allclose(
+            features, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
+        )
+    elif not pipe.one_step:
         expected = np.array(
             [tssf.compute_features(pipe.model, cov, pipe.feature_kind) for cov in filtered]
         )
         (features,) = seen
         np.testing.assert_allclose(
             features, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
+        )
+
+
+def test_logcov_scores_through_the_tangent_filters_of_its_second_svm():
+    # the second SVM, on vec(log_map_at(m_f, F^T S F)) at the Frechet mean
+    # m_f of the filtered training covariances, weighs the whitened log at
+    # m_f by B = m_f^1/2 unvec(w) m_f^1/2: the filters of that linear
+    # function, after F, are the compiled filters, each with its coefficient
+    ts = synth_set(seed=29, channels=6, trials=60)
+    train, labels, test = ts.data[:, :, :40], ts.labels[:40], ts.data[:, :, 40:]
+    spec = pipelines.PipelineSpec("TSSF_LogCov_2_step", k=3, classifier=FIXED)
+    pipe = pipelines.make_pipeline(spec).fit(train, labels)
+    f = pipe.model.filters
+    ref = tssf.frechet_mean(manifold._congruence(f, dataio._spd_covariances(train)))
+    half, _ = manifold._half_powers(ref)
+    bank = tssf.tangent_filters(ref, manifold._congruence(half, tssf.unvec(pipe.clf.weights)), 3)
+    np.testing.assert_array_equal(pipe.filters, f @ bank.full_filters)
+    np.testing.assert_array_equal(pipe._coef, bank.full_beta)
+    assert pipe._intercept == pipe.clf.intercept
+    # ranked like every bank: by descending |coefficient|
+    assert np.all(np.diff(np.abs(pipe._coef)) <= 0)
+    # and the scores are the second SVM's decision values
+    for trials in (train, test):
+        filtered = covariances_of(np.tensordot(f, trials, axes=(0, 0)))
+        expected = tssf.vec(tssf.log_map_at(ref, filtered)) @ pipe.clf.weights + pipe.clf.intercept
+        np.testing.assert_allclose(
+            pipe.decision_scores(trials), expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
         )
 
 
@@ -982,6 +1026,49 @@ def test_ts_airm_scores_a_long_batch_in_bounded_memory():
     spec = pipelines.PipelineSpec("TS_AIRM", k=6, classifier=FIXED)
     pipe = pipelines.make_pipeline(spec).fit(train, labels)
     assert traced_peak(pipe.decision_scores, batch) <= 12 << 20
+
+
+def test_a_failing_batch_is_rescored_in_bounded_memory():
+    # a zero trial in the first block of a 200-trial batch (26 MiB) is named
+    # from that block alone; rescoring the whole batch peaked at 33 MiB
+    train, labels, test = workload_split("eval-c64-fixed")
+    batch = np.concatenate([train, test, train], axis=2)[:, :, :200]
+    batch[:, :, 3] = 0.0
+    spec = pipelines.PipelineSpec("TS_AIRM", k=6, classifier=FIXED)
+    pipe = pipelines.make_pipeline(spec).fit(train, labels)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotPositiveDefinite, match="covariance 3 is not positive"):
+            pipe.decision_scores(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 << 20
+
+
+@pytest.mark.parametrize("name", ["TSSF_Var_1_step", "TSSF_Cov_2_step", "TSSF_LogCov_2_step"])
+def test_a_contiguous_batch_is_filtered_whole_without_a_copy(name, monkeypatch):
+    # 120 trials of 64 x 256 (15 MiB), C-contiguous: filtered through a
+    # view of the whole tensor, not a copy of each strided trial block, which
+    # peaked at 4.4 MiB; the 6 filtered rows of all 120 trials fit the block
+    train, labels, test = workload_split("eval-c64-fixed")
+    batch = np.ascontiguousarray(np.concatenate([test, train], axis=2)[:, :, :120])
+    assert batch.nbytes > 3 * dataio._BLOCK_BYTES
+    spec = pipelines.PipelineSpec(name, k=6, classifier=FIXED)
+    pipe = pipelines.make_pipeline(spec).fit(train, labels)
+    blocked = pipe.decision_scores(batch[:, :, ::-1])[::-1]  # strided: trial blocks
+    seen = []
+
+    def spy(self, trials):
+        seen.append(trials.shape[2])
+        return block_scores(self, trials)
+
+    block_scores = pipelines._block_scores
+    monkeypatch.setattr(pipelines, "_block_scores", spy)
+    assert traced_peak(pipe.decision_scores, batch) <= dataio._BLOCK_BYTES
+    assert seen == [120]
+    scores = pipe.decision_scores(batch)
+    np.testing.assert_allclose(scores, blocked, rtol=1e-12, atol=1e-12 * np.abs(blocked).max())
 
 
 def test_a_strided_batch_is_not_copied_whole():

@@ -228,7 +228,6 @@ class TestTangentFilters:
         np.testing.assert_array_equal(bank.filters, bank.full_filters[:, :2])
         np.testing.assert_array_equal(bank.beta, bank.full_beta[:2])
         assert bank.intercept == 0.0 and bank.feature_kind == tssf.LOGVAR
-        assert bank.filtered_mean is None
         np.testing.assert_array_equal(bank.reference_mean, ref)
         assert tssf.tangent_filters(ref, w, 2, intercept=-1.5).intercept == -1.5
 
@@ -258,7 +257,12 @@ class TestTangentFilters:
         for name in ("filters", "beta", "full_filters", "full_beta", "reference_mean"):
             np.testing.assert_array_equal(getattr(model, name), getattr(bank, name))
         assert model.intercept == bank.intercept and model.feature_kind == kind
-        assert (model.filtered_mean is None) == (kind != tssf.LOGCOV)
+
+    def test_no_bank_is_extracted_for_logcov(self, rng):
+        # a bank's coefficients score diagonal features only
+        covs, labels = synth_covs(rng)
+        with pytest.raises(UnsupportedFeatureKind, match="no 'logcov' features"):
+            tssf.extract_tssf(covs, labels, 2, feature_kind=tssf.LOGCOV)
 
     def test_ridge_full_rank_one_step_equals_its_decision_values(self, rng):
         # any linear model on tangent_vectors is a filter bank: ridge, not the SVM
@@ -332,14 +336,6 @@ class TestComputeFeatures:
             tssf.compute_features(model, cov, tssf.DIAGLOGCOV), oracle, atol=1e-12
         )
 
-    def test_logcov_length_and_reference(self, rng):
-        model, covs, _ = fitted_model(rng, k=2, kind=tssf.LOGCOV)
-        filtered = model.filters.T @ covs[0] @ model.filters
-        feats = tssf.compute_features(model, filtered, tssf.LOGCOV)
-        assert feats.shape == (3,)
-        oracle = manifold.vec(manifold.log_map_at(model.filtered_mean, filtered))
-        np.testing.assert_allclose(feats, oracle, atol=1e-12)
-
     def test_unknown_kind(self, rng):
         model, _, _ = fitted_model(rng, k=2)
         with pytest.raises(UnsupportedFeatureKind):
@@ -367,17 +363,21 @@ class TestComputeFeatures:
         ):
             tssf_module._log_variances(stack.reshape(8, 3, 3).diagonal(0, -2, -1))
 
-    @pytest.mark.parametrize("kind", [tssf.LOGVAR, tssf.DIAGLOGCOV])
-    def test_logcov_needs_a_logcov_model(self, rng, kind):
-        # only a "logcov" model holds the filtered-space mean its features need
+    @pytest.mark.parametrize("kind", tssf.FEATURE_KINDS)
+    def test_no_bank_has_logcov_features(self, rng, kind):
+        # the tangent vector of a filtered covariance needs a reference point
+        # that no bank holds: the error names the library call that takes one
         model, _, _ = fitted_model(rng, k=2, kind=kind)
-        assert model.filtered_mean is None
-        with pytest.raises(UnsupportedFeatureKind, match=f"'logcov' features of a model extracted for '{kind}'"):
+        with pytest.raises(
+            UnsupportedFeatureKind,
+            match=r"^a filter bank has no 'logcov' features, only 'logvar' and 'diaglogcov'; "
+            r".* is vec\(log_map_at\(ref, cov\)\)$",
+        ):
             tssf.compute_features(model, np.eye(2), tssf.LOGCOV)
 
     def test_csp_model_needs_an_explicit_kind(self, rng):
         # a CSP bank carries its kind: "logvar", the default when none is
-        # passed; "logcov" has no filtered-space mean to map at
+        # passed; like every bank it has no "logcov" features
         covs, labels = synth_covs(rng)
         model = tssf.fit_csp(covs, labels, 2)
         assert model.feature_kind == tssf.LOGVAR
@@ -386,7 +386,7 @@ class TestComputeFeatures:
             tssf.compute_features(model, cov, tssf.LOGVAR), np.log(np.diag(cov))
         )
         np.testing.assert_array_equal(tssf.compute_features(model, cov), np.log(np.diag(cov)))
-        with pytest.raises(UnsupportedFeatureKind, match="'logcov' features of a model extracted for 'logvar'"):
+        with pytest.raises(UnsupportedFeatureKind, match="no 'logcov' features"):
             tssf.compute_features(model, cov, tssf.LOGCOV)
 
 
