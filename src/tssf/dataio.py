@@ -319,26 +319,25 @@ def _blockwise(fn, data, rows=None):
     """``fn(data)`` of a C x N x T tensor, taken ``_trials_per_block`` trials at a time.
 
     ``fn`` maps a C x N x t tensor to an array with one leading row per
-    trial. A tensor of one block (every single trial) is passed whole, and
-    so is a C-contiguous one while the ``rows`` x N x T floats that ``fn``
-    allocates from a view of it fit the block. A ``NotPositiveDefinite``
-    from a later block names its trial from 0: ``fn`` of the trials through
-    that block (all of them, for a view) names it by its index in the tensor.
+    trial, and runs once per block. A tensor of one block (every single
+    trial) is passed whole, and so is a C-contiguous one while the ``rows``
+    x N x T floats ``fn`` allocates from a view of it fit the block. A
+    block's ``NotPositiveDefinite`` gets the block's start added to its
+    index, so it names the trial by its index in the tensor.
     """
     if data.nbytes <= _BLOCK_BYTES:  # one block, as every online call is
         return fn(data)
     c, n, t = data.shape
-    view = rows is not None and data.flags.c_contiguous
-    if view and 8 * rows * n * t <= _BLOCK_BYTES:
+    if rows is not None and data.flags.c_contiguous and 8 * rows * n * t <= _BLOCK_BYTES:
         return fn(data)
     block = _trials_per_block(c, n)
     for lo in range(0, t, block):
         try:
             part = fn(data[:, :, lo : lo + block])
-        except NotPositiveDefinite:
-            if lo:
-                fn(data if view else data[:, :, : lo + block])
-            raise
+        except NotPositiveDefinite as exc:
+            if lo and exc.index:  # index the trial from the tensor's start
+                exc = NotPositiveDefinite(exc.what, exc.fault, (lo + exc.index[0],) + exc.index[1:])
+            raise exc from None
         if not lo:
             out = np.empty((t,) + part.shape[1:], dtype=part.dtype)
         out[lo : lo + block] = part
@@ -359,9 +358,8 @@ def _spd_covariances(data):
     try:
         return ensure_spd(covs, name="covariance")
     except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(
-            f"{exc} (rank-deficient estimate: use more samples per trial or drop constant channels)"
-        ) from exc
+        hint = "(rank-deficient estimate: use more samples per trial or drop constant channels)"
+        raise NotPositiveDefinite(exc.what, f"{exc.fault} {hint}", exc.index) from exc
 
 
 def empirical_covariance(trial):

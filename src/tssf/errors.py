@@ -13,8 +13,22 @@ class DimMismatch(InvalidInput):
     """Operands have incompatible shapes."""
 
 
+def _where(index):
+    # " i" or " (i, j)" naming a matrix of a stack in a message; "" for a lone one
+    return "" if not index else f" {index[0]}" if len(index) == 1 else f" {index}"
+
+
 class NotPositiveDefinite(TssfError):
-    """A matrix required to be symmetric positive definite is not."""
+    """A matrix required to be symmetric positive definite is not.
+
+    ``NotPositiveDefinite(what, fault, index)`` reads "what index fault" and
+    keeps the parts; ``index`` is the matrix's in its stack, ``()`` for a
+    lone one. ``NotPositiveDefinite(message)`` has ``fault`` and ``index`` None.
+    """
+
+    def __init__(self, what, fault=None, index=None):
+        super().__init__(what if fault is None else f"{what}{_where(index)} {fault}")
+        self.what, self.fault, self.index = what, fault, index
 
 
 class ConvergenceFailure(TssfError):

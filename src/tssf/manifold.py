@@ -32,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    ConvergenceFailure,
-    DimMismatch,
-    InvalidInput,
-    NotPositiveDefinite,
-)
+from .errors import ConvergenceFailure, DimMismatch, InvalidInput, NotPositiveDefinite, _where
 
 SYM_RTOL = 1e-12
 SPD_TOL = 1e-10
@@ -58,18 +53,16 @@ def _check_symmetric(a, name="matrix", stack=True):
         scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
         ok = np.all(np.abs(a - at) <= SYM_RTOL * scale, axis=(-2, -1))
         if not ok.all():
-            _, where = _first_failure(ok)
             raise InvalidInput(
-                f"{name}{where} is not symmetric within {SYM_RTOL:g} of its largest entry"
+                f"{name}{_where(_first_failure(ok))} is not symmetric within {SYM_RTOL:g} "
+                "of its largest entry"
             )
     return a
 
 
 def _first_failure(ok):
-    # index of the first False of a per-matrix bool array, and its text
-    # for an error message ("" for a single matrix)
-    i = tuple(int(n) for n in np.unravel_index(np.argmin(ok), ok.shape))
-    return i, "" if not i else f" {i[0]}" if len(i) == 1 else f" {i}"
+    # index of the first False of a per-matrix bool array (() for one matrix)
+    return tuple(int(n) for n in np.unravel_index(np.argmin(ok), ok.shape))
 
 
 def _check_same_dim(a, b):
@@ -109,12 +102,10 @@ def _check_definite(w, name, floor=0.0):
     # its largest (so the largest is positive too), and `floor`; NaN fails
     ok = w[..., 0] > np.maximum(SPD_TOL * np.abs(w[..., -1]), floor)
     if not ok.all():
-        i, where = _first_failure(ok)
+        i = _first_failure(ok)
         rule = f"tolerance {SPD_TOL:g}" + (f" or floor {floor:.3e}" if floor else "")
-        raise NotPositiveDefinite(
-            f"{name}{where} is not positive definite: eigenvalue range "
-            f"[{w[i][0]:.3e}, {w[i][-1]:.3e}] fails {rule}"
-        )
+        fault = f"is not positive definite: eigenvalue range [{w[i][0]:.3e}, {w[i][-1]:.3e}]"
+        raise NotPositiveDefinite(name, f"{fault} fails {rule}", i)
 
 
 def _spd_eigh(a, name="matrix", floor=0.0):
@@ -127,8 +118,7 @@ def _spd_eigh(a, name="matrix", floor=0.0):
         finite = np.isfinite(a).all(axis=(-2, -1))
         if finite.all():
             raise
-        _, where = _first_failure(finite)
-        raise NotPositiveDefinite(f"{name}{where} has a non-finite entry") from None
+        raise NotPositiveDefinite(name, "has a non-finite entry", _first_failure(finite)) from None
     _check_definite(w, name, floor)
     return w, v
 

@@ -171,10 +171,10 @@ class TssfPipeline:
         covs, labels = _check_training_set(covs, labels)
         self.model = self._extract(covs, labels, self._k)
         projection = self.model.filters
+        stack = _congruence(projection, covs)  # the filtered training covariances
         if self.one_step:
             weights, intercept = self.model.beta, self.model.intercept
         else:
-            stack = _congruence(projection, covs)
             if self.feature_kind == LOGCOV:
                 ref = frechet_mean(stack)
                 half, inv_half = _half_powers(ref)
@@ -188,6 +188,7 @@ class TssfPipeline:
                 # S by B = m_f^1/2 unvec(w) m_f^1/2, so B's bank at m_f scores it
                 bank = _ranked_bank(ref, inv_half, _congruence(half, unvec(weights)), len(ref))
                 projection, weights = projection @ bank.full_filters, bank.full_beta
+                stack = _congruence(projection, covs)
         # C-contiguous arrays, as load_pipeline reads them, so BLAS sees one
         # layout and a loaded pipeline scores the same bits
         self.filters = np.ascontiguousarray(projection, dtype=float)
@@ -196,8 +197,7 @@ class TssfPipeline:
         # a constant trial, or one far below the training data's scale, has
         # variances and eigenvalues of rounding size, not 0: scoring rejects
         # any not above SPD_TOL times the smallest training variance through P
-        var = _congruence(projection, covs).diagonal(0, -2, -1)
-        self._var_floor = float(SPD_TOL * var.min())
+        self._var_floor = float(SPD_TOL * stack.diagonal(0, -2, -1).min())
         return self
 
     decision_scores = _compiled_scores

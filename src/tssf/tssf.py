@@ -318,14 +318,12 @@ def _log_variances(var, var_floor=0.0):
     # score into NaN against mixed-sign coefficients)
     if not (var.min(initial=np.inf) > var_floor and var.max(initial=0.0) < np.inf):
         ok = (var > var_floor) & (var < np.inf)  # NaN fails both
-        i, where = _first_failure(ok.all(axis=-1))
+        i = _first_failure(ok.all(axis=-1))
         c = int(np.argmin(ok[i]))
         v = var[i][c]
-        fault = f"is not above {var_floor:.3e}" if v <= var_floor else "is not finite"
-        raise NotPositiveDefinite(
-            f"filtered covariance{where} is not positive definite: "
-            f"variance {v:.3e} in component {c} {fault}"
-        )
+        why = f"is not above {var_floor:.3e}" if v <= var_floor else "is not finite"
+        fault = f"is not positive definite: variance {v:.3e} in component {c} {why}"
+        raise NotPositiveDefinite("filtered covariance", fault, i)
     return np.log(var)
 
 

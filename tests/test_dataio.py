@@ -337,11 +337,11 @@ class TestEmpiricalCovariance:
             assert dataio._blockwise(fn, data, rows).shape == (30,)
             assert seen == blocks, (data.flags.c_contiguous, rows)
 
-    def test_a_failing_block_is_rescored_through_its_end_only(self, monkeypatch):
+    def test_a_failing_block_is_scored_once_and_names_its_trial_in_the_tensor(self, monkeypatch):
         # blocks of 3 trials of 2 x 4; trial 7, in the third block, fails:
-        # the rescore that names it by its index in the tensor takes trials
-        # 0-8, not all 20, and a failure in the first block is not rescored.
-        # An fn that filters a view takes all 20, which it does not copy
+        # each block runs fn once, also the failing one, and the error adds
+        # the block's start to the index fn gave, so no trial is scored twice.
+        # A contiguous tensor with rows too many for one pass goes by blocks too
         monkeypatch.setattr(dataio, "_BLOCK_BYTES", 3 * 8 * 2 * 4)
         seen = []
 
@@ -349,16 +349,33 @@ class TestEmpiricalCovariance:
             seen.append(block.shape[2])
             bad = np.flatnonzero(block[0, 0] < 0)
             if bad.size:
-                raise NotPositiveDefinite(f"covariance {bad[0]} is not positive definite")
+                raise NotPositiveDefinite("covariance", "is not positive definite", (bad[0],))
             return np.zeros(block.shape[2])
 
-        for bad, rows, calls in [(7, None, [3, 3, 3, 9]), (1, None, [3]), (7, 2, [3, 3, 3, 20])]:
+        for bad, rows, calls in [(7, None, [3, 3, 3]), (1, None, [3]), (7, 2, [3, 3, 3])]:
             data = np.ones((2, 4, 20))
             data[:, :, bad] = -1.0
             seen.clear()
-            with pytest.raises(NotPositiveDefinite, match=f"^covariance {bad} "):
+            with pytest.raises(NotPositiveDefinite, match=f"^covariance {bad} is not") as info:
                 dataio._blockwise(fn, data, rows)
             assert seen == calls
+            assert (info.value.what, info.value.index) == ("covariance", (bad,))
+
+    def test_a_block_error_without_an_index_passes_unchanged(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 3 * 8 * 2 * 4)
+        error = NotPositiveDefinite("a matrix of block 3 is not positive definite")
+
+        def fn(block):
+            if block[0, 0, 0] < 0:
+                raise error
+            return np.zeros(block.shape[2])
+
+        data = np.ones((2, 4, 20))
+        data[:, :, 9] = -1.0  # the first trial of the fourth block
+        with pytest.raises(NotPositiveDefinite) as info:
+            dataio._blockwise(fn, data)
+        assert info.value is error and str(error) == "a matrix of block 3 is not positive definite"
+        assert (error.fault, error.index) == (None, None)
 
     def test_rank_deficient_trial_named(self, rng):
         ts = small_set(rng, c=3, n=50, t=5)

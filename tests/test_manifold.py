@@ -677,6 +677,34 @@ class TestStacks:
         with pytest.raises(NotPositiveDefinite, match=r"matrix \(1, 0\) is not positive"):
             manifold.ensure_spd(two)
 
+    def test_the_error_keeps_what_fault_and_index_of_its_whole_message(self):
+        # the message is "what index fault", byte for byte the text the raise
+        # sites formatted themselves; the parts let a blocked pass renumber it
+        lone, stack = np.diag([1.0, -1.0]), np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        fault = "is not positive definite: eigenvalue range [-1.000e+00, 1.000e+00] fails "
+        fault += "tolerance 1e-10"
+        for a, index, text in [
+            (lone, (), "matrix "),
+            (stack, (1,), "matrix 1 "),
+            (stack[None], (0, 1), "matrix (0, 1) "),
+        ]:
+            with pytest.raises(NotPositiveDefinite) as info:
+                manifold.logm(a)
+            assert str(info.value) == text + fault
+            assert (info.value.what, info.value.fault, info.value.index) == ("matrix", fault, index)
+
+    def test_a_non_finite_matrix_lapack_rejects_is_named(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        nan = np.stack([np.eye(2), np.eye(2), np.full((2, 2), np.nan)])
+        with pytest.raises(NotPositiveDefinite, match=r"^point 2 has a non-finite entry$") as info:
+            manifold._spd_eigh(nan, "point")
+        assert info.value.index == (2,)
+        with pytest.raises(np.linalg.LinAlgError):  # a finite stack: LAPACK's own error
+            manifold._spd_eigh(nan[:2])
+
     def test_frechet_mean_matches_loop_reference(self, rng):
         pts = np.array([random_spd(rng, 5, spread=1.5) for _ in range(12)])
         np.testing.assert_allclose(
