@@ -73,7 +73,10 @@ def whole_array_svm_dual(x, y, reg, tol, max_iter):
 class TestSvm:
     def test_bitwise_equal_to_whole_array_loop(self, rng, monkeypatch):
         # the solver updates its index sets in place; every result bit must
-        # match recomputing them over whole arrays, also when capped
+        # match recomputing them over whole arrays, also when capped. The
+        # loop alone: trial 8 is balanced and optimal at the all-at-cap
+        # point, which the check before the loop returns in 0 updates
+        monkeypatch.setattr(linmodel, "_all_at_cap", lambda *args: None)
         for trial in range(56):
             t, d = int(rng.integers(6, 60)), int(rng.integers(1, 12))
             x = rng.standard_normal((t, d)) * 10.0 ** rng.uniform(-2, 1)
@@ -136,6 +139,41 @@ class TestSvm:
             reg = 10.0 ** rng.uniform(-4, -2)
             model = linmodel.fit_linear_svm(x, y, reg)
             assert model.weights.tobytes() == (x.T @ (y * reg / t)).tobytes()
+
+    def test_all_at_cap_return_is_the_loops_result(self, monkeypatch):
+        # balanced labels below the breakpoint: the check returns in 0
+        # updates the w the loop reaches from 0, bit for bit, and its b to
+        # the rounding of f summed update by update against one product
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            t = 2 * int(rng.integers(5, 40))
+            x = rng.standard_normal((t, int(rng.integers(1, 20))))
+            y = rng.permutation(np.repeat([1.0, -1.0], t // 2))
+            reg = 10.0 ** rng.uniform(-3, -1)
+            w, b, info = linmodel._solve_svm_dual(x, y, reg, x @ x.T)
+            assert info.iterations == 0 and info.kkt_gap <= linmodel.SVM_TOL
+            with monkeypatch.context() as patch:
+                patch.setattr(linmodel, "_all_at_cap", lambda *args: None)
+                w_loop, b_loop, loop = linmodel._solve_svm_dual(x, y, reg, x @ x.T)
+            assert loop.iterations > 0
+            assert w.tobytes() == w_loop.tobytes()
+            assert b == pytest.approx(b_loop, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["unbalanced", "above the breakpoint"])
+    def test_the_loop_runs_as_before_where_the_check_fails(self, case):
+        # unbalanced labels have no all-at-cap point, and above the
+        # breakpoint its KKT gap is open: the loop runs from 0, bit for bit
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            x, y = blobs(rng, n_per_class=int(rng.integers(5, 20)), dim=3, sep=0.5)
+            reg = 10.0 ** rng.uniform(1, 2)
+            if case == "unbalanced":
+                x, y, reg = x[1:], y[1:], 10.0 ** rng.uniform(-3, 2)
+            assert linmodel._all_at_cap(x, y, reg, x @ x.T) is None
+            w, b, info = linmodel._solve_svm_dual(x, y, reg, x @ x.T)
+            w_ref, b_ref = whole_array_svm_dual(x, y, reg, 1e-6, 10**5)
+            assert info.iterations > 0
+            assert w.tobytes() == w_ref.tobytes() and b == b_ref
 
     def test_kkt_gap_reported(self, rng):
         x, y = blobs(rng, n_per_class=10)
