@@ -322,8 +322,7 @@ def _blockwise(fn, data, rows=None):
     trial, and runs once per block. A tensor of one block (every single
     trial) is passed whole, and so is a C-contiguous one while the ``rows``
     x N x T floats ``fn`` allocates from a view of it fit the block. A
-    block's ``NotPositiveDefinite`` gets the block's start added to its
-    index, so it names the trial by its index in the tensor.
+    block's ``NotPositiveDefinite`` names its trial by its index in the tensor.
     """
     if data.nbytes <= _BLOCK_BYTES:  # one block, as every online call is
         return fn(data)
@@ -335,9 +334,10 @@ def _blockwise(fn, data, rows=None):
         try:
             part = fn(data[:, :, lo : lo + block])
         except NotPositiveDefinite as exc:
-            if lo and exc.index:  # index the trial from the tensor's start
-                exc = NotPositiveDefinite(exc.what, exc.fault, (lo + exc.index[0],) + exc.index[1:])
-            raise exc from None
+            if not (lo and exc.index):
+                raise
+            index = (lo + exc.index[0],) + exc.index[1:]
+            raise NotPositiveDefinite(exc.what, exc.fault, index) from None
         if not lo:
             out = np.empty((t,) + part.shape[1:], dtype=part.dtype)
         out[lo : lo + block] = part

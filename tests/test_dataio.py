@@ -362,10 +362,14 @@ class TestEmpiricalCovariance:
             assert (info.value.what, info.value.index) == ("covariance", (bad,))
 
     def test_a_block_error_without_an_index_passes_unchanged(self, monkeypatch):
+        # NotPositiveDefinite(message) has no index to renumber: the same
+        # error leaves _blockwise, after one call of fn per block
         monkeypatch.setattr(dataio, "_BLOCK_BYTES", 3 * 8 * 2 * 4)
         error = NotPositiveDefinite("a matrix of block 3 is not positive definite")
+        seen = []
 
         def fn(block):
+            seen.append(block.shape[2])
             if block[0, 0, 0] < 0:
                 raise error
             return np.zeros(block.shape[2])
@@ -374,7 +378,8 @@ class TestEmpiricalCovariance:
         data[:, :, 9] = -1.0  # the first trial of the fourth block
         with pytest.raises(NotPositiveDefinite) as info:
             dataio._blockwise(fn, data)
-        assert info.value is error and str(error) == "a matrix of block 3 is not positive definite"
+        assert info.value is error and seen == [3, 3, 3, 3]
+        assert str(error) == "a matrix of block 3 is not positive definite"
         assert (error.fault, error.index) == (None, None)
 
     def test_rank_deficient_trial_named(self, rng):
