@@ -44,14 +44,15 @@ print(f"generated {trialset.n_trials} trials, C={trialset.n_channels}, "
 # W = V diag(beta) V^T -> filters mean^{-1/2} V. These are the generalized
 # eigenvectors of (weight matrix mapped onto the manifold, mean), and beta
 # their log eigenvalues. Components are ranked by |beta|: a coefficient
-# near zero contributes nothing to the decision function.
+# near zero contributes nothing to the decision function. The bank names no
+# feature kind: beta scores the diagonal of the log filtered covariance
+# ("diaglogcov") and the filtered log-variances ("logvar") alike.
 
 model = tssf.extract_tssf(
     covs,
     trialset.labels,
     k=trialset.n_channels,  # keep everything
     model_cfg=tssf.ClassifierConfig(reg=1.0),
-    feature_kind=tssf.DIAGLOGCOV,
 )
 print("\nsorted coefficients (beta = log generalized eigenvalues):")
 print("rank  beta      |beta|")
@@ -81,19 +82,13 @@ print(f"\nfull-rank one-step vs tangent decision values: worst |diff| = {worst:.
 # model, so its filters are the leading columns of the full bank; every
 # model keeps all C sorted coefficients in ``full_beta``.
 
-small = tssf.extract_tssf(
-    covs,
-    trialset.labels,
-    k=2,
-    model_cfg=tssf.ClassifierConfig(reg=1.0),
-    feature_kind=tssf.DIAGLOGCOV,
-)
+small = tssf.extract_tssf(covs, trialset.labels, k=2, model_cfg=tssf.ClassifierConfig(reg=1.0))
 assert np.array_equal(small.filters, model.filters[:, :2])
 assert np.array_equal(small.full_beta, model.beta)
 correct = 0
 for t in range(trialset.n_trials):
     filtered = tssf.apply_filters(small, trialset.trial(t))
-    feats = tssf.compute_features(small, tssf.empirical_covariance(filtered))
+    feats = tssf.compute_features(small, tssf.empirical_covariance(filtered), tssf.DIAGLOGCOV)
     _, label = tssf.predict_one_step(small, feats)
     correct += label == trialset.labels[t]
 print(f"k=2 one-step training accuracy: {correct / trialset.n_trials:.3f}")

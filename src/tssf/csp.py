@@ -30,8 +30,8 @@ def fit_csp(covs, labels, k):
     Returns
     -------
     TssfModel
-        Kind "logvar", intercept 0, reference mean-; ``full_beta`` are the
-        log generalized eigenvalues.
+        Intercept 0, reference mean-; ``full_beta`` are the log generalized
+        eigenvalues.
 
     Notes
     -----

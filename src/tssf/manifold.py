@@ -47,16 +47,21 @@ def _check_symmetric(a, name="matrix", stack=True):
     # most inputs are exactly symmetric (syrk products, symmetrized
     # iterates); only the others pay for the tolerance test's temporaries.
     # The tolerance is relative to each matrix's largest entry, so it means
-    # the same in any data units.
+    # the same in any data units; an infinite entry would make it infinite,
+    # so a matrix that has one and is not exactly symmetric fails.
     at = a.swapaxes(-1, -2)
     if not np.array_equal(a, at):
         scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
         ok = np.all(np.abs(a - at) <= SYM_RTOL * scale, axis=(-2, -1))
+        ok &= np.isfinite(scale[..., 0, 0])
         if not ok.all():
-            raise InvalidInput(
-                f"{name}{_where(_first_failure(ok))} is not symmetric within {SYM_RTOL:g} "
-                "of its largest entry"
-            )
+            # NaN is unequal to itself, so a NaN entry fails this test too
+            i = _first_failure(ok)
+            if np.isfinite(a[i]).all():
+                fault = f"is not symmetric within {SYM_RTOL:g} of its largest entry"
+            else:
+                fault = "has a non-finite entry"
+            raise InvalidInput(f"{name}{_where(i)} {fault}")
     return a
 
 
@@ -348,11 +353,7 @@ def log_map_at(ref, x):
     ref = _check_symmetric(ref, "ref", stack=False)
     x = _check_symmetric(x, "x")
     _check_same_dim(ref, x)
-    return _log_map(*_half_powers(ref), x)
-
-
-def _log_map(half, inv_half, x):
-    # log_map_at past its checks, for a caller that holds ref's half powers
+    half, inv_half = _half_powers(ref)
     return _congruence(half, _logm(_congruence(inv_half, x)))
 
 

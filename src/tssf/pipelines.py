@@ -67,8 +67,9 @@ from .dataio import _check_count, _check_training_set, _covariance_stack, _spd_c
 from .dataio import _blockwise
 from .errors import DimMismatch, FormatError, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
-from .manifold import SPD_TOL, _congruence, _diag_logm, _half_powers, _log_map, _vec
-from .manifold import frechet_mean, unvec
+from .manifold import SPD_TOL, _congruence, _diag_logm, _frechet_mean_and_logs, _half_powers, _vec
+from .manifold import frechet_mean  # noqa: F401  (re-exported)
+from .manifold import unvec
 from .tssf import DIAGLOGCOV, LOGVAR, _filtered_features, _log_variances, _ranked_bank, extract_tssf
 
 LOGCOV = "logcov"  # a pipeline's kind only: no bank computes these features
@@ -158,9 +159,7 @@ class TssfPipeline:
         return self._k if self.filters is None else self.filters.shape[1]
 
     def _extract(self, covs, labels, k):
-        # no bank has "logcov" features: that pipeline's second SVM weighs them
-        kind = LOGVAR if self.feature_kind == LOGCOV else self.feature_kind
-        return extract_tssf(covs, labels, k, model_cfg=self.classifier_cfg, feature_kind=kind)
+        return extract_tssf(covs, labels, k, model_cfg=self.classifier_cfg)
 
     def fit(self, trials, labels):
         trials, labels = _check_training_set(trials, labels, trial_axis=2)
@@ -176,9 +175,9 @@ class TssfPipeline:
             weights, intercept = self.model.beta, self.model.intercept
         else:
             if self.feature_kind == LOGCOV:
-                ref = frechet_mean(stack)
+                ref, logs = _frechet_mean_and_logs(stack)
                 half, inv_half = _half_powers(ref)
-                feats = _vec(_log_map(half, inv_half, stack))
+                feats = _vec(_congruence(half, logs))
             else:
                 feats = _filtered_features(stack, self.feature_kind)
             self.clf = fit_from_config(feats, labels, self.classifier_cfg)
@@ -328,6 +327,8 @@ def load_pipeline(path):
         raise FormatError(f"coef of length {coef.size} does not weigh {k} filters (k >= 1)")
     if cls is TangentSpacePipeline and k != channels:
         raise FormatError(f"{name} keeps all C filters: square, not {channels} x {k}")
+    if k > channels:  # no fit keeps more filters than channels
+        raise FormatError(f"{name} has {k} filters for {channels} channels: k must be <= C")
     pipe = cls(name, k)
     pipe.filters, pipe._coef = filters, coef
     pipe._intercept = float(_floats(doc, "intercept", 0))

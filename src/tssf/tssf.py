@@ -22,14 +22,14 @@ compute it once; the arrays it returns are read-only.
 
 The per-trial functions (:func:`apply_filters`, :func:`compute_features`,
 :func:`predict_one_step`) work on one filtered trial at a time and are the
-reference that the pipelines' scores are tested against; a bank has the two
-kinds of features its coefficients score, "logvar" and "diaglogcov". Whole
+reference that the pipelines' scores are tested against; a bank's
+coefficients score both kinds of features, "logvar" and "diaglogcov". Whole
 pipelines (TSSF_LogCov_2_step's tangent vectors too), their one compiled
 scoring route and their model file live in :mod:`tssf.pipelines`.
 """
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,15 +62,6 @@ from .manifold import frechet_mean  # noqa: F401  (re-exported)
 LOGVAR = "logvar"
 DIAGLOGCOV = "diaglogcov"
 FEATURE_KINDS = (LOGVAR, DIAGLOGCOV)
-
-
-def _check_kind(kind):
-    if kind not in FEATURE_KINDS:
-        raise UnsupportedFeatureKind(
-            f"a filter bank has no {kind!r} features, only {LOGVAR!r} and {DIAGLOGCOV!r}; the "
-            "tangent vector of a filtered covariance at a point ref is vec(log_map_at(ref, cov))"
-        )
-    return kind
 
 
 def tangent_vectors(ref, covs):
@@ -166,9 +157,8 @@ class TssfModel:
 
     ``full_filters`` are all C filters in ranked order (``filters`` is their
     K-column prefix), ``full_beta`` the matching log-eigenvalues (``beta``
-    is their K-prefix, the one-step coefficients), ``reference_mean`` the
-    point whose tangent space the weights live in, and ``feature_kind``
-    the features of the filtered covariances that ``beta`` scores.
+    is their K-prefix, the one-step coefficients of either feature kind) and
+    ``reference_mean`` the point whose tangent space the weights live in.
     """
 
     filters: np.ndarray
@@ -177,7 +167,6 @@ class TssfModel:
     reference_mean: np.ndarray
     full_filters: np.ndarray
     full_beta: np.ndarray
-    feature_kind: str = LOGVAR
 
     @property
     def k(self):
@@ -195,7 +184,7 @@ def tangent_filters(ref, weights, k, intercept=0.0):
     ``1 <= k <= C``. At ``k = C`` the one-step "diaglogcov" score of a
     covariance is the model's decision value on its tangent vector.
 
-    Returns a "logvar" :class:`TssfModel`. Raises InvalidInput on a bad
+    Returns a :class:`TssfModel`. Raises InvalidInput on a bad
     shape, ``k`` or ``intercept``, NotPositiveDefinite on a ``ref`` that is
     not SPD and DegenerateModel on an all-zero ``weights``.
     """
@@ -225,7 +214,7 @@ def _ranked_bank(ref, inv_half, weights, k, intercept=0.0):
     )
 
 
-def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
+def extract_tssf(covs, labels, k, model_cfg=None):
     """Extract spatial filters from a tangent-space linear model.
 
     Parameters
@@ -238,9 +227,6 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
         Number of filter components to keep, ``1 <= k <= C``.
     model_cfg : ClassifierConfig, optional
         Tangent-space classifier (default: SVM with inner-CV grid search).
-    feature_kind : str
-        Feature type this model is meant to produce, "logvar" or
-        "diaglogcov"; any other raises UnsupportedFeatureKind.
 
     Returns
     -------
@@ -261,11 +247,8 @@ def extract_tssf(covs, labels, k, model_cfg=None, feature_kind=LOGVAR):
     """
     covs, labels = _check_training_set(covs, labels)
     _check_count(k, "k", high=covs.shape[1])
-    _check_kind(feature_kind)
-
     mean, model = fit_tangent_model(covs, labels, model_cfg)
-    bank = tangent_filters(mean, unvec(model.weights), k, model.intercept)
-    return replace(bank, feature_kind=feature_kind)
+    return tangent_filters(mean, unvec(model.weights), k, model.intercept)
 
 
 def apply_filters(model, trial):
@@ -280,16 +263,20 @@ def apply_filters(model, trial):
     return model.filters.T @ trial
 
 
-def compute_features(model, filtered_cov, kind=None):
+def compute_features(model, filtered_cov, kind):
     """Features of a K x K filtered covariance matrix.
 
-    ``logvar``: log of the diagonal (length K). ``diaglogcov``: diagonal
-    of the matrix logarithm (length K). No other kind: its tangent vector at
-    a point ``ref`` is ``vec(log_map_at(ref, filtered_cov))``. A
-    ``(..., K, K)`` stack gives one feature row per matrix. ``kind``
-    defaults to the model's own.
+    ``kind`` is ``logvar``: log of the diagonal (length K), or
+    ``diaglogcov``: diagonal of the matrix logarithm (length K); the bank's
+    ``beta`` scores either. No other kind: its tangent vector at a point
+    ``ref`` is ``vec(log_map_at(ref, filtered_cov))``. A ``(..., K, K)``
+    stack gives one feature row per matrix.
     """
-    kind = _check_kind(kind or model.feature_kind)
+    if kind not in FEATURE_KINDS:
+        raise UnsupportedFeatureKind(
+            f"a filter bank has no {kind!r} features, only {LOGVAR!r} and {DIAGLOGCOV!r}; the "
+            "tangent vector of a filtered covariance at a point ref is vec(log_map_at(ref, cov))"
+        )
     cov = ensure_spd(filtered_cov, name="filtered covariance")
     k = model.filters.shape[1]
     if cov.shape[-1] != k:
@@ -327,21 +314,27 @@ def _log_variances(var, var_floor=0.0):
     return np.log(var)
 
 
-def predict_one_step(model, features, kind=None):
+def predict_one_step(model, features):
     """Score features directly with the sorted coefficients ``beta``.
 
-    ``score = beta . features + intercept``; the label is the sign of the
-    score with sign(0) = +1.
+    ``score = beta . features + intercept`` for either feature kind; the
+    label is the sign of the score with sign(0) = +1.
 
     Returns
     -------
     (score, label)
+
+    Raises
+    ------
+    InvalidInput
+        On features of the wrong shape, or a score that is not finite.
     """
-    _check_kind(kind or model.feature_kind)
     features = np.asarray(features, dtype=float)
     if features.shape != (model.k,):
         raise InvalidInput(f"expected {model.k} features, got shape {features.shape}")
     score = float(model.beta @ features + model.intercept)
+    if not np.isfinite(score):  # NaN has no sign to label
+        raise InvalidInput(f"the features give the non-finite score {score}")
     return score, _sign(score)
 
 

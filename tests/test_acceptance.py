@@ -209,8 +209,7 @@ class TestAcceptance:
             rng = np.random.default_rng(seed)
             basis = random_orthogonal(rng, c)
             covs, labels = self._joint_diag_covs(rng, c, 60, basis, perturbation)
-            model = tssf.extract_tssf(covs, labels, c, model_cfg=cfg,
-                                      feature_kind=tssf.DIAGLOGCOV)
+            model = tssf.extract_tssf(covs, labels, c, model_cfg=cfg)
             solution = manifold.GedResult(
                 eigenvectors=model.full_filters, eigenvalues=np.exp(model.beta)
             )
@@ -223,9 +222,9 @@ class TestAcceptance:
                 )
                 filtered = model.filters.T @ cov @ model.filters
                 f_diag = tssf.compute_features(model, filtered, tssf.DIAGLOGCOV)
-                s_diag, _ = tssf.predict_one_step(model, f_diag, tssf.DIAGLOGCOV)
+                s_diag, _ = tssf.predict_one_step(model, f_diag)
                 f_var = tssf.compute_features(model, filtered, tssf.LOGVAR)
-                s_var, _ = tssf.predict_one_step(model, f_var, tssf.LOGVAR)
+                s_var, _ = tssf.predict_one_step(model, f_var)
                 dev_diag.append(abs(s_diag - model.intercept - exact))
                 dev_logvar.append(abs(s_var - model.intercept - exact))
             return np.mean(dev_diag), np.mean(dev_logvar)

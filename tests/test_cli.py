@@ -283,6 +283,24 @@ class TestFit:
         assert "covariance 5 is not positive definite" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_exits_2_naming_the_trial(
+        self, tmp_path, data_path, command, bad, capsys
+    ):
+        # its covariance is not finite, which is not an asymmetry
+        ts = dataio.read_trials(data_path)
+        ts.data[1, 7, 3] = bad
+        bad_path = tmp_path / "bad.eegt"
+        dataio.write_trials(ts, bad_path)
+        argv = [command, "--data", str(bad_path), "--pipeline", "TSSF_Var_1_step",
+                "--k", "2", "--reg", "1.0", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "covariance 3 has a non-finite entry" in err
+        assert "symmetric" not in err
+
 
 class TestEval:
     def test_two_pipelines_one_comparison(self, tmp_path, data_path, capsys):

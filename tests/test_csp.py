@@ -109,7 +109,7 @@ class TestFitCsp:
         route = tangent_route(covs, labels, 2)
         for name in ("filters", "beta", "full_filters", "full_beta", "reference_mean"):
             np.testing.assert_array_equal(getattr(model, name), getattr(route, name))
-        assert model.intercept == 0.0 and model.feature_kind == tssf.LOGVAR
+        assert model.intercept == 0.0
         np.testing.assert_array_equal(model.filters, model.full_filters[:, :2])
         wider = csp.fit_csp(covs, labels, 4)
         np.testing.assert_array_equal(wider.full_filters, model.full_filters)
@@ -176,7 +176,7 @@ class TestCspInTheTangentFramework:
         scores, expected = [], []
         for s in covs:
             feats = tssf.compute_features(model, f.T @ s @ f, tssf.DIAGLOGCOV)
-            scores.append(tssf.predict_one_step(model, feats, tssf.DIAGLOGCOV)[0])
+            scores.append(tssf.predict_one_step(model, feats)[0])
             expected.append(np.sum(weights * manifold.logm(inv_half @ s @ inv_half)))
         scale = np.abs(expected).max()
         np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12 * scale)

@@ -67,6 +67,21 @@ class TestSymEig:
         a[1, 0] = a[0, 1] * (1.0 + 1e-15)
         manifold.sym_eig(a)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_not_called_asymmetry(self, rng, bad):
+        # a NaN sample leaves a NaN row and column, which the symmetry test
+        # fails (NaN is unequal to itself); one infinite entry would make the
+        # tolerance infinite and pass. The error says what is wrong
+        stack = np.array([random_spd(rng, 3) for _ in range(5)])
+        stack[3, 2, :] = stack[3, :, 2] = np.nan
+        lone = stack[1].copy()
+        lone[0, 2] = bad
+        for a, name in ((stack, "covariance 3"), (lone, "covariance")):
+            with pytest.raises(InvalidInput, match=f"^{name} has a non-finite entry$"):
+                manifold.ensure_spd(a, "covariance")
+        with pytest.raises(InvalidInput, match="^matrix has a non-finite entry$"):
+            manifold.sym_eig(lone)
+
 
 class TestMatrixFunctions:
     def test_logm_identity(self):

@@ -411,6 +411,18 @@ class TestLoadPipeline:
         with pytest.raises(FormatError, match=f"TS_AIRM keeps all C filters: square, not 4 x {k}$"):
             tssf.load_pipeline(path)
 
+    @pytest.mark.parametrize("name", ["TSSF_Var_1_step", "TSSF_Cov_1_step"])
+    def test_file_with_more_filters_than_channels_rejected(self, tmp_path, name):
+        # no fit keeps more filters than channels: such a logvar file would
+        # score silently, and a diaglogcov one fail only at scoring
+        def widen(doc):
+            doc.update(filters=[row * 3 for row in doc["filters"]], coef=doc["coef"] * 3)
+
+        path = self.saved(tmp_path, name)
+        edit_model(path, widen)
+        with pytest.raises(FormatError, match=f"^{name} has 6 filters for 4 channels: k must be <= C$"):
+            tssf.load_pipeline(path)
+
     def test_ts_airm_file_without_filters_rejected(self, tmp_path):
         # the layout TS_AIRM files had before TS_AIRM kept its filters:
         # pipeline/3, feature kind "tangent", k 0 and no 'filters' field;
@@ -570,11 +582,11 @@ def test_tangent_model_fitted_once_for_shared_training_set(monkeypatch):
         return counted
 
     monkeypatch.setattr(tssf_module, "_last_fit", (None, None))
-    # the tangent fit takes its mean (and logs) from _frechet_mean_and_logs,
-    # the "logcov" pipeline its reference from frechet_mean
+    # the tangent fit and the "logcov" pipeline's second stage both take
+    # their mean and its logs from _frechet_mean_and_logs
     fn = "_frechet_mean_and_logs"
-    monkeypatch.setattr(tssf_module, fn, counting(getattr(tssf_module, fn)))
-    monkeypatch.setattr(pipelines, "frechet_mean", counting(pipelines.frechet_mean))
+    for module in (tssf_module, pipelines):
+        monkeypatch.setattr(module, fn, counting(getattr(module, fn)))
     for name in ("TSSF_Var_1_step", "TSSF_LogCov_2_step", "TS_AIRM"):
         spec = pipelines.PipelineSpec(name=name, k=2, classifier=FIXED)
         pipelines.make_pipeline(spec).fit(ts.data, ts.labels)

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -46,3 +47,36 @@ def test_frechet_mean_stays_bound(module_name):
 
     module = importlib.import_module(module_name)
     assert getattr(module, "frechet_mean", None) is frechet_mean
+
+
+def test_install_wraps_every_binding_and_uninstall_restores_it(tracer):
+    # perfbench's own self-test checks this too, but outside the test suite
+    import tssf
+    from tssf import pipelines
+    from tssf.manifold import frechet_mean
+
+    def bindings():
+        owners = [m for n, m in list(sys.modules.items()) if n == "tssf" or n.startswith("tssf.")]
+        owners += [getattr(pipelines, name) for name in tracer.PIPELINE_CLASSES]
+        return {(owner, name): value for owner in owners for name, value in vars(owner).items()}
+
+    ts = tssf.synth_generate(tssf.SynthConfig(channels=5, samples=64, trials_per_class=10, seed=2))
+    before = bindings()
+    traced = tracer.Tracer()
+    with traced:
+        wrapped = {
+            key: value
+            for key, value in bindings().items()
+            if hasattr(value, "__perfbench_original__")
+        }
+        for name in ("TSSF_LogCov_2_step", "TS_AIRM"):
+            spec = pipelines.PipelineSpec(name, k=2, classifier=tssf.ClassifierConfig(reg=1.0))
+            pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
+    after = bindings()
+    binders = [key for key, value in before.items() if value is frechet_mean]
+    assert len(binders) >= 4 and all(key in wrapped for key in binders)
+    assert traced.stats()["pipelines.fit"]["calls"] == 2
+    assert tracer.leftover_wrappers() == []
+    assert all(
+        after[key] is before[key] is value.__perfbench_original__ for key, value in wrapped.items()
+    )

@@ -32,12 +32,9 @@ def synth_covs(rng, c=4, t=30, sep=1.0, n=400):
     return np.array(covs), np.array(labels)
 
 
-def fitted_model(rng, c=4, k=None, kind=tssf.LOGVAR, reg=2.0):
+def fitted_model(rng, c=4, k=None, reg=2.0):
     covs, labels = synth_covs(rng, c=c)
-    k = k or c
-    model = tssf.extract_tssf(
-        covs, labels, k, model_cfg=tssf.ClassifierConfig(reg=reg), feature_kind=kind
-    )
+    model = tssf.extract_tssf(covs, labels, k or c, model_cfg=tssf.ClassifierConfig(reg=reg))
     return model, covs, labels
 
 
@@ -59,13 +56,13 @@ class TestExtract:
             assert mags[1] <= 1e-8 * mags[0]
 
     def test_full_rank_one_step_reproduces_tangent_scores(self, rng):
-        model, covs, labels = fitted_model(rng, c=4, k=4, kind=tssf.DIAGLOGCOV)
+        model, covs, labels = fitted_model(rng, c=4, k=4)
         vecs = tssf.tangent_vectors(model.reference_mean, covs)
         lin = tssf.fit_linear_svm(vecs, labels, 2.0)
         for cov, vec_t in zip(covs, vecs):
             filtered = model.filters.T @ cov @ model.filters
             feats = tssf.compute_features(model, filtered, tssf.DIAGLOGCOV)
-            score, _ = tssf.predict_one_step(model, feats, tssf.DIAGLOGCOV)
+            score, _ = tssf.predict_one_step(model, feats)
             tangent = float(lin.weights @ vec_t + lin.intercept)
             assert abs(score - tangent) < 1e-8
 
@@ -227,7 +224,7 @@ class TestTangentFilters:
         bank = tssf.tangent_filters(ref, w, 2)
         np.testing.assert_array_equal(bank.filters, bank.full_filters[:, :2])
         np.testing.assert_array_equal(bank.beta, bank.full_beta[:2])
-        assert bank.intercept == 0.0 and bank.feature_kind == tssf.LOGVAR
+        assert bank.intercept == 0.0 and not hasattr(bank, "feature_kind")
         np.testing.assert_array_equal(bank.reference_mean, ref)
         assert tssf.tangent_filters(ref, w, 2, intercept=-1.5).intercept == -1.5
 
@@ -247,22 +244,15 @@ class TestTangentFilters:
         with pytest.raises(NotPositiveDefinite):
             tssf.tangent_filters(-ref, w, 2)
 
-    @pytest.mark.parametrize("kind", tssf.FEATURE_KINDS)
-    def test_extract_tssf_is_tangent_filters_of_its_fit(self, rng, kind):
+    def test_extract_tssf_is_tangent_filters_of_its_fit(self, rng):
         covs, labels = synth_covs(rng)
         cfg = tssf.ClassifierConfig(reg=2.0)
-        model = tssf.extract_tssf(covs, labels, 2, model_cfg=cfg, feature_kind=kind)
+        model = tssf.extract_tssf(covs, labels, 2, model_cfg=cfg)
         mean, lin = tssf.fit_tangent_model(covs, labels, cfg)
         bank = tssf.tangent_filters(mean, manifold.unvec(lin.weights), 2, lin.intercept)
         for name in ("filters", "beta", "full_filters", "full_beta", "reference_mean"):
             np.testing.assert_array_equal(getattr(model, name), getattr(bank, name))
-        assert model.intercept == bank.intercept and model.feature_kind == kind
-
-    def test_no_bank_is_extracted_for_logcov(self, rng):
-        # a bank's coefficients score diagonal features only
-        covs, labels = synth_covs(rng)
-        with pytest.raises(UnsupportedFeatureKind, match="no 'logcov' features"):
-            tssf.extract_tssf(covs, labels, 2, feature_kind=tssf.LOGCOV)
+        assert model.intercept == bank.intercept
 
     def test_ridge_full_rank_one_step_equals_its_decision_values(self, rng):
         # any linear model on tangent_vectors is a filter bank: ridge, not the SVM
@@ -344,7 +334,7 @@ class TestComputeFeatures:
     def test_size_mismatch(self, rng):
         model, _, _ = fitted_model(rng, k=2)
         with pytest.raises(DimMismatch, match="must be 2 x 2"):
-            tssf.compute_features(model, np.eye(3))
+            tssf.compute_features(model, np.eye(3), tssf.LOGVAR)
 
     def test_first_failing_variance_named(self):
         # one axis names the matrix by its index, two axes by a tuple of ints
@@ -363,11 +353,10 @@ class TestComputeFeatures:
         ):
             tssf_module._log_variances(stack.reshape(8, 3, 3).diagonal(0, -2, -1))
 
-    @pytest.mark.parametrize("kind", tssf.FEATURE_KINDS)
-    def test_no_bank_has_logcov_features(self, rng, kind):
+    def test_no_bank_has_logcov_features(self, rng):
         # the tangent vector of a filtered covariance needs a reference point
         # that no bank holds: the error names the library call that takes one
-        model, _, _ = fitted_model(rng, k=2, kind=kind)
+        model, _, _ = fitted_model(rng, k=2)
         with pytest.raises(
             UnsupportedFeatureKind,
             match=r"^a filter bank has no 'logcov' features, only 'logvar' and 'diaglogcov'; "
@@ -376,16 +365,16 @@ class TestComputeFeatures:
             tssf.compute_features(model, np.eye(2), tssf.LOGCOV)
 
     def test_csp_model_needs_an_explicit_kind(self, rng):
-        # a CSP bank carries its kind: "logvar", the default when none is
-        # passed; like every bank it has no "logcov" features
+        # a CSP bank, like every bank, scores either diagonal kind and names
+        # none: the caller does; it has no "logcov" features
         covs, labels = synth_covs(rng)
         model = tssf.fit_csp(covs, labels, 2)
-        assert model.feature_kind == tssf.LOGVAR
         cov = model.filters.T @ covs[0] @ model.filters
         np.testing.assert_array_equal(
             tssf.compute_features(model, cov, tssf.LOGVAR), np.log(np.diag(cov))
         )
-        np.testing.assert_array_equal(tssf.compute_features(model, cov), np.log(np.diag(cov)))
+        with pytest.raises(TypeError, match="kind"):
+            tssf.compute_features(model, cov)
         with pytest.raises(UnsupportedFeatureKind, match="no 'logcov' features"):
             tssf.compute_features(model, cov, tssf.LOGCOV)
 
@@ -395,25 +384,32 @@ class TestPredict:
         model, _, _ = fitted_model(rng, k=2)
         object.__setattr__(model, "beta", np.array([np.log(4.0), np.log(0.25)]))
         object.__setattr__(model, "intercept", 0.0)
-        score, label = tssf.predict_one_step(model, np.array([1.0, 0.0]), tssf.LOGVAR)
+        score, label = tssf.predict_one_step(model, np.array([1.0, 0.0]))
         assert score == pytest.approx(np.log(4.0), abs=1e-15)
         assert label == 1
 
     def test_one_step_zero_tie(self, rng):
         model, _, _ = fitted_model(rng, k=2)
         object.__setattr__(model, "intercept", 0.0)
-        score, label = tssf.predict_one_step(model, np.zeros(2), tssf.LOGVAR)
+        score, label = tssf.predict_one_step(model, np.zeros(2))
         assert score == 0.0 and label == 1
 
-    def test_one_step_rejects_logcov(self, rng):
+    def test_one_step_rejects_a_non_finite_score(self, rng):
+        # NaN has no sign, and an infinite score is no decision value
         model, _, _ = fitted_model(rng, k=2)
-        with pytest.raises(UnsupportedFeatureKind):
-            tssf.predict_one_step(model, np.zeros(3), tssf.LOGCOV)
+        object.__setattr__(model, "beta", np.array([0.5, -2.0]))
+        object.__setattr__(model, "intercept", 0.25)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInput, match="^the features give the non-finite score"):
+                tssf.predict_one_step(model, np.array([bad, 0.0]))
+        feats = np.array([1.5, -0.75])
+        score, label = tssf.predict_one_step(model, feats)
+        assert score == float(model.beta @ feats + 0.25) and label == 1
 
     def test_one_step_feature_length(self, rng):
         model, _, _ = fitted_model(rng, k=2)
         with pytest.raises(InvalidInput):
-            tssf.predict_one_step(model, np.zeros(3), tssf.LOGVAR)
+            tssf.predict_one_step(model, np.zeros(3))
 
     def test_one_step_needs_a_tssf_model(self, rng):
         # a CSP bank is a TssfModel with intercept 0, so it is one-step
@@ -427,7 +423,7 @@ class TestPredict:
         assert score == pytest.approx(float(model.beta @ feats), abs=1e-12)
         assert label == (1 if score >= 0 else -1)
         with pytest.raises(InvalidInput, match="expected 2 features"):
-            tssf.predict_one_step(model, np.zeros(3), tssf.LOGVAR)
+            tssf.predict_one_step(model, np.zeros(3))
 
     def test_two_step_passthrough_matches_one_step(self, rng):
         model, _, _ = fitted_model(rng, k=2)
@@ -435,7 +431,7 @@ class TestPredict:
             weights=model.beta.copy(), intercept=model.intercept, reg=1.0
         )
         feats = rng.standard_normal(2)
-        s1, _ = tssf.predict_one_step(model, feats, tssf.LOGVAR)
+        s1, _ = tssf.predict_one_step(model, feats)
         s2 = feats @ second.weights + second.intercept
         assert s1 == pytest.approx(s2, abs=1e-12)
 
