@@ -12,7 +12,7 @@ checked by acceptance test 05 in ``tests/test_acceptance.py``.
 import numpy as np
 
 from .dataio import _check_count, _check_training_set
-from .manifold import _congruence, _from_eig, _half_powers, _spd_eigh
+from .manifold import _congruence, _from_eig, _half_powers, _spd_eigh, ensure_spd
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
 from .tssf import _check_above_rounding, _ranked_bank
 
@@ -46,9 +46,14 @@ def fit_csp(covs, labels, k):
         On a bad shape, label value or ``k``; on single-class labels, or
         when every ``|log eigenvalue|`` is at most ``SPD_TOL`` (class means
         equal to rounding).
+    InvalidInput, NotPositiveDefinite
+        When a covariance has a non-finite entry, is not symmetric or is
+        not SPD: ``ensure_spd(covs, "covariance")``, the rule of every
+        other source, names the first one ("covariance 3 ...").
     """
     covs, labels = _check_training_set(covs, labels)
     _check_count(k, "k", high=covs.shape[1])
+    covs = ensure_spd(covs, "covariance")
     mean_pos, mean_neg = covs[labels == 1].mean(axis=0), covs[labels == -1].mean(axis=0)
     _, inv_half = _half_powers(mean_neg)
     # manifold._logm, keeping its eigenvalues: the generalized eigenvalues

@@ -79,14 +79,30 @@ def _average_ranks(x):
     return ranks
 
 
-def smd(scores_a, scores_b):
-    """Paired standardized mean difference: mean(a - b) / sample std(a - b)."""
+def _paired_differences(scores_a, scores_b):
+    # a - b of two matching 1-D score arrays; a NaN difference (a NaN score,
+    # or inf - inf) defines no paired statistic
     a = np.asarray(scores_a, dtype=float)
     b = np.asarray(scores_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise InvalidInput("paired scores must be matching 1-D arrays")
-    _check_count(a.size, "pairs", low=2)
-    d = a - b
+    with np.errstate(invalid="ignore"):  # inf - inf is the NaN checked next
+        d = a - b
+    if np.isnan(d).any():
+        raise DegenerateStatistic("a paired difference is NaN")
+    return d
+
+
+def smd(scores_a, scores_b):
+    """Paired standardized mean difference: mean(a - b) / sample std(a - b).
+
+    A NaN or infinite difference ``a - b`` raises
+    :class:`~tssf.errors.DegenerateStatistic`: it has no standard deviation.
+    """
+    d = _paired_differences(scores_a, scores_b)
+    _check_count(d.size, "pairs", low=2)
+    if np.isinf(d).any():
+        raise DegenerateStatistic("a paired difference is infinite")
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         raise DegenerateStatistic("zero variance of paired differences")
@@ -104,14 +120,7 @@ def wilcoxon_one_sided(scores_a, scores_b):
     A NaN difference ``a - b`` raises
     :class:`~tssf.errors.DegenerateStatistic`.
     """
-    a = np.asarray(scores_a, dtype=float)
-    b = np.asarray(scores_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidInput("paired scores must be matching 1-D arrays")
-    with np.errstate(invalid="ignore"):  # inf - inf is the NaN checked next
-        d = a - b
-    if np.isnan(d).any():
-        raise DegenerateStatistic("a paired difference is NaN")
+    d = _paired_differences(scores_a, scores_b)
     d = d[d != 0]
     n = d.size
     if n == 0:

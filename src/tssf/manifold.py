@@ -21,9 +21,12 @@ symmetric: the same whitening rounds the same way wherever it is done, and
 apply to the eigenvectors it returns (and so to :func:`ged`); matrix
 functions do not depend on them.
 
-Every function judges input by the same two constants, and none takes a
-tolerance: a matrix is symmetric within ``SYM_RTOL`` of its largest entry,
-and SPD when its smallest eigenvalue exceeds ``SPD_TOL`` times its largest.
+Every public function checks each matrix argument by one rule, in this
+order, and names the first matrix that fails ("covariance 3 ..."): it is
+square, every entry is finite, and it is symmetric within ``SYM_RTOL`` of
+its largest entry (``InvalidInput``). Where SPD is required, its smallest
+eigenvalue exceeds ``SPD_TOL`` times its largest (``NotPositiveDefinite``).
+No function takes a tolerance.
 """
 
 import functools
@@ -44,24 +47,22 @@ def _check_symmetric(a, name="matrix", stack=True):
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
+    # a non-finite entry first: an infinite one would make the symmetry
+    # tolerance infinite, and a symmetric pair of them passes array_equal
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        raise InvalidInput(f"{name}{_where(_first_failure(finite))} has a non-finite entry")
     # most inputs are exactly symmetric (syrk products, symmetrized
     # iterates); only the others pay for the tolerance test's temporaries.
     # The tolerance is relative to each matrix's largest entry, so it means
-    # the same in any data units; an infinite entry would make it infinite,
-    # so a matrix that has one and is not exactly symmetric fails.
+    # the same in any data units.
     at = a.swapaxes(-1, -2)
     if not np.array_equal(a, at):
         scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
         ok = np.all(np.abs(a - at) <= SYM_RTOL * scale, axis=(-2, -1))
-        ok &= np.isfinite(scale[..., 0, 0])
         if not ok.all():
-            # NaN is unequal to itself, so a NaN entry fails this test too
-            i = _first_failure(ok)
-            if np.isfinite(a[i]).all():
-                fault = f"is not symmetric within {SYM_RTOL:g} of its largest entry"
-            else:
-                fault = "has a non-finite entry"
-            raise InvalidInput(f"{name}{_where(i)} {fault}")
+            fault = f"is not symmetric within {SYM_RTOL:g} of its largest entry"
+            raise InvalidInput(f"{name}{_where(_first_failure(ok))} {fault}")
     return a
 
 

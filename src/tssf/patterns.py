@@ -32,10 +32,18 @@ def compute_patterns(filters, data_cov):
     -------
     ndarray, shape (C, K)
         One pattern column per filter column.
+
+    Raises
+    ------
+    InvalidInput, NotPositiveDefinite
+        On filters that are not a finite C x K matrix of full column rank,
+        or a data covariance that is not SPD.
     """
     f = np.asarray(filters, dtype=float)
     if f.ndim != 2:
         raise InvalidInput("filters must be a C x K matrix")
+    if not np.isfinite(f).all():  # the rank test's SVD would not converge
+        raise InvalidInput("filters have a non-finite entry")
     cov = ensure_spd(np.asarray(data_cov, dtype=float), name="data covariance")
     if cov.shape[0] != f.shape[0]:
         raise DimMismatch("filters and covariance disagree on channel count")

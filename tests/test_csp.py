@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import tssf
-from tssf import csp, manifold
-from tssf.errors import DegenerateModel, InvalidInput
+from tssf import csp, manifold, pipelines
+from tssf.errors import DegenerateModel, InvalidInput, NotPositiveDefinite
 
 from conftest import random_spd
 
@@ -89,6 +89,32 @@ class TestFitCsp:
         covs, _ = two_class_covs(rng)
         with pytest.raises(DegenerateModel):
             csp.fit_csp(covs, np.ones(len(covs)), 2)
+
+    @pytest.mark.parametrize(
+        "fault, error, text",
+        [
+            ("asymmetric", InvalidInput, "is not symmetric within"),
+            ("not SPD", NotPositiveDefinite, "is not positive definite"),
+            ("NaN", InvalidInput, "has a non-finite entry"),
+        ],
+        ids=["asymmetric", "not-spd", "nan"],
+    )
+    def test_a_bad_training_covariance_is_named(self, rng, fault, error, text):
+        # the rule fit and covariances apply to every other filter source:
+        # CSP fitted on the first two without a word, and its pipeline named
+        # the not-SPD one only through its filtered variances
+        covs, labels = two_class_covs(rng)
+        if fault == "asymmetric":
+            covs[3, 0, 1] += 0.5
+        elif fault == "not SPD":
+            covs[3] = -np.eye(covs.shape[1])
+        else:
+            covs[3, 2, :] = covs[3, :, 2] = np.nan
+        spec = pipelines.PipelineSpec("CSP", 2, tssf.ClassifierConfig(reg=1.0))
+        pipe = pipelines.make_pipeline(spec)
+        for fit in (lambda: csp.fit_csp(covs, labels, 2), lambda: pipe.fit_covs(covs, labels)):
+            with pytest.raises(error, match=f"^covariance 3 {text}"):
+                fit()
 
     def test_selection_takes_both_spectrum_ends(self, rng):
         covs, labels = two_class_covs(rng)

@@ -137,6 +137,22 @@ class TestSmd:
         b = rng.standard_normal(10)
         assert evalstats.smd(a, b) == pytest.approx(-evalstats.smd(b, a), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "a, b, fault",
+        [
+            ([0.5, 0.6, np.nan], [0.4, 0.5, 0.5], "NaN"),
+            ([0.5, 0.6, np.inf], [0.4, 0.5, np.inf], "NaN"),
+            ([0.5, 0.6, np.inf], [0.4, 0.5, 0.5], "infinite"),
+            ([0.5, 0.6, 0.7], [0.4, 0.5, np.inf], "infinite"),
+        ],
+        ids=["nan", "inf-inf", "inf", "-inf"],
+    )
+    def test_non_finite_difference_rejected(self, a, b, fault):
+        # the rule wilcoxon_one_sided applies; smd returned nan, with a
+        # RuntimeWarning for an infinite score
+        with pytest.raises(DegenerateStatistic, match=f"^a paired difference is {fault}$"):
+            evalstats.smd(a, b)
+
     def test_too_few(self):
         with pytest.raises(InvalidInput):
             evalstats.smd([1.0], [0.5])

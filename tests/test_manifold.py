@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tssf
 from tssf import dataio, manifold
 from tssf.errors import (
     ConvergenceFailure,
@@ -69,9 +70,8 @@ class TestSymEig:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_is_not_called_asymmetry(self, rng, bad):
-        # a NaN sample leaves a NaN row and column, which the symmetry test
-        # fails (NaN is unequal to itself); one infinite entry would make the
-        # tolerance infinite and pass. The error says what is wrong
+        # a NaN sample leaves a NaN row and column; one infinite entry would
+        # make the symmetry tolerance infinite. The error says what is wrong
         stack = np.array([random_spd(rng, 3) for _ in range(5)])
         stack[3, 2, :] = stack[3, :, 2] = np.nan
         lone = stack[1].copy()
@@ -81,6 +81,41 @@ class TestSymEig:
                 manifold.ensure_spd(a, "covariance")
         with pytest.raises(InvalidInput, match="^matrix has a non-finite entry$"):
             manifold.sym_eig(lone)
+        # a symmetric pair of them, or one on the diagonal, is exactly
+        # symmetric: every public matrix function still names the matrix,
+        # where sym_eig and expm returned NaN and logm called it not SPD
+        g = random_spd(rng, 3)
+        pair, diagonal = g.copy(), g.copy()
+        pair[0, 2] = pair[2, 0] = diagonal[1, 1] = bad
+        calls = [
+            ("matrix", manifold.sym_eig),
+            ("matrix", manifold.expm),
+            ("matrix", manifold.logm),
+            ("matrix", lambda b: manifold.powm(b, 0.5)),
+            ("matrix 1", lambda b: manifold.logm(np.array([g, b, g]))),
+            ("covariance", lambda b: manifold.ensure_spd(b, "covariance")),
+            ("matrix", manifold.vec),
+            ("ref", lambda b: manifold.log_map_at(b, g)),
+            ("x", lambda b: manifold.log_map_at(g, b)),
+            ("ref", lambda b: manifold.exp_map_at(b, g)),
+            ("s", lambda b: manifold.exp_map_at(g, b)),
+            ("ref", lambda b: manifold.inner_product_at(b, g, g)),
+            ("s1", lambda b: manifold.inner_product_at(g, b, g)),
+            ("s2", lambda b: manifold.inner_product_at(g, g, b)),
+            ("a", lambda b: manifold.airm_distance(b, g)),
+            ("b", lambda b: manifold.airm_distance(g, b)),
+            ("a", lambda b: manifold.ged(b, g)),
+            ("b", lambda b: manifold.ged(g, b)),
+            ("point 1", lambda b: manifold.frechet_mean([g, b, g])),
+            ("ref", lambda b: tssf.tangent_vectors(b, [g])),
+            ("covariance 1", lambda b: tssf.tangent_vectors(g, [g, b, g])),
+            ("ref", lambda b: tssf.tangent_filters(b, g, 1)),
+            ("weights", lambda b: tssf.tangent_filters(g, b, 1)),
+        ]
+        for name, call in calls:
+            for a in (pair, diagonal):
+                with pytest.raises(InvalidInput, match=f"^{name} has a non-finite entry$"):
+                    call(a)
 
 
 class TestMatrixFunctions:

@@ -44,6 +44,14 @@ class TestComputePatterns:
         with pytest.raises(InvalidInput):
             patterns.compute_patterns(f, random_spd(rng, 4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_filter_rejected(self, rng, bad):
+        # named before the rank test, whose SVD raised an untyped LinAlgError
+        f = random_invertible(rng, 4)[:, :2]
+        f[1, 0] = bad
+        with pytest.raises(InvalidInput, match="^filters have a non-finite entry$"):
+            patterns.compute_patterns(f, random_spd(rng, 4))
+
     def test_channel_mismatch(self, rng):
         with pytest.raises(DimMismatch):
             patterns.compute_patterns(np.eye(3), random_spd(rng, 4))

@@ -1,5 +1,6 @@
 import functools
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1118,6 +1119,35 @@ def test_a_strided_batch_is_not_copied_whole():
         pipe.decision_scores, contiguous
     )
     assert pipe.decision_scores(strided).tobytes() == pipe.decision_scores(contiguous).tobytes()
+
+
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_scoring_runs_no_input_check(name, monkeypatch):
+    # the symmetry and SPD input checks belong to fitting and the public
+    # matrix functions; scoring, which the online and batch benchmarks
+    # time, names a bad trial from its own eigenvalues or variances
+    train, labels, test = workload_split("eval-c64-fixed")
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name, k=4, classifier=FIXED))
+    pipe.fit(train, labels)
+    data = np.concatenate([test, train], axis=2)
+    batches = [np.ascontiguousarray(data[:, :, :t]) for t in (1, 10, 40)]
+    batches.append(data[:, :, ::-1][:, :, :40])
+    assert batches[2].nbytes > dataio._BLOCK_BYTES and not batches[3].flags.c_contiguous
+    expected = [pipe.decision_scores(b) for b in batches]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input check ran while scoring")
+
+    checks = (manifold._check_symmetric, manifold.ensure_spd)
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "tssf" or module_name.startswith("tssf."):
+            for attribute, value in list(vars(module).items()):
+                if any(value is check for check in checks):
+                    monkeypatch.setattr(module, attribute, refuse)
+    with pytest.raises(AssertionError, match="input check"):
+        pipe.fit(train, labels)  # the patch reaches the checks fitting runs
+    for batch, want in zip(batches, expected):
+        assert pipe.decision_scores(batch).tobytes() == want.tobytes()
 
 
 def test_cold_cross_validate_holds_one_covariance_stack(monkeypatch):
