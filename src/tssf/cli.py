@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .dataio import SynthConfig, _check_count, covariances, fir_bandpass, load_manifest
+from .dataio import SynthConfig, covariances, fir_bandpass, load_manifest
 from .dataio import read_trials, synth_generate, write_trials
 from .errors import DegenerateStatistic, FormatError, InvalidInput, TssfError
 from .evalstats import PairedComparison, bench_predict, bench_to_csv, compare_paired
@@ -35,6 +35,7 @@ from .evalstats import comparisons_to_csv, cross_validate, reports_to_csv
 from .linmodel import ClassifierConfig
 from .patterns import compute_patterns, patterns_to_csv
 from .pipelines import MODEL_FORMAT, PipelineSpec, load_pipeline, make_pipeline, save_pipeline
+from .rules import _check_count
 
 
 def _parser():

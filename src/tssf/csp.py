@@ -11,9 +11,10 @@ checked by acceptance test 05 in ``tests/test_acceptance.py``.
 
 import numpy as np
 
-from .dataio import _check_count, _check_training_set
+from .dataio import _check_training_set
 from .manifold import _congruence, _from_eig, _half_powers, _spd_eigh, ensure_spd
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
+from .rules import _check_count
 from .tssf import _check_above_rounding, _ranked_bank
 
 

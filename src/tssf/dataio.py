@@ -21,14 +21,12 @@ bit-exact.
 
 A trial's covariance is ``X X^T / N`` of the trial with its channel means
 removed, checked SPD at ``manifold.SPD_TOL``. Every fit first checks its
-training set with ``_check_training_set``; every count and magnitude a
-caller passes goes through ``_check_count`` or ``_check_magnitude`` first.
+training set with ``_check_training_set``; every number and array a
+caller passes goes through its rule in :mod:`tssf.rules` first.
 Every pass over the trials of a tensor goes through ``_blockwise``, and
 every CSV the library writes through ``_csv_text``.
 """
 
-import math
-import numbers
 import os
 import stat
 import struct
@@ -37,8 +35,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateModel, FormatError, InvalidInput, NotPositiveDefinite
+from .errors import FormatError, InvalidInput, NotPositiveDefinite
 from .manifold import ensure_spd
+from .rules import _check_count, _check_labels, _check_magnitude, _labels, _real_array
+from .rules import _session_ids
 
 MAGIC = b"EEGT"
 FORMAT_VERSION = 1
@@ -46,7 +46,16 @@ FORMAT_VERSION = 1
 
 @dataclass
 class TrialSet:
-    """Band-passed epochs: a C x N x T tensor with per-trial metadata."""
+    """Band-passed epochs: a C x N x T tensor with per-trial metadata.
+
+    ``data`` becomes a C-contiguous float64 tensor, ``labels`` int8 and
+    ``session_ids`` uint32, each checked by its rule in :mod:`tssf.rules`
+    before the cast. Rejected with ``InvalidInput``, never cast: complex,
+    string or object data (``DimMismatch`` for a ragged sequence), a label
+    that is not exactly -1 or +1 by value (1.5, 255 or 257 alike; the
+    first one named), and a session id that is not an integer in
+    ``[0, 2**32)`` (0.7, -1 or 2**32).
+    """
 
     data: np.ndarray
     labels: np.ndarray
@@ -54,16 +63,14 @@ class TrialSet:
     channel_names: list
 
     def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int8)
-        self.session_ids = np.asarray(self.session_ids, dtype=np.uint32)
+        self.data = np.ascontiguousarray(_real_array(self.data, "data"))
+        self.labels = _labels(self.labels, np.int8)
+        self.session_ids = _session_ids(self.session_ids)
         if self.data.ndim != 3:
             raise InvalidInput("data must be a C x N x T tensor")
         c, _, t = self.data.shape
         if self.labels.shape != (t,) or self.session_ids.shape != (t,):
             raise InvalidInput("labels and session ids must have one entry per trial")
-        if not np.all(np.isin(self.labels, (-1, 1))):
-            raise InvalidInput("labels must be -1 or +1")
         if len(self.channel_names) != c:
             raise InvalidInput("need one channel name per channel")
         self.channel_names = [str(n) for n in self.channel_names]
@@ -115,47 +122,14 @@ def _check_training_set(data, labels, trial_axis=0):
     or +1, and both must occur. Raises ``InvalidInput``, or
     ``DegenerateModel`` for a single class; returns both as arrays.
     """
-    data = np.asarray(data, dtype=float)
-    labels = np.asarray(labels)
+    data = _real_array(data, "training data")
     if data.ndim != 3 or (trial_axis == 0 and data.shape[1] != data.shape[2]):
         want = "(T, C, C) covariance stack" if trial_axis == 0 else "C x N x T tensor"
         raise InvalidInput(f"training data of shape {data.shape} is not a {want}")
+    labels = _check_labels(labels)
     if labels.shape != (data.shape[trial_axis],):
         raise InvalidInput(f"need one label per trial, got {labels.shape} for {data.shape}")
-    _check_labels(labels)
     return data, labels
-
-
-def _check_count(value, name, low=1, high=None):
-    # the one count rule (k, folds, seeds, sizes): an integer, not a bool, in [low, high]
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    if value < low or (high is not None and value > high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise InvalidInput(f"{name} must be {bound}, got {value}")
-
-
-def _check_magnitude(value, name, bound="positive"):
-    # the one magnitude rule: a finite real, not a bool, "positive" or ">= 0" unless None
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidInput(f"{name} must be a real number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
-    above = {"positive": value > 0, ">= 0": value >= 0, None: True}[bound]
-    if not (above and math.isfinite(value)):
-        raise InvalidInput(f"{name} must be {bound + ' and ' if bound else ''}finite")
-
-
-def _check_labels(labels):
-    # the label contract of every fit, the linear models' included: each
-    # label -1 or +1 (the first bad one named), and both classes present
-    bad = ~np.isin(labels, (-1, 1))
-    if bad.any():
-        raise InvalidInput(f"labels must be -1 or +1, got {labels[bad][0].item()!r}")
-    if np.unique(labels).size < 2:
-        raise DegenerateModel("training labels hold a single class; need both -1 and +1")
 
 
 def write_trials(trialset, path):
@@ -239,8 +213,10 @@ def read_manifest(path):
                 session = int(parts[0])
             except ValueError:
                 raise FormatError(f"manifest line {lineno}: bad session id") from None
-            if not 0 <= session < 2**32:  # a u32 field of EEGT files
-                raise FormatError(f"manifest line {lineno}: session id must be >= 0 and < 2**32")
+            try:
+                _session_ids(session)
+            except InvalidInput as exc:
+                raise FormatError(f"manifest line {lineno}: {exc}") from None
             file_path = parts[1]
             if not os.path.isabs(file_path):
                 file_path = os.path.join(base, file_path)
@@ -368,7 +344,7 @@ def empirical_covariance(trial):
     Per-channel means are removed first. The result is validated SPD;
     rank-deficient estimates are rejected.
     """
-    x = np.asarray(trial, dtype=float)
+    x = _real_array(trial, "trial")
     if x.ndim != 2:
         raise InvalidInput("trial must be a C x N matrix")
     return _spd_covariances(x[:, :, None])[0]
@@ -504,8 +480,8 @@ def synth_generate(cfg):
         1: np.sqrt(np.concatenate([cfg.var_pos, np.full(c - cfg.n_discriminative, cfg.background_variance)])),
         -1: np.sqrt(np.concatenate([cfg.var_neg, np.full(c - cfg.n_discriminative, cfg.background_variance)])),
     }
-    labels = np.where(np.arange(t_total) % 2 == 0, 1, -1).astype(np.int8)
-    session_ids = ((np.arange(t_total) // 2) % cfg.sessions).astype(np.uint32)
+    labels = np.where(np.arange(t_total) % 2 == 0, 1, -1)
+    session_ids = (np.arange(t_total) // 2) % cfg.sessions
 
     data = np.empty((c, n, t_total))
     for t in range(t_total):

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _check_count, _csv_text, covariances
+from .dataio import _csv_text, covariances
 from .errors import DegenerateStatistic, DimMismatch, InvalidInput, TssfError
+from .rules import _check_count, _labels, _real_array
 
 
 def stratified_folds(labels, folds, seed):
@@ -48,8 +49,8 @@ def roc_auc(scores, labels):
     negative-class score, with tied pairs counting one half. Non-finite
     scores raise :class:`~tssf.errors.DegenerateStatistic`.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
+    scores = _real_array(scores, "scores")
+    labels = _labels(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InvalidInput("scores and labels must be matching 1-D arrays")
     bad = np.flatnonzero(~np.isfinite(scores))
@@ -58,8 +59,8 @@ def roc_auc(scores, labels):
             f"{bad.size} non-finite score(s), first at index {bad[0]}: {scores[bad[0]]}"
         )
     pos = labels == 1
-    neg = labels == -1
-    if not (np.all(pos | neg) and pos.any() and neg.any()):
+    neg = ~pos
+    if not (pos.any() and neg.any()):
         raise InvalidInput("labels must be -1/+1 with both classes present")
     ranks = _average_ranks(scores)
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
@@ -81,12 +82,14 @@ def _average_ranks(x):
 
 def _paired_differences(scores_a, scores_b):
     # a - b of two matching 1-D score arrays; a NaN difference (a NaN score,
-    # or inf - inf) defines no paired statistic
-    a = np.asarray(scores_a, dtype=float)
-    b = np.asarray(scores_b, dtype=float)
+    # or inf - inf) defines no paired statistic. Finite scores of opposite
+    # sign near the float maximum overflow to an infinite difference: smd
+    # names it, and the signed-rank test ranks it above every finite one
+    a = _real_array(scores_a, "scores_a")
+    b = _real_array(scores_b, "scores_b")
     if a.shape != b.shape or a.ndim != 1:
         raise InvalidInput("paired scores must be matching 1-D arrays")
-    with np.errstate(invalid="ignore"):  # inf - inf is the NaN checked next
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are checked after
         d = a - b
     if np.isnan(d).any():
         raise DegenerateStatistic("a paired difference is NaN")
@@ -177,8 +180,8 @@ class PairedComparison:
 
 def compare_paired(name_a, scores_a, name_b, scores_b):
     """Build a PairedComparison (SMD + one-sided signed-rank p) for A vs B."""
-    a = np.asarray(scores_a, dtype=float)
-    b = np.asarray(scores_b, dtype=float)
+    a = _real_array(scores_a, "scores_a")
+    b = _real_array(scores_b, "scores_b")
     if a.shape != b.shape:
         raise DimMismatch("paired comparison needs the same unit count on both sides")
     return PairedComparison(
@@ -324,7 +327,7 @@ def bench_predict(fitted, trials, repetitions=10):
     ``TSSF_THREADS=1`` environment variable) for meaningful numbers.
     """
     _check_count(repetitions, "repetitions")
-    trials = np.asarray(trials, dtype=float)
+    trials = _real_array(trials, "trials")
     if trials.ndim != 3 or trials.shape[2] == 0:
         raise InvalidInput(f"trials must be a C x N x T tensor with T >= 1, got {trials.shape}")
     if repetitions < 10:

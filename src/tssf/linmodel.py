@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _check_count, _check_labels, _check_magnitude
 from .errors import InvalidInput
 from .evalstats import roc_auc, stratified_folds
+from .rules import _check_count, _check_labels, _check_magnitude, _real_array
 
 DEFAULT_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 SVM_MAX_UPDATES = 10**5  # pair updates before an SVM fit gives up and warns
@@ -41,13 +41,12 @@ class SvmFitInfo:
 
 
 def _check_dataset(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y)
+    x = _real_array(x, "feature matrix")
     if x.ndim != 2:
         raise InvalidInput("feature matrix must be 2-D (samples x features)")
+    y = _check_labels(y)
     if y.shape != (x.shape[0],):
         raise InvalidInput("label count must match sample count")
-    _check_labels(y)
     y = y.astype(float)
     npos = int(np.sum(y > 0))
     return x, y, npos, y.size - npos

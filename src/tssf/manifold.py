@@ -22,11 +22,13 @@ apply to the eigenvectors it returns (and so to :func:`ged`); matrix
 functions do not depend on them.
 
 Every public function checks each matrix argument by one rule, in this
-order, and names the first matrix that fails ("covariance 3 ..."): it is
-square, every entry is finite, and it is symmetric within ``SYM_RTOL`` of
-its largest entry (``InvalidInput``). Where SPD is required, its smallest
-eigenvalue exceeds ``SPD_TOL`` times its largest (``NotPositiveDefinite``).
-No function takes a tolerance.
+order, and names the first matrix that fails ("covariance 3 ..."): it
+holds real numbers (``rules._real_array``: a complex Hermitian matrix is
+rejected, not cast to its real part), it is square, every entry is
+finite, and it is symmetric within ``SYM_RTOL`` of its largest entry
+(``InvalidInput``). Where SPD is required, its smallest eigenvalue
+exceeds ``SPD_TOL`` times its largest (``NotPositiveDefinite``). No
+function takes a tolerance.
 """
 
 import functools
@@ -36,6 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceFailure, DimMismatch, InvalidInput, NotPositiveDefinite, _where
+from .rules import _real_array
 
 SYM_RTOL = 1e-12
 SPD_TOL = 1e-10
@@ -44,7 +47,7 @@ FRECHET_TOL = 1e-10  # whitened residual at which frechet_mean stops
 
 
 def _check_symmetric(a, name="matrix", stack=True):
-    a = np.asarray(a, dtype=float)
+    a = _real_array(a, name)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     # a non-finite entry first: an infinite one would make the symmetry
@@ -273,10 +276,7 @@ def frechet_mean(points):
 
 def _frechet_mean_and_logs(points):
     # frechet_mean, and the whitened logs of the points at it (the last sweep's)
-    try:
-        pts = np.asarray(points, dtype=float)
-    except ValueError:
-        raise DimMismatch("points must all have the same shape") from None
+    pts = _real_array(points, "points")
     if pts.ndim != 3 or pts.shape[0] == 0:
         raise InvalidInput(f"need a non-empty (T, C, C) stack of points, got shape {pts.shape}")
     pts = _check_symmetric(pts, "point")
@@ -405,7 +405,7 @@ def unvec(v):
     (Scaling off-diagonals by sqrt(2) and back is not always bit-exact
     in binary floating point.)
     """
-    v = np.asarray(v, dtype=float)
+    v = _real_array(v, "tangent vector")
     if v.ndim != 1:
         raise InvalidInput("tangent vector must be 1-D")
     c = int((np.sqrt(8 * v.size + 1) - 1) / 2)
@@ -480,9 +480,8 @@ def subspace_angle_by_cluster(f1, f2, eigenvalues):
     subspaces each cluster spans, which is the comparison that stays
     well-posed when eigenvalues are degenerate.
     """
-    f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    f1, f2 = _real_array(f1, "f1"), _real_array(f2, "f2")
+    eigenvalues = _real_array(eigenvalues, "eigenvalues")
     if f1.shape != f2.shape or f1.shape[1] != eigenvalues.size:
         raise DimMismatch("eigenvector sets and eigenvalues must align")
     worst = 0.0

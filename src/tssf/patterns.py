@@ -14,6 +14,7 @@ import scipy.linalg
 from .dataio import _csv_text
 from .errors import DimMismatch, InvalidInput
 from .manifold import ensure_spd
+from .rules import _real_array
 
 
 def compute_patterns(filters, data_cov):
@@ -39,12 +40,12 @@ def compute_patterns(filters, data_cov):
         On filters that are not a finite C x K matrix of full column rank,
         or a data covariance that is not SPD.
     """
-    f = np.asarray(filters, dtype=float)
+    f = _real_array(filters, "filters")
     if f.ndim != 2:
         raise InvalidInput("filters must be a C x K matrix")
     if not np.isfinite(f).all():  # the rank test's SVD would not converge
         raise InvalidInput("filters have a non-finite entry")
-    cov = ensure_spd(np.asarray(data_cov, dtype=float), name="data covariance")
+    cov = ensure_spd(data_cov, name="data covariance")
     if cov.shape[0] != f.shape[0]:
         raise DimMismatch("filters and covariance disagree on channel count")
     if f.shape[1] > f.shape[0] or np.linalg.matrix_rank(f) < f.shape[1]:

@@ -20,7 +20,7 @@ TS_AIRM, the tangent-space SVM at the Frechet mean, keeps all C, whose
 one-step scores are the SVM's decision values; CSP's source is
 :func:`~tssf.csp.fit_csp`. The classes differ in nothing else: a pipeline
 reads its feature kind and one-step flag from its row, and every k passes
-one rule, ``dataio._check_count`` (an integer >= 1; TS_AIRM then ignores it).
+one rule, ``rules._check_count`` (an integer >= 1; TS_AIRM then ignores it).
 
 Every pipeline object exposes ``fit(trials, labels)`` and
 ``decision_scores(trials)`` on C x N x T tensors, and ``fit_covs(covs,
@@ -63,13 +63,14 @@ from functools import partial
 import numpy as np
 
 from .csp import fit_csp
-from .dataio import _check_count, _check_training_set, _covariance_stack, _spd_covariances
+from .dataio import _check_training_set, _covariance_stack, _spd_covariances
 from .dataio import _blockwise
 from .errors import DimMismatch, FormatError, InvalidInput
 from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import SPD_TOL, _congruence, _diag_logm, _frechet_mean_and_logs, _half_powers, _vec
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
 from .manifold import unvec
+from .rules import _check_count, _real_array
 from .tssf import DIAGLOGCOV, LOGVAR, _filtered_features, _log_variances, _ranked_bank, extract_tssf
 
 LOGCOV = "logcov"  # a pipeline's kind only: no bank computes these features
@@ -104,7 +105,7 @@ def _compiled_scores(self, trials):
 
     Scored by ``dataio._blockwise``, so a strided tensor is not copied whole.
     """
-    trials = np.asarray(trials, dtype=float)
+    trials = _real_array(trials, "trials")
     p = self.filters
     if trials.ndim != 3 or trials.shape[0] != p.shape[0] or trials.shape[1] == 0:
         raise DimMismatch(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import _check_count, _check_magnitude, _check_training_set
+from .dataio import _check_training_set
 from .errors import (
     DegenerateModel,
     DimMismatch,
@@ -58,6 +58,7 @@ from .manifold import (
     unvec,
 )
 from .manifold import frechet_mean  # noqa: F401  (re-exported)
+from .rules import _check_count, _check_magnitude, _real_array
 
 LOGVAR = "logvar"
 DIAGLOGCOV = "diaglogcov"
@@ -253,7 +254,7 @@ def extract_tssf(covs, labels, k, model_cfg=None):
 
 def apply_filters(model, trial):
     """Filter one C x N trial with a filter bank: ``filters.T @ trial`` (K x N)."""
-    trial = np.asarray(trial, dtype=float)
+    trial = _real_array(trial, "trial")
     c = model.filters.shape[0]
     if trial.ndim != 2 or trial.shape[0] != c:
         raise DimMismatch(
@@ -329,7 +330,7 @@ def predict_one_step(model, features):
     InvalidInput
         On features of the wrong shape, or a score that is not finite.
     """
-    features = np.asarray(features, dtype=float)
+    features = _real_array(features, "features")
     if features.shape != (model.k,):
         raise InvalidInput(f"expected {model.k} features, got shape {features.shape}")
     score = float(model.beta @ features + model.intercept)
@@ -353,8 +354,10 @@ def exact_decision_value(weight_cov, ref, trial_cov, ged_result):
     its intercept). ``ged_result`` must whiten ``ref`` and diagonalize
     ``weight_cov``, or :class:`~tssf.errors.InvalidInput` is raised.
     """
-    f = np.asarray(ged_result.eigenvectors, dtype=float)
-    d = np.asarray(ged_result.eigenvalues, dtype=float)
+    weight_cov, ref = _real_array(weight_cov, "weight_cov"), _real_array(ref, "ref")
+    trial_cov = _real_array(trial_cov, "trial_cov")
+    f = _real_array(ged_result.eigenvectors, "ged_result.eigenvectors")
+    d = _real_array(ged_result.eigenvalues, "ged_result.eigenvalues")
     if f.shape[0] != f.shape[1]:
         raise InvalidInput("filters must be square (full rank) for the exact value")
     if np.linalg.matrix_rank(f) < f.shape[0]:
@@ -366,5 +369,5 @@ def exact_decision_value(weight_cov, ref, trial_cov, ged_result):
         raise InvalidInput("ged_result does not diagonalize weight_cov")
     if np.any(d <= 0):
         raise InvalidInput("weight covariance eigenvalues must be positive")
-    filtered = f.T @ np.asarray(trial_cov, dtype=float) @ f
+    filtered = f.T @ trial_cov @ f
     return float(np.log(d) @ _diag_logm(filtered, "filtered trial covariance"))

@@ -153,6 +153,12 @@ class TestSmd:
         with pytest.raises(DegenerateStatistic, match=f"^a paired difference is {fault}$"):
             evalstats.smd(a, b)
 
+    def test_overflowing_difference_is_named_without_a_warning(self):
+        # finite scores whose difference overflows: named as infinite,
+        # not left to numpy's overflow RuntimeWarning
+        with pytest.raises(DegenerateStatistic, match="^a paired difference is infinite$"):
+            evalstats.smd([1e308, 0.0, 1.0], [-1e308, 0.0, 0.0])
+
     def test_too_few(self):
         with pytest.raises(InvalidInput):
             evalstats.smd([1.0], [0.5])
@@ -165,6 +171,14 @@ class TestWilcoxon:
         a = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         b = a - np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         assert evalstats.wilcoxon_one_sided(a, b) == pytest.approx(1 / 32, abs=1e-15)
+
+    def test_overflowing_difference_ranks_first(self):
+        # 1e308 - (-1e308) is inf, without numpy's overflow RuntimeWarning,
+        # and ranks where any difference above 5 would
+        a = np.array([1e308, 1.0, 2.0, 3.0, 4.0, 5.0])
+        b = np.array([-1e308, 0.0, 0.0, 0.0, 0.0, 0.0])
+        finite = evalstats.wilcoxon_one_sided(np.r_[10.0, a[1:]], b * 0.0)
+        assert evalstats.wilcoxon_one_sided(a, b) == finite == 1 / 64
 
     def test_symmetric_differences(self):
         a = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])

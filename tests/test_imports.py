@@ -11,12 +11,17 @@ binding is a copy that neither a patch nor an edit of the original reaches.
 Imports sit at module level: ``import tssf`` loads every module of the
 package, so an import inside a function only binds a name already loaded.
 The one exception defers a module that ``import tssf`` must not load.
+
+A float, int8 or uint32 conversion of an array is written in ``rules.py``
+alone, which checks a caller's values before the cast, unless it is one
+of ``OWN_CONVERSIONS``.
 """
 
 import ast
 import os
 import re
 
+import numpy as np
 import pytest
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "tssf")
@@ -147,3 +152,83 @@ def test_the_check_sees_an_import_in_a_function():
     source = "import os\ndef f():\n    import numpy.linalg\n    from . import errors\n"
     source += "class K:\n    def g(self):\n        from .a import b\n"
     assert function_imports(source) == [("f", "numpy.linalg"), ("f", "."), ("g", ".a")]
+
+
+# Every float, int8 or uint32 conversion of a caller's array goes through
+# its rule in rules.py (real numbers, labels, session ids), which checks
+# the values before the cast. These functions convert arrays the library
+# built or checked itself, and say why:
+OWN_CONVERSIONS = {
+    ("dataio.py", "write_trials"),  # a TrialSet's checked fields, in file byte order
+    ("evalstats.py", "wilcoxon_one_sided"),  # tie counts of a rank array
+    ("linmodel.py", "_check_dataset"),  # labels after _check_labels
+    ("pipelines.py", "TssfPipeline.fit_covs"),  # the compiled fields of a fit
+    ("pipelines.py", "_floats"),  # a model file field after its own check
+}
+CHECKED_DTYPES = {np.dtype(np.int8), np.dtype(np.uint32)}
+
+
+def _checked_kind(node):
+    # True if the dtype expression is a float, int8 or uint32 dtype, or one
+    # that cannot be read off the source (a variable)
+    try:
+        dtype = np.dtype(eval(ast.unparse(node), {"__builtins__": {}, "np": np, "float": float, "int": int}))
+    except Exception:
+        return True
+    return dtype.kind == "f" or dtype in CHECKED_DTYPES
+
+
+def casts(source):
+    """(function, line) of each ``np.asarray``, ``np.ascontiguousarray`` or
+    ``.astype`` call with a float, int8 or uint32 dtype; ``function`` is the
+    outermost enclosing def (``Class.method`` for a method)."""
+    found = []
+
+    def dtype_of(call):
+        func = call.func
+        keyword = [k.value for k in call.keywords if k.arg == "dtype"]
+        if func.attr == "astype":
+            return (call.args[:1] or keyword or [None])[0]
+        if isinstance(func.value, ast.Name) and func.value.id == "np":
+            return (call.args[1:2] or keyword or [None])[0]
+        return None
+
+    def visit(node, owner, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, owner, owner or child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner or (f"{cls}.{child.name}" if cls else child.name))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("asarray", "ascontiguousarray", "astype")
+            ):
+                dtype = dtype_of(child)
+                if dtype is not None and _checked_kind(dtype):
+                    found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_every_checked_kind_of_cast_is_a_rule():
+    owners = set()
+    for module in MODULES:
+        if module != "rules.py":
+            with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+                owners.update((module, owner) for owner, _ in casts(fh.read()))
+    assert owners == OWN_CONVERSIONS
+
+
+def test_the_check_sees_a_cast():
+    source = (
+        "def f(x, d):\n    return np.asarray(x, dtype=float), np.asarray(x), np.asarray(x, int)\n"
+        "def g(x, d):\n    return x.astype('<u4'), x.astype(np.int64), x.astype(d)\n"
+        "class K:\n    def m(self, x):\n        return np.ascontiguousarray(x, np.float32)\n"
+        "y = np.asarray(z, dtype=np.int8)\nw = np.ascontiguousarray(z)\n"
+    )
+    assert casts(source) == [("f", 2), ("g", 4), ("g", 4), ("K.m", 7), (None, 8)]
