@@ -133,7 +133,12 @@ def _check_training_set(data, labels, trial_axis=0):
 
 
 def write_trials(trialset, path):
-    """Serialize a TrialSet in the EEGT binary format."""
+    """Serialize a TrialSet in the EEGT binary format.
+
+    The fields are checked again first, by ``TrialSet``'s own rules, so a
+    field changed after the set was built raises before the file is opened.
+    """
+    trialset = replace(trialset)
     c, n, t = trialset.data.shape
     with open(path, "wb") as fh:
         fh.write(MAGIC)

@@ -33,8 +33,9 @@ covariance, mirroring online use. A tensor is scored through
 ``dataio._blockwise``, so scoring holds a few MiB of temporaries however
 long the batch.
 
-Every ``fit`` ends in the same compiled form: the filters P, one weight
-per column of P, an intercept and a floor. One scoring function serves
+Every ``fit`` and every load ends in ``_compile``, the one writer of the
+compiled form, which it leaves read-only: the filters P, one weight per
+column of P, an intercept and a floor. One scoring function serves
 all pipelines: for a trial x with covariance S and W = P^T S P it returns
 ``w . log diag W`` (CSP, TSSF_Var_*) or ``w . diag logm W`` (the others),
 plus the intercept. TSSF_LogCov_2_step's second SVM, on the "logcov"
@@ -141,23 +142,18 @@ class TssfPipeline:
     Its :data:`PIPELINES` row gives the feature kind and one-step flag.
     ``fit_covs`` takes its filters from ``_extract`` (a tangent-space model
     here; CSP in :class:`CspPipeline`, all C in :class:`TangentSpacePipeline`)
-    and compiles them into ``filters``, the filters that score, one ``_coef`` each.
+    and ``_compile`` stores ``filters``, the filters that score, one ``_coef`` each.
     """
 
     def __init__(self, name, k, classifier=None):
         self.classifier_cfg = classifier or ClassifierConfig()
         PipelineSpec(name, k, self.classifier_cfg).validate()  # also without make_pipeline
         self.name = name
-        self._k = k
+        self.k = k
         _, self.feature_kind, self.one_step = PIPELINES[name]
         self.filters = None
         self.model = None
         self.clf = None
-
-    @property
-    def k(self):
-        """The number of filters: the spec's k until a fit, then the fitted one."""
-        return self._k if self.filters is None else self.filters.shape[1]
 
     def _extract(self, covs, labels, k):
         return extract_tssf(covs, labels, k, model_cfg=self.classifier_cfg)
@@ -167,9 +163,9 @@ class TssfPipeline:
         return self.fit_covs(_spd_covariances(trials), labels)
 
     def fit_covs(self, covs, labels):
-        """``fit`` on the training trials' (T, C, C) covariance stack."""
+        """``fit`` on the training trials' (T, C, C) covariance stack; ends in ``_compile``."""
         covs, labels = _check_training_set(covs, labels)
-        self.model = self._extract(covs, labels, self._k)
+        self.model = self._extract(covs, labels, self.k)
         projection = self.model.filters
         stack = _congruence(projection, covs)  # the filtered training covariances
         if self.one_step:
@@ -189,15 +185,32 @@ class TssfPipeline:
                 bank = _ranked_bank(ref, inv_half, _congruence(half, unvec(weights)), len(ref))
                 projection, weights = projection @ bank.full_filters, bank.full_beta
                 stack = _congruence(projection, covs)
-        # C-contiguous arrays, as load_pipeline reads them, so BLAS sees one
-        # layout and a loaded pipeline scores the same bits
-        self.filters = np.ascontiguousarray(projection, dtype=float)
-        self._coef = np.ascontiguousarray(weights, dtype=float)
-        self._intercept = float(intercept)
-        # a constant trial, or one far below the training data's scale, has
-        # variances and eigenvalues of rounding size, not 0: scoring rejects
-        # any not above SPD_TOL times the smallest training variance through P
-        self._var_floor = float(SPD_TOL * stack.diagonal(0, -2, -1).min())
+        # a constant trial, or one far below the training data's scale, has variances and
+        # eigenvalues of rounding size, not 0: scoring rejects those not above this floor
+        floor = SPD_TOL * stack.diagonal(0, -2, -1).min()  # least training variance through P
+        return self._compile(projection, weights, intercept, floor)
+
+    def _compile(self, filters, coef, intercept, var_floor):
+        """Store a compiled form as read-only C-contiguous copies: a load scores a fit's bits.
+
+        By the model file's rules, else FormatError: C x K ``filters``, 1 <= K <= C
+        (C for TS_AIRM), one ``coef`` each, ``var_floor`` > 0. k becomes K.
+        """
+        channels, k = filters.shape
+        if k < 1 or coef.shape != (k,):
+            raise FormatError(f"coef of length {coef.size} does not weigh {k} filters (k >= 1)")
+        if type(self) is TangentSpacePipeline and k != channels:
+            raise FormatError(f"{self.name} keeps all C filters: square, not {channels} x {k}")
+        if k > channels:  # no fit keeps more filters than channels
+            raise FormatError(
+                f"{self.name} has {k} filters for {channels} channels: k must be <= C"
+            )
+        if not var_floor > 0.0:  # a floor of 0 would pass a constant trial
+            raise FormatError(f"var_floor must be > 0, got {float(var_floor)!r}")
+        self.filters, self._coef = np.array(filters, order="C"), np.array(coef, order="C")
+        self.filters.setflags(write=False)
+        self._coef.setflags(write=False)
+        self._intercept, self._var_floor, self.k = float(intercept), float(var_floor), k
         return self
 
     decision_scores = _compiled_scores
@@ -301,10 +314,9 @@ def _floats(doc, key, ndim):
 def load_pipeline(path):
     """Read a :data:`MODEL_FORMAT` file into a pipeline ready to score.
 
-    The pipeline holds the compiled form only; its ``decision_scores`` are
-    bitwise those of the pipeline that was saved. Its k is the number of
-    filters, and its feature kind is the :data:`PIPELINES` row of its name.
-    Any other content (an unknown field too) raises :class:`~tssf.errors.FormatError`.
+    The fields go through ``_compile``, by the rules of every fit, so the pipeline
+    scores bitwise as saved. k is the number of filters, the feature kind the
+    :data:`PIPELINES` row of the name; other content raises ``FormatError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -321,19 +333,7 @@ def load_pipeline(path):
     name = doc["name"]
     if name not in PIPELINE_NAMES:
         raise FormatError(f"unknown pipeline {name!r}")
-    cls = PIPELINES[name][0]
-    filters, coef = _floats(doc, "filters", 2), _floats(doc, "coef", 1)
-    channels, k = filters.shape
-    if k < 1 or coef.shape != (k,):
-        raise FormatError(f"coef of length {coef.size} does not weigh {k} filters (k >= 1)")
-    if cls is TangentSpacePipeline and k != channels:
-        raise FormatError(f"{name} keeps all C filters: square, not {channels} x {k}")
-    if k > channels:  # no fit keeps more filters than channels
-        raise FormatError(f"{name} has {k} filters for {channels} channels: k must be <= C")
-    pipe = cls(name, k)
-    pipe.filters, pipe._coef = filters, coef
-    pipe._intercept = float(_floats(doc, "intercept", 0))
-    pipe._var_floor = float(_floats(doc, "var_floor", 0))
-    if pipe._var_floor <= 0.0:  # a floor of 0 would pass a constant trial
-        raise FormatError(f"var_floor must be > 0, got {pipe._var_floor!r}")
-    return pipe
+    return PIPELINES[name][0](name, 1)._compile(
+        _floats(doc, "filters", 2), _floats(doc, "coef", 1),
+        _floats(doc, "intercept", 0), _floats(doc, "var_floor", 0),
+    )

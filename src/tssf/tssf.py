@@ -160,6 +160,7 @@ class TssfModel:
     K-column prefix), ``full_beta`` the matching log-eigenvalues (``beta``
     is their K-prefix, the one-step coefficients of either feature kind) and
     ``reference_mean`` the point whose tangent space the weights live in.
+    The four filter and coefficient arrays are read-only.
     """
 
     filters: np.ndarray
@@ -205,6 +206,8 @@ def _ranked_bank(ref, inv_half, weights, k, intercept=0.0):
     order = np.lexsort((np.arange(lam.size), -lam, -np.abs(lam)))
     full_filters = (inv_half @ v)[:, order]
     full_beta = lam[order]
+    full_filters.setflags(write=False)  # so also their prefixes, filters and beta
+    full_beta.setflags(write=False)
     return TssfModel(
         filters=full_filters[:, :k],
         beta=full_beta[:k],

@@ -194,6 +194,27 @@ class TestEegtFormat:
         with pytest.raises(FormatError, match="data tensor"):
             dataio.read_trials(path)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda ts: setattr(ts, "labels", np.array([257, -1])),  # read back as [1, -1]
+            lambda ts: np.put(ts.labels, 0, 5),  # a file its own reader rejects
+            lambda ts: setattr(ts, "labels", np.array([1])),  # read as a truncated file
+            lambda ts: setattr(ts, "session_ids", np.array([0.7, 0])),
+            lambda ts: setattr(ts, "data", ts.data + 1j),  # its imaginary part dropped
+        ],
+        ids=["label-257", "label-5-in-place", "one-label", "session-id-0.7", "complex-data"],
+    )
+    def test_a_field_changed_after_the_check_is_checked_again(self, tmp_path, rng, change):
+        # a TrialSet's fields stay plain attributes, so write_trials checks
+        # them by the set's own rules before it opens the file
+        ts = small_set(rng, t=2)
+        change(ts)
+        path = tmp_path / "x.eegt"
+        with pytest.raises(InvalidInput):
+            dataio.write_trials(ts, path)
+        assert not path.exists()
+
     def test_write_holds_no_copy_of_the_tensor(self, tmp_path, rng):
         ts = small_set(rng, c=16, n=256, t=128)  # a 4 MiB tensor
         path = tmp_path / "x.eegt"

@@ -14,7 +14,8 @@ The one exception defers a module that ``import tssf`` must not load.
 
 A float, int8 or uint32 conversion of an array is written in ``rules.py``
 alone, which checks a caller's values before the cast, unless it is one
-of ``OWN_CONVERSIONS``.
+of ``OWN_CONVERSIONS``. A pipeline's scoring state has one writer,
+``TssfPipeline._compile``.
 """
 
 import ast
@@ -162,7 +163,6 @@ OWN_CONVERSIONS = {
     ("dataio.py", "write_trials"),  # a TrialSet's checked fields, in file byte order
     ("evalstats.py", "wilcoxon_one_sided"),  # tie counts of a rank array
     ("linmodel.py", "_check_dataset"),  # labels after _check_labels
-    ("pipelines.py", "TssfPipeline.fit_covs"),  # the compiled fields of a fit
     ("pipelines.py", "_floats"),  # a model file field after its own check
 }
 CHECKED_DTYPES = {np.dtype(np.int8), np.dtype(np.uint32)}
@@ -232,3 +232,102 @@ def test_the_check_sees_a_cast():
         "y = np.asarray(z, dtype=np.int8)\nw = np.ascontiguousarray(z)\n"
     )
     assert casts(source) == [("f", 2), ("g", 4), ("g", 4), ("K.m", 7), (None, 8)]
+
+
+# The compiled form a pipeline scores with, and its k, are written by
+# TssfPipeline._compile alone, for a fit and a load alike, by one set of
+# rules; __init__ only marks a pipeline unfitted and holds the spec's k.
+SCORING_STATE = {"filters", "_coef", "_intercept", "_var_floor", "k"}
+INIT_WRITES = {("filters", "None"), ("k", "k")}
+
+
+def scoring_state_writes(source):
+    """(function, attribute, line) of each assignment, augmented assignment
+    or ``setattr`` of a :data:`SCORING_STATE` attribute, on any object,
+    outside ``TssfPipeline._compile``; ``function`` is the outermost
+    enclosing def (``Class.method`` for a method), and ``TssfPipeline.__init__``
+    may write the :data:`INIT_WRITES` pairs."""
+    found = []
+
+    def attributes(target):
+        # the attribute targets of an assignment, through tuple unpacking
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return [a for elt in target.elts for a in attributes(elt)]
+        if isinstance(target, ast.Starred):
+            return attributes(target.value)
+        return [target] if isinstance(target, ast.Attribute) else []
+
+    def writes(node, owner):
+        if isinstance(node, ast.Assign):
+            value = ast.unparse(node.value)
+            for target in node.targets:
+                for attr in attributes(target):
+                    if owner != "TssfPipeline.__init__" or (attr.attr, value) not in INIT_WRITES:
+                        yield attr.attr
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            yield from (attr.attr for attr in attributes(node.target))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value
+
+    def visit(node, owner, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, owner, owner or child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner or (f"{cls}.{child.name}" if cls else child.name))
+                continue
+            if owner != "TssfPipeline._compile":
+                found.extend(
+                    (owner, name, child.lineno)
+                    for name in writes(child, owner)
+                    if name in SCORING_STATE
+                )
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_compile_writes_the_scoring_state():
+    found = []
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            found.extend((module, *where) for where in scoring_state_writes(fh.read()))
+    assert found == []
+
+
+def test_the_check_sees_a_scoring_state_write():
+    source = (
+        "class TssfPipeline:\n"
+        "    def __init__(self, k):\n"
+        "        self.k, self.filters, self._coef = k, None, None\n"
+        "        self.k = k\n        self.filters = None\n        self._coef = None\n"
+        "    def _compile(self, f):\n        self.filters, self.k = f, 1\n"
+        "    def fit(self):\n        self.filters = 1\n        self._intercept += 1\n"
+        "        x.k, (y._var_floor, *z.filters) = 1, (2, 3)\n"
+        "        def inner():\n            self.k = 2\n"
+        "def load(p):\n    p.k: int = 2\n    setattr(p, '_coef', 3)\n    p.name = p.k = 4\n"
+        "k = filters = None\n"
+    )
+    assert scoring_state_writes(source) == [
+        ("TssfPipeline.__init__", "k", 3),
+        ("TssfPipeline.__init__", "filters", 3),
+        ("TssfPipeline.__init__", "_coef", 3),
+        ("TssfPipeline.__init__", "_coef", 6),
+        ("TssfPipeline.fit", "filters", 10),
+        ("TssfPipeline.fit", "_intercept", 11),
+        ("TssfPipeline.fit", "k", 12),
+        ("TssfPipeline.fit", "_var_floor", 12),
+        ("TssfPipeline.fit", "filters", 12),
+        ("TssfPipeline.fit", "k", 14),
+        ("load", "k", 16),
+        ("load", "_coef", 17),
+        ("load", "k", 18),
+    ]

@@ -260,10 +260,32 @@ def test_extreme_floats_round_trip_bitwise(tmp_path):
     spec = pipelines.PipelineSpec(name="CSP", k=2, classifier=FIXED)
     pipe = pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
     extremes = [5e-324, -0.0, np.finfo(float).max, -np.finfo(float).tiny, 0.1, 1 / 3]
-    pipe.filters = np.array(extremes[:4] + extremes[4:] * 2).reshape(4, 2)
+    filters = np.array(extremes[:4] + extremes[4:] * 2).reshape(4, 2)
+    pipe._compile(filters, pipe._coef, pipe._intercept, pipe._var_floor)
     tssf.save_pipeline(pipe, tmp_path / "model.json")
     loaded = tssf.load_pipeline(tmp_path / "model.json")
     assert loaded.filters.tobytes() == pipe.filters.tobytes()
+
+
+@pytest.mark.parametrize("route", ["fit", "fit_covs", "load"])
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_compiled_arrays_are_read_only(name, route, tmp_path):
+    # fit, fit_covs and load_pipeline all end in _compile: k is then the
+    # number of filters, and the arrays that score cannot be changed in place
+    ts = synth_set(seed=19, channels=4, trials=20)
+    pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=2, classifier=FIXED))
+    if route == "fit_covs":
+        pipe.fit_covs(dataio._spd_covariances(ts.data), ts.labels)
+    else:
+        pipe.fit(ts.data, ts.labels)
+    if route == "load":
+        tssf.save_pipeline(pipe, tmp_path / "model.json")
+        pipe = tssf.load_pipeline(tmp_path / "model.json")
+    assert pipe.k == pipe.filters.shape[1] == (4 if name == "TS_AIRM" else 2)
+    for array in (pipe.filters, pipe._coef):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 def test_square_projection_scores_by_congruence():
@@ -920,13 +942,16 @@ def workload_split(name):
 
 
 def dropped(pipe, j):
-    """A copy of a fitted pipeline without component j: its column and weight."""
-    reduced = pipelines.make_pipeline(pipelines.PipelineSpec(pipe.name, k=pipe.k))
+    """A copy of a fitted pipeline without component j: its column and weight.
+
+    A TS_AIRM without one of its C filters is a TSSF_Cov_1_step with C - 1:
+    the same feature kind, scored in one step.
+    """
+    name = "TSSF_Cov_1_step" if pipe.name == "TS_AIRM" else pipe.name
     keep = np.arange(pipe.k) != j
-    reduced.filters = np.ascontiguousarray(pipe.filters[:, keep])
-    reduced._coef = np.ascontiguousarray(pipe._coef[keep])
-    reduced._intercept, reduced._var_floor = pipe._intercept, pipe._var_floor
-    return reduced
+    return pipelines.make_pipeline(pipelines.PipelineSpec(name))._compile(
+        pipe.filters[:, keep], pipe._coef[keep], pipe._intercept, pipe._var_floor
+    )
 
 
 @pytest.mark.parametrize("workload", ["eval-c8-grid", "eval-c64-fixed"])
@@ -963,15 +988,15 @@ def test_dropping_a_component_removes_its_source_from_the_scores(workload, name,
             rtol=0,
             atol=1e-12 * np.abs(full).max(),
         )
-    if name != "TS_AIRM":  # a TS_AIRM model file keeps all C filters
-        tssf.save_pipeline(reduced, tmp_path / "reduced.json")
-        loaded = tssf.load_pipeline(tmp_path / "reduced.json")
-        for a, b in [
-            (loaded.filters, reduced.filters),
-            (loaded._coef, reduced._coef),
-            (loaded.decision_scores(noisy), reduced.decision_scores(noisy)),
-        ]:
-            assert a.tobytes() == b.tobytes()
+    tssf.save_pipeline(reduced, tmp_path / "reduced.json")
+    loaded = tssf.load_pipeline(tmp_path / "reduced.json")
+    assert loaded.name == reduced.name and loaded.k == reduced.k == pipe.k - 1
+    for a, b in [
+        (loaded.filters, reduced.filters),
+        (loaded._coef, reduced._coef),
+        (loaded.decision_scores(noisy), reduced.decision_scores(noisy)),
+    ]:
+        assert a.tobytes() == b.tobytes()
 
 
 def traced_peak(fn, *args):

@@ -557,8 +557,14 @@ class TestFitTangentModel:
             for array in (mean, model.weights):
                 with pytest.raises(ValueError):
                     array[0] = 1.0
-        model = tssf.extract_tssf(covs, labels, 2, model_cfg=tssf.ClassifierConfig(reg=2.0))
-        assert not model.reference_mean.flags.writeable
+        bank = tssf.extract_tssf(covs, labels, 2, model_cfg=tssf.ClassifierConfig(reg=2.0))
+        assert not bank.reference_mean.flags.writeable
+        # every filter bank holds read-only arrays too: extract_tssf's, tangent_filters', fit_csp's
+        tangent = tssf.tangent_filters(mean, tssf.unvec(model.weights), 2)
+        for bank in (bank, tangent, tssf.fit_csp(covs, labels, 2)):
+            for array in (bank.filters, bank.beta, bank.full_filters, bank.full_beta):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
 
     def test_trains_on_the_final_frechet_sweep(self, rng, monkeypatch):
         # the model is fitted on the whitened logs of the mean's last sweep,
