@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceFailure, DimMismatch, InvalidInput, NotPositiveDefinite, _where
-from .rules import _real_array
+from .rules import _check_magnitude, _real_array
 
 SYM_RTOL = 1e-12
 SPD_TOL = 1e-10
@@ -66,6 +66,15 @@ def _check_symmetric(a, name="matrix", stack=True):
         if not ok.all():
             fault = f"is not symmetric within {SYM_RTOL:g} of its largest entry"
             raise InvalidInput(f"{name}{_where(_first_failure(ok))} {fault}")
+    return a
+
+
+def _check_finite(a, name):
+    # the real-array rule, and no NaN or inf entry: for arrays that are not
+    # symmetric matrices (eigenvectors, eigenvalues)
+    a = _real_array(a, name)
+    if not np.isfinite(a).all():
+        raise InvalidInput(f"{name} has a non-finite entry")
     return a
 
 
@@ -200,7 +209,8 @@ def expm(s):
 
 
 def powm(a, p):
-    """Real matrix power ``a ** p`` of an SPD matrix, ``p != 0``."""
+    """Real matrix power ``a ** p`` of an SPD matrix, ``p`` finite and nonzero."""
+    _check_magnitude(p, "power p", None)
     if p == 0:
         raise InvalidInput("power p must be nonzero")
     w, v = _spd_eigh(_check_symmetric(a))
@@ -480,8 +490,8 @@ def subspace_angle_by_cluster(f1, f2, eigenvalues):
     subspaces each cluster spans, which is the comparison that stays
     well-posed when eigenvalues are degenerate.
     """
-    f1, f2 = _real_array(f1, "f1"), _real_array(f2, "f2")
-    eigenvalues = _real_array(eigenvalues, "eigenvalues")
+    f1, f2 = _check_finite(f1, "f1"), _check_finite(f2, "f2")
+    eigenvalues = _check_finite(eigenvalues, "eigenvalues")
     if f1.shape != f2.shape or f1.shape[1] != eigenvalues.size:
         raise DimMismatch("eigenvector sets and eigenvalues must align")
     worst = 0.0

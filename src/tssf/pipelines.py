@@ -1,8 +1,8 @@
 """End-to-end classification pipelines over raw trial tensors.
 
 Seven named pipelines cover the baseline and the tangent-space family.
-:data:`PIPELINES` is the one table that maps each name to its class, its
-feature kind and whether it scores in one step:
+:data:`PIPELINES` is the one table that maps each name to its filter
+source, its feature kind and whether it scores in one step:
 
 =================== ====================================================
 CSP                 TSSF_Var_2_step's fit with fit_csp's filters
@@ -14,13 +14,12 @@ TSSF_LogCov_2_step  full tangent vector of the filtered covariance, SVM
 TS_AIRM             TSSF_Cov_1_step with all C filters, whatever the k
 =================== ====================================================
 
-Every filter source, ``_extract``, hands back one ranked bank: all C
-filters, their coefficients ``full_beta`` and the K-prefix ``filters``.
-TS_AIRM, the tangent-space SVM at the Frechet mean, keeps all C, whose
-one-step scores are the SVM's decision values; CSP's source is
-:func:`~tssf.csp.fit_csp`. The classes differ in nothing else: a pipeline
-reads its feature kind and one-step flag from its row, and every k passes
-one rule, ``rules._check_count`` (an integer >= 1; TS_AIRM then ignores it).
+Every filter source hands back one ranked bank: all C filters, their
+coefficients ``full_beta`` and the K-prefix ``filters``. TS_AIRM, the
+tangent-space SVM at the Frechet mean, keeps all C, whose one-step scores
+are the SVM's decision values; CSP's source is :func:`~tssf.csp.fit_csp`.
+Every pipeline is a :class:`TssfPipeline` that reads its row, and every k
+passes one rule, ``rules._check_count`` (an integer >= 1; TS_AIRM then ignores it).
 
 Every pipeline object exposes ``fit(trials, labels)`` and
 ``decision_scores(trials)`` on C x N x T tensors, and ``fit_covs(covs,
@@ -139,10 +138,9 @@ def _block_scores(self, trials):
 class TssfPipeline:
     """One pipeline: a filter source, training features and a classifier.
 
-    Its :data:`PIPELINES` row gives the feature kind and one-step flag.
-    ``fit_covs`` takes its filters from ``_extract`` (a tangent-space model
-    here; CSP in :class:`CspPipeline`, all C in :class:`TangentSpacePipeline`)
-    and ``_compile`` stores ``filters``, the filters that score, one ``_coef`` each.
+    Its :data:`PIPELINES` row gives the filter source, feature kind and
+    one-step flag. ``fit_covs`` takes its filters from the source and
+    ``_compile`` stores ``filters``, the filters that score, one ``_coef`` each.
     """
 
     def __init__(self, name, k, classifier=None):
@@ -150,13 +148,10 @@ class TssfPipeline:
         PipelineSpec(name, k, self.classifier_cfg).validate()  # also without make_pipeline
         self.name = name
         self.k = k
-        _, self.feature_kind, self.one_step = PIPELINES[name]
+        self._source, self.feature_kind, self.one_step = PIPELINES[name]
         self.filters = None
         self.model = None
         self.clf = None
-
-    def _extract(self, covs, labels, k):
-        return extract_tssf(covs, labels, k, model_cfg=self.classifier_cfg)
 
     def fit(self, trials, labels):
         trials, labels = _check_training_set(trials, labels, trial_axis=2)
@@ -165,7 +160,7 @@ class TssfPipeline:
     def fit_covs(self, covs, labels):
         """``fit`` on the training trials' (T, C, C) covariance stack; ends in ``_compile``."""
         covs, labels = _check_training_set(covs, labels)
-        self.model = self._extract(covs, labels, self.k)
+        self.model = self._source(covs, labels, self.k, self.classifier_cfg)
         projection = self.model.filters
         stack = _congruence(projection, covs)  # the filtered training covariances
         if self.one_step:
@@ -199,7 +194,7 @@ class TssfPipeline:
         channels, k = filters.shape
         if k < 1 or coef.shape != (k,):
             raise FormatError(f"coef of length {coef.size} does not weigh {k} filters (k >= 1)")
-        if type(self) is TangentSpacePipeline and k != channels:
+        if self._source is _full_rank_source and k != channels:
             raise FormatError(f"{self.name} keeps all C filters: square, not {channels} x {k}")
         if k > channels:  # no fit keeps more filters than channels
             raise FormatError(
@@ -217,34 +212,40 @@ class TssfPipeline:
 
 
 class CspPipeline(TssfPipeline):
-    # TSSF_Var_2_step with CSP filters; its own bindings keep its name on
-    # the methods that tracing tools patch per class
-    def _extract(self, covs, labels, k):
-        return fit_csp(covs, labels, k)
-
+    # kept for perfbench/tracer.py alone, which patches fit and decision_scores
+    # in the __dict__ of this class and the next; ROADMAP item 6 deletes both
     fit = TssfPipeline.fit
     decision_scores = _compiled_scores
 
 
 class TangentSpacePipeline(TssfPipeline):
-    # TS_AIRM: one-step TSSF that keeps all C filters at every fit; its own
-    # bindings keep its name on the methods that tracing tools patch per class
-    def _extract(self, covs, labels, k):
-        return super()._extract(covs, labels, covs.shape[1])
-
     fit = TssfPipeline.fit
     decision_scores = _compiled_scores
 
 
-# name -> (class, whose _extract is the filter source; feature kind; one-step)
+# The filter sources, (covs, labels, k, classifier) -> ranked bank. Each looks up
+# extract_tssf or fit_csp by module name when it runs, so a tracer's patch sees it.
+def _tangent_source(covs, labels, k, classifier):
+    return extract_tssf(covs, labels, k, model_cfg=classifier)
+
+
+def _csp_source(covs, labels, k, classifier):
+    return fit_csp(covs, labels, k)
+
+
+def _full_rank_source(covs, labels, k, classifier):  # TS_AIRM's: all C, whatever the k
+    return extract_tssf(covs, labels, covs.shape[1], model_cfg=classifier)
+
+
+# name -> (filter source, feature kind, one-step)
 PIPELINES = {
-    "CSP": (CspPipeline, LOGVAR, False),
-    "TSSF_Var_1_step": (TssfPipeline, LOGVAR, True),
-    "TSSF_Var_2_step": (TssfPipeline, LOGVAR, False),
-    "TSSF_Cov_1_step": (TssfPipeline, DIAGLOGCOV, True),
-    "TSSF_Cov_2_step": (TssfPipeline, DIAGLOGCOV, False),
-    "TSSF_LogCov_2_step": (TssfPipeline, LOGCOV, False),
-    "TS_AIRM": (TangentSpacePipeline, DIAGLOGCOV, True),
+    "CSP": (_csp_source, LOGVAR, False),
+    "TSSF_Var_1_step": (_tangent_source, LOGVAR, True),
+    "TSSF_Var_2_step": (_tangent_source, LOGVAR, False),
+    "TSSF_Cov_1_step": (_tangent_source, DIAGLOGCOV, True),
+    "TSSF_Cov_2_step": (_tangent_source, DIAGLOGCOV, False),
+    "TSSF_LogCov_2_step": (_tangent_source, LOGCOV, False),
+    "TS_AIRM": (_full_rank_source, DIAGLOGCOV, True),
 }
 PIPELINE_NAMES = tuple(PIPELINES)
 
@@ -269,8 +270,7 @@ class PipelineSpec:
 
 def make_pipeline(spec):
     """Build a fresh, unfitted pipeline object from a spec."""
-    spec.validate()
-    return PIPELINES[spec.name][0](spec.name, spec.k, spec.classifier)
+    return TssfPipeline(spec.name, spec.k, spec.classifier)
 
 
 def save_pipeline(pipe, path):
@@ -333,7 +333,7 @@ def load_pipeline(path):
     name = doc["name"]
     if name not in PIPELINE_NAMES:
         raise FormatError(f"unknown pipeline {name!r}")
-    return PIPELINES[name][0](name, 1)._compile(
+    return TssfPipeline(name, 1)._compile(
         _floats(doc, "filters", 2), _floats(doc, "coef", 1),
         _floats(doc, "intercept", 0), _floats(doc, "var_floor", 0),
     )

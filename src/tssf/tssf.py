@@ -44,6 +44,7 @@ from .errors import (
 from .linmodel import ClassifierConfig, fit_from_config
 from .manifold import (
     SPD_TOL,
+    _check_finite,
     _check_same_dim,
     _check_symmetric,
     _congruence,
@@ -160,7 +161,7 @@ class TssfModel:
     K-column prefix), ``full_beta`` the matching log-eigenvalues (``beta``
     is their K-prefix, the one-step coefficients of either feature kind) and
     ``reference_mean`` the point whose tangent space the weights live in.
-    The four filter and coefficient arrays are read-only.
+    All five arrays are read-only, and the mean is the bank's own copy.
     """
 
     filters: np.ndarray
@@ -206,8 +207,9 @@ def _ranked_bank(ref, inv_half, weights, k, intercept=0.0):
     order = np.lexsort((np.arange(lam.size), -lam, -np.abs(lam)))
     full_filters = (inv_half @ v)[:, order]
     full_beta = lam[order]
-    full_filters.setflags(write=False)  # so also their prefixes, filters and beta
-    full_beta.setflags(write=False)
+    ref = ref.copy()  # the bank's own: a later write to the caller's ref moves nothing
+    for array in (full_filters, full_beta, ref):  # prefixes too: filters and beta
+        array.setflags(write=False)
     return TssfModel(
         filters=full_filters[:, :k],
         beta=full_beta[:k],
@@ -355,12 +357,15 @@ def exact_decision_value(weight_cov, ref, trial_cov, ged_result):
     the tangent images of ``weight_cov`` and ``trial_cov``, i.e. the
     decision value of the underlying tangent-space linear model (without
     its intercept). ``ged_result`` must whiten ``ref`` and diagonalize
-    ``weight_cov``, or :class:`~tssf.errors.InvalidInput` is raised.
+    ``weight_cov``, or :class:`~tssf.errors.InvalidInput` is raised. First
+    each matrix passes the symmetric-matrix rule and both ``ged_result``
+    arrays must be finite: a non-finite entry is named, as ``InvalidInput``.
     """
-    weight_cov, ref = _real_array(weight_cov, "weight_cov"), _real_array(ref, "ref")
-    trial_cov = _real_array(trial_cov, "trial_cov")
-    f = _real_array(ged_result.eigenvectors, "ged_result.eigenvectors")
-    d = _real_array(ged_result.eigenvalues, "ged_result.eigenvalues")
+    weight_cov = _check_symmetric(weight_cov, "weight_cov", stack=False)
+    ref = _check_symmetric(ref, "ref", stack=False)
+    trial_cov = _check_symmetric(trial_cov, "trial_cov", stack=False)
+    f = _check_finite(ged_result.eigenvectors, "ged_result.eigenvectors")
+    d = _check_finite(ged_result.eigenvalues, "ged_result.eigenvalues")
     if f.shape[0] != f.shape[1]:
         raise InvalidInput("filters must be square (full rank) for the exact value")
     if np.linalg.matrix_rank(f) < f.shape[0]:

@@ -87,6 +87,7 @@ class TestSymEig:
         g = random_spd(rng, 3)
         pair, diagonal = g.copy(), g.copy()
         pair[0, 2] = pair[2, 0] = diagonal[1, 1] = bad
+        solved, eye, ones = manifold.ged(g, g), np.eye(3), np.ones(3)
         calls = [
             ("matrix", manifold.sym_eig),
             ("matrix", manifold.expm),
@@ -111,6 +112,17 @@ class TestSymEig:
             ("covariance 1", lambda b: tssf.tangent_vectors(g, [g, b, g])),
             ("ref", lambda b: tssf.tangent_filters(b, g, 1)),
             ("weights", lambda b: tssf.tangent_filters(g, b, 1)),
+            ("weight_cov", lambda b: tssf.exact_decision_value(b, g, g, solved)),
+            ("ref", lambda b: tssf.exact_decision_value(g, b, g, solved)),
+            ("trial_cov", lambda b: tssf.exact_decision_value(g, g, b, solved)),
+            ("ged_result.eigenvectors",
+             lambda b: tssf.exact_decision_value(g, g, g, manifold.GedResult(b, ones))),
+            # b.sum(axis=0): a vector with a non-finite entry
+            ("ged_result.eigenvalues",
+             lambda b: tssf.exact_decision_value(g, g, g, manifold.GedResult(eye, b.sum(axis=0)))),
+            ("f1", lambda b: manifold.subspace_angle_by_cluster(b, eye, ones)),
+            ("f2", lambda b: manifold.subspace_angle_by_cluster(eye, b, ones)),
+            ("eigenvalues", lambda b: manifold.subspace_angle_by_cluster(eye, eye, b.sum(axis=0))),
         ]
         for name, call in calls:
             for a in (pair, diagonal):
@@ -160,9 +172,16 @@ class TestMatrixFunctions:
             manifold.powm(a, -0.5), np.linalg.inv(manifold.powm(a, 0.5)), atol=1e-8
         )
 
-    def test_powm_zero_power(self, rng):
-        with pytest.raises(InvalidInput):
-            manifold.powm(random_spd(rng, 3), 0.0)
+    @pytest.mark.parametrize(
+        "p, message",
+        [(0.0, "power p must be nonzero"), (np.nan, "power p must be finite"),
+         (np.inf, "power p must be finite"), (-np.inf, "power p must be finite"),
+         ("a", "power p must be a real number, got 'a'")],
+        ids=["zero", "nan", "inf", "-inf", "text"],
+    )
+    def test_powm_zero_power(self, rng, p, message):
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            manifold.powm(random_spd(rng, 3), p)
 
 
 class TestAirmDistance:

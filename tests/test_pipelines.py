@@ -18,7 +18,10 @@ from tssf.errors import (
     NotPositiveDefinite,
 )
 
+from test_tracer_names import load_tracer
 from test_work_counts import load_workloads
+
+TRACED_CLASSES = load_tracer().PIPELINE_CLASSES  # the classes whose methods perfbench wraps
 
 
 def synth_set(seed=0, channels=4, trials=40, sigma=0.4, sessions=1):
@@ -77,26 +80,26 @@ class TestSpec:
     def test_all_names_buildable(self):
         for name in pipelines.PIPELINE_NAMES:
             pipe = pipelines.make_pipeline(pipelines.PipelineSpec(name=name, k=2))
-            cls, kind, one_step = pipelines.PIPELINES[name]
-            # unfitted, every pipeline reports the spec's k, TS_AIRM's too
+            _, kind, one_step = pipelines.PIPELINES[name]
+            # every name builds the one class, which reads its row; unfitted,
+            # every pipeline reports the spec's k, TS_AIRM's too
             assert (type(pipe), pipe.name, pipe.feature_kind, pipe.one_step, pipe.k) == (
-                cls, name, kind, one_step, 2
+                pipelines.TssfPipeline, name, kind, one_step, 2
             )
 
     def test_every_class_binds_the_one_fit_body(self):
-        # CSP differs from TSSF_Var_2_step, and TS_AIRM from TSSF_Cov_1_step,
-        # only in its filter source (_extract)
-        assert pipelines.CspPipeline.fit is pipelines.TangentSpacePipeline.fit
-        assert pipelines.TangentSpacePipeline.fit is pipelines.TssfPipeline.fit
-        for cls in (pipelines.CspPipeline, pipelines.TangentSpacePipeline):
-            assert cls._extract is not pipelines.TssfPipeline._extract
+        # perfbench/tracer.py wraps fit in each of its classes' own __dict__;
+        # the two subclasses hold those two bindings and nothing else
+        for cls in (getattr(pipelines, name) for name in TRACED_CLASSES):
+            assert cls.__dict__["fit"] is pipelines.TssfPipeline.__dict__["fit"]
+            if cls is not pipelines.TssfPipeline:
+                own = {key for key in vars(cls) if not key.startswith("__")}
+                assert own == {"fit", "decision_scores"}
 
     def test_every_class_binds_the_one_scorer(self):
-        # perfbench/tracer.py wraps fit and decision_scores in each class's
-        # own __dict__
-        for cls in {row[0] for row in pipelines.PIPELINES.values()}:
+        # and decision_scores, in the same three namespaces
+        for cls in (getattr(pipelines, name) for name in TRACED_CLASSES):
             assert cls.__dict__["decision_scores"] is pipelines._compiled_scores
-            assert "fit" in cls.__dict__
 
 
 @pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
@@ -253,6 +256,24 @@ def test_saved_pipeline_scores_bitwise_like_fitted_one(name, tmp_path):
     assert pipe._coef.ndim == 1 and pipe._coef.shape == pipe.filters.shape[1:]
     # one value per line: each row of a matrix spans one line per entry
     assert ' [\n  [\n   ' in text and "," not in text.replace(",\n", "")
+
+
+@pytest.mark.parametrize("cls_name", TRACED_CLASSES)
+@pytest.mark.parametrize("name", pipelines.PIPELINE_NAMES)
+def test_a_pipeline_of_any_class_is_its_row(name, cls_name, tmp_path):
+    # the row alone tells one pipeline from another: built directly by any
+    # class, a pipeline fits and scores bitwise as make_pipeline's, and its
+    # file loads and scores so too
+    ts = synth_set(seed=15, channels=5, trials=40)
+    train, labels, test = ts.data[:, :, :30], ts.labels[:30], ts.data[:, :, 30:]
+    made = pipelines.make_pipeline(pipelines.PipelineSpec(name, k=2, classifier=FIXED))
+    made.fit(train, labels)
+    direct = getattr(pipelines, cls_name)(name, 2, FIXED).fit(train, labels)
+    np.testing.assert_array_equal(direct.filters, made.filters)
+    np.testing.assert_array_equal(direct.decision_scores(test), made.decision_scores(test))
+    tssf.save_pipeline(direct, tmp_path / "model.json")
+    loaded = tssf.load_pipeline(tmp_path / "model.json")
+    np.testing.assert_array_equal(loaded.decision_scores(test), made.decision_scores(test))
 
 
 def test_extreme_floats_round_trip_bitwise(tmp_path):

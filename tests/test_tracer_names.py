@@ -10,13 +10,17 @@ import pytest
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
 
-@pytest.fixture(scope="module")
-def tracer():
+def load_tracer():
     # loaded by path and only read: it imports the standard library alone
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return load_tracer()
 
 
 def test_every_traced_function_resolves(tracer):
@@ -69,13 +73,16 @@ def test_install_wraps_every_binding_and_uninstall_restores_it(tracer):
             for key, value in bindings().items()
             if hasattr(value, "__perfbench_original__")
         }
-        for name in ("TSSF_LogCov_2_step", "TS_AIRM"):
+        for name in ("TSSF_LogCov_2_step", "TS_AIRM", "CSP"):
             spec = pipelines.PipelineSpec(name, k=2, classifier=tssf.ClassifierConfig(reg=1.0))
             pipelines.make_pipeline(spec).fit(ts.data, ts.labels)
     after = bindings()
     binders = [key for key, value in before.items() if value is frechet_mean]
     assert len(binders) >= 4 and all(key in wrapped for key in binders)
-    assert traced.stats()["pipelines.fit"]["calls"] == 2
+    # every filter source is seen: the two tangent banks and CSP's
+    expected = {"pipelines.fit": 3, "tssf.extract_tssf": 2, "csp.fit_csp": 1}
+    stats = traced.stats()
+    assert {name: stats[name]["calls"] for name in expected} == expected
     assert tracer.leftover_wrappers() == []
     assert all(
         after[key] is before[key] is value.__perfbench_original__ for key, value in wrapped.items()

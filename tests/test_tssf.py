@@ -558,13 +558,17 @@ class TestFitTangentModel:
                 with pytest.raises(ValueError):
                     array[0] = 1.0
         bank = tssf.extract_tssf(covs, labels, 2, model_cfg=tssf.ClassifierConfig(reg=2.0))
-        assert not bank.reference_mean.flags.writeable
         # every filter bank holds read-only arrays too: extract_tssf's, tangent_filters', fit_csp's
-        tangent = tssf.tangent_filters(mean, tssf.unvec(model.weights), 2)
+        ref = np.array(mean)  # a writeable mean of the caller's
+        tangent = tssf.tangent_filters(ref, tssf.unvec(model.weights), 2)
         for bank in (bank, tangent, tssf.fit_csp(covs, labels, 2)):
-            for array in (bank.filters, bank.beta, bank.full_filters, bank.full_beta):
+            for array in (bank.filters, bank.beta, bank.full_filters, bank.full_beta,
+                          bank.reference_mean):
                 with pytest.raises(ValueError):
                     array[0] = 1.0
+        # and its mean is its own: a write to the caller's ref does not move it
+        ref[0, 0] += 100.0
+        np.testing.assert_array_equal(tangent.reference_mean, mean)
 
     def test_trains_on_the_final_frechet_sweep(self, rng, monkeypatch):
         # the model is fitted on the whitened logs of the mean's last sweep,
